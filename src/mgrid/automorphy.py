@@ -17,6 +17,7 @@ c < 0 and chi(-I) = e^{pi i k} folding the sign back in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +25,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .groups import GroupElement, GroupSpec, T
+from .groups import GroupElement, GroupSpec, T, cplus_elements
 from .precision import exp2pi
 
 __all__ = [
@@ -79,6 +80,19 @@ class Multiplier:
     def value(self, gamma: GroupElement) -> mpmath.mpc:
         return exp2pi(self.phase(gamma))
 
+    def box_phases(self, a, d, c: int):
+        """Exact phases over one C+ box as (nums, den): int64 numerators over
+        one common denominator, phase(g) = nums/den mod 1 elementwise.
+
+        a and d are the box arrays of groups.cplus_arrays at lower-left
+        entry c.  This default evaluates phase() per element, so a subclass
+        needs to define only phase(); the built-ins override it.
+        """
+        qs = [self.phase(g) for g in cplus_elements(a, d, c)]
+        den = math.lcm(*(q.denominator for q in qs))
+        return np.array([q.numerator * (den // q.denominator) for q in qs],
+                        dtype=np.int64), den
+
     def conjugate(self) -> "Multiplier":
         raise NotImplementedError
 
@@ -94,6 +108,9 @@ class Multiplier:
 class TrivialMultiplier(Multiplier):
     def phase(self, gamma: GroupElement) -> Fraction:
         return Fraction(0)
+
+    def box_phases(self, a, d, c: int):
+        return np.zeros(len(d), dtype=np.int64), 1
 
     def conjugate(self):
         return self
@@ -136,6 +153,13 @@ class EtaPowerMultiplier(Multiplier):
         val = Fraction(self.r, 2) * (Fraction(a + d, 12 * c) + dedekind_sum(-d, c))
         return frac(val - Fraction(self.r, 8))
 
+    def box_phases(self, a, d, c: int):
+        # 24c times the c > 0 phase: r (a + d) + 12 r c s(-d, c) - 3 r c,
+        # an integer because 6c s(h, c) is one
+        s12 = np.array([int(12 * c * dedekind_sum(-di, c)) for di in d.tolist()],
+                       dtype=np.int64)
+        return self.r * (a + d + s12 - 3 * c), 24 * c
+
     def conjugate(self):
         return EtaPowerMultiplier(-self.r)
 
@@ -177,6 +201,19 @@ class DirichletMultiplier(Multiplier):
     def phase(self, gamma: GroupElement) -> Fraction:
         return frac(self._lookup(gamma.d))
 
+    def box_phases(self, a, d, c: int):
+        n = self.modulus
+        u = d % n
+        if np.any(np.gcd(u, n) != 1):
+            raise ValueError(f"a d entry of the box at c = {c} is not coprime "
+                             f"to the modulus {n}")
+        tab = [(v, frac(q)) for v, q in self.table]
+        den = math.lcm(*(q.denominator for _v, q in tab))
+        lut = np.zeros(n, dtype=np.int64)
+        for v, q in tab:
+            lut[v] = q.numerator * (den // q.denominator)
+        return lut[u], den
+
     def conjugate(self):
         return DirichletMultiplier(self.modulus, tuple((u, frac(-q)) for u, q in self.table))
 
@@ -192,6 +229,12 @@ class CompositeMultiplier(Multiplier):
 
     def phase(self, gamma: GroupElement) -> Fraction:
         return frac(sum((p.phase(gamma) for p in self.parts), Fraction(0)))
+
+    def box_phases(self, a, d, c: int):
+        parts = [p.box_phases(a, d, c) for p in self.parts]
+        den = math.lcm(*(pd for _n, pd in parts))
+        return sum((nums * (den // pd) for nums, pd in parts),
+                   np.zeros(len(d), dtype=np.int64)), den
 
     def conjugate(self):
         return CompositeMultiplier(tuple(p.conjugate() for p in self.parts))

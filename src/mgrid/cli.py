@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -29,16 +28,6 @@ from .automorphy import (
 from .groups import GroupElement, GroupSpec
 from .precision import PrecisionContext
 from .series import TruncationParams
-
-
-def max_threads() -> int:
-    """Parallelism cap from MGRID_THREADS (>= 1).  Evaluation currently runs
-    sequentially with a deterministic ordered reduction, which satisfies any
-    cap; the value is surfaced for forward compatibility."""
-    try:
-        return max(1, int(os.environ.get("MGRID_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -382,8 +371,7 @@ def cmd_selfcheck(args) -> int:
         + (math.cos(0.0) + math.cos(3 * math.pi)) * math.pi / 40000
     checks.append(("bessel-quadrature", abs(float(bessel_j(3, 7.0)) - jq / math.pi) < 1e-8))
     checks.append(("bessel-i-positive", float(bessel_i(2, 1.5)) > 0))
-    payload = {"checks": [{"name": n, "pass": bool(v)} for n, v in checks],
-               "threads": max_threads()}
+    payload = {"checks": [{"name": n, "pass": bool(v)} for n, v in checks]}
     _emit(args, payload)
     return 0 if all(v for _n, v in checks) else 2
 

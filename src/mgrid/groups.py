@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +24,8 @@ __all__ = [
     "gamma0",
     "S",
     "T",
+    "cplus_arrays",
+    "cplus_elements",
     "enumerate_cplus",
     "units_mod",
     "moebius",
@@ -103,32 +104,13 @@ def gamma0(n: int, gens=()) -> GroupSpec:
     return GroupSpec(level=n, gens=tuple(gens))
 
 
-@lru_cache(maxsize=2048)
-def _units_and_inverses(c: int):
-    """Arrays (a, d) over the box at lower-left entry c, ordered by -d ascending.
-
-    d runs through (-c, 0] coprime to c; a = d^{-1} mod c lifted to [0, c).
-    """
-    if c == 1:
-        return np.array([0], dtype=np.int64), np.array([0], dtype=np.int64)
-    nd = np.arange(c, dtype=np.int64)  # nd = -d
-    mask = np.gcd(nd, c) == 1
-    nd = nd[mask]
-    a = np.array([pow(int(-x) % c, -1, c) for x in nd], dtype=np.int64)
-    return a, -nd
-
-
-@lru_cache(maxsize=2048)
-def units_mod(c: int):
-    """Units of Z/cZ in [0, c), ascending (c = 1 gives [0])."""
-    if c == 1:
-        return np.array([0], dtype=np.int64)
-    u = np.arange(c, dtype=np.int64)
-    return u[np.gcd(u, c) == 1]
-
-
 def cplus_arrays(spec: GroupSpec, c: int):
-    """(a, d) int64 arrays of the C+ box at this c, or empty if N does not divide c."""
+    """(a, d) int64 arrays of the C+ box at this c, ordered by -d ascending.
+
+    d runs through (-c, 0] coprime to c and a = d^{-1} mod c lifted to
+    [0, c); the arrays are empty when N does not divide c.  Built afresh on
+    every call: callers that walk c once need no cache.
+    """
     if c < 1:
         raise ValueError("c must be a positive integer")
     if spec.lam != 1:
@@ -136,17 +118,35 @@ def cplus_arrays(spec: GroupSpec, c: int):
     if c % spec.level != 0:
         e = np.array([], dtype=np.int64)
         return e, e
-    return _units_and_inverses(c)
+    nd = np.arange(c, dtype=np.int64)  # nd = -d
+    nd = nd[np.gcd(nd, c) == 1]
+    # a = d^(phi(c) - 1) mod c (Euler), by vectorised square-and-multiply;
+    # every product stays below c^2 < 2^63
+    base = -nd % c
+    a = np.full_like(nd, 1 % c)
+    e = len(nd) - 1
+    while e:
+        if e & 1:
+            a = a * base % c
+        base = base * base % c
+        e >>= 1
+    return a, -nd
+
+
+def units_mod(c: int):
+    """Units of Z/cZ in [0, c), ascending (c = 1 gives [0])."""
+    return -cplus_arrays(GroupSpec(), c)[1]
+
+
+def cplus_elements(a, d, c: int):
+    """The GroupElements of one C+ box from its (a, d) arrays."""
+    return [GroupElement(ai, (ai * di - 1) // c, c, di)
+            for ai, di in zip(a.tolist(), d.tolist())]
 
 
 def enumerate_cplus(spec: GroupSpec, c: int):
     """The elements of C+ with lower-left entry c, ordered by -d ascending."""
-    a, d = cplus_arrays(spec, c)
-    out = []
-    for ai, di in zip(a.tolist(), d.tolist()):
-        b = (ai * di - 1) // c
-        out.append(GroupElement(ai, b, c, di))
-    return out
+    return cplus_elements(*cplus_arrays(spec, c), c)
 
 
 def moebius(gamma: GroupElement, tau):

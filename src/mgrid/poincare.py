@@ -13,31 +13,34 @@ a sum over the double-coset boxes C+(c):
   x = 0:  (-2 pi i)^w / (Gamma(w) lambda^w)    sum_c c^{-w} K_c y^{w-1}
   x < 0:  (2 pi/lambda) i^{-w} (y/-x)^{(w-1)/2} sum_c c^{-1} K_c I_{w-1}(4 pi sqrt(-xy)/(c lambda))
 
-(w = weight).  Layers are evaluated with exact rational phase reduction and
-summed in ascending c with compensated accumulation; the returned tail bound
-majorises the neglected c > c_max terms via |C+(c)| <= c and the series
-bounds J_nu(z), I_nu(z) <= (z/2)^nu/nu! * geometric/exponential factors.
+(w = weight).  One engine computes every c-sum: it walks c once in
+ascending order, builds the box C+(c) once (groups.cplus_arrays; boxes are
+never cached), asks each effective character for the exact phases of the
+whole box (Multiplier.box_phases: integer numerators over one common
+denominator; a user subclass that defines only phase() gets them from
+phase()), and evaluates the layer of every requested (x, y, j, alpha) from
+that one box.  poincare_series and constant_term_cf make one such pass;
+poincare_coefficient and kloosterman_layer are the engine on one index.
+Terms are summed in ascending c with compensated accumulation; the returned
+tail bound majorises the neglected c > c_max terms via |C+(c)| <= c and the
+series bounds J_nu(z), I_nu(z) <= (z/2)^nu/nu! * geometric/exponential
+factors.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 import numpy as np
 
-from .automorphy import (
-    AutomorphyData,
-    CompositeMultiplier,
-    DiagonalRepresentation,
-    DirichletMultiplier,
-    TrivialMultiplier,
-)
-from .groups import cplus_arrays, enumerate_cplus, units_mod
+from .automorphy import AutomorphyData, DiagonalRepresentation
+from .groups import cplus_arrays, cplus_elements
 from .precision import compensated_sum, exp2pi
 from .series import FourierSeries, TruncationParams
+from .specialfn import bessel_i, bessel_j
 
 __all__ = [
     "kloosterman_layer",
@@ -49,25 +52,6 @@ __all__ = [
 ]
 
 TWO_PI = 2 * math.pi
-
-
-def _is_trivial_phase(chi) -> bool:
-    if isinstance(chi, TrivialMultiplier):
-        return True
-    if isinstance(chi, CompositeMultiplier):
-        return all(_is_trivial_phase(p) for p in chi.parts)
-    return False
-
-
-def _is_d_only_phase(chi) -> bool:
-    """Characters whose phase depends on d alone (Dirichlet tables)."""
-    if _is_trivial_phase(chi):
-        return True
-    if isinstance(chi, DirichletMultiplier):
-        return True
-    if isinstance(chi, CompositeMultiplier):
-        return all(_is_d_only_phase(p) for p in chi.parts)
-    return False
 
 
 def _exponent_sum(nums: np.ndarray, den: int, bits: int = 53):
@@ -100,93 +84,13 @@ def _exponent_sum(nums: np.ndarray, den: int, bits: int = 53):
         return +total
 
 
-def _d_phase_numerators(chi, d_arr: np.ndarray, c: int):
-    """(num, den) for phases of a d-only character along an element array."""
-    if _is_trivial_phase(chi):
-        return np.zeros(len(d_arr), dtype=np.int64), 1
-    phases = {}
-
-    def collect(m):
-        if isinstance(m, DirichletMultiplier):
-            for u, q in m.table:
-                phases.setdefault(m.modulus, {}).setdefault(u, Fraction(0))
-                phases[m.modulus][u] += q
-        elif isinstance(m, CompositeMultiplier):
-            for p in m.parts:
-                collect(p)
-
-    collect(chi)
-    den = 1
-    for tab in phases.values():
-        for q in tab.values():
-            den = den * q.denominator // math.gcd(den, q.denominator)
-    num = np.zeros(len(d_arr), dtype=np.int64)
-    for modulus, tab in phases.items():
-        lut = np.zeros(modulus, dtype=np.int64)
-        for u, q in tab.items():
-            lut[u] = q.numerator * (den // q.denominator)
-        num += lut[d_arr % modulus]
-    return num, den
-
-
-@lru_cache(maxsize=1 << 17)
-def _scalar_layer_cached(spec, c, x: Fraction, y: Fraction, chi_eff, bits):
-    return _scalar_layer_impl(spec, c, x, y, chi_eff, bits)
-
-
-def _scalar_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
-                  chi_eff, bits: int = 53):
-    try:
-        return _scalar_layer_cached(data.group, c, x, y, chi_eff, bits)
-    except TypeError:  # unhashable custom multiplier
-        return _scalar_layer_impl(data.group, c, x, y, chi_eff, bits)
-
-
-def _scalar_layer_impl(spec, c: int, x: Fraction, y: Fraction,
-                       chi_eff, bits: int):
-    # exponent (x a + y d)/c over denominator D0 = qx qy c (lambda = 1 here)
-    qx, qy = x.denominator, y.denominator
-    d0 = qx * qy * c
-    if _is_d_only_phase(chi_eff):
-        if x == 0:
-            d_arr = -units_mod(c)
-            base = y.numerator * qx * d_arr
-        elif y == 0 and _is_trivial_phase(chi_eff):
-            a_arr = units_mod(c)
-            base = x.numerator * qy * a_arr
-            d_arr = None
-        else:
-            a_arr, d_arr = cplus_arrays(spec, c)
-            base = x.numerator * qy * a_arr + y.numerator * qx * d_arr
-        if d_arr is None:
-            return _exponent_sum(base, d0, bits)
-        chi_num, chi_den = _d_phase_numerators(chi_eff, d_arr, c)
-        den = d0 * chi_den // math.gcd(d0, chi_den) if chi_den > 1 else d0
-        nums = base * (den // d0) - chi_num * (den // chi_den)
-        return _exponent_sum(nums, den, bits)
-    # general rational-phase character: per-element exact Fraction exponents,
-    # reduced to integers over one common denominator
-    exps = []
-    for g in enumerate_cplus(spec, c):
-        e = Fraction(x * g.a + y * g.d, c) - chi_eff.phase(g)
-        exps.append(e - math.floor(e))
-    if not exps:
-        return 0j
-    den = 1
-    for e in exps:
-        den = den * e.denominator // math.gcd(den, e.denominator)
-    nums = np.array([e.numerator * (den // e.denominator) for e in exps],
-                    dtype=np.int64)
-    return _exponent_sum(nums, den, bits)
-
-
 # Element budget above which high-precision layers fall back to float64:
 # the mp path costs one mp-exponential per box element.
 MP_LAYER_ELEMENT_BUDGET = 40_000
 
 
 def layer_bits_for(ctx, c_max: int, level: int = 1) -> int:
-    """Working precision for the Kloosterman layers of one coefficient run.
+    """Working precision for the Kloosterman layers of one engine pass.
 
     The layers are unit-modulus sums with exactly reduced rational phases,
     so float64 already gives ~1e-16 relative accuracy per element; that
@@ -203,6 +107,44 @@ def layer_bits_for(ctx, c_max: int, level: int = 1) -> int:
     return ctx.mantissa_bits if est_elements <= MP_LAYER_ELEMENT_BUDGET else 53
 
 
+def _layers(data: AutomorphyData, c: int, keys, bits: int) -> list:
+    """K_c(x, y)_{j,alpha} for every (x, y, j, alpha) in keys, from one box.
+
+    Diagonal rho: the exponent (x a + y d)/c minus the box phases of the
+    effective character chi * mu_alpha, reduced exactly over one common
+    denominator; None for j != alpha, where the layer is zero by structure.
+    A matrix rho has no exact phases and is summed per element.
+    """
+    a, d = cplus_arrays(data.group, c)
+    if not isinstance(data.rho, DiagonalRepresentation):
+        elems = cplus_elements(a, d, c)
+        out = []
+        for x, y, j, alpha in keys:
+            total = 0j
+            for g in elems:
+                w = complex(data.chi.value(g)) ** -1 * data.rho.inv_entry(g, j, alpha)
+                total += w * np.exp(2j * np.pi * float((x * g.a + y * g.d) / c))
+            out.append(total)
+        return out
+    phases = {}
+    out = []
+    for x, y, j, alpha in keys:
+        if j != alpha:
+            out.append(None)
+            continue
+        if alpha not in phases:
+            phases[alpha] = data.scalar_character(alpha).box_phases(a, d, c)
+        chi_num, chi_den = phases[alpha]
+        # exponent (x a + y d)/c over D0 = qx qy c (lambda = 1 here)
+        qx, qy = x.denominator, y.denominator
+        d0 = qx * qy * c
+        den = math.lcm(d0, chi_den)
+        nums = (x.numerator * qy * a + y.numerator * qx * d) * (den // d0) \
+            - chi_num * (den // chi_den)
+        out.append(_exponent_sum(nums, den, bits))
+    return out
+
+
 def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
                       j: int = 1, alpha: int = 1, bits: int = 53):
     """Inner sum over C+(c) with exponential weights x on a and y on d.
@@ -211,20 +153,46 @@ def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
     sum S(x, y; c).  Exact zero when rho is diagonal and j != alpha.
     bits selects the phase-evaluation precision (see layer_bits_for).
     """
-    if data.group.lam != 1:
-        raise NotImplementedError("built-in enumeration requires lambda == 1")
-    if c % data.group.level != 0:
-        return 0j
-    x, y = Fraction(x), Fraction(y)
-    if isinstance(data.rho, DiagonalRepresentation):
-        if j != alpha:
-            return 0j
-        return _scalar_layer(data, c, x, y, data.scalar_character(alpha), bits)
-    total = 0j
-    for g in enumerate_cplus(data.group, c):
-        w = complex(data.chi.value(g)) ** -1 * data.rho.inv_entry(g, j, alpha)
-        total += w * np.exp(2j * np.pi * float((x * g.a + y * g.d) / c))
-    return total
+    layer = _layers(data, c, [(Fraction(x), Fraction(y), j, alpha)], bits)[0]
+    return 0j if layer is None else layer
+
+
+@dataclass
+class _CSum:
+    """One c-sum: the terms weight(c) * K_c(x, y)_{j,alpha} in ascending c,
+    the bound on its c > c_max remainder, and the float64-layer noise bound
+    of its terms."""
+
+    key: tuple  # (x, y, j, alpha)
+    weight: object  # c -> mp weight of the layer at c
+    tail: float
+    terms: list = field(default_factory=list)
+    noise: float = 0.0
+
+
+def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
+    """The coefficient engine: one ascending pass over c fills every c-sum.
+
+    Call inside trunc.ctx.working().  float64 layers carry ~phi(c) ulps of
+    absolute noise each; each sum folds that into its noise bound so the
+    tail stays an honest majorant.  That includes a float64 layer that
+    rounds to exactly 0 (a vanishing Ramanujan sum, say); only the
+    structural j != alpha zeros of a diagonal rho add neither term nor noise.
+    """
+    if not sums:
+        return
+    bits = trunc.layer_bits or layer_bits_for(trunc.ctx, trunc.c_max, data.group.level)
+    keys = [s.key for s in sums]
+    for c in _c_values(data.group, trunc.c_max):
+        for s, layer in zip(sums, _layers(data, c, keys, bits)):
+            if layer is None:
+                continue
+            weight = s.weight(c)
+            if bits <= 53:
+                # layer error <= phi(c) ulps <= c * 2^-50, times |weight|
+                s.noise += float(abs(weight)) * c * 2.0 ** -50
+            if layer != 0:
+                s.terms.append(weight * mpmath.mpc(layer))
 
 
 def _c_values(spec, c_max: int):
@@ -259,6 +227,46 @@ def _bessel_tail(weight: int, zeta: float, c_max: int, rfac: float,
     return coef * c_max ** (1 - nu) / (nu - 1)
 
 
+def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
+                     j: int, alpha: int, trunc: TruncationParams) -> _CSum:
+    """The c-sum of one coefficient (see the module docstring); call inside
+    trunc.ctx.working()."""
+    lam = data.lam
+    ctx = trunc.ctx
+    lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
+    phase = exp2pi(Fraction(-w, 4))  # i^{-w}
+    key = (x, y, j, alpha)
+    if x == 0:
+        pref0 = (2 * mpmath.pi / lam_mp) ** w / mpmath.factorial(w - 1) * phase
+        amp = pref0 * (mpmath.mpf(y.numerator) / y.denominator) ** (w - 1)
+        a2 = (TWO_PI / float(lam)) ** w / math.factorial(w - 1) * float(y) ** (w - 1)
+        return _CSum(key, lambda c: amp * mpmath.mpf(c) ** -w,
+                     a2 * trunc.c_max ** (2 - w) / (w - 2))
+    modified = x < 0
+    xabs = abs(x)
+    ratio = mpmath.mpf((y / xabs).numerator) / (y / xabs).denominator
+    rfac = ratio ** (mpmath.mpf(w - 1) / 2)
+    pref = 2 * mpmath.pi / lam_mp * phase * rfac
+    arg_base = 4 * mpmath.pi * mpmath.sqrt(
+        mpmath.mpf((xabs * y).numerator) / (xabs * y).denominator) / lam_mp
+    bessel = bessel_i if modified else bessel_j
+    tail = _bessel_tail(w, float(arg_base) / 2, trunc.c_max, float(rfac),
+                        float(lam), modified)
+    return _CSum(key, lambda c: pref / c * bessel(w - 1, arg_base / c, ctx), tail)
+
+
+def _coefficients(data: AutomorphyData, weight: int, n: int, alpha: int,
+                  indices, trunc: TruncationParams) -> list:
+    """(value, tail_bound) of a_{n,alpha}(l, j) for every (l, j) in indices,
+    from one engine pass."""
+    x = -n + data.kappa_of(alpha)
+    with trunc.ctx.working():
+        sums = [_coefficient_sum(data, weight, x, l + data.kappa_of(j), j, alpha,
+                                 trunc) for l, j in indices]
+        _run(data, sums, trunc)
+        return [(compensated_sum(s.terms), s.tail + s.noise) for s in sums]
+
+
 def poincare_coefficient(data: AutomorphyData, weight: int, n: int, alpha: int,
                          l: int, j: int, trunc: TruncationParams):
     """Coefficient a_{n,alpha}(l, j) of the weight-`weight` Poincare series.
@@ -270,58 +278,10 @@ def poincare_coefficient(data: AutomorphyData, weight: int, n: int, alpha: int,
     term at (-n, alpha) is *not* included here; poincare_series adds it.
     """
     _check_weight(weight, trunc, data.group.level)
-    x = -n + data.kappa_of(alpha)
     y = l + data.kappa_of(j)
     if not y > 0:
         raise ValueError(f"need l + kappa_j > 0, got {y}")
-    lam = data.lam
-    ctx = trunc.ctx
-    w = weight
-    bits = trunc.layer_bits or layer_bits_for(ctx, trunc.c_max, data.group.level)
-    # float64 layers carry ~phi(c) ulps of absolute noise each; fold that
-    # into the certified bound so the tail field stays an honest majorant.
-    noise = 0.0
-    with ctx.working():
-        lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
-        phase = exp2pi(Fraction(-w, 4))  # i^{-w}
-        terms = []
-        if x == 0:
-            pref0 = (2 * mpmath.pi / lam_mp) ** w / mpmath.factorial(w - 1) * phase
-            ymp = mpmath.mpf(y.numerator) / y.denominator
-            for c in _c_values(data.group, trunc.c_max):
-                layer = kloosterman_layer(data, c, x, y, j, alpha, bits)
-                pref_c = pref0 * ymp ** (w - 1) * mpmath.mpf(c) ** -w
-                if bits <= 53:
-                    noise += float(abs(pref_c)) * c * 2.0 ** -50
-                if layer == 0:
-                    continue
-                terms.append(pref_c * mpmath.mpc(layer))
-            value = compensated_sum(terms)
-            a2 = (TWO_PI / float(lam)) ** w / math.factorial(w - 1) * float(y) ** (w - 1)
-            tail = a2 * trunc.c_max ** (2 - w) / (w - 2)
-            return value, tail + noise
-        modified = x < 0
-        xabs = abs(x)
-        ratio = mpmath.mpf((y / xabs).numerator) / (y / xabs).denominator
-        rfac = ratio ** (mpmath.mpf(w - 1) / 2)
-        pref = 2 * mpmath.pi / lam_mp * phase * rfac
-        arg_base = 4 * mpmath.pi * mpmath.sqrt(
-            mpmath.mpf((xabs * y).numerator) / (xabs * y).denominator) / lam_mp
-        from .specialfn import bessel_i, bessel_j
-        bessel = bessel_i if modified else bessel_j
-        for c in _c_values(data.group, trunc.c_max):
-            layer = kloosterman_layer(data, c, x, y, j, alpha, bits)
-            if layer == 0:
-                continue
-            bval = bessel(w - 1, arg_base / c, ctx)
-            if bits <= 53:
-                # layer error <= phi(c) ulps <= c * 2^-50, times |pref/c|
-                noise += float(abs(pref * bval)) * 2.0 ** -50
-            terms.append(pref / c * bval * mpmath.mpc(layer))
-        value = compensated_sum(terms)
-        zeta = float(arg_base) / 2
-        tail = _bessel_tail(w, zeta, trunc.c_max, float(rfac), float(lam), modified)
-        return value, tail + noise
+    return _coefficients(data, weight, n, alpha, [(l, j)], trunc)[0]
 
 
 def poincare_series(data: AutomorphyData, weight: int, n: int, alpha: int,
@@ -334,14 +294,13 @@ def poincare_series(data: AutomorphyData, weight: int, n: int, alpha: int,
     _check_weight(weight, trunc, data.group.level)
     if not 1 <= alpha <= data.dim:
         raise ValueError(f"component alpha={alpha} outside 1..{data.dim}")
+    indices = [(l, j) for j in range(1, data.dim + 1) for l in l_range
+               if l + data.kappa_of(j) > 0]
     series = FourierSeries(weight, data, truncation=trunc)
-    for j in range(1, data.dim + 1):
-        for l in l_range:
-            if l + data.kappa_of(j) <= 0:
-                continue
-            val, tail = poincare_coefficient(data, weight, n, alpha, l, j, trunc)
-            series.coeffs[(l, j)] = val
-            series.tails[(l, j)] = tail
+    for idx, (val, tail) in zip(indices, _coefficients(data, weight, n, alpha,
+                                                       indices, trunc)):
+        series.coeffs[idx] = val
+        series.tails[idx] = tail
     key = (-n, alpha)
     series.coeffs[key] = series.coeffs.get(key, mpmath.mpc(0)) + 1
     series.tails.setdefault(key, 0.0)
@@ -358,41 +317,34 @@ def constant_term_cf(f: FourierSeries, trunc: TruncationParams):
                 chi^{-1}(g) rho(g^{-1})_{j,t} e^{(2 pi i/(c lambda)) (l+kappa_t) a}.
 
     Returns (values, tails): one complex constant and one tail bound per
-    component.
+    component, the tail including the float64-layer noise when the layers
+    run in float64 (trunc.layer_bits, else layer_bits_for).
     """
     data = f.automorphy
     w = f.weight  # = k + 2
     lam = data.lam
-    ctx = trunc.ctx
     principal = [(n, t) for (n, t) in f.principal_support() if f.coeffs[(n, t)] != 0]
-    values, tails = [], []
-    bits = layer_bits_for(ctx, trunc.c_max, data.group.level)
-    with ctx.working():
+    with trunc.ctx.working():
         lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
-        pref_phase = exp2pi(Fraction(-w, 4))  # (-i)^w
+        # (-i)^w (2 pi)^w / (lambda (w-1)!); each term is a(n, t) pref c^-w K_c
+        pref = exp2pi(Fraction(-w, 4)) * (2 * mpmath.pi) ** w \
+            / (lam_mp * mpmath.factorial(w - 1))
+        per_comp = [[] for _j in range(data.dim)]
         for j in range(1, data.dim + 1):
             if data.kappa_of(j) != 0:
-                values.append(mpmath.mpc(0))
-                tails.append(0.0)
                 continue
-            terms = []
-            tail = 0.0
             for (n, t) in principal:
-                a_nt = f.coeffs[(n, t)]
-                x = f.freq(n, t)  # < 0; rides on the 'a' entry
-                for c in _c_values(data.group, trunc.c_max):
-                    layer = kloosterman_layer(data, c, x, Fraction(0), j, t,
-                                              bits)
-                    if layer == 0:
-                        continue
-                    pref = (2 * mpmath.pi / c) ** w * pref_phase \
-                        / (lam_mp * mpmath.factorial(w - 1))
-                    terms.append(a_nt * pref * mpmath.mpc(layer))
-                amp = abs(complex(a_nt)) * (TWO_PI / float(lam)) ** w \
-                    / math.factorial(w - 1) * float(lam) ** (w - 1)
-                tail += amp * trunc.c_max ** (2 - w) / (w - 2)
-            values.append(compensated_sum(terms))
-            tails.append(tail)
+                amp = f.coeffs[(n, t)] * pref
+                tail = abs(complex(f.coeffs[(n, t)])) * (TWO_PI / float(lam)) ** w \
+                    / math.factorial(w - 1) * float(lam) ** (w - 1) \
+                    * trunc.c_max ** (2 - w) / (w - 2)
+                # x = n + kappa_t < 0 rides on the 'a' entry
+                per_comp[j - 1].append(
+                    _CSum((f.freq(n, t), Fraction(0), j, t),
+                          lambda c, amp=amp: amp * mpmath.mpf(c) ** -w, tail))
+        _run(data, [s for sums in per_comp for s in sums], trunc)
+        values = [compensated_sum([x for s in sums for x in s.terms]) for sums in per_comp]
+    tails = [sum((s.tail + s.noise for s in sums), 0.0) for sums in per_comp]
     return values, tails
 
 

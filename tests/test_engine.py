@@ -1,0 +1,203 @@
+"""The coefficient engine: exact box phases of every built-in multiplier
+against the per-element phase, user multipliers that define only phase(),
+one-pass series against single coefficients, the float64 noise of the
+c-sums, and the constant term's layer precision."""
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import mpmath
+import numpy as np
+import pytest
+
+from mgrid.automorphy import (
+    AutomorphyData,
+    CompositeMultiplier,
+    DiagonalRepresentation,
+    DirichletMultiplier,
+    EtaPowerMultiplier,
+    MatrixRepresentation,
+    Multiplier,
+    TrivialMultiplier,
+    frac,
+    trivial_representation,
+)
+from mgrid.groups import cplus_arrays, enumerate_cplus, gamma0, sl2z
+from mgrid.poincare import (
+    _CSum,
+    _run,
+    constant_term_cf,
+    kloosterman_layer,
+    poincare_coefficient,
+    poincare_series,
+)
+from mgrid.precision import PrecisionContext
+from mgrid.series import TruncationParams
+
+CTX = PrecisionContext(mantissa_bits=113, target_tol=1e-25)
+
+DIRICHLET4 = DirichletMultiplier(4, ((1, Fraction(0)), (3, Fraction(1, 2))))
+DIRICHLET5 = DirichletMultiplier(5, ((1, Fraction(0)), (2, Fraction(1, 4)),
+                                     (3, Fraction(3, 4)), (4, Fraction(1, 2))))
+
+# (multiplier, level of the Gamma_0(N) box it is also checked on)
+MULTIPLIERS = [
+    (TrivialMultiplier(), 3),
+    (DIRICHLET4, 4),
+    (DIRICHLET5, 5),
+    (EtaPowerMultiplier(2), 2),
+    (EtaPowerMultiplier(-2), 3),
+    (EtaPowerMultiplier(4), 4),
+    (EtaPowerMultiplier(24), 6),
+    (CompositeMultiplier((EtaPowerMultiplier(2), DIRICHLET4)), 4),
+]
+
+
+def _assert_box_matches_phase(m, spec, c):
+    """box_phases equals phase() mod 1 on every element of the box, and
+    raises exactly when phase() does on some element."""
+    a, d = cplus_arrays(spec, c)
+    elems = enumerate_cplus(spec, c)
+    try:
+        ref = [m.phase(g) for g in elems]
+    except ValueError:
+        with pytest.raises(ValueError):
+            m.box_phases(a, d, c)
+        return
+    nums, den = m.box_phases(a, d, c)
+    assert nums.dtype == np.int64 and len(nums) == len(elems)
+    assert [frac(Fraction(num, den) - q) for num, q in zip(nums.tolist(), ref)] \
+        == [0] * len(ref)
+    # the base-class default, derived from phase(), is the reference
+    ref_nums, ref_den = Multiplier.box_phases(m, a, d, c)
+    assert [frac(Fraction(u, den) - Fraction(v, ref_den))
+            for u, v in zip(nums.tolist(), ref_nums.tolist())] == [0] * len(ref)
+
+
+@pytest.mark.parametrize("m,level", MULTIPLIERS, ids=[m.label() for m, _ in MULTIPLIERS])
+def test_box_phases_match_phase(m, level):
+    for c in range(1, 41):
+        _assert_box_matches_phase(m, sl2z(), c)
+    for c in range(level, 41, level):
+        _assert_box_matches_phase(m, gamma0(level), c)
+
+
+def test_dirichlet_box_on_sl2z_raises_like_phase():
+    a, d = cplus_arrays(sl2z(), 3)  # d = -2 is even
+    with pytest.raises(ValueError):
+        DIRICHLET4.box_phases(a, d, 3)
+
+
+@dataclass
+class UserEta(Multiplier):
+    """A user multiplier that defines only phase(); unhashable (eq, no frozen)."""
+
+    r: int
+
+    def phase(self, gamma):
+        return EtaPowerMultiplier(self.r).phase(gamma)
+
+    def label(self):
+        return f"user-eta:{self.r}"
+
+
+def test_user_multiplier_with_only_phase_gives_builtin_layers():
+    user = UserEta(2)
+    with pytest.raises(TypeError):
+        hash(user)
+    rep = trivial_representation()
+    data_user = AutomorphyData(weight=5, chi=user, rho=rep, group=sl2z())
+    data_eta = AutomorphyData(weight=5, chi=EtaPowerMultiplier(2), rho=rep,
+                              group=sl2z())
+    kap = data_eta.kappa_of(1)
+    assert data_user.kappa_of(1) == kap
+    for bits in (53, 113):
+        for c in range(1, 31):
+            for x, y in ((-1 + kap, 2 + kap), (kap, kap), (-2 + kap, 0)):
+                got = complex(kloosterman_layer(data_user, c, x, y, bits=bits))
+                ref = complex(kloosterman_layer(data_eta, c, x, y, bits=bits))
+                assert abs(got - ref) < 1e-12
+    trunc = TruncationParams(c_max=20, tail_tol=1.0, ctx=CTX)
+    got, got_tail = poincare_coefficient(data_user, 5, 1, 1, 2, 1, trunc)
+    ref, ref_tail = poincare_coefficient(data_eta, 5, 1, 1, 2, 1, trunc)
+    assert got_tail == ref_tail
+    assert abs(complex(got - ref)) <= 1e-20 * max(1.0, abs(complex(ref)))
+
+
+def _two_component():
+    rep = DiagonalRepresentation((TrivialMultiplier(), EtaPowerMultiplier(4)))
+    return AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=rep, group=sl2z())
+
+
+def test_matrix_representation_layers_match_diagonal():
+    # the same diagonal rho, once with exact box phases and once as a matrix
+    # evaluator summed per element
+    data = _two_component()
+    rho = data.rho
+    mat = MatrixRepresentation(2, rho.matrix, [rho.phase_T(1), rho.phase_T(2)])
+    mdata = AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=mat, group=sl2z())
+    assert mdata.kappa == data.kappa
+    for c in range(1, 13):
+        for j in (1, 2):
+            for alpha in (1, 2):
+                x, y = -1 + data.kappa_of(alpha), 2 + data.kappa_of(j)
+                got = complex(kloosterman_layer(mdata, c, x, y, j, alpha))
+                ref = complex(kloosterman_layer(data, c, x, y, j, alpha))
+                assert abs(got - ref) < 1e-9
+
+
+@pytest.mark.parametrize("layer_bits", [None, 53])
+@pytest.mark.parametrize("case", ["trivial", "eta2", "diag(trivial;eta:4)"])
+def test_series_entries_equal_single_coefficients(case, layer_bits):
+    if case == "trivial":
+        data, weight, n = AutomorphyData(weight=12, chi=TrivialMultiplier(),
+                                         rho=trivial_representation(),
+                                         group=sl2z()), 12, -1
+    elif case == "eta2":
+        data, weight, n = AutomorphyData(weight=5, chi=EtaPowerMultiplier(2),
+                                         rho=trivial_representation(),
+                                         group=sl2z()), 5, 1
+    else:
+        data, weight, n = _two_component(), 12, -1
+    trunc = TruncationParams(c_max=25, tail_tol=1.0, ctx=CTX, layer_bits=layer_bits)
+    series = poincare_series(data, weight, n, 1, range(-1, 6), trunc)
+    checked = 0
+    for (l, j), value in series.items():
+        if (l, j) == (-n, 1):
+            continue  # the leading term is added by the series, not summed
+        single, tail = poincare_coefficient(data, weight, n, 1, l, j, trunc)
+        assert value == single
+        assert series.tails[(l, j)] == tail
+        checked += 1
+    assert checked >= 4 * data.dim
+
+
+def test_constant_term_honours_layer_bits_and_counts_float_noise():
+    data = AutomorphyData(weight=12, chi=TrivialMultiplier(),
+                          rho=trivial_representation(), group=sl2z())
+    f = poincare_series(data, 12, 1, 1, range(1, 3),
+                        TruncationParams(c_max=50, tail_tol=1e-6, ctx=CTX))
+    (v53,), (t53,) = constant_term_cf(
+        f, TruncationParams(c_max=400, tail_tol=1e-8, ctx=CTX, layer_bits=53))
+    (v113,), (t113,) = constant_term_cf(
+        f, TruncationParams(c_max=400, tail_tol=1e-8, ctx=CTX, layer_bits=113))
+    assert t53 > t113
+    assert abs(complex(v53 - v113)) <= t53
+
+
+def test_float_noise_counts_every_computed_layer_but_no_structural_zero():
+    # x = 0 on the trivial character: the layers are Ramanujan sums, and the
+    # vanishing ones (c_475(1), mu(475) = 0) can round to exactly 0 in
+    # float64; their error bound still counts.
+    trivial = AutomorphyData(weight=4, chi=TrivialMultiplier(),
+                             rho=trivial_representation(), group=sl2z())
+    trunc = TruncationParams(c_max=475, tail_tol=1.0, ctx=CTX, layer_bits=53)
+    s = _CSum((Fraction(0), Fraction(1), 1, 1), lambda c: mpmath.mpf(1), 0.0)
+    # the j != alpha block of a diagonal rho is zero by structure
+    data = _two_component()
+    cross = _CSum((Fraction(0), 1 + data.kappa_of(2), 2, 1), lambda c: mpmath.mpf(1), 0.0)
+    with CTX.working():
+        _run(trivial, [s], trunc)
+        _run(data, [cross], trunc)
+    assert s.noise == sum(c * 2.0 ** -50 for c in range(1, 476))
+    assert cross.noise == 0.0 and cross.terms == []
