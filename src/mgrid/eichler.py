@@ -233,16 +233,7 @@ def period_r_quadrature(f: FourierSeries, gamma: GroupElement, k: int,
     Gauss-Legendre quadrature.  Independent of the L-series route.
     """
     _require_scalar(f)
-    if gamma.c == 0:
-        return period_r_parabolic(f, gamma, k)
-    if gamma.c < 0:
-        gamma = -gamma
-    shift = gamma.d / gamma.c
-    coeffs = np.zeros(k + 1, dtype=complex)
-    for m in range(k + 1):
-        mom = regularized_moment(f, gamma, m, t0=t0, tol=tol)
-        coeffs[k - m] += math.comb(k, m) * (-1) ** m * mom
-    return PeriodPolynomial(gamma, k, coeffs, shift)
+    return _moment_polynomial(f, gamma, k, t0, tol, conj=False)
 
 
 def period_rN(f: FourierSeries, gamma: GroupElement, k: int,
@@ -252,6 +243,14 @@ def period_rN(f: FourierSeries, gamma: GroupElement, k: int,
     _require_scalar(f)
     if not f.is_cusp_form():
         raise ValueError("r^N is defined only for cusp forms")
+    return _moment_polynomial(f, gamma, k, t0, tol, conj=True)
+
+
+def _moment_polynomial(f: FourierSeries, gamma: GroupElement, k: int,
+                       t0: float, tol: float, conj: bool) -> PeriodPolynomial:
+    """sum_m C(k, m) (-1)^m M_m (tau + d/c)^{k-m} from the quadrature
+    moments M_m = R.int f(z) (z + d/c)^m dz, each conjugated when conj;
+    the parabolic polynomial when c = 0."""
     if gamma.c == 0:
         return period_r_parabolic(f, gamma, k)
     if gamma.c < 0:
@@ -260,7 +259,7 @@ def period_rN(f: FourierSeries, gamma: GroupElement, k: int,
     coeffs = np.zeros(k + 1, dtype=complex)
     for m in range(k + 1):
         mom = regularized_moment(f, gamma, m, t0=t0, tol=tol)
-        coeffs[k - m] += math.comb(k, m) * (-1) ** m * mom.conjugate()
+        coeffs[k - m] += math.comb(k, m) * (-1) ** m * (mom.conjugate() if conj else mom)
     return PeriodPolynomial(gamma, k, coeffs, shift)
 
 

@@ -19,7 +19,11 @@ never cached), asks each effective character for the exact phases of the
 whole box (Multiplier.box_phases: integer numerators over one common
 denominator; a user subclass that defines only phase() gets them from
 phase()), and evaluates the layer of every requested (x, y, j, alpha) from
-that one box.  poincare_series and constant_term_cf make one such pass;
+that one box.  A float64 layer costs one cos/sin per box element; a layer
+above 53 bits is an exact fixed-point sum over a table of roots of unity
+per denominator, built per box by baby and giant steps from one exp2pi
+seed each, and costs one integer multiply-add per box element.
+poincare_series and constant_term_cf make one such pass;
 poincare_coefficient and kloosterman_layer are the engine on one index.
 Terms are summed in ascending c with compensated accumulation; the returned
 tail bound majorises the neglected c > c_max terms via |C+(c)| <= c and the
@@ -54,38 +58,85 @@ __all__ = [
 TWO_PI = 2 * math.pi
 
 
-def _exponent_sum(nums: np.ndarray, den: int, bits: int = 53):
+def _exponent_sum(nums: np.ndarray, den: int, bits: int = 53, tables=None):
     """sum of e^{2 pi i num/den} over an int64 numerator array.
 
     bits <= 53 evaluates the unit phases in float64 (the exponents are
-    already reduced exactly, so each phase is correct to an ulp); larger
-    bits evaluate one mpmath exponential per distinct residue, which is
-    what removes the layer noise floor in cancellation-heavy regimes.
+    already reduced exactly, so each phase is correct to an ulp).  Larger
+    bits sum exactly in fixed point over the root table of den (see
+    _root_table; `tables` maps den to its table and is shared by the
+    layers of one box): each residue r = q B + s contributes
+    giant[q] * baby[s], the products are summed as exact integers, and the
+    sum is rounded once to an mpc of P bits.  The result is deterministic,
+    and its error is at most nums.size * (2 isqrt(den) + 3) * 2^-P.
     """
     if nums.size == 0:
         return 0j
     if bits <= 53:
         angles = (nums % den).astype(np.float64) * (TWO_PI / den)
         return complex(np.sum(np.cos(angles)) + 1j * np.sum(np.sin(angles)))
-    # one exact root of unity, advanced along the sorted residues by gap
-    # powers: D sequential multiplications cost ~D * 2^-prec accumulated
-    # error, far below the context tolerance.
+    if tables is None:
+        tables = {}
+    if den not in tables:
+        tables[den] = _root_table(den, bits)
+    prec, step, baby, giant = tables[den]
     residues, counts = np.unique(nums % den, return_counts=True)
-    with mpmath.workprec(bits + 16):
-        omega = exp2pi(Fraction(1, den))
-        total = mpmath.mpc(0)
-        cur = mpmath.mpc(1)
-        prev = 0
-        for r, cnt in zip(residues.tolist(), counts.tolist()):
-            if r != prev:
-                cur = cur * omega ** (r - prev)
-                prev = r
-            total += cnt * cur
-        return +total
+    inner = {}  # q -> sum of cnt * baby[s] over the residues q B + s
+    for r, cnt in zip(residues.tolist(), counts.tolist()):
+        q, s = divmod(r, step)
+        br, bi = baby[s]
+        ir, ii = inner.get(q, (0, 0))
+        inner[q] = (ir + cnt * br, ii + cnt * bi)
+    re = im = 0
+    for q, (ir, ii) in inner.items():
+        gr, gi = giant[q]
+        re += gr * ir - gi * ii
+        im += gr * ii + gi * ir
+    with mpmath.workprec(prec):
+        return mpmath.mpc(mpmath.ldexp(re, -2 * prec), mpmath.ldexp(im, -2 * prec))
+
+
+def _root_table(den: int, bits: int):
+    """(P, B, baby, giant): e(s/den) for s < B = isqrt(den) and e(q B/den)
+    for q <= den // B, as (re, im) integer pairs scaled by 2^P with
+    P = bits + 16 + den.bit_length().
+
+    Each step is one fixed-point multiplication rounded to nearest
+    (<= 2^-1/2 ulps), by a seed carried 16 bits beyond P, so the k-th power
+    is off by under 0.72 k ulps; a product giant[q] * baby[s] is then off by
+    under (1.44 B + 0.72) * 2^-P, and rounding the exact sum to P bits adds
+    one more ulp per element.
+    """
+    prec = _table_bits(den, bits)
+    step = math.isqrt(den)
+    return (prec, step, _fixed_powers(Fraction(1, den), step, prec),
+            _fixed_powers(Fraction(step, den), den // step + 1, prec))
+
+
+def _table_bits(den: int, bits: int) -> int:
+    return bits + 16 + den.bit_length()
+
+
+def _fixed_powers(x: Fraction, count: int, prec: int) -> list:
+    """[e(k x) * 2^prec for k < count] as rounded (re, im) integer pairs."""
+    shift = prec + 16
+    with mpmath.workprec(shift + 16):
+        seed = exp2pi(x)
+        wr = int(mpmath.nint(mpmath.ldexp(seed.real, shift)))
+        wi = int(mpmath.nint(mpmath.ldexp(seed.imag, shift)))
+    half = 1 << (shift - 1)
+    re, im = 1 << prec, 0
+    out = [(re, im)]
+    for _k in range(1, count):
+        re, im = (re * wr - im * wi + half) >> shift, (re * wi + im * wr + half) >> shift
+        out.append((re, im))
+    return out
 
 
 # Element budget above which high-precision layers fall back to float64:
-# the mp path costs one mp-exponential per box element.
+# an mp layer costs one integer multiply-add per box element (plus a root
+# table of about 2 sqrt(den) fixed-point steps per denominator and box),
+# against one numpy cos/sin per element in float64.
 MP_LAYER_ELEMENT_BUDGET = 40_000
 
 
@@ -99,6 +150,8 @@ def layer_bits_for(ctx, c_max: int, level: int = 1) -> int:
     asks for more than double precision and the total box size
     sum_{c <= c_max} phi(c) ~ 0.31 c_max^2 / level stays within budget, the
     layers run at full context precision; otherwise they stay in float64.
+    Either way a layer costs O(1) work per box element: a numpy cos/sin in
+    float64, one integer multiply-add in exact fixed point.
     Deterministic for fixed (ctx, c_max, level).
     """
     if ctx.mantissa_bits <= 64:
@@ -107,13 +160,23 @@ def layer_bits_for(ctx, c_max: int, level: int = 1) -> int:
     return ctx.mantissa_bits if est_elements <= MP_LAYER_ELEMENT_BUDGET else 53
 
 
+def _layer_error(c: int, den: int, bits: int) -> float:
+    """Bound on the rounding error of one layer over C+(c) (|C+(c)| <= c
+    elements) with phases over den, evaluated at `bits` (see _exponent_sum)."""
+    if bits <= 53:
+        return c * 2.0 ** -50  # phi(c) ulps
+    return c * (2 * math.isqrt(den) + 3) * 2.0 ** -_table_bits(den, bits)
+
+
 def _layers(data: AutomorphyData, c: int, keys, bits: int) -> list:
-    """K_c(x, y)_{j,alpha} for every (x, y, j, alpha) in keys, from one box.
+    """(K_c(x, y)_{j,alpha}, error bound) for every (x, y, j, alpha) in keys,
+    from one box.
 
     Diagonal rho: the exponent (x a + y d)/c minus the box phases of the
     effective character chi * mu_alpha, reduced exactly over one common
     denominator; None for j != alpha, where the layer is zero by structure.
-    A matrix rho has no exact phases and is summed per element.
+    The layers of one box share the root tables of their denominators.
+    A matrix rho has no exact phases and is summed per element in float64.
     """
     a, d = cplus_arrays(data.group, c)
     if not isinstance(data.rho, DiagonalRepresentation):
@@ -124,9 +187,10 @@ def _layers(data: AutomorphyData, c: int, keys, bits: int) -> list:
             for g in elems:
                 w = complex(data.chi.value(g)) ** -1 * data.rho.inv_entry(g, j, alpha)
                 total += w * np.exp(2j * np.pi * float((x * g.a + y * g.d) / c))
-            out.append(total)
+            out.append((total, _layer_error(c, c, 53)))
         return out
     phases = {}
+    tables = {}
     out = []
     for x, y, j, alpha in keys:
         if j != alpha:
@@ -141,7 +205,7 @@ def _layers(data: AutomorphyData, c: int, keys, bits: int) -> list:
         den = math.lcm(d0, chi_den)
         nums = (x.numerator * qy * a + y.numerator * qx * d) * (den // d0) \
             - chi_num * (den // chi_den)
-        out.append(_exponent_sum(nums, den, bits))
+        out.append((_exponent_sum(nums, den, bits, tables), _layer_error(c, den, bits)))
     return out
 
 
@@ -154,13 +218,13 @@ def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
     bits selects the phase-evaluation precision (see layer_bits_for).
     """
     layer = _layers(data, c, [(Fraction(x), Fraction(y), j, alpha)], bits)[0]
-    return 0j if layer is None else layer
+    return 0j if layer is None else layer[0]
 
 
 @dataclass
 class _CSum:
     """One c-sum: the terms weight(c) * K_c(x, y)_{j,alpha} in ascending c,
-    the bound on its c > c_max remainder, and the float64-layer noise bound
+    the bound on its c > c_max remainder, and the layer-rounding noise bound
     of its terms."""
 
     key: tuple  # (x, y, j, alpha)
@@ -173,11 +237,14 @@ class _CSum:
 def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
     """The coefficient engine: one ascending pass over c fills every c-sum.
 
-    Call inside trunc.ctx.working().  float64 layers carry ~phi(c) ulps of
-    absolute noise each; each sum folds that into its noise bound so the
-    tail stays an honest majorant.  That includes a float64 layer that
-    rounds to exactly 0 (a vanishing Ramanujan sum, say); only the
-    structural j != alpha zeros of a diagonal rho add neither term nor noise.
+    Call inside trunc.ctx.working().  Every computed layer adds its rounding
+    bound times |weight| to its sum's noise, so the tail stays an honest
+    majorant: phi(c) * 2^-50 for a float64 layer, and
+    phi(c) * (2 isqrt(den) + 3) * 2^-P for an exact fixed-point layer with
+    phases over den (P = bits + 16 + den.bit_length(); see _exponent_sum),
+    with phi(c) <= c.  That includes a layer that rounds to exactly 0 (a
+    vanishing Ramanujan sum, say); only the structural j != alpha zeros of a
+    diagonal rho add neither term nor noise.
     """
     if not sums:
         return
@@ -187,12 +254,11 @@ def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
         for s, layer in zip(sums, _layers(data, c, keys, bits)):
             if layer is None:
                 continue
+            value, error = layer
             weight = s.weight(c)
-            if bits <= 53:
-                # layer error <= phi(c) ulps <= c * 2^-50, times |weight|
-                s.noise += float(abs(weight)) * c * 2.0 ** -50
-            if layer != 0:
-                s.terms.append(weight * mpmath.mpc(layer))
+            s.noise += float(abs(weight)) * error
+            if value != 0:
+                s.terms.append(weight * mpmath.mpc(value))
 
 
 def _c_values(spec, c_max: int):
@@ -302,7 +368,8 @@ def poincare_series(data: AutomorphyData, weight: int, n: int, alpha: int,
         series.coeffs[idx] = val
         series.tails[idx] = tail
     key = (-n, alpha)
-    series.coeffs[key] = series.coeffs.get(key, mpmath.mpc(0)) + 1
+    with trunc.ctx.working():
+        series.coeffs[key] = series.coeffs.get(key, mpmath.mpc(0)) + 1
     series.tails.setdefault(key, 0.0)
     return series
 
@@ -317,8 +384,8 @@ def constant_term_cf(f: FourierSeries, trunc: TruncationParams):
                 chi^{-1}(g) rho(g^{-1})_{j,t} e^{(2 pi i/(c lambda)) (l+kappa_t) a}.
 
     Returns (values, tails): one complex constant and one tail bound per
-    component, the tail including the float64-layer noise when the layers
-    run in float64 (trunc.layer_bits, else layer_bits_for).
+    component, the tail including the layer-rounding noise at the layer
+    precision (trunc.layer_bits, else layer_bits_for).
     """
     data = f.automorphy
     w = f.weight  # = k + 2

@@ -1,8 +1,11 @@
 """The coefficient engine: exact box phases of every built-in multiplier
 against the per-element phase, user multipliers that define only phase(),
-one-pass series against single coefficients, the float64 noise of the
-c-sums, and the constant term's layer precision."""
+one-pass series against single coefficients, the float64 and fixed-point
+layer noise of the c-sums, the constant term's layer precision, the exact
+fixed-point layers against 256-bit sums and Ramanujan sums, and the
+leading delta term at context precision."""
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,13 +28,14 @@ from mgrid.automorphy import (
 from mgrid.groups import cplus_arrays, enumerate_cplus, gamma0, sl2z
 from mgrid.poincare import (
     _CSum,
+    _exponent_sum,
     _run,
     constant_term_cf,
     kloosterman_layer,
     poincare_coefficient,
     poincare_series,
 )
-from mgrid.precision import PrecisionContext
+from mgrid.precision import PrecisionContext, exp2pi
 from mgrid.series import TruncationParams
 
 CTX = PrecisionContext(mantissa_bits=113, target_tol=1e-25)
@@ -201,3 +205,78 @@ def test_float_noise_counts_every_computed_layer_but_no_structural_zero():
         _run(data, [cross], trunc)
     assert s.noise == sum(c * 2.0 ** -50 for c in range(1, 476))
     assert cross.noise == 0.0 and cross.terms == []
+
+
+def _exact_layer_bound(count, den, bits=113):
+    """The documented rounding bound of an exact fixed-point layer."""
+    prec = bits + 16 + den.bit_length()
+    return count * (2 * math.isqrt(den) + 3) * 2.0 ** -prec
+
+
+@pytest.mark.parametrize("den", [1, 2, 7, 60, 144 * 37, 144 * 80])
+def test_exact_layer_kernel_against_256_bit_sum(den):
+    rng = np.random.default_rng(den)
+    for size in (1, 3, 40, 400):
+        nums = rng.integers(-2**62, 2**62, size=size, dtype=np.int64)
+        got = _exponent_sum(nums, den, 113)
+        assert got == _exponent_sum(nums, den, 113)  # bit for bit
+        with mpmath.workprec(256):
+            ref = mpmath.fsum(exp2pi(Fraction(v, den)) for v in nums.tolist())
+            err = abs(got - ref)
+        assert err <= _exact_layer_bound(size, den)
+
+
+def test_exact_layer_noise_counts_every_computed_layer_but_no_structural_zero():
+    trivial = AutomorphyData(weight=4, chi=TrivialMultiplier(),
+                             rho=trivial_representation(), group=sl2z())
+    trunc = TruncationParams(c_max=100, tail_tol=1.0, ctx=CTX, layer_bits=113)
+    s = _CSum((Fraction(0), Fraction(1), 1, 1), lambda c: mpmath.mpf(2), 0.0)
+    data = _two_component()
+    cross = _CSum((Fraction(0), 1 + data.kappa_of(2), 2, 1), lambda c: mpmath.mpf(1), 0.0)
+    with CTX.working():
+        _run(trivial, [s], trunc)
+        _run(data, [cross], trunc)
+    # x = 0, y = 1 on the trivial character: phases over den = c
+    assert s.noise == sum(2 * _exact_layer_bound(c, c) for c in range(1, 101))
+    assert cross.noise == 0.0 and cross.terms == []
+
+
+def _ramanujan_sum(c, y):
+    """c_c(y) = sum over d | (c, y) of mu(c/d) d."""
+    def mobius(m):
+        sign, p = 1, 2
+        while p * p <= m:
+            if m % p == 0:
+                m //= p
+                if m % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if m > 1 else sign
+    g = math.gcd(c, y)
+    return sum(mobius(c // d) * d for d in range(1, g + 1) if g % d == 0)
+
+
+def test_exact_trivial_x0_layers_are_ramanujan_sums():
+    data = AutomorphyData(weight=4, chi=TrivialMultiplier(),
+                          rho=trivial_representation(), group=sl2z())
+    for c in range(1, 61):
+        phi = sum(1 for d in range(1, c + 1) if math.gcd(c, d) == 1)
+        for y in range(1, 2 * c + 2):
+            layer = kloosterman_layer(data, c, Fraction(0), Fraction(y), bits=113)
+            with mpmath.workprec(256):
+                err = abs(layer - _ramanujan_sum(c, y))
+            assert err <= _exact_layer_bound(phi, c)
+
+
+def test_leading_delta_term_at_context_precision():
+    data = AutomorphyData(weight=12, chi=TrivialMultiplier(),
+                          rho=trivial_representation(), group=sl2z())
+    trunc = TruncationParams(c_max=60, tail_tol=1.0, ctx=CTX)
+    series = poincare_series(data, 12, -1, 1, range(1, 3), trunc)
+    fine = TruncationParams(c_max=60, tail_tol=1.0,
+                            ctx=PrecisionContext(mantissa_bits=200, target_tol=1e-25))
+    value, _tail = poincare_coefficient(data, 12, -1, 1, 1, 1, fine)
+    with fine.ctx.working():
+        err = abs(series.coefficient(1, 1) - (value + 1))
+    assert err <= series.tail_bound(1, 1)
