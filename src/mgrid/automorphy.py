@@ -277,12 +277,6 @@ class DiagonalRepresentation:
     def phase_T(self, j: int) -> Fraction:
         return self.components[j - 1].phase(T)
 
-    def inv_entry_phase(self, gamma: GroupElement, j: int, alpha: int):
-        """Exact phase of rho(gamma^{-1})_{j,alpha}; None for a structural zero."""
-        if j != alpha:
-            return None
-        return frac(-self.components[j - 1].phase(gamma))
-
     def matrix(self, gamma: GroupElement) -> np.ndarray:
         return np.diag([complex(mu.value(gamma)) for mu in self.components])
 
@@ -336,9 +330,6 @@ class MatrixRepresentation:
 
     def phase_T(self, j: int) -> Fraction:
         return self.kappa_t_phases[j - 1]
-
-    def inv_entry_phase(self, gamma, j, alpha):
-        raise TypeError("matrix representations have no exact rational phases")
 
     def inv_entry(self, gamma: GroupElement, j: int, alpha: int) -> complex:
         return self.matrix(gamma.inverse())[j - 1, alpha - 1]

@@ -109,18 +109,7 @@ def eichler_E(f: FourierSeries, k: int) -> FourierSeries:
         raise ValueError(f"series weight {f.weight} != k+2 = {k + 2}")
     if not f.has_zero_constant_term():
         raise ValueError("Eichler primitive needs a vanishing constant term")
-    lam = f.automorphy.lam
-    out = FourierSeries(-k, f.automorphy, truncation=f.truncation)
-    ctx = f.truncation.ctx if f.truncation else None
-    with (ctx.working() if ctx else mpmath.workprec(120)):
-        for (n, j), a in f.items():
-            fr = f.freq(n, j) / lam
-            if fr == 0:
-                continue
-            fmp = mpmath.mpf(fr.numerator) / fr.denominator
-            out.coeffs[(n, j)] = a * fmp ** (-(k + 1))
-            out.tails[(n, j)] = f.tails.get((n, j), 0.0) * abs(float(fmp)) ** (-(k + 1))
-    return out
+    return f.freq_power(-k, -(k + 1))
 
 
 def eichler_EH(f: FourierSeries, k: int, trunc: TruncationParams):

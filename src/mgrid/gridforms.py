@@ -220,20 +220,7 @@ def verify_duality(data: AutomorphyData, k: int, n1: int, alpha1: int,
 def apply_Dk1(G: HarmonicForm) -> FourierSeries:
     """(k+1)-fold normalized derivative of G: kills the constant term and
     multiplies a+(l, j) by ((l + kappa'_j)/lambda)^{k+1}."""
-    k = G.k
-    cdata = G.conj_data
-    lam = cdata.lam
-    out = FourierSeries(k + 2, cdata, truncation=G.holo.truncation)
-    ctx = G.holo.truncation.ctx if G.holo.truncation else None
-    with (ctx.working() if ctx else mpmath.workprec(120)):
-        for (l, j), b in G.holo.items():
-            f = G.holo.freq(l, j) / lam
-            if f == 0:
-                continue
-            fmp = mpmath.mpf(f.numerator) / f.denominator
-            out.coeffs[(l, j)] = b * fmp ** (k + 1)
-            out.tails[(l, j)] = G.holo.tails.get((l, j), 0.0) * abs(float(fmp)) ** (k + 1)
-    return out
+    return G.holo.freq_power(G.k + 2, G.k + 1)
 
 
 def apply_xi(G: HarmonicForm) -> FourierSeries:
@@ -249,8 +236,7 @@ def apply_xi(G: HarmonicForm) -> FourierSeries:
     data = conjugate(cdata)
     lam = cdata.lam
     out = FourierSeries(k + 2, data, truncation=G.holo.truncation)
-    ctx = G.holo.truncation.ctx if G.holo.truncation else None
-    with (ctx.working() if ctx else mpmath.workprec(120)):
+    with G.holo.truncation.ctx.working():
         for (l, j), bm in sorted(G.nonholo.items()):
             fp = (l + cdata.kappa_of(j)) / lam  # negative
             m = -l if cdata.kappa_of(j) == 0 else -l - 1  # -(l+kappa'_j) = m+kappa_j

@@ -103,7 +103,8 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s: int, t0: float = 1.0,
     """Twisted L-value by the incomplete-gamma series (the regularization).
 
     All stored coefficients enter; the err field reports the estimated
-    neglected remainder plus the propagated coefficient tail bounds.
+    neglected remainder plus the propagated coefficient tail bounds.  The
+    working precision is the context of trunc when given, else of f.
     """
     if f.automorphy.dim != 1:
         raise NotImplementedError("L-series are computed per scalar component")
@@ -113,14 +114,7 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s: int, t0: float = 1.0,
         raise ValueError("critical values are taken at integer s >= 1")
     if t0 <= 0:
         raise ValueError("t0 must be positive")
-    from .precision import DEFAULT_CONTEXT
-
-    if trunc is not None:
-        ctx = trunc.ctx
-    elif f.truncation is not None:
-        ctx = f.truncation.ctx
-    else:
-        ctx = DEFAULT_CONTEXT
+    ctx = (trunc or f.truncation).ctx
     w = f.weight
     g = twist.gamma
     a_g, c_g, d_g = g.a, g.c, g.d
@@ -209,7 +203,7 @@ def petersson_poincare(g: FourierSeries, n: int, alpha: int,
     if (-n, alpha) not in g.coeffs:
         raise ValueError(f"coefficient at ({-n}, {alpha}) not stored")
     lam = data.lam
-    with mpmath.workprec(130):
+    with g.truncation.ctx.working():
         lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
         xmp = mpmath.mpf(x.numerator) / x.denominator
         return (lam_mp * g.coefficient(-n, alpha)

@@ -50,10 +50,15 @@ class TruncationParams:
 
 
 class FourierSeries:
-    """Indexed coefficient table a(n, j) of a vector-valued expansion."""
+    """Indexed coefficient table a(n, j) of a vector-valued expansion.
+
+    truncation is never None (it defaults to TruncationParams()): its
+    tail_tol decides which entries count as converged, and its ctx is the
+    working precision of every operation on the coefficients.
+    """
 
     def __init__(self, weight: int, automorphy: AutomorphyData, coeffs=None,
-                 tails=None, truncation: TruncationParams | None = None):
+                 tails=None, truncation: TruncationParams = TruncationParams()):
         self.weight = weight
         self.automorphy = automorphy
         self.coeffs: dict = dict(coeffs or {})
@@ -99,19 +104,13 @@ class FourierSeries:
         )
 
     def unconverged_entries(self):
-        tol = self.truncation.tail_tol if self.truncation else np.inf
+        tol = self.truncation.tail_tol
         return [idx for idx in sorted(self.tails) if not self.tails[idx] <= tol]
-
-    def _work_bits(self) -> int:
-        if self.truncation is not None:
-            return self.truncation.ctx.mantissa_bits + 20
-        return 133
 
     def scale(self, factor) -> "FourierSeries":
         out = FourierSeries(self.weight, self.automorphy, truncation=self.truncation)
         af = abs(complex(factor))
-        # coefficient arithmetic must not round stored values to ambient prec
-        with mpmath.workprec(max(mpmath.mp.prec, self._work_bits())):
+        with self.truncation.ctx.working():
             out.coeffs = {k: v * factor for k, v in self.coeffs.items()}
         out.tails = {k: t * af for k, t in self.tails.items()}
         return out
@@ -123,15 +122,32 @@ class FourierSeries:
             raise ValueError("cannot add series of different weights")
         out = FourierSeries(self.weight, self.automorphy, dict(self.coeffs),
                             dict(self.tails), self.truncation)
-        with mpmath.workprec(max(mpmath.mp.prec, self._work_bits())):
+        with self.truncation.ctx.working():
             for k, v in other.coeffs.items():
                 out.coeffs[k] = out.coeffs.get(k, mpmath.mpc(0)) + v
         for k, t in other.tails.items():
             out.tails[k] = out.tails.get(k, 0.0) + t
         return out
 
-    def component_coefficients(self, j: int):
-        return {n: v for (n, jj), v in self.coeffs.items() if jj == j}
+    def freq_power(self, weight: int, power: int) -> "FourierSeries":
+        """Weight-`weight` series with a(n, j) ((n + kappa_j)/lambda)^power
+        at every nonzero frequency (zero frequencies are dropped), tails
+        scaled by |(n + kappa_j)/lambda|^power.
+
+        power = -(k+1) is the Eichler primitive, power = k+1 the (k+1)-fold
+        normalized derivative D^{k+1}.
+        """
+        lam = self.automorphy.lam
+        out = FourierSeries(weight, self.automorphy, truncation=self.truncation)
+        with self.truncation.ctx.working():
+            for (n, j), a in self.items():
+                fr = self.freq(n, j) / lam
+                if fr == 0:
+                    continue
+                fmp = mpmath.mpf(fr.numerator) / fr.denominator
+                out.coeffs[(n, j)] = a * fmp ** power
+                out.tails[(n, j)] = self.tail_bound(n, j) * abs(float(fmp)) ** power
+        return out
 
     def evaluate(self, tau) -> np.ndarray:
         """Value of the q-expansion at tau (vector of length p, complex128).

@@ -1,0 +1,62 @@
+"""Working precision comes from the series' own TruncationParams: a 200-bit
+context carries through the Petersson unfolding, the frequency-power maps
+of the Eichler primitive and D^{k+1}, and scale/add, and a series built
+without truncation gets the default TruncationParams."""
+
+import mpmath
+import pytest
+
+from mgrid.automorphy import AutomorphyData, TrivialMultiplier, trivial_representation
+from mgrid.groups import sl2z
+from mgrid.lfun import petersson_poincare
+from mgrid.poincare import poincare_series
+from mgrid.precision import PrecisionContext
+from mgrid.series import FourierSeries, TruncationParams
+
+K = 10
+CTX200 = PrecisionContext(mantissa_bits=200, target_tol=1e-55)
+TR200 = TruncationParams(c_max=20, tail_tol=1e-3, ctx=CTX200)
+DATA12 = AutomorphyData(weight=K + 2, chi=TrivialMultiplier(),
+                        rho=trivial_representation(), group=sl2z())
+REL = mpmath.mpf(2) ** -190
+
+
+@pytest.fixture(scope="module")
+def p_minus1():
+    """Weight-12 P_{-1} at a 200-bit context, l = 1..10, c_max 20."""
+    return poincare_series(DATA12, K + 2, -1, 1, range(1, 11), TR200)
+
+
+def _rel_close(a, b):
+    with mpmath.workprec(300):
+        return abs(a - b) <= REL * abs(b)
+
+
+def test_series_default_truncation():
+    f = FourierSeries(K + 2, DATA12, coeffs={(1, 1): mpmath.mpc(1)})
+    assert f.truncation == TruncationParams()
+
+
+def test_petersson_poincare_at_context_precision(p_minus1):
+    val = petersson_poincare(p_minus1, -1, 1, DATA12, K)
+    with mpmath.workprec(300):
+        # unfolding formula with lambda = 1 and -n + kappa = 1
+        ref = (p_minus1.coefficient(1, 1) * (1 / (4 * mpmath.pi)) ** (K + 1)
+               * mpmath.factorial(K))
+    assert _rel_close(val, ref)
+
+
+def test_frequency_power_round_trip(p_minus1):
+    e = p_minus1.freq_power(-K, -(K + 1))
+    back = e.freq_power(K + 2, K + 1)
+    assert set(back.coeffs) == set(p_minus1.coeffs)
+    for idx, v in p_minus1.coeffs.items():
+        assert _rel_close(back.coeffs[idx], v)
+        assert back.tails[idx] == pytest.approx(p_minus1.tails[idx], rel=1e-12)
+
+
+def test_scale_and_add_keep_context_precision(p_minus1):
+    total = p_minus1.scale(2) + p_minus1.scale(-1)
+    assert total.truncation is TR200
+    for idx, v in p_minus1.coeffs.items():
+        assert _rel_close(total.coeffs[idx], v)

@@ -1,17 +1,28 @@
 """Property tests of the Kloosterman layers S(m, n; c) of the trivial
 character at both layer precisions: symmetry in (m, n) and the Weil bound
 |S(m, n; c)| <= tau(c) gcd(m, n, c)^{1/2} c^{1/2} (Weil, PNAS 34 (1948);
-Iwaniec-Kowalski, Analytic Number Theory, ch. 11)."""
+Iwaniec-Kowalski, Analytic Number Theory, ch. 11).  Also Dedekind
+reciprocity (Rademacher-Grosswald, Dedekind Sums, ch. 2) and the
+recurrence Gamma(s+1, z) = s Gamma(s, z) + z^s e^{-z} (DLMF 8.8.2) of the
+upper incomplete gamma."""
 
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+import mpmath
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mgrid.automorphy import AutomorphyData, TrivialMultiplier, trivial_representation
+from mgrid.automorphy import (
+    AutomorphyData,
+    TrivialMultiplier,
+    dedekind_sum,
+    trivial_representation,
+)
 from mgrid.groups import sl2z
 from mgrid.poincare import kloosterman_layer
+from mgrid.precision import PrecisionContext
+from mgrid.specialfn import GAMMA0_METHOD_SWITCH, gamma_upper
 
 DATA = AutomorphyData(weight=4, chi=TrivialMultiplier(),
                       rho=trivial_representation(), group=sl2z())
@@ -47,3 +58,33 @@ def test_kloosterman_weil_bound(m, n, c, bits):
     tau = sum(1 for d in range(1, c + 1) if c % d == 0)
     weil = tau * math.sqrt(math.gcd(m, n, c)) * math.sqrt(c)
     assert abs(_kloosterman(m, n, c, bits)) <= weil + _layer_error(c, bits)
+
+
+@SETTINGS
+@given(h=st.integers(min_value=1, max_value=10**6),
+       k=st.integers(min_value=1, max_value=10**6))
+def test_dedekind_reciprocity(h, k):
+    assume(math.gcd(h, k) == 1)
+    rhs = Fraction(-1, 4) + (Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)) / 12
+    assert dedekind_sum(h, k) + dedekind_sum(k, h) == rhs
+
+
+CTX = PrecisionContext(mantissa_bits=113, target_tol=1e-25)
+# |z| inside and outside the Gamma(0, z) series/continued-fraction switch
+RADII = st.one_of(st.floats(min_value=0.5, max_value=GAMMA0_METHOD_SWITCH - 0.1),
+                  st.floats(min_value=GAMMA0_METHOD_SWITCH + 0.1, max_value=16.0))
+# arg z away from the negative real axis (the branch cut)
+ARGS = st.floats(min_value=-0.9 * math.pi, max_value=0.9 * math.pi)
+
+
+@SETTINGS
+@given(s=st.integers(min_value=-6, max_value=6), r=RADII, theta=ARGS)
+def test_gamma_upper_recurrence(s, r, theta):
+    with CTX.working():
+        z = mpmath.mpc(r * math.cos(theta), r * math.sin(theta))
+        lhs = gamma_upper(s + 1, z, CTX)
+        g = gamma_upper(s, z, CTX)
+        zs = z ** s * mpmath.exp(-z)
+        diff = abs(lhs - s * g - zs)
+        size = abs(lhs) + abs(s * g) + abs(zs)
+    assert diff <= 2.0 ** -CTX.mantissa_bits * size
