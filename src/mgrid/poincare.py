@@ -44,7 +44,7 @@ from .automorphy import AutomorphyData, DiagonalRepresentation
 from .groups import cplus_arrays, cplus_elements
 from .precision import compensated_sum, exp2pi
 from .series import FourierSeries, TruncationParams
-from .specialfn import bessel_i, bessel_j
+from .specialfn import bessel_series
 
 __all__ = [
     "kloosterman_layer",
@@ -298,7 +298,6 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
     """The c-sum of one coefficient (see the module docstring); call inside
     trunc.ctx.working()."""
     lam = data.lam
-    ctx = trunc.ctx
     lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
     phase = exp2pi(Fraction(-w, 4))  # i^{-w}
     key = (x, y, j, alpha)
@@ -313,12 +312,18 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
     ratio = mpmath.mpf((y / xabs).numerator) / (y / xabs).denominator
     rfac = ratio ** (mpmath.mpf(w - 1) / 2)
     pref = 2 * mpmath.pi / lam_mp * phase * rfac
-    arg_base = 4 * mpmath.pi * mpmath.sqrt(
+    half = 2 * mpmath.pi * mpmath.sqrt(
         mpmath.mpf((xabs * y).numerator) / (xabs * y).denominator) / lam_mp
-    bessel = bessel_i if modified else bessel_j
-    tail = _bessel_tail(w, float(arg_base) / 2, trunc.c_max, float(rfac),
-                        float(lam), modified)
-    return _CSum(key, lambda c: pref / c * bessel(w - 1, arg_base / c, ctx), tail)
+    cs = _c_values(data.group, trunc.c_max)
+    values = {}  # J or I at 2 half/c for every c, from one call at the first c
+
+    def weight(c):
+        if not values:
+            values.update(zip(cs, bessel_series(w - 1, half, cs, trunc.ctx, not modified)))
+        return pref / c * values[c][0]
+
+    return _CSum(key, weight, _bessel_tail(w, float(half), trunc.c_max, float(rfac),
+                                           float(lam), modified))
 
 
 def _coefficients(data: AutomorphyData, weight: int, n: int, alpha: int,

@@ -6,8 +6,8 @@ The Bessel functions are summed by their power series
     J_n(z) = sum_t (-1)^t (z/2)^{n+2t} / (t! (n+t)!),
     I_n(z) = sum_t        (z/2)^{n+2t} / (t! (n+t)!),
 
-with a geometric tail bound certifying the remainder, and enough guard bits
-to absorb the cancellation of the alternating J series at large argument.
+with a geometric tail bound certifying the remainder; bessel_series sums them
+in fixed point, from one table of terms for the arguments 2h/q of many q.
 The upper incomplete gamma is evaluated for integer order only: upward
 recurrence from Gamma(1,z) = e^{-z} for s >= 1, downward recurrence through
 Gamma(0,z) for s <= 0.  Gamma(0,z) itself switches between the entire-series
@@ -29,7 +29,7 @@ from .precision import (
     ensure_finite,
 )
 
-__all__ = ["bessel_j", "bessel_i", "gamma_upper", "h_function", "ConvergenceError"]
+__all__ = ["bessel_j", "bessel_i", "bessel_series", "gamma_upper", "h_function", "ConvergenceError"]
 
 # |z| threshold separating the Gamma(0,z) series from the continued fraction.
 # Both methods agree to ~1e-15 at 53 bits on the circle |z| = 8.
@@ -40,48 +40,83 @@ GAMMA0_METHOD_SWITCH = 8.0
 _LOG2E = 1.4426950408889634
 
 
-def _bessel_series(order: int, x, ctx: PrecisionContext, signed: bool):
+def bessel_series(order: int, half, divisors, ctx: PrecisionContext = DEFAULT_CONTEXT,
+                  signed: bool = True) -> list:
+    """[(J_order(2 half/q), error bound) for q in divisors] (I_order if not
+    signed) for integer order >= 0, real half >= 0 and integers q >= 1.
+
+    One fixed-point table serves every q: u_0 = 2^P and
+    u_t = ((u_{t-1} W) >> P) // (t (order+t)), W = round(half^2 2^P), stand
+    for 2^P tau_t(half), tau_t(b) = order! b^{2t}/(t! (order+t)!).  Horner's
+    S = u_t -+ S // q^2, from t = T(q) (see _stop_index) down, gives the value
+    (half/q)^order/order! S 2^-P at the ctx.working() precision wp.
+
+    Rounding: tau_t(b) <= (b^t/t!)^2 <= e^{2b}, rising from tau_0 = 1, then
+    falling.  A table step loses under 2 units and rounding W under 1/2, so
+    |u_t - 2^P tau_t(half)| <= 2t max(1, tau_t(k)) + tau_{t-1}(k)/2 units,
+    k^2 = half^2 + 2^-P/2.  Weighted by q^{-2t}, plus a unit per Horner floor:
+    |S 2^-P - sum_{t<=T} (-+1)^t tau_t(half/q)| <= 2.0001 (T+1)^2 e^{2 half/q} 2^-P.
+    P = mantissa_bits + 30 + 2 bit_length(max T + 1) + LOG2E 2 half/q_min (the
+    last term absorbs the cancellation of the alternating J) makes that under
+    2^-(mantissa_bits + 27).  The bound adds the tail reached, that times
+    (half/q)^order/order!, and 2^{4-wp} |value| for rounding the product, as
+    a double rounded up (the last term covers underflow).
+    """
     if order < 0:
         raise ValueError("order must be a non-negative integer")
-    if x < 0:
+    if half < 0:
         raise ValueError("argument must be non-negative")
-    extra = int(_LOG2E * float(x)) + 10 if signed else 10
-    with ctx.working(extra):
-        if x == 0:
-            return mpmath.mpf(1 if order == 0 else 0)
-        half = mpmath.mpf(x) / 2
-        term = half**order / mpmath.factorial(order)
-        total = term
-        h2 = half * half
-        for t in range(1, ctx.iteration_cap + 1):
-            term = term * h2 / (t * (order + t))
-            total += -term if (signed and t % 2 == 1) else term
-            # Ratio of consecutive terms is h2/((t+1)(order+t+1)); once it is
-            # below 1/2 the tail is bounded by a geometric series.
-            ratio = h2 / ((t + 1) * (order + t + 1))
-            if ratio < 0.5:
-                tail = abs(term) * ratio / (1 - ratio)
-                if tail < ctx.target_tol:
-                    break
-        else:
-            raise ConvergenceError(
-                f"Bessel series for order {order}, x={x} did not certify "
-                f"{ctx.target_tol} within {ctx.iteration_cap} terms; "
-                "raise mantissa_bits"
-            )
-        total = +total
-    ensure_finite(total)
-    return total
+    if half == 0:
+        return [(mpmath.mpf(1 if order == 0 else 0), 0.0) for _q in divisors]
+    with ctx.working():
+        half = mpmath.mpf(half)
+        log_half = float(mpmath.log(half))
+        stops = [_stop_index(order, log_half - math.log(q), ctx) for q in divisors]
+        t_max = max(t for t, _tail in stops)
+        guard = int(_LOG2E * float(2 * half / min(divisors)))
+        prec = ctx.mantissa_bits + 30 + guard + 2 * (t_max + 1).bit_length()
+        shift = 2 * half.exp + prec
+        w = half.man**2 << shift if shift >= 0 else (half.man**2 >> (-shift - 1)) + 1 >> 1
+        table = [1 << prec]
+        for t in range(1, t_max + 1):
+            table.append(((table[-1] * w) >> prec) // (t * (order + t)))
+        sign, out = -1 if signed else 1, []
+        lead = ensure_finite(half**order / mpmath.factorial(order))
+        for q, (t_q, log_tail) in zip(divisors, stops):
+            q2, total = q * q, 0
+            for t in range(t_q, -1, -1):
+                total = table[t] + sign * (total // q2)
+            scale = lead / q**order
+            value = scale * mpmath.ldexp(total, -prec)
+            out.append((value, (math.exp(log_tail) + float(scale) * 2.0 ** -(
+                ctx.mantissa_bits + 27) + float(abs(value)) * 2.0 ** (4 - mpmath.mp.prec))
+                * (1 + 2.0**-20) + math.ulp(0.0)))
+    return out
+
+
+def _stop_index(order: int, log_hq: float, ctx: PrecisionContext):
+    """(T, log tail) at half-argument e^{log_hq}, in logs: the first t >= 1 whose
+    term ratio r is below 1/2 and whose tail term_t r/(1-r) is below target_tol."""
+    log_term = order * log_hq - math.lgamma(order + 1)
+    for t in range(1, ctx.iteration_cap + 1):
+        log_term += 2 * log_hq - math.log(t * (order + t))
+        log_ratio = 2 * log_hq - math.log((t + 1) * (order + t + 1))
+        if log_ratio < -math.log(2):
+            log_tail = log_term + log_ratio - math.log1p(-math.exp(log_ratio))
+            if log_tail < math.log(ctx.target_tol):
+                return t, log_tail
+    raise ConvergenceError(f"Bessel series of order {order} did not certify {ctx.target_tol} "
+                           f"within {ctx.iteration_cap} terms; raise mantissa_bits")
 
 
 def bessel_j(order: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Bessel J_order(x) for integer order >= 0 and real x >= 0."""
-    return _bessel_series(order, x, ctx, signed=True)
+    return bessel_series(order, mpmath.ldexp(x, -1), [1], ctx)[0][0]
 
 
 def bessel_i(order: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Modified Bessel I_order(x) for integer order >= 0 and real x >= 0."""
-    return _bessel_series(order, x, ctx, signed=False)
+    return bessel_series(order, mpmath.ldexp(x, -1), [1], ctx, signed=False)[0][0]
 
 
 def _gamma0_series(z, ctx: PrecisionContext):

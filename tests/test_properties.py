@@ -4,7 +4,9 @@ character at both layer precisions: symmetry in (m, n) and the Weil bound
 Iwaniec-Kowalski, Analytic Number Theory, ch. 11).  Also Dedekind
 reciprocity (Rademacher-Grosswald, Dedekind Sums, ch. 2) and the
 recurrence Gamma(s+1, z) = s Gamma(s, z) + z^s e^{-z} (DLMF 8.8.2) of the
-upper incomplete gamma."""
+upper incomplete gamma, and the recurrences J_{n-1} + J_{n+1} = (2n/x) J_n,
+I_{n-1} - I_{n+1} = (2n/x) I_n (DLMF 10.6.1, 10.29.1) of the fixed-point
+Bessel kernel within its returned bounds."""
 
 import math
 from fractions import Fraction
@@ -22,7 +24,7 @@ from mgrid.automorphy import (
 from mgrid.groups import sl2z
 from mgrid.poincare import kloosterman_layer
 from mgrid.precision import PrecisionContext
-from mgrid.specialfn import GAMMA0_METHOD_SWITCH, gamma_upper
+from mgrid.specialfn import GAMMA0_METHOD_SWITCH, bessel_series, gamma_upper
 
 DATA = AutomorphyData(weight=4, chi=TrivialMultiplier(),
                       rho=trivial_representation(), group=sl2z())
@@ -88,3 +90,23 @@ def test_gamma_upper_recurrence(s, r, theta):
         diff = abs(lhs - s * g - zs)
         size = abs(lhs) + abs(s * g) + abs(zs)
     assert diff <= 2.0 ** -CTX.mantissa_bits * size
+
+
+# a tolerance far below the engine's, so that rounding dominates the bounds
+BESSEL_CTX = PrecisionContext(mantissa_bits=113, target_tol=1e-40)
+
+
+@SETTINGS
+@given(n=st.integers(min_value=1, max_value=12),
+       half=st.floats(min_value=0.01, max_value=50.0),
+       q=st.integers(min_value=1, max_value=8))
+def test_bessel_recurrences(n, half, q):
+    # J and I at x = 2 half/q, each order from one multi-divisor kernel call
+    for signed, sign in ((True, 1), (False, -1)):
+        (lo, b_lo), (mid, b_mid), (hi, b_hi) = (
+            bessel_series(order, half, [1, q], BESSEL_CTX, signed)[1]
+            for order in (n - 1, n, n + 1))
+        with mpmath.workprec(300):
+            ratio = 2 * n * q / (2 * mpmath.mpf(half))
+            residual = abs(lo + sign * hi - ratio * mid)
+            assert residual <= b_lo + b_hi + ratio * b_mid

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mgrid.precision import PrecisionContext, compensated_sum, ConvergenceError
-from mgrid.specialfn import bessel_i, bessel_j, gamma_upper, h_function
+from mgrid.specialfn import bessel_i, bessel_j, bessel_series, gamma_upper, h_function
 
 CTX = PrecisionContext(mantissa_bits=113, target_tol=1e-25)
 
@@ -174,3 +174,48 @@ def test_precision_context_validation():
         PrecisionContext(mantissa_bits=52)
     with pytest.raises(ValueError):
         PrecisionContext(target_tol=0.0)
+
+
+# target_tol far below the truncation the engine uses, so that the fixed-point
+# rounding, not the truncation, dominates the returned bounds
+TIGHT = PrecisionContext(mantissa_bits=113, target_tol=1e-40)
+
+
+@pytest.mark.parametrize("ctx", [CTX, TIGHT])
+@pytest.mark.parametrize("order", [0, 4, 11])
+@pytest.mark.parametrize("l", [1, 10, 60])
+def test_bessel_series_within_its_bound(ctx, order, l):
+    # the engine's half-argument 2 pi sqrt(l) of P_{-1} at q = c = 1..80;
+    # l = 60, q = 1 is J at x ~ 97, which cancels about 140 bits
+    with ctx.working():
+        half = 2 * mpmath.pi * mpmath.sqrt(l)
+    qs = list(range(1, 81))
+    for signed, ref in ((True, mpmath.besselj), (False, mpmath.besseli)):
+        got = bessel_series(order, half, qs, ctx, signed)
+        with mpmath.workprec(400):
+            for q, (value, bound) in zip(qs, got):
+                assert abs(value - ref(order, 2 * half / q)) <= bound
+
+
+@pytest.mark.parametrize("order", [0, 3, 11])
+@pytest.mark.parametrize("x", [0.0, 1e-30, 0.7, 38.0, 97.3])
+def test_bessel_j_and_i_are_the_one_divisor_kernel(order, x):
+    half = mpmath.mpf(x) / 2
+    for fn, signed, ref in ((bessel_j, True, mpmath.besselj),
+                            (bessel_i, False, mpmath.besseli)):
+        value, bound = bessel_series(order, half, [1], TIGHT, signed)[0]
+        got = fn(order, x, TIGHT)
+        assert got == value and got._mpf_ == value._mpf_  # bit for bit
+        with mpmath.workprec(400):
+            assert abs(got - ref(order, mpmath.mpf(x))) <= bound
+
+
+def test_bessel_series_iteration_cap_covers_every_divisor():
+    # 53 bits cap the series at 530 terms: enough for x = 2 half/q at
+    # q >= 8, not at q = 1
+    tiny = PrecisionContext(mantissa_bits=53, target_tol=1e-10)
+    with pytest.raises(ConvergenceError):
+        bessel_series(0, 1000, [1, 8, 16], tiny)
+    with mpmath.workprec(200):
+        for q, (value, bound) in zip([8, 16], bessel_series(0, 1000, [8, 16], tiny)):
+            assert abs(value - mpmath.besselj(0, mpmath.mpf(2000) / q)) <= bound
