@@ -228,7 +228,7 @@ class _CSum:
     of its terms."""
 
     key: tuple  # (x, y, j, alpha)
-    weight: object  # c -> mp weight of the layer at c
+    weight: object  # c -> (mp weight of the layer at c, bound on its error)
     tail: float
     terms: list = field(default_factory=list)
     noise: float = 0.0
@@ -237,9 +237,9 @@ class _CSum:
 def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
     """The coefficient engine: one ascending pass over c fills every c-sum.
 
-    Call inside trunc.ctx.working().  Every computed layer adds its rounding
-    bound times |weight| to its sum's noise, so the tail stays an honest
-    majorant: phi(c) * 2^-50 for a float64 layer, and
+    Call inside trunc.ctx.working().  Every computed layer adds to its sum's
+    noise its weight's error bound times c >= |K_c| and its rounding bound
+    times |weight|: phi(c) * 2^-50 for a float64 layer, and
     phi(c) * (2 isqrt(den) + 3) * 2^-P for an exact fixed-point layer with
     phases over den (P = bits + 16 + den.bit_length(); see _exponent_sum),
     with phi(c) <= c.  That includes a layer that rounds to exactly 0 (a
@@ -255,8 +255,8 @@ def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
             if layer is None:
                 continue
             value, error = layer
-            weight = s.weight(c)
-            s.noise += float(abs(weight)) * error
+            weight, weight_error = s.weight(c)
+            s.noise += float(abs(weight)) * error + weight_error * c
             if value != 0:
                 s.terms.append(weight * mpmath.mpc(value))
 
@@ -305,7 +305,7 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
         pref0 = (2 * mpmath.pi / lam_mp) ** w / mpmath.factorial(w - 1) * phase
         amp = pref0 * (mpmath.mpf(y.numerator) / y.denominator) ** (w - 1)
         a2 = (TWO_PI / float(lam)) ** w / math.factorial(w - 1) * float(y) ** (w - 1)
-        return _CSum(key, lambda c: amp * mpmath.mpf(c) ** -w,
+        return _CSum(key, lambda c: (amp * mpmath.mpf(c) ** -w, 0.0),
                      a2 * trunc.c_max ** (2 - w) / (w - 2))
     modified = x < 0
     xabs = abs(x)
@@ -320,7 +320,7 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
     def weight(c):
         if not values:
             values.update(zip(cs, bessel_series(w - 1, half, cs, trunc.ctx, not modified)))
-        return pref / c * values[c][0]
+        return pref / c * values[c][0], float(abs(pref)) / c * values[c][1]
 
     return _CSum(key, weight, _bessel_tail(w, float(half), trunc.c_max, float(rfac),
                                            float(lam), modified))
@@ -413,7 +413,7 @@ def constant_term_cf(f: FourierSeries, trunc: TruncationParams):
                 # x = n + kappa_t < 0 rides on the 'a' entry
                 per_comp[j - 1].append(
                     _CSum((f.freq(n, t), Fraction(0), j, t),
-                          lambda c, amp=amp: amp * mpmath.mpf(c) ** -w, tail))
+                          lambda c, amp=amp: (amp * mpmath.mpf(c) ** -w, 0.0), tail))
         _run(data, [s for sums in per_comp for s in sums], trunc)
         values = [compensated_sum([x for s in sums for x in s.terms]) for sums in per_comp]
     tails = [sum((s.tail + s.noise for s in sums), 0.0) for sums in per_comp]

@@ -2,8 +2,9 @@
 against the per-element phase, user multipliers that define only phase(),
 one-pass series against single coefficients, the float64 and fixed-point
 layer noise of the c-sums, the constant term's layer precision, the exact
-fixed-point layers against 256-bit sums and Ramanujan sums, and the
-leading delta term at context precision."""
+fixed-point layers against 256-bit sums and Ramanujan sums, the
+leading delta term at context precision, and the Bessel weights' error in
+the tails."""
 
 import math
 from dataclasses import dataclass
@@ -196,10 +197,10 @@ def test_float_noise_counts_every_computed_layer_but_no_structural_zero():
     trivial = AutomorphyData(weight=4, chi=TrivialMultiplier(),
                              rho=trivial_representation(), group=sl2z())
     trunc = TruncationParams(c_max=475, tail_tol=1.0, ctx=CTX, layer_bits=53)
-    s = _CSum((Fraction(0), Fraction(1), 1, 1), lambda c: mpmath.mpf(1), 0.0)
+    s = _CSum((Fraction(0), Fraction(1), 1, 1), lambda c: (mpmath.mpf(1), 0.0), 0.0)
     # the j != alpha block of a diagonal rho is zero by structure
     data = _two_component()
-    cross = _CSum((Fraction(0), 1 + data.kappa_of(2), 2, 1), lambda c: mpmath.mpf(1), 0.0)
+    cross = _CSum((Fraction(0), 1 + data.kappa_of(2), 2, 1), lambda c: (mpmath.mpf(1), 0.0), 0.0)
     with CTX.working():
         _run(trivial, [s], trunc)
         _run(data, [cross], trunc)
@@ -230,9 +231,9 @@ def test_exact_layer_noise_counts_every_computed_layer_but_no_structural_zero():
     trivial = AutomorphyData(weight=4, chi=TrivialMultiplier(),
                              rho=trivial_representation(), group=sl2z())
     trunc = TruncationParams(c_max=100, tail_tol=1.0, ctx=CTX, layer_bits=113)
-    s = _CSum((Fraction(0), Fraction(1), 1, 1), lambda c: mpmath.mpf(2), 0.0)
+    s = _CSum((Fraction(0), Fraction(1), 1, 1), lambda c: (mpmath.mpf(2), 0.0), 0.0)
     data = _two_component()
-    cross = _CSum((Fraction(0), 1 + data.kappa_of(2), 2, 1), lambda c: mpmath.mpf(1), 0.0)
+    cross = _CSum((Fraction(0), 1 + data.kappa_of(2), 2, 1), lambda c: (mpmath.mpf(1), 0.0), 0.0)
     with CTX.working():
         _run(trivial, [s], trunc)
         _run(data, [cross], trunc)
@@ -280,3 +281,20 @@ def test_leading_delta_term_at_context_precision():
     with fine.ctx.working():
         err = abs(series.coefficient(1, 1) - (value + 1))
     assert err <= series.tail_bound(1, 1)
+
+
+@pytest.mark.parametrize("n, l", [(-1, 1), (2, 3)])
+def test_tail_covers_the_bessel_truncation(n, l):
+    # a coarse target_tol truncates every J/I weight at about 1e-12; the same
+    # c <= 30 sum at 200 bits and 1e-60 moves by that much, which the tail
+    # must cover through the weights' error bounds
+    data = AutomorphyData(weight=12, chi=TrivialMultiplier(),
+                          rho=trivial_representation(), group=sl2z())
+    coarse = TruncationParams(c_max=30, tail_tol=1.0, layer_bits=113,
+                              ctx=PrecisionContext(mantissa_bits=113, target_tol=1e-12))
+    fine = TruncationParams(c_max=30, tail_tol=1.0, layer_bits=200,
+                            ctx=PrecisionContext(mantissa_bits=200, target_tol=1e-60))
+    value, tail = poincare_coefficient(data, 12, n, 1, l, 1, coarse)
+    ref, _tail = poincare_coefficient(data, 12, n, 1, l, 1, fine)
+    with fine.ctx.working():
+        assert abs(value - ref) <= tail
