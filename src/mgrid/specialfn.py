@@ -29,7 +29,8 @@ from .precision import (
     ensure_finite,
 )
 
-__all__ = ["bessel_j", "bessel_i", "bessel_series", "gamma_upper", "h_function", "ConvergenceError"]
+__all__ = ["bessel_j", "bessel_i", "bessel_series", "gamma_upper", "h_function",
+           "ConvergenceError"]
 
 # |z| threshold separating the Gamma(0,z) series from the continued fraction.
 # Both methods agree to ~1e-15 at 53 bits on the circle |z| = 8.
@@ -59,13 +60,10 @@ def bessel_series(order: int, half, divisors, ctx: PrecisionContext = DEFAULT_CO
     P = mantissa_bits + 30 + 2 bit_length(max T + 1) + LOG2E 2 half/q_min (the
     last term absorbs the cancellation of the alternating J) makes that under
     2^-(mantissa_bits + 27).  The bound adds the tail reached, that times
-    (half/q)^order/order!, and 2^{4-wp} |value| for rounding the product, as
-    a double rounded up (the last term covers underflow).
+    (half/q)^order/order!, 2^{4-wp} |value| (the product) and 2^-1074 (underflow).
     """
-    if order < 0:
-        raise ValueError("order must be a non-negative integer")
-    if half < 0:
-        raise ValueError("argument must be non-negative")
+    if order < 0 or half < 0:
+        raise ValueError("order and argument must be non-negative")
     if half == 0:
         return [(mpmath.mpf(1 if order == 0 else 0), 0.0) for _q in divisors]
     with ctx.working():
@@ -105,8 +103,8 @@ def _stop_index(order: int, log_hq: float, ctx: PrecisionContext):
             log_tail = log_term + log_ratio - math.log1p(-math.exp(log_ratio))
             if log_tail < math.log(ctx.target_tol):
                 return t, log_tail
-    raise ConvergenceError(f"Bessel series of order {order} did not certify {ctx.target_tol} "
-                           f"within {ctx.iteration_cap} terms; raise mantissa_bits")
+    raise ConvergenceError(f"Bessel series did not certify {ctx.target_tol} within "
+                           f"{ctx.iteration_cap} terms; raise mantissa_bits")
 
 
 def bessel_j(order: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT):
