@@ -120,9 +120,10 @@ class FourierSeries:
             raise ValueError("cannot add series with different automorphy data")
         if other.weight != self.weight:
             raise ValueError("cannot add series of different weights")
+        trunc = max(self.truncation, other.truncation, key=lambda t: t.ctx.mantissa_bits)
         out = FourierSeries(self.weight, self.automorphy, dict(self.coeffs),
-                            dict(self.tails), self.truncation)
-        with self.truncation.ctx.working():
+                            dict(self.tails), trunc)
+        with trunc.ctx.working():
             for k, v in other.coeffs.items():
                 out.coeffs[k] = out.coeffs.get(k, mpmath.mpc(0)) + v
         for k, t in other.tails.items():

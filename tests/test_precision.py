@@ -60,3 +60,16 @@ def test_scale_and_add_keep_context_precision(p_minus1):
     assert total.truncation is TR200
     for idx, v in p_minus1.coeffs.items():
         assert _rel_close(total.coeffs[idx], v)
+
+
+def test_add_keeps_the_finer_context_in_either_order(p_minus1):
+    coarse = poincare_series(DATA12, K + 2, -1, 1, range(1, 11),
+                             TruncationParams(c_max=20, tail_tol=1e-3))
+    left, right = coarse + p_minus1, p_minus1 + coarse
+    assert left.truncation is TR200 and right.truncation is TR200
+    for idx, v in p_minus1.coeffs.items():
+        assert left.coeffs[idx] == right.coeffs[idx]
+        with mpmath.workprec(400):
+            exact = coarse.coeffs[idx] + v
+            # rounded once to the 220-bit working precision of the 200-bit context
+            assert abs(left.coeffs[idx] - exact) <= mpmath.mpf(2) ** -219 * abs(exact)
