@@ -1,0 +1,45 @@
+"""Every top-level import of a library module is used.
+
+Parses src/mgrid/*.py with ast: a name bound by a module-level import must
+appear as a name somewhere else in the module or in its __all__.  The
+package __init__ (which imports to re-export) and __future__ imports are
+exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mgrid"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by module-level imports that the module never uses."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(name for name in bound if name not in used)
+
+
+def test_checker_flags_an_unused_import():
+    assert unused_imports("import math\nimport os\n\nx = math.pi\n") == ["os"]
+    assert unused_imports("from a import b, c\n__all__ = ['c']\nb()\n") == []
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_top_level_import(path):
+    assert unused_imports(path.read_text()) == []
