@@ -60,7 +60,7 @@ def bessel_series(order: int, half, divisors, ctx: PrecisionContext = DEFAULT_CO
     P = mantissa_bits + 30 + 2 bit_length(max T + 1) + LOG2E 2 half/q_min (the
     last term absorbs the cancellation of the alternating J) makes that under
     2^-(mantissa_bits + 27).  The bound adds the tail reached, that times
-    (half/q)^order/order!, 2^{4-wp} |value| (the product) and 2^-1074 (underflow).
+    (half/q)^order/order!, 2^{4-wp} |value| (the product), rounded up in doubles.
     """
     if order < 0 or half < 0:
         raise ValueError("order and argument must be non-negative")
@@ -86,15 +86,15 @@ def bessel_series(order: int, half, divisors, ctx: PrecisionContext = DEFAULT_CO
                 total = table[t] + sign * (total // q2)
             scale = lead / q**order
             value = scale * mpmath.ldexp(total, -prec)
-            out.append((value, (math.exp(log_tail) + float(scale) * 2.0 ** -(
-                ctx.mantissa_bits + 27) + float(abs(value)) * 2.0 ** (4 - mpmath.mp.prec))
-                * (1 + 2.0**-20) + math.ulp(0.0)))
+            bound = math.exp(log_tail) + float(scale) * 2.0 ** -(ctx.mantissa_bits + 27) \
+                + float(abs(value)) * 2.0 ** (4 - mpmath.mp.prec)
+            out.append((value, bound * (1 + 2.0**-20) + math.ulp(0.0)))
     return out
 
 
 def _stop_index(order: int, log_hq: float, ctx: PrecisionContext):
-    """(T, log tail) at half-argument e^{log_hq}, in logs: the first t >= 1 whose
-    term ratio r is below 1/2 and whose tail term_t r/(1-r) is below target_tol."""
+    """(T, log tail): the first t >= 1 at which r = hq^2/((t+1)(order+t+1)), with
+    hq = e^{log_hq}, is below 1/2 and the tail term_t r/(1-r) below target_tol."""
     log_term = order * log_hq - math.lgamma(order + 1)
     for t in range(1, ctx.iteration_cap + 1):
         log_term += 2 * log_hq - math.log(t * (order + t))
