@@ -25,10 +25,10 @@ per denominator, built per box by baby and giant steps from one exp2pi
 seed each, and costs one integer multiply-add per box element.
 poincare_series and constant_term_cf make one such pass;
 poincare_coefficient and kloosterman_layer are the engine on one index.
-Terms are summed in ascending c with compensated accumulation; the returned
-tail bound majorises the neglected c > c_max terms via |C+(c)| <= c and the
-series bounds J_nu(z), I_nu(z) <= (z/2)^nu/nu! * geometric/exponential
-factors.
+The terms of a c-sum are added exactly and rounded once (compensated_sum);
+the returned tail bound majorises the neglected c > c_max terms via
+|C+(c)| <= c and the series bounds J_nu(z), I_nu(z) <= (z/2)^nu/nu! *
+geometric/exponential factors.
 """
 
 from __future__ import annotations
@@ -342,8 +342,8 @@ def poincare_coefficient(data: AutomorphyData, weight: int, n: int, alpha: int,
                          l: int, j: int, trunc: TruncationParams):
     """Coefficient a_{n,alpha}(l, j) of the weight-`weight` Poincare series.
 
-    Returns (value, tail_bound).  The value is the c <= c_max partial sum in
-    ascending c with compensated accumulation; tail_bound majorises the
+    Returns (value, tail_bound).  The value is the c <= c_max partial sum,
+    added exactly and rounded once; tail_bound majorises the
     neglected remainder (math.inf when the bound cannot certify decay yet,
     which callers should treat as unconverged).  The Kronecker-delta leading
     term at (-n, alpha) is *not* included here; poincare_series adds it.

@@ -1,18 +1,22 @@
-"""Every top-level import of a library module is used.
+"""Every top-level import of a library module is used, and every name a
+module exports exists.
 
 Parses src/mgrid/*.py with ast: a name bound by a module-level import must
 appear as a name somewhere else in the module or in its __all__.  The
 package __init__ (which imports to re-export) and __future__ imports are
-exempt.
+exempt.  Every name in a module's __all__ must be an attribute of the
+imported module.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mgrid"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+EXPORTERS = [p for p in MODULES if "__all__" in p.read_text()]
 
 
 def unused_imports(source: str) -> list:
@@ -43,3 +47,9 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", EXPORTERS, ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    module = importlib.import_module(f"mgrid.{path.stem}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

@@ -1,7 +1,9 @@
 """Special-function layer: series values against independent quadrature and
-closed forms, recurrence consistency, and the compensated accumulator."""
+closed forms, recurrence consistency, and the exact sum rounded once."""
 
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -154,6 +156,16 @@ def test_compensated_sum_basics():
     assert complex(compensated_sum([1, -1])) == 0
     got = compensated_sum([1.0, 1e-30, -1.0])
     assert float(got) == pytest.approx(1e-30, rel=1e-12)
+    # every term's top bit lies within 2 wp bits of the running sum's lowest
+    # bit, so at 133 bits the sum is exact although it spans 300 bits
+    with mpmath.workprec(133):
+        got = compensated_sum([mpmath.mpc(mpmath.ldexp(1, e)) * sign
+                               for e, sign in ((150, 1), (0, 1), (-150, 1),
+                                               (150, -1), (0, -1))])
+        assert got == mpmath.ldexp(1, -150)
+    # beyond the window terms are lost, as the docstring states
+    with mpmath.workprec(53):
+        assert compensated_sum([2.0**200, 1.0, 2.0**-100, -2.0**200, -1.0]) == -1.0
 
 
 def test_compensated_sum_mixed_complex():
@@ -167,6 +179,26 @@ def test_compensated_sum_order_fixed_chunking_free():
     xs = list(rng.standard_normal(1000) * 10.0 ** rng.integers(-12, 12, 1000))
     assert float(compensated_sum(xs)) == float(compensated_sum(list(xs)))
     assert float(compensated_sum(xs)) == pytest.approx(math.fsum(xs), rel=1e-13)
+
+
+def test_compensated_sum_rounds_the_exact_sum_once_in_any_order():
+    # 1,000 mpc terms with 133-bit mantissas and exponents in +-60 span
+    # 253 bits, inside the 2 wp = 266-bit window
+    rng = random.Random(7)
+    parts = [[rng.choice((-1, 1)) * rng.getrandbits(133), rng.randint(-60, 60) - 133]
+             for _k in range(2000)]
+    exact = [Fraction(m) * Fraction(2) ** e for m, e in parts]
+    with mpmath.workprec(133):
+        terms = [mpmath.mpc(mpmath.ldexp(parts[2 * k][0], parts[2 * k][1]),
+                            mpmath.ldexp(parts[2 * k + 1][0], parts[2 * k + 1][1]))
+                 for k in range(1000)]
+    want = tuple(mpmath.libmp.from_rational(x.numerator, x.denominator, 133,
+                                            mpmath.libmp.round_nearest)
+                 for x in (sum(exact[0::2]), sum(exact[1::2])))
+    for _shuffle in range(20):
+        rng.shuffle(terms)
+        with mpmath.workprec(133):
+            assert compensated_sum(terms)._mpc_ == want
 
 
 def test_precision_context_validation():
