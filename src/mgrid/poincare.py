@@ -224,8 +224,8 @@ def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
 @dataclass
 class _CSum:
     """One c-sum: the terms weight(c) * K_c(x, y)_{j,alpha} in ascending c,
-    the bound on its c > c_max remainder, and the layer-rounding noise bound
-    of its terms."""
+    the bound on its c > c_max remainder, and the rounding noise bound of
+    its terms (see _run)."""
 
     key: tuple  # (x, y, j, alpha)
     weight: object  # c -> (mp weight of the layer at c, bound on its error)
@@ -238,17 +238,32 @@ def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
     """The coefficient engine: one ascending pass over c fills every c-sum.
 
     Call inside trunc.ctx.working().  Every computed layer adds to its sum's
-    noise its weight's error bound times c >= |K_c| and its rounding bound
-    times |weight|: phi(c) * 2^-50 for a float64 layer, and
-    phi(c) * (2 isqrt(den) + 3) * 2^-P for an exact fixed-point layer with
-    phases over den (P = bits + 16 + den.bit_length(); see _exponent_sum),
-    with phi(c) <= c.  That includes a layer that rounds to exactly 0 (a
-    vanishing Ramanujan sum, say); only the structural j != alpha zeros of a
-    diagonal rho add neither term nor noise.
+    noise its weight's error bound times c >= |K_c|, plus
+    |weight| * (layer rounding bound + c 2^(e - wp)).  The layer rounding
+    bound is phi(c) * 2^-50 in float64, and phi(c) * (2 isqrt(den) + 3) *
+    2^-P for an exact fixed-point layer with phases over den
+    (P = bits + 16 + den.bit_length(); see _exponent_sum), with phi(c) <= c.
+
+    The c 2^(e - wp) part covers the roundings at the working precision wp
+    (mpmath's: the context's bits plus its guard).  Each is at most 2^-wp
+    times its result, and |K_c| <= c:
+      - the two steps that finish the weight (amp * c^-w; pref / c times
+        the Bessel value): 2 units;
+      - the product weight * K_c: 1 unit;
+      - compensated_sum: both parts of its bound are at most 2^-wp times
+        the sum of |term| in each of the real and imaginary parts (for
+        fewer than 2^(wp-1) terms), so 2 sqrt(2) units.
+    That is under 6 units; e = 3 leaves room for the second-order terms.
+    The rounding of a weight's common prefactor (amp, pref) is not counted.
+
+    All of this includes a layer that rounds to exactly 0 (a vanishing
+    Ramanujan sum, say); only the structural j != alpha zeros of a diagonal
+    rho add neither term nor noise.
     """
     if not sums:
         return
     bits = trunc.layer_bits or layer_bits_for(trunc.ctx, trunc.c_max, data.group.level)
+    rounding = 2.0 ** (3 - mpmath.mp.prec)
     keys = [s.key for s in sums]
     for c in _c_values(data.group, trunc.c_max):
         for s, layer in zip(sums, _layers(data, c, keys, bits)):
@@ -256,7 +271,7 @@ def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
                 continue
             value, error = layer
             weight, weight_error = s.weight(c)
-            s.noise += float(abs(weight)) * error + weight_error * c
+            s.noise += float(abs(weight)) * (error + c * rounding) + weight_error * c
             if value != 0:
                 s.terms.append(weight * mpmath.mpc(value))
 

@@ -204,8 +204,16 @@ def test_float_noise_counts_every_computed_layer_but_no_structural_zero():
     with CTX.working():
         _run(trivial, [s], trunc)
         _run(data, [cross], trunc)
-    assert s.noise == sum(c * 2.0 ** -50 for c in range(1, 476))
+    assert s.noise == sum(1.0 * (c * 2.0 ** -50 + _working_rounding(c))
+                          for c in range(1, 476))
     assert cross.noise == 0.0 and cross.terms == []
+
+
+def _working_rounding(c):
+    """The documented bound c 2^(3 - wp) on the working-precision roundings
+    of one term, per unit of |weight|."""
+    with CTX.working():
+        return c * 2.0 ** (3 - mpmath.mp.prec)
 
 
 def _exact_layer_bound(count, den, bits=113):
@@ -238,7 +246,8 @@ def test_exact_layer_noise_counts_every_computed_layer_but_no_structural_zero():
         _run(trivial, [s], trunc)
         _run(data, [cross], trunc)
     # x = 0, y = 1 on the trivial character: phases over den = c
-    assert s.noise == sum(2 * _exact_layer_bound(c, c) for c in range(1, 101))
+    assert s.noise == sum(2.0 * (_exact_layer_bound(c, c) + _working_rounding(c))
+                          for c in range(1, 101))
     assert cross.noise == 0.0 and cross.terms == []
 
 
