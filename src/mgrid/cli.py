@@ -2,7 +2,7 @@
 
 Subcommands: coeffs, grid, duality, lvalue, period, pairing, selfcheck.
 Exit codes: 0 success, 1 usage/configuration error, 2 computed but with
-unconverged tails (or a failed selfcheck).  Float fields are emitted as
+unconverged tails, an L-value err above --tol, or a failed selfcheck.  Float fields are emitted as
 shortest round-trip decimals plus a parallel hex-float field, so identical
 configurations produce byte-identical reports.
 """
@@ -260,7 +260,7 @@ def cmd_lvalue(args) -> int:
     rows = [(r["s"], r["method"], repr(r["re"]), repr(r["im"]), repr(r["err"]))
             for r in values]
     _emit(args, payload, rows, ("s", "method", "re", "im", "err"))
-    return 0
+    return 2 if any(r["err"] > args.tol for r in values) else 0
 
 
 def cmd_period(args) -> int:

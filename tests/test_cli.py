@@ -123,6 +123,15 @@ def test_lvalue_series_output_matches_library(capsys):
     assert row["im"] == float(complex(lv.value).imag)
 
 
+def test_lvalue_err_above_tol_exits_2(capsys):
+    rc, out, _err = run_cli(capsys, [
+        "lvalue", "--weight", "12", "--n", "-1", "--s", "6", "--lmax", "40",
+        "--cmax", "50", "--tol", "1e-20",
+    ])
+    assert rc == 2
+    assert json.loads(out)["values"][0]["err"] > 1e-20
+
+
 def test_period_output(capsys):
     rc, out, _err = run_cli(capsys, [
         "period", "--k", "10", "--n", "-1", "--kind", "rH", "--lmax", "40",
