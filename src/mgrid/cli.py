@@ -2,9 +2,9 @@
 
 Subcommands: coeffs, grid, duality, lvalue, period, pairing, selfcheck.
 Exit codes: 0 success, 1 usage/configuration error, 2 computed but with
-unconverged tails, an L-value err above --tol, or a failed selfcheck.  Float fields are emitted as
-shortest round-trip decimals plus a parallel hex-float field, so identical
-configurations produce byte-identical reports.
+unconverged tails, an L-value err above --tol, or a failed selfcheck.
+Float fields are emitted as shortest round-trip decimals plus a parallel
+hex-float field, so identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations

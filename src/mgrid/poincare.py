@@ -358,9 +358,9 @@ def poincare_coefficient(data: AutomorphyData, weight: int, n: int, alpha: int,
     """Coefficient a_{n,alpha}(l, j) of the weight-`weight` Poincare series.
 
     Returns (value, tail_bound).  The value is the c <= c_max partial sum,
-    added exactly and rounded once; tail_bound majorises the
-    neglected remainder (math.inf when the bound cannot certify decay yet,
-    which callers should treat as unconverged).  The Kronecker-delta leading
+    added exactly and rounded once; tail_bound majorises the neglected
+    remainder (math.inf when the bound cannot certify decay yet, which
+    callers should treat as unconverged).  The Kronecker-delta leading
     term at (-n, alpha) is *not* included here; poincare_series adds it.
     """
     _check_weight(weight, trunc, data.group.level)

@@ -92,13 +92,13 @@ def compensated_sum(terms):
     integer mantissas (mpmath.libmp.mpf_sum) and rounded to nearest at the
     working precision wp.  A term is lost only when its top bit lies more
     than 2 wp bits below the running sum's lowest bit, and the running sum
-    only when its top bit lies more than 2 wp bits below a new term's lowest
-    bit; c-sums, whose terms decay gradually, never come near that, so for
-    them the sum is exact before the one rounding.  In general each part of n terms t is
-    off by at most 2^-wp |S| + n 2^(1-2wp) max |t|, with S its exact sum:
-    at 53 bits, [2.0**200, 1.0, 2.0**-100, -2.0**200, -1.0] sums to -1.0.
-    When nothing is lost the result does not depend on the term order.
-    It is an mpf when no term is complex (an empty sequence sums to mpf 0),
-    else an mpc.
+    only when its top bit lies more than 2 wp bits below a new term's
+    lowest bit.  c-sums, whose terms decay gradually, never come near that,
+    so for them the sum is exact before the one rounding.  In general each
+    part of n terms t is off by at most 2^-wp |S| + n 2^(1-2wp) max |t|,
+    with S its exact sum: at 53 bits, [2.0**200, 1.0, 2.0**-100,
+    -2.0**200, -1.0] sums to -1.0.  When nothing is lost the result does
+    not depend on the term order.  It is an mpf when no term is complex
+    (an empty sequence sums to mpf 0), else an mpc.
     """
     return mpmath.fsum(terms)

@@ -179,22 +179,18 @@ def test_compensated_sum_order_fixed_chunking_free():
     xs = list(rng.standard_normal(1000) * 10.0 ** rng.integers(-12, 12, 1000))
     assert float(compensated_sum(xs)) == float(compensated_sum(list(xs)))
     assert float(compensated_sum(xs)) == pytest.approx(math.fsum(xs), rel=1e-13)
-
-
-def test_compensated_sum_rounds_the_exact_sum_once_in_any_order():
     # 1,000 mpc terms with 133-bit mantissas and exponents in +-60 span
     # 253 bits, inside the 2 wp = 266-bit window
     rng = random.Random(7)
-    parts = [[rng.choice((-1, 1)) * rng.getrandbits(133), rng.randint(-60, 60) - 133]
+    parts = [(rng.choice((-1, 1)) * rng.getrandbits(133), rng.randint(-60, 60) - 133)
              for _k in range(2000)]
-    exact = [Fraction(m) * Fraction(2) ** e for m, e in parts]
     with mpmath.workprec(133):
-        terms = [mpmath.mpc(mpmath.ldexp(parts[2 * k][0], parts[2 * k][1]),
-                            mpmath.ldexp(parts[2 * k + 1][0], parts[2 * k + 1][1]))
-                 for k in range(1000)]
+        terms = [mpmath.mpc(mpmath.ldexp(*re), mpmath.ldexp(*im))
+                 for re, im in zip(parts[0::2], parts[1::2])]
+    exact = (sum(Fraction(m) * Fraction(2) ** e for m, e in half)
+             for half in (parts[0::2], parts[1::2]))
     want = tuple(mpmath.libmp.from_rational(x.numerator, x.denominator, 133,
-                                            mpmath.libmp.round_nearest)
-                 for x in (sum(exact[0::2]), sum(exact[1::2])))
+                                            mpmath.libmp.round_nearest) for x in exact)
     for _shuffle in range(20):
         rng.shuffle(terms)
         with mpmath.workprec(133):
