@@ -1,26 +1,25 @@
-"""Deterministic special functions with certified truncation errors.
+"""Deterministic special functions at the precision of a PrecisionContext.
 
-Everything here is a pure function of its arguments and a PrecisionContext.
-The Bessel functions are summed by their power series
+Everything here is a pure function of its arguments and a PrecisionContext:
+each result is computed and rounded inside ctx.working(), whatever the
+caller's ambient mpmath precision.  The Bessel functions are summed by
+their power series
 
     J_n(z) = sum_t (-1)^t (z/2)^{n+2t} / (t! (n+t)!),
     I_n(z) = sum_t        (z/2)^{n+2t} / (t! (n+t)!),
 
 with a geometric tail bound certifying the remainder; bessel_series sums them
-in fixed point, from one table of terms for the arguments 2h/q of many q.
-The upper incomplete gamma is evaluated for integer order only: upward
-recurrence from Gamma(1,z) = e^{-z} for s >= 1, downward recurrence through
-Gamma(0,z) for s <= 0.  Gamma(0,z) itself switches between the entire-series
-representation for small |z| and a continued fraction for large |z| away
-from the negative real axis.  Principal branch throughout: arg z in (-pi, pi].
-"""
+in fixed point, from one table of terms for the arguments 2h/q of many q,
+and returns a certified error bound with each value.  The upper incomplete
+gamma Gamma(s, z), for integer order only, is mpmath.gammainc at the working
+precision; it carries no bound of its own.  Principal branch throughout:
+arg z in (-pi, pi]."""
 
 from __future__ import annotations
 
 import math
 
 import mpmath
-from mpmath import mp
 
 from .precision import (
     DEFAULT_CONTEXT,
@@ -31,10 +30,6 @@ from .precision import (
 
 __all__ = ["bessel_j", "bessel_i", "bessel_series", "gamma_upper", "h_function",
            "ConvergenceError"]
-
-# |z| threshold separating the Gamma(0,z) series from the continued fraction.
-# Both methods agree to ~1e-15 at 53 bits on the circle |z| = 8.
-GAMMA0_METHOD_SWITCH = 8.0
 
 # ~log2(e); the alternating J series cancels down from a peak term of size
 # about e^x, so x*LOG2E extra mantissa bits restore full accuracy.
@@ -117,89 +112,23 @@ def bessel_i(order: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     return bessel_series(order, mpmath.ldexp(x, -1), [1], ctx, signed=False)[0][0]
 
 
-def _gamma0_series(z, ctx: PrecisionContext):
-    # Gamma(0,z) = -euler - Log z - sum_{n>=1} (-z)^n / (n n!)
-    # The sum is entire; its terms peak near e^{|z|}, hence the guard bits.
-    total = -mp.euler - mpmath.log(z)
-    term = mpmath.mpc(1)
-    acc = mpmath.mpc(0)
-    for n in range(1, ctx.iteration_cap + 1):
-        term = term * (-z) / n
-        acc += term / n
-        if abs(term) < ctx.target_tol * 1e-3 and n > abs(z):
-            break
-    else:
-        raise ConvergenceError(f"Gamma(0,z) series stalled at z={z}")
-    return total - acc
-
-
-def _gamma0_contfrac(z, ctx: PrecisionContext):
-    # Gamma(0,z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - 9/(...)))) via
-    # modified Lentz iteration; valid away from the negative real axis.
-    tiny = mpmath.mpf(2) ** (-(ctx.mantissa_bits + 40))
-    b = z + 1
-    c = 1 / tiny
-    d = 1 / b
-    h = d
-    for n in range(1, ctx.iteration_cap + 1):
-        a = -(n * n)
-        b += 2
-        d = b + a * d
-        if abs(d) < tiny:
-            d = tiny
-        c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1 / d
-        delta = c * d
-        h *= delta
-        if abs(delta - 1) < mpmath.mpf(2) ** (-(ctx.mantissa_bits + 5)):
-            return mpmath.e**-z * h
-    raise ConvergenceError(f"Gamma(0,z) continued fraction stalled at z={z}")
-
-
-def _gamma0(z, ctx: PrecisionContext):
-    az = abs(z)
-    if az <= GAMMA0_METHOD_SWITCH or mpmath.re(z) < 0:
-        # The series route also covers large |z| left of the imaginary axis
-        # (where the continued fraction degrades near the branch cut); guard
-        # bits grow linearly with |z|.
-        return _gamma0_series(z, ctx)
-    return _gamma0_contfrac(z, ctx)
-
-
 def gamma_upper(s: int, z, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Upper incomplete gamma Gamma(s, z) for integer s and complex z != 0.
 
+    mpmath.gammainc at the ctx.working() precision, rounded there to an mpc.
     Principal branch, arg z in (-pi, pi]; a negative real z is accepted and
-    evaluated on the upper side of the cut (Log(-x) = log x + i pi).
+    evaluated on the upper side of the cut (Log(-x) = log x + i pi).  The
+    imaginary part is exactly 0 for real z > 0.
     """
     if s != int(s):
         raise ValueError("gamma_upper is implemented for integer s only")
-    s = int(s)
-    zc = mpmath.mpc(z)
-    if zc == 0:
+    if z == 0:
         raise ValueError("z must be nonzero")
-    extra = int(_LOG2E * abs(zc)) + 10
-    with ctx.working(extra):
-        zc = mpmath.mpc(z)
-        ez = mpmath.e**-zc
-        if s >= 1:
-            # Gamma(1,z) = e^{-z}; Gamma(m+1,z) = m Gamma(m,z) + z^m e^{-z}.
-            g = ez
-            zp = mpmath.mpc(1)
-            for m in range(1, s):
-                zp *= zc
-                g = m * g + zp * ez
-        else:
-            g = _gamma0(zc, ctx)
-            # Gamma(m,z) = (Gamma(m+1,z) - z^m e^{-z}) / m for m = -1, -2, ...
-            for m in range(-1, s - 1, -1):
-                g = (g - zc**m * ez) / m
-        result = +g
-    if zc.imag == 0 and zc.real > 0:
-        result = mpmath.mpc(result.real, 0)
-    return ensure_finite(result)
+    with ctx.working():
+        g = mpmath.gammainc(int(s), z)
+        if mpmath.im(z) == 0 and mpmath.re(z) > 0:
+            g = mpmath.re(g)
+        return ensure_finite(mpmath.mpc(+g))
 
 
 def h_function(w, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -214,7 +143,6 @@ def h_function(w, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
         raise ValueError("h_function is defined for w < 0 only")
     if k < 0:
         raise ValueError("k must be >= 0")
-    with ctx.working(int(_LOG2E * abs(2 * float(w))) + 10):
-        g = gamma_upper(k + 1, mpmath.mpf(-2) * mpmath.mpf(w), ctx)
-        val = mpmath.e ** mpmath.mpf(-w) * g.real
-    return ensure_finite(+val)
+    with ctx.working():
+        g = gamma_upper(k + 1, -2 * mpmath.mpf(w), ctx)
+        return ensure_finite(mpmath.exp(-mpmath.mpf(w)) * g.real)

@@ -115,18 +115,6 @@ def test_gamma_upper_recurrence_consistency():
             assert abs(lhs - rhs) / scale < 1e-25
 
 
-def test_gamma0_method_overlap_at_switch():
-    # series and continued fraction agree on the |z| = 8 circle (right half)
-    from mgrid.specialfn import _gamma0_contfrac, _gamma0_series
-    ctx = PrecisionContext(mantissa_bits=53, target_tol=1e-20)
-    with mpmath.workprec(90):
-        for arg in (0.0, 0.5, -0.5, 1.2, -1.2):
-            z = 8 * mpmath.e ** mpmath.mpc(0, arg)
-            a = _gamma0_series(z, ctx)
-            b = _gamma0_contfrac(z, ctx)
-            assert abs(a - b) < 1e-15
-
-
 def test_gamma_upper_rejects_zero():
     with pytest.raises(ValueError):
         gamma_upper(2, 0, CTX)
