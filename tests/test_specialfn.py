@@ -235,3 +235,51 @@ def test_bessel_series_iteration_cap_covers_every_divisor():
     with mpmath.workprec(200):
         for q, (value, bound) in zip([8, 16], bessel_series(0, 1000, [8, 16], tiny)):
             assert abs(value - mpmath.besselj(0, mpmath.mpf(2000) / q)) <= bound
+
+
+def _bits(x):
+    """The exact binary value of an mpf or mpc, for bit-for-bit comparisons."""
+    return x._mpc_ if isinstance(x, mpmath.mpc) else x._mpf_
+
+
+def _every_entry_point():
+    return [_bits(bessel_j(3, 7.5, CTX)), _bits(bessel_i(2, 7.5, CTX)),
+            [(_bits(v), b) for v, b in bessel_series(4, 7 / 3, [1, 2, 5], CTX)],
+            _bits(gamma_upper(3, mpmath.mpf(3), CTX)),
+            _bits(gamma_upper(0, -1.0, CTX)),
+            _bits(gamma_upper(-2, mpmath.mpc(1.5, -2.5), CTX)),
+            _bits(h_function(-1.3, 4, CTX))]
+
+
+def test_results_do_not_depend_on_the_ambient_precision():
+    # the same inputs at the ambient 53 bits and at 400 bits
+    with mpmath.workprec(53):
+        low = _every_entry_point()
+    with mpmath.workprec(400):
+        high = _every_entry_point()
+    assert low == high
+
+
+# (s, z) from s = -6..12 and z positive real, negative real down to -500 and
+# complex with |z| <= 16
+GAMMA_CASES = (
+    [(s, mpmath.mpf(x)) for s, x in ((-6, 0.25), (-3, 1), (0, 0.5), (0, 8), (0, 30),
+                                     (1, 2), (2, 0.125), (5, 10), (8, 40), (12, 1),
+                                     (12, 20), (-1, 100), (3, 500), (6, 1e-3))]
+    + [(s, mpmath.mpf(x)) for s, x in ((0, -1), (0, -500), (-6, -3), (-2, -20),
+                                       (-1, -0.5), (1, -4), (4, -8), (7, -60),
+                                       (12, -2), (3, -150), (-4, -250), (10, -500))]
+    + [(s, mpmath.mpc(re, im)) for s, re, im in (
+        (-6, 1, 1), (-5, -2, 0.3), (-4, 0.5, -3), (-3, -8, 8), (-2, 3, -11),
+        (-1, -6, -6), (0, 0.1, 0.1), (0, -15, 4), (0, 7, -7), (1, -5, 2),
+        (2, 12, 9), (2, -0.75, -0.25), (3, 0, 16), (4, -10, -12), (5, 2, 2),
+        (6, -3, 0.5), (7, 11, -3), (8, -1, 15), (9, 4, -4), (10, -9, 9),
+        (11, 0.3, -0.6), (12, -12, -5), (12, 8, 13), (-3, 0, -2))])
+
+
+def test_gamma_upper_against_600_bit_gammainc():
+    for s, z in GAMMA_CASES:
+        got = gamma_upper(s, z, CTX)
+        with mpmath.workprec(600):
+            ref = mpmath.gammainc(s, z)
+            assert abs(got - ref) <= 2.0 ** -CTX.mantissa_bits * abs(ref), (s, z)
