@@ -167,13 +167,12 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    from .gridforms import build_G, build_f, verify_duality
+    from .gridforms import build_pair
 
     data, trunc = build_config(args, weight=args.k + 2)
-    f = build_f(data, args.k, args.n1, args.alpha1, trunc, lmax=args.lmax)
-    G = build_G(data, args.k, args.n2, args.alpha2, trunc, lmax=args.lmax)
-    rep = verify_duality(data, args.k, args.n1, args.alpha1, args.n2,
-                         args.alpha2, trunc)
+    pair = build_pair(data, args.k, args.n1, args.alpha1, args.n2, args.alpha2,
+                      trunc, lmax=args.lmax)
+    f, G, rep = pair.f, pair.G, pair.duality
     pair_row = {"n1": args.n1, "a1": args.alpha1, "n2": args.n2,
                 "a2": args.alpha2}
     _complex_entry(pair_row, rep.lhs, "lhs_re", "lhs_im")

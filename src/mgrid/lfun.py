@@ -74,10 +74,8 @@ class TwistSpec:
         return cls(gamma, Fraction(lam))
 
     def zeta_power(self, x) -> mpmath.mpc:
-        """e^{2 pi i x / (c lam)}; exact when x is rational."""
-        if isinstance(x, Fraction):
-            return exp2pi(x / (self.gamma.c * self.lam))
-        return exp2pi(float(x) / float(self.gamma.c * self.lam))
+        """e^{2 pi i x / (c lam)} for rational x."""
+        return exp2pi(Fraction(x) / (self.gamma.c * self.lam))
 
 
 @dataclass

@@ -72,16 +72,15 @@ def ensure_finite(z):
 
 
 def exp2pi(x) -> mpmath.mpc:
-    """e^{2 pi i x} with x given exactly (Fraction) or as a real number.
+    """e^{2 pi i x} for an exact rational x (a Fraction, or anything
+    Fraction() takes exactly).
 
-    Fractions are reduced mod 1 before evaluation so unit phases stay exact
-    to working precision regardless of the size of the exponent.
+    x is reduced mod 1 before evaluation so unit phases stay exact to working
+    precision regardless of the size of the exponent.
     """
-    if isinstance(x, Fraction):
-        x = x - Fraction(int(x))  # reduce mod 1 exactly
-        arg = 2 * mp.pi * mpmath.mpf(x.numerator) / x.denominator
-    else:
-        arg = 2 * mp.pi * mpmath.mpf(x)
+    x = Fraction(x)
+    x -= int(x)  # reduce mod 1 exactly
+    arg = 2 * mp.pi * mpmath.mpf(x.numerator) / x.denominator
     return mpmath.mpc(mpmath.cos(arg), mpmath.sin(arg))
 
 
