@@ -174,7 +174,8 @@ def _layers(data: AutomorphyData, c: int, keys, bits: int) -> list:
 
     Diagonal rho: the exponent (x a + y d)/c minus the box phases of the
     effective character chi * mu_alpha, reduced exactly over one common
-    denominator; None for j != alpha, where the layer is zero by structure.
+    denominator.  The keys hold no structural zero (j != alpha for a
+    diagonal rho, see _structural_zero); their callers decide those once.
     The layers of one box share the root tables of their denominators.
     A matrix rho has no exact phases and is summed per element in float64.
     """
@@ -193,9 +194,6 @@ def _layers(data: AutomorphyData, c: int, keys, bits: int) -> list:
     tables = {}
     out = []
     for x, y, j, alpha in keys:
-        if j != alpha:
-            out.append(None)
-            continue
         if alpha not in phases:
             phases[alpha] = data.scalar_character(alpha).box_phases(a, d, c)
         chi_num, chi_den = phases[alpha]
@@ -217,8 +215,14 @@ def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
     sum S(x, y; c).  Exact zero when rho is diagonal and j != alpha.
     bits selects the phase-evaluation precision (see layer_bits_for).
     """
-    layer = _layers(data, c, [(Fraction(x), Fraction(y), j, alpha)], bits)[0]
-    return 0j if layer is None else layer[0]
+    if _structural_zero(data, j, alpha):
+        return 0j
+    return _layers(data, c, [(Fraction(x), Fraction(y), j, alpha)], bits)[0][0]
+
+
+def _structural_zero(data: AutomorphyData, j: int, alpha: int) -> bool:
+    """Whether the (j, alpha) entry is zero by structure (diagonal rho, j != alpha)."""
+    return j != alpha and isinstance(data.rho, DiagonalRepresentation)
 
 
 @dataclass
@@ -253,12 +257,13 @@ def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
       - compensated_sum: both parts of its bound are at most 2^-wp times
         the sum of |term| in each of the real and imaginary parts (for
         fewer than 2^(wp-1) terms), so 2 sqrt(2) units.
-    That is under 6 units; e = 3 leaves room for the second-order terms.
-    The rounding of a weight's common prefactor (amp, pref) is not counted.
+    That is under 6 units; e = 3 leaves room for the second-order terms
+    and for the common prefactor of a weight (amp, pref), which is kept at
+    _prefactor_prec bits and is off by under 2^-wp/8 relative.
 
     All of this includes a layer that rounds to exactly 0 (a vanishing
-    Ramanujan sum, say); only the structural j != alpha zeros of a diagonal
-    rho add neither term nor noise.
+    Ramanujan sum, say).  Structural zeros never reach the engine: their
+    callers store an exact 0 with tail 0 and build no c-sum for them.
     """
     if not sums:
         return
@@ -266,10 +271,7 @@ def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
     rounding = 2.0 ** (3 - mpmath.mp.prec)
     keys = [s.key for s in sums]
     for c in _c_values(data.group, trunc.c_max):
-        for s, layer in zip(sums, _layers(data, c, keys, bits)):
-            if layer is None:
-                continue
-            value, error = layer
+        for s, (value, error) in zip(sums, _layers(data, c, keys, bits)):
             weight, weight_error = s.weight(c)
             s.noise += float(abs(weight)) * (error + c * rounding) + weight_error * c
             if value != 0:
@@ -308,33 +310,43 @@ def _bessel_tail(weight: int, zeta: float, c_max: int, rfac: float,
     return coef * c_max ** (1 - nu) / (nu - 1)
 
 
+def _prefactor_prec(w: int) -> int:
+    """Bits p for the common prefactor (amp, pref) of a weight-w c-sum.  It
+    takes under 4 w + 32 roundings of 2^-p relative (the powers ^w and ^(w-1)
+    carry their bases' errors w-fold; the phase i^{-w} is off by under 11),
+    so at p = wp + 3 + bit_length(4 w + 32) it is off by under 2^-wp/8."""
+    return mpmath.mp.prec + 3 + (4 * w + 32).bit_length()
+
+
 def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
                      j: int, alpha: int, trunc: TruncationParams) -> _CSum:
     """The c-sum of one coefficient (see the module docstring); call inside
-    trunc.ctx.working()."""
+    trunc.ctx.working().  Its prefactor is kept at _prefactor_prec(w) bits."""
     lam = data.lam
-    lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
-    phase = exp2pi(Fraction(-w, 4))  # i^{-w}
     key = (x, y, j, alpha)
+    with mpmath.workprec(_prefactor_prec(w)):
+        two_pi_lam = 2 * mpmath.pi * lam.denominator / lam.numerator
+        phase = exp2pi(Fraction(-w, 4))  # i^{-w}
+        if x == 0:
+            amp = two_pi_lam ** w / math.factorial(w - 1) * phase \
+                * (mpmath.mpf(y.numerator) / y.denominator) ** (w - 1)
+        else:
+            ratio = mpmath.mpf((y / abs(x)).numerator) / (y / abs(x)).denominator
+            rfac = ratio ** (mpmath.mpf(w - 1) / 2)
+            pref = two_pi_lam * phase * rfac
     if x == 0:
-        pref0 = (2 * mpmath.pi / lam_mp) ** w / mpmath.factorial(w - 1) * phase
-        amp = pref0 * (mpmath.mpf(y.numerator) / y.denominator) ** (w - 1)
         a2 = (TWO_PI / float(lam)) ** w / math.factorial(w - 1) * float(y) ** (w - 1)
         return _CSum(key, lambda c: (amp * mpmath.mpf(c) ** -w, 0.0),
                      a2 * trunc.c_max ** (2 - w) / (w - 2))
     modified = x < 0
-    xabs = abs(x)
-    ratio = mpmath.mpf((y / xabs).numerator) / (y / xabs).denominator
-    rfac = ratio ** (mpmath.mpf(w - 1) / 2)
-    pref = 2 * mpmath.pi / lam_mp * phase * rfac
-    half = 2 * mpmath.pi * mpmath.sqrt(
-        mpmath.mpf((xabs * y).numerator) / (xabs * y).denominator) / lam_mp
+    xy = abs(x) * y
+    half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator) \
+        / (mpmath.mpf(lam.numerator) / lam.denominator)
     cs = _c_values(data.group, trunc.c_max)
-    values = {}  # J or I at 2 half/c for every c, from one call at the first c
+    # J or I at 2 half/c for every c, from one kernel call
+    values = dict(zip(cs, bessel_series(w - 1, half, cs, trunc.ctx, not modified)))
 
     def weight(c):
-        if not values:
-            values.update(zip(cs, bessel_series(w - 1, half, cs, trunc.ctx, not modified)))
         return pref / c * values[c][0], float(abs(pref)) / c * values[c][1]
 
     return _CSum(key, weight, _bessel_tail(w, float(half), trunc.c_max, float(rfac),
@@ -344,13 +356,15 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
 def _coefficients(data: AutomorphyData, weight: int, n: int, alpha: int,
                   indices, trunc: TruncationParams) -> list:
     """(value, tail_bound) of a_{n,alpha}(l, j) for every (l, j) in indices,
-    from one engine pass."""
+    from one engine pass; a structural zero is an exact 0 with tail 0."""
     x = -n + data.kappa_of(alpha)
     with trunc.ctx.working():
-        sums = [_coefficient_sum(data, weight, x, l + data.kappa_of(j), j, alpha,
-                                 trunc) for l, j in indices]
-        _run(data, sums, trunc)
-        return [(compensated_sum(s.terms), s.tail + s.noise) for s in sums]
+        sums = {(l, j): _coefficient_sum(data, weight, x, l + data.kappa_of(j), j,
+                                         alpha, trunc)
+                for l, j in indices if not _structural_zero(data, j, alpha)}
+        _run(data, list(sums.values()), trunc)
+        return [(compensated_sum(sums[i].terms), sums[i].tail + sums[i].noise)
+                if i in sums else (mpmath.mpc(0), 0.0) for i in indices]
 
 
 def poincare_coefficient(data: AutomorphyData, weight: int, n: int, alpha: int,
@@ -412,23 +426,26 @@ def constant_term_cf(f: FourierSeries, trunc: TruncationParams):
     lam = data.lam
     principal = [(n, t) for (n, t) in f.principal_support() if f.coeffs[(n, t)] != 0]
     with trunc.ctx.working():
-        lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
-        # (-i)^w (2 pi)^w / (lambda (w-1)!); each term is a(n, t) pref c^-w K_c
-        pref = exp2pi(Fraction(-w, 4)) * (2 * mpmath.pi) ** w \
-            / (lam_mp * mpmath.factorial(w - 1))
+        with mpmath.workprec(_prefactor_prec(w)):
+            # (-i)^w (2 pi)^w / (lambda (w-1)!); each term is a(n, t) pref c^-w K_c
+            pref = exp2pi(Fraction(-w, 4)) * (2 * mpmath.pi) ** w * lam.denominator \
+                / (lam.numerator * math.factorial(w - 1))
+            amps = {key: f.coeffs[key] * pref for key in principal}
         per_comp = [[] for _j in range(data.dim)]
         for j in range(1, data.dim + 1):
             if data.kappa_of(j) != 0:
                 continue
             for (n, t) in principal:
-                amp = f.coeffs[(n, t)] * pref
+                if _structural_zero(data, j, t):
+                    continue
                 tail = abs(complex(f.coeffs[(n, t)])) * (TWO_PI / float(lam)) ** w \
                     / math.factorial(w - 1) * float(lam) ** (w - 1) \
                     * trunc.c_max ** (2 - w) / (w - 2)
                 # x = n + kappa_t < 0 rides on the 'a' entry
                 per_comp[j - 1].append(
                     _CSum((f.freq(n, t), Fraction(0), j, t),
-                          lambda c, amp=amp: (amp * mpmath.mpf(c) ** -w, 0.0), tail))
+                          lambda c, amp=amps[(n, t)]: (amp * mpmath.mpf(c) ** -w, 0.0),
+                          tail))
         _run(data, [s for sums in per_comp for s in sums], trunc)
         values = [compensated_sum([x for s in sums for x in s.terms]) for sums in per_comp]
     tails = [sum((s.tail + s.noise for s in sums), 0.0) for sums in per_comp]

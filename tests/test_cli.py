@@ -181,3 +181,17 @@ def test_nonunit_lambda_exits_1(capsys):
     ])
     assert rc == 1
     assert "lambda" in err
+
+
+def test_structural_zeros_are_converged(capsys):
+    # the j = 2 entries of P_{1,1} on a diagonal rho are exact zeros with tail 0
+    rc, out, _err = run_cli(capsys, [
+        "coeffs", "--weight", "12", "--n", "1", "--rep", "diag(eta:4;eta:-4)",
+        "--cmax", "120", "--tol", "1e-14", "--lmin", "0", "--lmax", "3",
+    ])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["unconverged"] == []
+    zeros = [e for e in doc["entries"] if e["j"] == 2]
+    assert len(zeros) == 4
+    assert all(e["re"] == e["im"] == e["tail_bound"] == 0.0 for e in zeros)

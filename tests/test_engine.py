@@ -28,6 +28,7 @@ from mgrid.automorphy import (
 )
 from mgrid.groups import cplus_arrays, enumerate_cplus, gamma0, sl2z
 from mgrid.poincare import (
+    _coefficient_sum,
     _CSum,
     _exponent_sum,
     _run,
@@ -198,15 +199,23 @@ def test_float_noise_counts_every_computed_layer_but_no_structural_zero():
                              rho=trivial_representation(), group=sl2z())
     trunc = TruncationParams(c_max=475, tail_tol=1.0, ctx=CTX, layer_bits=53)
     s = _CSum((Fraction(0), Fraction(1), 1, 1), lambda c: (mpmath.mpf(1), 0.0), 0.0)
-    # the j != alpha block of a diagonal rho is zero by structure
-    data = _two_component()
-    cross = _CSum((Fraction(0), 1 + data.kappa_of(2), 2, 1), lambda c: (mpmath.mpf(1), 0.0), 0.0)
     with CTX.working():
         _run(trivial, [s], trunc)
-        _run(data, [cross], trunc)
     assert s.noise == sum(1.0 * (c * 2.0 ** -50 + _working_rounding(c))
                           for c in range(1, 476))
-    assert cross.noise == 0.0 and cross.terms == []
+    _assert_structural_zeros_are_exact(trunc)
+
+
+def _assert_structural_zeros_are_exact(trunc):
+    """The j != alpha block of a diagonal rho is zero by structure: its layers
+    and coefficients are an exact 0 with tail 0.0, in all three cases."""
+    data = _two_component()
+    for c in range(1, 31):
+        assert kloosterman_layer(data, c, Fraction(-1), 2 + data.kappa_of(2), 2, 1,
+                                 trunc.layer_bits) == 0
+    for n in (-1, 0, 1):
+        value, tail = poincare_coefficient(data, 12, n, 1, 2, 2, trunc)
+        assert value == 0 and tail == 0.0
 
 
 def _working_rounding(c):
@@ -240,15 +249,12 @@ def test_exact_layer_noise_counts_every_computed_layer_but_no_structural_zero():
                              rho=trivial_representation(), group=sl2z())
     trunc = TruncationParams(c_max=100, tail_tol=1.0, ctx=CTX, layer_bits=113)
     s = _CSum((Fraction(0), Fraction(1), 1, 1), lambda c: (mpmath.mpf(2), 0.0), 0.0)
-    data = _two_component()
-    cross = _CSum((Fraction(0), 1 + data.kappa_of(2), 2, 1), lambda c: (mpmath.mpf(1), 0.0), 0.0)
     with CTX.working():
         _run(trivial, [s], trunc)
-        _run(data, [cross], trunc)
     # x = 0, y = 1 on the trivial character: phases over den = c
     assert s.noise == sum(2.0 * (_exact_layer_bound(c, c) + _working_rounding(c))
                           for c in range(1, 101))
-    assert cross.noise == 0.0 and cross.terms == []
+    _assert_structural_zeros_are_exact(trunc)
 
 
 def _ramanujan_sum(c, y):
@@ -307,3 +313,53 @@ def test_tail_covers_the_bessel_truncation(n, l):
     ref, _tail = poincare_coefficient(data, 12, n, 1, l, 1, fine)
     with fine.ctx.working():
         assert abs(value - ref) <= tail
+
+
+def test_structural_zeros_cost_no_tail():
+    # P_{-1,1} and P_{1,1} on diag(trivial; trivial): component 2 is an exact
+    # zero, and component 1 is the scalar series, bit for bit
+    pair = AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=DiagonalRepresentation(
+        (TrivialMultiplier(), TrivialMultiplier())), group=sl2z())
+    scalar = AutomorphyData(weight=12, chi=TrivialMultiplier(),
+                            rho=trivial_representation(), group=sl2z())
+    trunc = TruncationParams(c_max=40, tail_tol=1.0, ctx=CTX)
+    for n in (-1, 1):
+        series = poincare_series(pair, 12, n, 1, range(0, 4), trunc)
+        ref = poincare_series(scalar, 12, n, 1, range(0, 4), trunc)
+        for (l, j), value in series.items():
+            if j == 2:
+                assert value == 0 and series.tails[(l, j)] == 0.0
+            else:
+                assert value._mpc_ == ref.coeffs[(l, 1)]._mpc_
+                assert series.tails[(l, j)] == ref.tails[(l, 1)]
+    f = poincare_series(pair, 12, 1, 1, range(1, 3), trunc)
+    (v1, v2), (t1, t2) = constant_term_cf(f, trunc)
+    (r1,), (rt1,) = constant_term_cf(poincare_series(scalar, 12, 1, 1, range(1, 3), trunc),
+                                     trunc)
+    assert v2 == 0 and t2 == 0.0
+    assert v1 == r1 and t1 == rt1 and t1 > 0
+
+
+@pytest.mark.parametrize("x, y", [(Fraction(0), Fraction(1)), (Fraction(0), Fraction(23, 24)),
+                                  (Fraction(0), Fraction(59, 24)), (Fraction(-1), Fraction(7)),
+                                  (Fraction(1), Fraction(59, 24))])
+def test_weight_24_prefactor_within_its_eighth_of_a_unit(x, y):
+    # each weight is its prefactor times c^-w (x = 0) or times the Bessel value
+    # over c, two roundings at wp; the prefactor may add 2^-wp/8 relative
+    data = AutomorphyData(weight=24, chi=TrivialMultiplier(),
+                          rho=trivial_representation(), group=sl2z())
+    trunc = TruncationParams(c_max=5, tail_tol=1.0, ctx=CTX)
+    with CTX.working():
+        unit = 2.0 ** -mpmath.mp.prec
+        s = _coefficient_sum(data, 24, x, y, 1, 1, trunc)
+        weights = [s.weight(c) for c in range(1, 6)]
+    with mpmath.workprec(400):
+        yy = mpmath.mpf(y.numerator) / y.denominator
+        for c, (got, bessel_error) in zip(range(1, 6), weights):
+            if x == 0:
+                exact = (2 * mpmath.pi) ** 24 / mpmath.factorial(23) * yy ** 23 / c ** 24
+            else:
+                bessel = mpmath.besseli if x < 0 else mpmath.besselj
+                exact = 2 * mpmath.pi * yy ** mpmath.mpf(11.5) / c \
+                    * bessel(23, 4 * mpmath.pi * mpmath.sqrt(yy) / c)
+            assert abs(got - exact) <= bessel_error + (2 + 1 / 8) * unit * abs(exact)
