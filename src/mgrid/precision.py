@@ -54,9 +54,9 @@ class PrecisionContext:
         return ITER_CAP_FACTOR * self.mantissa_bits
 
     @contextmanager
-    def working(self, extra_bits: int = 0):
-        """mpmath working precision with a small guard on top of the context."""
-        with mpmath.workprec(self.mantissa_bits + 20 + max(0, extra_bits)):
+    def working(self):
+        """mpmath working precision: the context's bits plus a 20-bit guard."""
+        with mpmath.workprec(self.mantissa_bits + 20):
             yield
 
 

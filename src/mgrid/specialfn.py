@@ -137,9 +137,7 @@ def h_function(w, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
     This is the special function multiplying the negative-frequency Fourier
     terms of the non-holomorphic part of a weight -k harmonic form.
     """
-    if w == 0:
-        raise ValueError("w must be nonzero")
-    if w > 0:
+    if not w < 0:
         raise ValueError("h_function is defined for w < 0 only")
     if k < 0:
         raise ValueError("k must be >= 0")
