@@ -331,8 +331,8 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
             amp = two_pi_lam ** w / math.factorial(w - 1) * phase \
                 * (mpmath.mpf(y.numerator) / y.denominator) ** (w - 1)
         else:
-            ratio = mpmath.mpf((y / abs(x)).numerator) / (y / abs(x)).denominator
-            rfac = ratio ** (mpmath.mpf(w - 1) / 2)
+            q = y / abs(x)
+            rfac = (mpmath.mpf(q.numerator) / q.denominator) ** (mpmath.mpf(w - 1) / 2)
             pref = two_pi_lam * phase * rfac
     if x == 0:
         a2 = (TWO_PI / float(lam)) ** w / math.factorial(w - 1) * float(y) ** (w - 1)
