@@ -3,8 +3,9 @@ against the per-element phase, user multipliers that define only phase(),
 one-pass series against single coefficients, the float64 and fixed-point
 layer noise of the c-sums, the constant term's layer precision, the exact
 fixed-point layers against 256-bit sums and Ramanujan sums, the
-leading delta term at context precision, and the Bessel weights' error in
-the tails."""
+leading delta term at context precision, the Bessel weights' error in
+the tails, structural zeros with no tail, and the weight prefactors' share
+of the rounding."""
 
 import math
 from dataclasses import dataclass

@@ -1,5 +1,7 @@
 """Special-function layer: series values against independent quadrature and
-closed forms, recurrence consistency, and the exact sum rounded once."""
+closed forms, recurrence consistency, gamma_upper against 600-bit gammainc,
+results independent of the ambient precision, and the exact sum rounded
+once."""
 
 import math
 import random
