@@ -12,7 +12,10 @@ layer sums reproducible, and it makes the cusp parameters
 
 exact rationals as well.  The eta-power multiplier is evaluated through the
 closed Dedekind-sum formula for c > 0, with gamma replaced by -gamma for
-c < 0 and chi(-I) = e^{pi i k} folding the sign back in.
+c < 0 and chi(-I) = e^{pi i k} folding the sign back in.  Its phases over a
+whole box C+(c) come from one dedekind_sum call: the integers 12 c s(-d, c)
+by reciprocity, in int64 for c below 2^21 and in Python ints above.  Nothing
+is cached between calls.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -52,23 +54,41 @@ def frac(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
-@lru_cache(maxsize=None)
-def dedekind_sum(h: int, k: int) -> Fraction:
-    """Dedekind sum s(h, k) for k >= 1, computed by reciprocity.
+# Below this k, dedekind_sum's int64 intermediates stay under k^3 < 2^63.
+_INT64_K = 1 << 21
 
-    s(h, k) = sum_{r=1}^{k-1} ((r/k)) ((hr/k)); exact Fraction arithmetic.
+
+def dedekind_sum(h, k: int):
+    """Dedekind sum s(h, k) for k >= 1 and h coprime to k.
+
+    Works on the integer S(h, k) = 12 k s(h, k) by reciprocity,
+    h S(h, k) + k S(k mod h, h) = h^2 + k^2 + 1 - 3 h k with S(0, 1) = 0,
+    running the Euclid chain forward and the recurrence backward,
+    elementwise over an array of h: in int64 for k < 2^21 (|S(h, k)| <=
+    (k - 1)(k - 2), so every term stays under k^3), else in Python ints, as
+    for an object array.  An integer h returns the Fraction s(h, k); an
+    array returns (numerators, 12 k).
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    h %= k
-    s = Fraction(0)
-    sign = 1
-    while h > 0:
-        # s(h,k) = -1/4 + (h^2 + k^2 + 1)/(12hk) - s(k mod h, h)
-        s += sign * (Fraction(-1, 4) + Fraction(h * h + k * k + 1, 12 * h * k))
-        sign = -sign
-        h, k = k % h, h
-    return s
+    scalar = not isinstance(h, np.ndarray)
+    hs = np.array([h % k]) if scalar else h
+    dtype = np.int64 if k < _INT64_K and hs.dtype != object else object
+    hs, ks = hs.astype(dtype) % k, np.full(hs.shape, k, dtype=dtype)
+    if np.any(np.gcd(hs, k) != 1):
+        raise ValueError(f"h must be coprime to k = {k}")
+    chain = []  # per step: which entries are still live, and their (h, k)
+    while hs.size:
+        live = hs != 0
+        hs, ks = hs[live], ks[live]
+        chain.append((live, hs, ks))
+        hs, ks = ks % hs, hs
+    s = np.zeros(0, dtype=dtype)
+    for live, hs, ks in reversed(chain):
+        full = np.zeros(live.shape, dtype=dtype)
+        full[live] = (hs * hs + ks * ks + 1 - 3 * hs * ks - ks * s) // hs
+        s = full
+    return Fraction(int(s[0]), 12 * k) if scalar else (s, 12 * k)
 
 
 class Multiplier:
@@ -138,26 +158,23 @@ class EtaPowerMultiplier(Multiplier):
 
     def phase(self, gamma: GroupElement) -> Fraction:
         a, b, c, d = gamma.as_tuple()
-        if c < 0:
-            # chi(gamma) = chi(-I)^{-1} chi(-gamma)
-            return frac(self._phase_cpos(GroupElement(-a, -b, -c, -d)) - Fraction(self.r, 4))
         if c == 0:
             if a == 1:
                 return frac(Fraction(self.r * b, 24))
             # gamma = -T^{-b}
             return frac(Fraction(self.r, 4) + Fraction(self.r * (-b), 24))
-        return self._phase_cpos(gamma)
-
-    def _phase_cpos(self, gamma: GroupElement) -> Fraction:
-        a, _, c, d = gamma.as_tuple()
-        val = Fraction(self.r, 2) * (Fraction(a + d, 12 * c) + dedekind_sum(-d, c))
-        return frac(val - Fraction(self.r, 8))
+        shift = 0
+        if c < 0:
+            # chi(gamma) = chi(-I)^{-1} chi(-gamma)
+            a, c, d, shift = -a, -c, -d, Fraction(self.r, 4)
+        # the one-element box, in Python ints so that any c is exact
+        nums, den = self.box_phases(np.array([a], dtype=object),
+                                    np.array([d], dtype=object), c)
+        return frac(Fraction(int(nums[0]), den) - shift)
 
     def box_phases(self, a, d, c: int):
-        # 24c times the c > 0 phase: r (a + d) + 12 r c s(-d, c) - 3 r c,
-        # an integer because 6c s(h, c) is one
-        s12 = np.array([int(12 * c * dedekind_sum(-di, c)) for di in d.tolist()],
-                       dtype=np.int64)
+        # 24c times the c > 0 phase: r (a + d) + 12 r c s(-d, c) - 3 r c
+        s12, _den = dedekind_sum(-d, c)
         return self.r * (a + d + s12 - 3 * c), 24 * c
 
     def conjugate(self):

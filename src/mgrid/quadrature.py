@@ -13,7 +13,6 @@ int_0^inf t^j e^{-beta t} dt = j! / beta^{j+1} to Re(beta) < 0.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,12 +20,8 @@ from .series import FourierSeries
 
 __all__ = ["vertical_poly_integral", "regularized_moment", "eval_component_grid"]
 
-_GL_NODES = 32
-
-
-@lru_cache(maxsize=8)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+# the 32-point Gauss-Legendre rule on [-1, 1], used on every panel
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def eval_component_grid(series: FourierSeries, j: int, zs: np.ndarray,
@@ -103,7 +98,6 @@ def vertical_poly_integral(series: FourierSeries, j: int, z0: complex,
     while (math.exp(-2 * math.pi * fmin * (z0.imag + V) / lam)
            * (scale * (1 + V)) ** M > tol * 1e-2) and V < 60:
         V *= 1.25
-    nodes, weights = _leggauss(_GL_NODES)
     edges = [0.0]
     step = min(0.5, V / 4)
     while edges[-1] < V:
@@ -112,11 +106,11 @@ def vertical_poly_integral(series: FourierSeries, j: int, z0: complex,
     bulk = 0j
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = (hi - lo) / 2
-        ts = lo + half * (nodes + 1)
+        ts = lo + half * (_NODES + 1)
         zs = z0 + 1j * ts
         fv = eval_component_grid(series, j, zs, principal=False)
         integrand = fv * (P + R * ts) ** M
-        bulk += half * np.sum(weights * integrand)
+        bulk += half * np.sum(_WEIGHTS * integrand)
     bulk *= 1j  # dz = i dt
     z_top = z0 + 1j * V
     tail = _closed_form_ray(series, j, z_top, P + R * V, R, M,

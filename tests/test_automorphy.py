@@ -39,6 +39,13 @@ def test_dedekind_sum_against_direct(k):
     for h in range(1, k):
         if np.gcd(h, k) == 1:
             assert dedekind_sum(h, k) == dedekind_direct(h, k)
+    # the array call, over coprime h in [-k, 2k), in int64 and in Python ints
+    hs = [h for h in range(-k, 2 * k) if np.gcd(h, k) == 1]
+    direct = [dedekind_direct(h, k) for h in hs]
+    for dtype in (np.int64, object):
+        nums, den = dedekind_sum(np.array(hs, dtype=dtype), k)
+        assert den == 12 * k
+        assert [Fraction(int(n), den) for n in nums] == direct
 
 
 def eta_product(tau, terms=900):

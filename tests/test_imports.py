@@ -1,11 +1,13 @@
-"""Every top-level import of a library module is used, and every name a
-module exports exists.
+"""Every top-level import of a library module is used, every name a module
+exports exists, and no function or method carries a functools cache.
 
 Parses src/mgrid/*.py with ast: a name bound by a module-level import must
 appear as a name somewhere else in the module or in its __all__.  The
 package __init__ (which imports to re-export) and __future__ imports are
 exempt.  Every name in a module's __all__ must be an attribute of the
-imported module.
+imported module.  A cache decorator (lru_cache, cache, cached_property)
+would keep process-global state, so two identical calls could do
+different work and memory would grow with the calls made.
 """
 
 import ast
@@ -42,6 +44,37 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("import math\nimport os\n\nx = math.pi\n") == ["os"]
     assert unused_imports("from a import b, c\n__all__ = ['c']\nb()\n") == []
     assert unused_imports("from __future__ import annotations\n") == []
+
+
+CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def cache_decorators(source: str) -> list:
+    """(line, name) of every functools cache decorator in the source, bare
+    (@lru_cache), called (@lru_cache(maxsize=8)) or qualified
+    (@functools.cache)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name in CACHE_DECORATORS:
+                found.append((dec.lineno, name))
+    return sorted(found)
+
+
+def test_checker_flags_a_cache_decorator():
+    src = ("@lru_cache(maxsize=None)\ndef f(x):\n    return x\n\n"
+           "class A:\n    @functools.cached_property\n    def g(self):\n        return 1\n\n"
+           "@cache\ndef h():\n    pass\n\n@dataclass(frozen=True)\nclass B:\n    pass\n")
+    assert cache_decorators(src) == [(1, "lru_cache"), (6, "cached_property"), (10, "cache")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_cache_decorator(path):
+    assert cache_decorators(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

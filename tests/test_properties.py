@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 import mpmath
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mgrid.automorphy import (
@@ -63,8 +63,11 @@ def test_kloosterman_weil_bound(m, n, c, bits):
 
 
 @SETTINGS
-@given(h=st.integers(min_value=1, max_value=10**6),
-       k=st.integers(min_value=1, max_value=10**6))
+@given(h=st.integers(min_value=1, max_value=10**15),
+       k=st.integers(min_value=1, max_value=10**15))
+# k on both sides of 2^21, where dedekind_sum leaves int64 for Python ints
+@example(h=1_000_003, k=2**21 - 1)
+@example(h=1_000_003, k=2**21 + 1)
 def test_dedekind_reciprocity(h, k):
     assume(math.gcd(h, k) == 1)
     rhs = Fraction(-1, 4) + (Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)) / 12
