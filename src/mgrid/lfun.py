@@ -121,9 +121,8 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s: int, t0: float = 1.0,
     with ctx.working():
         lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
         two_pi = 2 * mpmath.pi
-        pref2 = (exp2pi(Fraction(w, 4))  # i^w
-                 * exp2pi(Fraction(w - 2 * s, 2))  # arg(-c)^(w-2s) phase, c>0
-                 * mpmath.mpf(c_g) ** (w - 2 * s)
+        # i^w times the arg(-c)^(w - 2s) phase e(w/2 - s) for c > 0
+        pref2 = (exp2pi(Fraction(3 * w, 4)) * mpmath.mpf(c_g) ** (w - 2 * s)
                  / f.automorphy.scalar_character(1).value(g))
         terms1, terms2 = [], []
         err = 0.0

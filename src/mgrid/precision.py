@@ -76,10 +76,13 @@ def exp2pi(x) -> mpmath.mpc:
     Fraction() takes exactly).
 
     x is reduced mod 1 before evaluation so unit phases stay exact to working
-    precision regardless of the size of the exponent.
+    precision regardless of the size of the exponent.  A quarter turn (4x an
+    integer) is exactly 1, i, -1 or -i.
     """
     x = Fraction(x)
     x -= int(x)  # reduce mod 1 exactly
+    if (4 * x).denominator == 1:
+        return mpmath.mpc(*((1, 0), (0, 1), (-1, 0), (0, -1))[int(4 * x) % 4])
     arg = 2 * mp.pi * mpmath.mpf(x.numerator) / x.denominator
     return mpmath.mpc(mpmath.cos(arg), mpmath.sin(arg))
 

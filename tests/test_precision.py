@@ -1,7 +1,10 @@
 """Working precision comes from the series' own TruncationParams: a 200-bit
 context carries through the Petersson unfolding, the frequency-power maps
 of the Eichler primitive and D^{k+1}, and scale/add, and a series built
-without truncation gets the default TruncationParams."""
+without truncation gets the default TruncationParams.  Quarter-turn phases
+are exact at every precision."""
+
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -10,7 +13,7 @@ from mgrid.automorphy import AutomorphyData, TrivialMultiplier, trivial_represen
 from mgrid.groups import sl2z
 from mgrid.lfun import petersson_poincare
 from mgrid.poincare import poincare_series
-from mgrid.precision import PrecisionContext
+from mgrid.precision import PrecisionContext, exp2pi
 from mgrid.series import FourierSeries, TruncationParams
 
 K = 10
@@ -73,3 +76,11 @@ def test_add_keeps_the_finer_context_in_either_order(p_minus1):
             exact = coarse.coeffs[idx] + v
             # rounded once to the 220-bit working precision of the 200-bit context
             assert abs(left.coeffs[idx] - exact) <= mpmath.mpf(2) ** -219 * abs(exact)
+
+
+@pytest.mark.parametrize("bits", [53, 133, 250])
+def test_exp2pi_quarter_turns_are_exact(bits):
+    with mpmath.workprec(bits):
+        for k in range(-8, 9):
+            z = exp2pi(Fraction(k, 4))
+            assert (z.real, z.imag) == ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]
