@@ -172,30 +172,23 @@ def _layers(data: AutomorphyData, c: int, keys, bits: int) -> list:
     """(K_c(x, y)_{j,alpha}, error bound) for every (x, y, j, alpha) in keys,
     from one box.
 
-    Diagonal rho: the exponent (x a + y d)/c minus the box phases of the
-    effective character chi * mu_alpha, reduced exactly over one common
-    denominator.  The keys hold no structural zero (j != alpha for a
-    diagonal rho, see _structural_zero); their callers decide those once.
-    The layers of one box share the root tables of their denominators.
-    A matrix rho has no exact phases and is summed per element in float64.
+    The exponent (x a + y d)/c minus the box phases of the character is
+    reduced exactly over one common denominator.  Diagonal rho: the
+    character is chi * mu_alpha, the keys hold no structural zero (j !=
+    alpha, see _structural_zero; their callers decide those once), and the
+    layers of one box share the root tables of their denominators.  Matrix
+    rho: the character is chi, and rho(g^-1)_{j,alpha} e(exponent) is
+    summed per element in float64.
     """
     a, d = cplus_arrays(data.group, c)
-    if not isinstance(data.rho, DiagonalRepresentation):
-        elems = cplus_elements(a, d, c)
-        out = []
-        for x, y, j, alpha in keys:
-            total = 0j
-            for g in elems:
-                w = complex(data.chi.value(g)) ** -1 * data.rho.inv_entry(g, j, alpha)
-                total += w * np.exp(2j * np.pi * float((x * g.a + y * g.d) / c))
-            out.append((total, _layer_error(c, c, 53)))
-        return out
+    diagonal = isinstance(data.rho, DiagonalRepresentation)
     phases = {}
     tables = {}
     out = []
     for x, y, j, alpha in keys:
         if alpha not in phases:
-            phases[alpha] = data.scalar_character(alpha).box_phases(a, d, c)
+            chi = data.scalar_character(alpha) if diagonal else data.chi
+            phases[alpha] = chi.box_phases(a, d, c)
         chi_num, chi_den = phases[alpha]
         # exponent (x a + y d)/c over D0 = qx qy c (lambda = 1 here)
         qx, qy = x.denominator, y.denominator
@@ -203,7 +196,12 @@ def _layers(data: AutomorphyData, c: int, keys, bits: int) -> list:
         den = math.lcm(d0, chi_den)
         nums = (x.numerator * qy * a + y.numerator * qx * d) * (den // d0) \
             - chi_num * (den // chi_den)
-        out.append((_exponent_sum(nums, den, bits, tables), _layer_error(c, den, bits)))
+        if diagonal:
+            out.append((_exponent_sum(nums, den, bits, tables), _layer_error(c, den, bits)))
+            continue
+        rho_inv = np.array([data.rho.inv_entry(g, j, alpha) for g in cplus_elements(a, d, c)])
+        angles = (nums % den).astype(np.float64) * (TWO_PI / den)
+        out.append((complex(np.sum(rho_inv * np.exp(1j * angles))), _layer_error(c, c, 53)))
     return out
 
 

@@ -138,19 +138,20 @@ def _two_component():
 
 def test_matrix_representation_layers_match_diagonal():
     # the same diagonal rho, once with exact box phases and once as a matrix
-    # evaluator summed per element
-    data = _two_component()
-    rho = data.rho
+    # evaluator summed per element, under the trivial character and eta^2
+    rho = _two_component().rho
     mat = MatrixRepresentation(2, rho.matrix, [rho.phase_T(1), rho.phase_T(2)])
-    mdata = AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=mat, group=sl2z())
-    assert mdata.kappa == data.kappa
-    for c in range(1, 13):
-        for j in (1, 2):
-            for alpha in (1, 2):
-                x, y = -1 + data.kappa_of(alpha), 2 + data.kappa_of(j)
-                got = complex(kloosterman_layer(mdata, c, x, y, j, alpha))
-                ref = complex(kloosterman_layer(data, c, x, y, j, alpha))
-                assert abs(got - ref) < 1e-9
+    for chi, weight in ((TrivialMultiplier(), 12), (EtaPowerMultiplier(2), 5)):
+        data = AutomorphyData(weight=weight, chi=chi, rho=rho, group=sl2z())
+        mdata = AutomorphyData(weight=weight, chi=chi, rho=mat, group=sl2z())
+        assert mdata.kappa == data.kappa
+        for c in range(1, 13):
+            for j in (1, 2):
+                for alpha in (1, 2):
+                    x, y = -1 + data.kappa_of(alpha), 2 + data.kappa_of(j)
+                    got = complex(kloosterman_layer(mdata, c, x, y, j, alpha))
+                    ref = complex(kloosterman_layer(data, c, x, y, j, alpha))
+                    assert abs(got - ref) < 1e-9
 
 
 @pytest.mark.parametrize("layer_bits", [None, 53])
