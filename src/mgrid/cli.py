@@ -361,15 +361,19 @@ def cmd_selfcheck(args) -> int:
         lay = kloosterman_layer(data, c, Fraction(1), Fraction(-1))
         ok = ok and abs(direct - lay) < 1e-9
     checks.append(("kloosterman-layer-direct", ok))
-    with mpmath.workprec(140):
-        g1 = gamma_upper(3, 2.0)
-        g2 = 2 * gamma_upper(2, 2.0) + mpmath.mpf(4) * mpmath.e**-2
-        checks.append(("gamma-recurrence", abs(complex(g1 - g2)) < 1e-30))
+    ctx = trunc.ctx
+    with ctx.working():
+        # Gamma(3, z) = 2 Gamma(2, z) + z^2 e^-z, to the context's bits
+        g1 = gamma_upper(3, 2.0, ctx)
+        g2 = 2 * gamma_upper(2, 2.0, ctx) + 4 * mpmath.exp(-2)
+        ok = abs(g1 - g2) < mpmath.ldexp(abs(g1), 8 - ctx.mantissa_bits)
+    checks.append(("gamma-recurrence", ok))
     jq = sum(math.cos(3 * t - 7.0 * math.sin(t)) for t in
              np.linspace(0, math.pi, 20001)[1:-1]) * math.pi / 20000 \
         + (math.cos(0.0) + math.cos(3 * math.pi)) * math.pi / 40000
-    checks.append(("bessel-quadrature", abs(float(bessel_j(3, 7.0)) - jq / math.pi) < 1e-8))
-    checks.append(("bessel-i-positive", float(bessel_i(2, 1.5)) > 0))
+    checks.append(("bessel-quadrature",
+                   abs(float(bessel_j(3, 7.0, ctx)) - jq / math.pi) < 1e-8))
+    checks.append(("bessel-i-positive", float(bessel_i(2, 1.5, ctx)) > 0))
     payload = {"checks": [{"name": n, "pass": bool(v)} for n, v in checks]}
     _emit(args, payload)
     return 0 if all(v for _n, v in checks) else 2

@@ -154,10 +154,11 @@ def test_pairing_fit_and_predict(capsys):
 
 
 def test_selfcheck(capsys):
-    rc, out, _err = run_cli(capsys, ["selfcheck"])
-    assert rc == 0
-    doc = json.loads(out)
-    assert all(c["pass"] for c in doc["checks"])
+    for bits in (53, 113, 200):
+        rc, out, _err = run_cli(capsys, ["selfcheck", "--bits", str(bits)])
+        assert rc == 0
+        doc = json.loads(out)
+        assert all(c["pass"] for c in doc["checks"])
 
 
 def test_character_and_rep_parsers():
