@@ -13,9 +13,8 @@ layer sums reproducible, and it makes the cusp parameters
 exact rationals as well.  The eta-power multiplier is evaluated through the
 closed Dedekind-sum formula for c > 0, with gamma replaced by -gamma for
 c < 0 and chi(-I) = e^{pi i k} folding the sign back in.  Its phases over a
-whole box C+(c) come from one dedekind_sum call: the integers 12 c s(-d, c)
-by reciprocity, in int64 for c below 2^21 and in Python ints above.  Nothing
-is cached between calls.
+box C+(c) take one dedekind_sum call: exact integer reciprocity, in int64
+for c < 2^21.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ def frac(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
-# Below this k, dedekind_sum's int64 intermediates stay under k^3 < 2^63.
-_INT64_K = 1 << 21
-
-
 def dedekind_sum(h, k: int):
     """Dedekind sum s(h, k) for k >= 1 and h coprime to k.
 
@@ -73,7 +68,7 @@ def dedekind_sum(h, k: int):
         raise ValueError("k must be a positive integer")
     scalar = not isinstance(h, np.ndarray)
     hs = np.array([h % k]) if scalar else h
-    dtype = np.int64 if k < _INT64_K and hs.dtype != object else object
+    dtype = np.int64 if k < 2**21 and hs.dtype != object else object
     hs, ks = hs.astype(dtype) % k, np.full(hs.shape, k, dtype=dtype)
     if np.any(np.gcd(hs, k) != 1):
         raise ValueError(f"h must be coprime to k = {k}")
@@ -158,15 +153,12 @@ class EtaPowerMultiplier(Multiplier):
 
     def phase(self, gamma: GroupElement) -> Fraction:
         a, b, c, d = gamma.as_tuple()
-        if c == 0:
-            if a == 1:
-                return frac(Fraction(self.r * b, 24))
-            # gamma = -T^{-b}
-            return frac(Fraction(self.r, 4) + Fraction(self.r * (-b), 24))
         shift = 0
-        if c < 0:
+        if c < 0 or (c == 0 and a < 0):
             # chi(gamma) = chi(-I)^{-1} chi(-gamma)
-            a, c, d, shift = -a, -c, -d, Fraction(self.r, 4)
+            a, b, c, d, shift = -a, -b, -c, -d, Fraction(self.r, 4)
+        if c == 0:  # gamma = T^b
+            return frac(Fraction(self.r * b, 24) - shift)
         # the one-element box, in Python ints so that any c is exact
         nums, den = self.box_phases(np.array([a], dtype=object),
                                     np.array([d], dtype=object), c)
