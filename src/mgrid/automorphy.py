@@ -96,7 +96,7 @@ class Multiplier:
         return exp2pi(self.phase(gamma))
 
     def box_phases(self, a, d, c: int):
-        """Exact phases over one C+ box as (nums, den): int64 numerators over
+        """Exact phases over one C+ box as (nums, den): integer numerators over
         one common denominator, phase(g) = nums/den mod 1 elementwise.
 
         a and d are the box arrays of groups.cplus_arrays at lower-left
