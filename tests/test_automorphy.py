@@ -48,6 +48,14 @@ def test_dedekind_sum_against_direct(k):
         assert [Fraction(int(n), den) for n in nums] == direct
 
 
+def test_dedekind_sum_rejects_bad_arguments():
+    for h, k in ((1, 0), (1, -3), (2, 4), (0, 5), (6, 9)):
+        with pytest.raises(ValueError):
+            dedekind_sum(h, k)
+    with pytest.raises(ValueError):
+        dedekind_sum(np.array([1, 2, 3]), 4)
+
+
 def eta_product(tau, terms=900):
     q = cmath.exp(2j * cmath.pi * tau)
     v = cmath.exp(1j * cmath.pi * tau / 12)
@@ -59,7 +67,7 @@ def eta_product(tau, terms=900):
 @pytest.mark.parametrize("gamma", [
     S, GroupElement(1, 0, 1, 1), GroupElement(1, -1, 2, -1),
     GroupElement(2, -1, 5, -2), GroupElement(3, -1, 7, -2), -S,
-    GroupElement(0, 1, -1, 0),
+    GroupElement(0, 1, -1, 0), GroupElement(1, 3, 0, 1), GroupElement(-1, 2, 0, -1),
 ])
 @pytest.mark.parametrize("r", [2, 4, 24, -2])
 def test_eta_power_matches_quotient(gamma, r):
