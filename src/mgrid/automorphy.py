@@ -340,9 +340,6 @@ class MatrixRepresentation:
     def phase_T(self, j: int) -> Fraction:
         return self.kappa_t_phases[j - 1]
 
-    def inv_entry(self, gamma: GroupElement, j: int, alpha: int) -> complex:
-        return self.matrix(gamma.inverse())[j - 1, alpha - 1]
-
     def conjugate(self):
         return MatrixRepresentation(
             self.dim, self._eval, [frac(-k) for k in self.kappa_t_phases],

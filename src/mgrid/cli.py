@@ -362,6 +362,26 @@ def cmd_selfcheck(args) -> int:
         ok = ok and abs(direct - lay) < 1e-9
     checks.append(("kloosterman-layer-direct", ok))
     ctx = trunc.ctx
+    # the exact x = 0 weight-4 c-sums sum_c c^-4 c_c(y) against the same
+    # sums over box layers, within both bounds plus the roundings at wp
+    from .poincare import _layer_error, _ramanujan_csums, layer_bits_for
+
+    trivial = AutomorphyData(weight=4, chi=TrivialMultiplier(),
+                             rho=DiagonalRepresentation((TrivialMultiplier(),)),
+                             group=sl2z())
+    bits = layer_bits_for(ctx, 60)
+    ok = True
+    with ctx.working():
+        unit = 2.0 ** (3 - mpmath.mp.prec)
+        prec, exact = _ramanujan_csums(sl2z(), 4, (1, 2, 3), 60)
+        for y, (total, bound) in zip((1, 2, 3), exact):
+            box = mpmath.fsum(mpmath.mpc(kloosterman_layer(trivial, c, Fraction(0), Fraction(y),
+                                                           bits=bits)) * mpmath.mpf(c) ** -4
+                              for c in range(1, 61))
+            box_bound = sum(c ** -4 * (_layer_error(c, c, bits) + c * unit) for c in range(1, 61))
+            value = mpmath.ldexp(total, -prec)
+            ok = ok and abs(value - box) <= bound + box_bound + float(abs(value)) * unit
+    checks.append(("ramanujan-csum", ok))
     with ctx.working():
         # Gamma(3, z) = 2 Gamma(2, z) + z^2 e^-z, to the context's bits
         g1 = gamma_upper(3, 2.0, ctx)

@@ -29,6 +29,15 @@ The terms of a c-sum are added exactly and rounded once (compensated_sum);
 the returned tail bound majorises the neglected c > c_max terms via
 |C+(c)| <= c and the series bounds J_nu(z), I_nu(z) <= (z/2)^nu/nu! *
 geometric/exponential factors.
+
+One kind of c-sum needs no box: on a diagonal rho whose effective
+character is trivial, a layer at x = 0 or y = 0 is the Ramanujan sum
+c_c(m) = sum_{d | (c, m)} mu(c/d) d with m = |x + y| (Hardy & Wright,
+ch. XVI).  These are the x = 0 sums of the trivial-character Eisenstein
+series and every constant_term_cf sum there.  Each pass splits them off
+and sums them exactly in integers (_ramanujan_csums) from one Moebius
+sieve, as one term with a certified rounding bound; layer_bits does not
+apply to them.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .automorphy import AutomorphyData, DiagonalRepresentation
+from .automorphy import AutomorphyData, DiagonalRepresentation, TrivialMultiplier
 from .groups import cplus_arrays, cplus_elements
 from .precision import compensated_sum, exp2pi
 from .series import FourierSeries, TruncationParams
@@ -178,10 +187,14 @@ def _layers(data: AutomorphyData, c: int, keys, bits: int) -> list:
     alpha, see _structural_zero; their callers decide those once), and the
     layers of one box share the root tables of their denominators.  Matrix
     rho: the character is chi, and rho(g^-1)_{j,alpha} e(exponent) is
-    summed per element in float64.
+    summed per element in float64, with rho(g^-1) evaluated once per box
+    element for every key.
     """
     a, d = cplus_arrays(data.group, c)
     diagonal = isinstance(data.rho, DiagonalRepresentation)
+    if not diagonal:
+        rho_inv = np.array([data.rho.matrix(g.inverse()) for g in cplus_elements(a, d, c)],
+                           dtype=complex).reshape(-1, data.dim, data.dim)
     phases = {}
     tables = {}
     out = []
@@ -199,9 +212,9 @@ def _layers(data: AutomorphyData, c: int, keys, bits: int) -> list:
         if diagonal:
             out.append((_exponent_sum(nums, den, bits, tables), _layer_error(c, den, bits)))
             continue
-        rho_inv = np.array([data.rho.inv_entry(g, j, alpha) for g in cplus_elements(a, d, c)])
         angles = (nums % den).astype(np.float64) * (TWO_PI / den)
-        out.append((complex(np.sum(rho_inv * np.exp(1j * angles))), _layer_error(c, c, 53)))
+        out.append((complex(np.sum(rho_inv[:, j - 1, alpha - 1] * np.exp(1j * angles))),
+                    _layer_error(c, c, 53)))
     return out
 
 
@@ -280,6 +293,98 @@ def _c_values(spec, c_max: int):
     return range(spec.level, c_max + 1, spec.level)
 
 
+@dataclass(frozen=True)
+class _Power:
+    """The weight amp c^-w of a c-sum at x = 0 or y = 0 (amp kept at
+    _prefactor_prec(w) bits)."""
+
+    amp: object
+    w: int
+
+    def __call__(self, c):
+        return self.amp * mpmath.mpf(c) ** -self.w, 0.0
+
+
+def _ramanujan_m(data: AutomorphyData, s: _CSum):
+    """m if every layer of the c-sum s is the Ramanujan sum c_c(m), else None.
+
+    That holds for a power weight on a diagonal rho whose effective
+    character is trivial, at x = 0 (the layer is the sum of e(y d/c)) or
+    y = 0 (of e(x a/c)) over the units mod c; kappa = 0 there, so
+    m = |x + y| is an integer.
+    """
+    x, y, _j, alpha = s.key
+    if (isinstance(s.weight, _Power) and x * y == 0
+            and isinstance(data.rho, DiagonalRepresentation)
+            and isinstance(data.scalar_character(alpha), TrivialMultiplier)):
+        return int(abs(x + y))
+    return None
+
+
+def _moebius(limit: int) -> np.ndarray:
+    """mu(0), ..., mu(limit) as int64, by a sieve over the primes (mu(0) = 0)."""
+    mu = np.ones(limit + 1, dtype=np.int64)
+    mu[0] = 0
+    composite = np.zeros(limit + 1, dtype=bool)
+    for p in range(2, limit + 1):
+        if not composite[p]:
+            composite[2 * p::p] = True
+            mu[p::p] *= -1
+            mu[p * p::p * p] = 0
+    return mu
+
+
+def _ramanujan_csums(spec, w: int, ms, c_max: int):
+    """The c-sums sum_c c_c(m) c^-w over c in _c_values(spec, c_max), for
+    every m in ms, exactly in integers.  Call at the working precision wp.
+
+    Returns (P, [(S, bound) per m]) with S = sum_c c_c(m) floor(2^P / c^w)
+    and P = wp + bit_length(c_max) + 8: each floor is off by under one, so
+    S 2^-P is within bound = sum_c |c_c(m)| 2^-P of the exact c-sum.  mu is
+    sieved and the floors are taken once per call; c_c(m) comes from
+    c_c(m) = sum_{d | (c, m)} mu(c/d) d, one array pass per divisor d of m.
+    """
+    if spec.lam != 1:
+        raise NotImplementedError("built-in c-sums require lambda == 1")
+    prec = mpmath.mp.prec + c_max.bit_length() + 8
+    cs = np.arange(spec.level, c_max + 1, spec.level)
+    mu = _moebius(c_max)
+    scaled = [(1 << prec) // c ** w for c in cs.tolist()]
+    out = []
+    for m in ms:
+        layers = np.zeros(c_max + 1, dtype=np.int64)
+        for d in range(1, min(m, c_max) + 1):
+            if m % d == 0:
+                layers[d::d] += d * mu[1:c_max // d + 1]
+        layers = layers[cs].tolist()
+        out.append((sum(k * f for k, f in zip(layers, scaled) if k),
+                    math.ldexp(sum(map(abs, layers)), -prec)))
+    return prec, out
+
+
+def _fill(data: AutomorphyData, sums: list, trunc: TruncationParams):
+    """Fill every c-sum of one pass; call inside trunc.ctx.working().
+
+    The Ramanujan sums (_ramanujan_m) get one exact term amp S 2^-P each
+    (_ramanujan_csums), and the others go to the box engine (_run).  The
+    noise of an exact term is |amp| times the bound of S 2^-P, plus
+    |amp S 2^-P| 2^(3 - wp) for the roundings at wp: S to wp bits and the
+    product by amp, one unit each; amp's 2^-wp/8; compensated_sum's
+    2 sqrt(2) units (see _run).
+    """
+    ms = [_ramanujan_m(data, s) for s in sums]
+    _run(data, [s for s, m in zip(sums, ms) if m is None], trunc)
+    exact = [(s, m) for s, m in zip(sums, ms) if m is not None]
+    rounding = 2.0 ** (3 - mpmath.mp.prec)
+    for w in sorted({s.weight.w for s, _m in exact}):
+        group = [(s, m) for s, m in exact if s.weight.w == w]
+        prec, results = _ramanujan_csums(data.group, w, [m for _s, m in group], trunc.c_max)
+        for (s, _m), (total, bound) in zip(group, results):
+            value = mpmath.ldexp(mpmath.mpf(total), -prec)
+            s.terms.append(s.weight.amp * value)
+            s.noise += float(abs(s.weight.amp)) * (bound + float(abs(value)) * rounding)
+
+
 def _check_weight(weight: int, trunc: TruncationParams, level: int = 1):
     if weight < 3:
         raise ValueError("Poincare coefficient sums diverge for weight < 3")
@@ -334,8 +439,7 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
             pref = two_pi_lam * phase * rfac
     if x == 0:
         a2 = (TWO_PI / float(lam)) ** w / math.factorial(w - 1) * float(y) ** (w - 1)
-        return _CSum(key, lambda c: (amp * mpmath.mpf(c) ** -w, 0.0),
-                     a2 * trunc.c_max ** (2 - w) / (w - 2))
+        return _CSum(key, _Power(amp, w), a2 * trunc.c_max ** (2 - w) / (w - 2))
     modified = x < 0
     xy = abs(x) * y
     half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator) \
@@ -360,7 +464,7 @@ def _coefficients(data: AutomorphyData, weight: int, n: int, alpha: int,
         sums = {(l, j): _coefficient_sum(data, weight, x, l + data.kappa_of(j), j,
                                          alpha, trunc)
                 for l, j in indices if not _structural_zero(data, j, alpha)}
-        _run(data, list(sums.values()), trunc)
+        _fill(data, list(sums.values()), trunc)
         return [(compensated_sum(sums[i].terms), sums[i].tail + sums[i].noise)
                 if i in sums else (mpmath.mpc(0), 0.0) for i in indices]
 
@@ -417,7 +521,9 @@ def constant_term_cf(f: FourierSeries, trunc: TruncationParams):
 
     Returns (values, tails): one complex constant and one tail bound per
     component, the tail including the layer-rounding noise at the layer
-    precision (trunc.layer_bits, else layer_bits_for).
+    precision (trunc.layer_bits, else layer_bits_for).  On a trivial
+    effective character every layer is a Ramanujan sum, and the c-sum is
+    exact in integers up to one counted rounding (see _fill).
     """
     data = f.automorphy
     w = f.weight  # = k + 2
@@ -441,10 +547,8 @@ def constant_term_cf(f: FourierSeries, trunc: TruncationParams):
                     * trunc.c_max ** (2 - w) / (w - 2)
                 # x = n + kappa_t < 0 rides on the 'a' entry
                 per_comp[j - 1].append(
-                    _CSum((f.freq(n, t), Fraction(0), j, t),
-                          lambda c, amp=amps[(n, t)]: (amp * mpmath.mpf(c) ** -w, 0.0),
-                          tail))
-        _run(data, [s for sums in per_comp for s in sums], trunc)
+                    _CSum((f.freq(n, t), Fraction(0), j, t), _Power(amps[(n, t)], w), tail))
+        _fill(data, [s for sums in per_comp for s in sums], trunc)
         values = [compensated_sum([x for s in sums for x in s.terms]) for sums in per_comp]
     tails = [sum((s.tail + s.noise for s in sums), 0.0) for sums in per_comp]
     return values, tails

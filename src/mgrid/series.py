@@ -31,7 +31,9 @@ class TruncationParams:
     layer_bits pins the phase-evaluation precision of the Kloosterman
     layers; None selects it automatically from the context and the box
     size (see poincare.layer_bits_for).  Runs being compared against each
-    other's tail bounds should pin the same value.
+    other's tail bounds should pin the same value.  The exact Ramanujan
+    c-sums of a trivial effective character at x = 0 or y = 0 build no
+    layers and ignore it.
     """
 
     c_max: int = 5000

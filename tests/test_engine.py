@@ -2,10 +2,11 @@
 against the per-element phase, user multipliers that define only phase(),
 one-pass series against single coefficients, the float64 and fixed-point
 layer noise of the c-sums, the constant term's layer precision, the exact
-fixed-point layers against 256-bit sums and Ramanujan sums, the
-leading delta term at context precision, the Bessel weights' error in
-the tails, structural zeros with no tail, and the weight prefactors' share
-of the rounding."""
+fixed-point layers against 256-bit sums and Ramanujan sums, the exact
+Ramanujan c-sums against box layers and the passes that use them without
+a box, one matrix evaluation per box element, the leading delta term at
+context precision, the Bessel weights' error in the tails, structural
+zeros with no tail, and the weight prefactors' share of the rounding."""
 
 import math
 from dataclasses import dataclass
@@ -27,11 +28,13 @@ from mgrid.automorphy import (
     frac,
     trivial_representation,
 )
-from mgrid.groups import cplus_arrays, enumerate_cplus, gamma0, sl2z
+from mgrid.groups import GroupSpec, cplus_arrays, enumerate_cplus, gamma0, sl2z
 from mgrid.poincare import (
     _coefficient_sum,
     _CSum,
     _exponent_sum,
+    _layer_error,
+    _ramanujan_csums,
     _run,
     constant_term_cf,
     kloosterman_layer,
@@ -39,7 +42,7 @@ from mgrid.poincare import (
     poincare_series,
 )
 from mgrid.precision import PrecisionContext, exp2pi
-from mgrid.series import TruncationParams
+from mgrid.series import FourierSeries, TruncationParams
 
 CTX = PrecisionContext(mantissa_bits=113, target_tol=1e-25)
 
@@ -181,7 +184,10 @@ def test_series_entries_equal_single_coefficients(case, layer_bits):
 
 
 def test_constant_term_honours_layer_bits_and_counts_float_noise():
-    data = AutomorphyData(weight=12, chi=TrivialMultiplier(),
+    # eta^24 (the character of Delta) is trivial on SL2(Z), but it is not a
+    # TrivialMultiplier, so its constant term keeps the box layers; the
+    # trivial character's constant term is an exact Ramanujan sum
+    data = AutomorphyData(weight=12, chi=EtaPowerMultiplier(24),
                           rho=trivial_representation(), group=sl2z())
     f = poincare_series(data, 12, 1, 1, range(1, 3),
                         TruncationParams(c_max=50, tail_tol=1e-6, ctx=CTX))
@@ -196,7 +202,8 @@ def test_constant_term_honours_layer_bits_and_counts_float_noise():
 def test_float_noise_counts_every_computed_layer_but_no_structural_zero():
     # x = 0 on the trivial character: the layers are Ramanujan sums, and the
     # vanishing ones (c_475(1), mu(475) = 0) can round to exactly 0 in
-    # float64; their error bound still counts.
+    # float64; their error bound still counts.  _run is called directly: a
+    # pass sends these sums to the exact Ramanujan path instead.
     trivial = AutomorphyData(weight=4, chi=TrivialMultiplier(),
                              rho=trivial_representation(), group=sl2z())
     trunc = TruncationParams(c_max=475, tail_tol=1.0, ctx=CTX, layer_bits=53)
@@ -285,6 +292,78 @@ def test_exact_trivial_x0_layers_are_ramanujan_sums():
             with mpmath.workprec(256):
                 err = abs(layer - _ramanujan_sum(c, y))
             assert err <= _exact_layer_bound(phi, c)
+
+
+# m below and above the c <= 200 of the sums
+RAMANUJAN_MS = (1, 2, 7, 12, 60, 210, 360)
+
+
+@pytest.mark.parametrize("w", [4, 12])
+@pytest.mark.parametrize("spec", [sl2z(), gamma0(4)], ids=["sl2z", "gamma0(4)"])
+def test_exact_ramanujan_csums_match_box_layers(spec, w):
+    data = AutomorphyData(weight=w, chi=TrivialMultiplier(),
+                          rho=trivial_representation(), group=spec)
+    cs = range(spec.level, 201, spec.level)
+    with CTX.working():
+        prec, exact = _ramanujan_csums(spec, w, RAMANUJAN_MS, 200)
+    for bits in (53, 113):
+        for m, (total, bound) in zip(RAMANUJAN_MS, exact):
+            layers = [kloosterman_layer(data, c, Fraction(0), Fraction(m), bits=bits)
+                      for c in cs]
+            with mpmath.workprec(256):
+                box = mpmath.fsum(mpmath.mpc(k) * mpmath.mpf(c) ** -w
+                                  for c, k in zip(cs, layers))
+                err = abs(mpmath.ldexp(total, -prec) - box)
+            box_bound = sum(c ** -w * _layer_error(c, c, bits) for c in cs)
+            assert err <= bound + box_bound
+
+
+def test_ramanujan_passes_build_no_box(monkeypatch):
+    calls = []
+
+    def counting_cplus_arrays(spec, c):
+        calls.append(c)
+        return cplus_arrays(spec, c)
+
+    monkeypatch.setattr("mgrid.poincare.cplus_arrays", counting_cplus_arrays)
+    data = AutomorphyData(weight=12, chi=TrivialMultiplier(),
+                          rho=trivial_representation(), group=sl2z())
+    trunc = TruncationParams(c_max=60, tail_tol=1.0, ctx=CTX)
+    eisenstein = poincare_series(data, 12, 0, 1, range(0, 6), trunc)
+    assert calls == [] and len(eisenstein.coeffs) == 6
+    f = poincare_series(data, 12, 1, 1, range(1, 3), trunc)  # I-Bessel sums
+    assert calls == list(range(1, 61))
+    calls.clear()
+    (value,), (tail,) = constant_term_cf(f, trunc)
+    assert calls == [] and value != 0 and tail > 0
+
+
+def test_ramanujan_passes_need_unit_lambda():
+    data = AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=trivial_representation(),
+                          group=GroupSpec(lam=Fraction(2)))
+    trunc = TruncationParams(c_max=20, tail_tol=1.0, ctx=CTX)
+    with pytest.raises(NotImplementedError, match="lambda"):
+        poincare_series(data, 12, 0, 1, range(1, 3), trunc)
+    f = FourierSeries(12, data, {(-1, 1): mpmath.mpc(1)}, {(-1, 1): 0.0}, trunc)
+    with pytest.raises(NotImplementedError, match="lambda"):
+        constant_term_cf(f, trunc)
+
+
+def test_matrix_rho_evaluated_once_per_box_element():
+    rho = _two_component().rho
+    calls = []
+
+    def evaluator(g):
+        calls.append(g)
+        return rho.matrix(g)
+
+    mat = MatrixRepresentation(2, evaluator, [rho.phase_T(1), rho.phase_T(2)])
+    data = AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=mat, group=sl2z())
+    calls.clear()  # drop the construction's sampled checks
+    poincare_series(data, 12, -1, 1, range(0, 6),
+                    TruncationParams(c_max=40, tail_tol=1.0, ctx=CTX))
+    elements = sum(len(enumerate_cplus(sl2z(), c)) for c in range(1, 41))
+    assert elements == 490 and len(calls) == elements
 
 
 def test_leading_delta_term_at_context_precision():
