@@ -14,36 +14,32 @@ a sum over the double-coset boxes C+(c):
   x < 0:  (2 pi/lambda) i^{-w} (y/-x)^{(w-1)/2} sum_c c^{-1} K_c I_{w-1}(4 pi sqrt(-xy)/(c lambda))
 
 (w = weight).  One engine computes every c-sum: it walks c once in
-ascending order, builds the box C+(c) once (groups.cplus_arrays; boxes are
-never cached), asks each effective character for the exact phases of the
-whole box (Multiplier.box_phases: integer numerators over one common
-denominator; a user subclass that defines only phase() gets them from
-phase()), and evaluates the layer of every requested (x, y, j, alpha) from
-that one box.  A float64 layer costs one cos/sin per box element; a layer
-above 53 bits is an exact fixed-point sum over a table of roots of unity
-per denominator, built per box by baby and giant steps from one exp2pi
-seed each, and costs one integer multiply-add per box element.
+ascending order, builds the box C+(c) once (groups.cplus_arrays; never
+cached), asks each effective character for the exact phases of the whole
+box (Multiplier.box_phases, integer numerators over one denominator), and
+evaluates the layer of every requested (x, y, j, alpha) from that box: one
+cos/sin per box element in float64, or above 53 bits one integer
+multiply-add per element over a fixed-point table of roots of unity.
 poincare_series and constant_term_cf make one such pass;
 poincare_coefficient and kloosterman_layer are the engine on one index.
-The terms of a c-sum are added exactly and rounded once (compensated_sum);
-the returned tail bound majorises the neglected c > c_max terms via
-|C+(c)| <= c and the series bounds J_nu(z), I_nu(z) <= (z/2)^nu/nu! *
-geometric/exponential factors.
 
-One kind of c-sum needs no box: on a diagonal rho whose effective
-character is trivial, a layer at x = 0 or y = 0 is the Ramanujan sum
-c_c(m) = sum_{d | (c, m)} mu(c/d) d with m = |x + y| (Hardy & Wright,
-ch. XVI).  These are the x = 0 sums of the trivial-character Eisenstein
-series and every constant_term_cf sum there.  Each pass splits them off
-and sums them exactly in integers (_ramanujan_csums) from one Moebius
-sieve, as one term with a certified rounding bound; layer_bits does not
-apply to them.
+Every c-sum is a common prefactor times one exact integer sum
+S = sum_c u_c K_c at the scale 2^-P, rounded once, with one noise rule
+(see _run).  u_c is the weight as an integer, and K_c comes from one of
+three sources: a float64 or a fixed-point box layer, each as an exact
+Gaussian integer, or, with no box, the Ramanujan sum
+c_c(m) = sum_{d | (c, m)} mu(c/d) d, m = |x + y| (Hardy & Wright,
+ch. XVI), which is every layer at x = 0 or y = 0 on a diagonal rho whose
+effective character is trivial; layer_bits does not apply to it.  The
+tail bound majorises the neglected c > c_max terms via |C+(c)| <= c, or
+|c_c(m)| <= sigma(m), and J_nu(z), I_nu(z) <= (z/2)^nu/nu! * geometric or
+exponential factors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -51,7 +47,7 @@ import numpy as np
 
 from .automorphy import AutomorphyData, DiagonalRepresentation, TrivialMultiplier
 from .groups import cplus_arrays, cplus_elements
-from .precision import compensated_sum, exp2pi
+from .precision import exp2pi
 from .series import FourierSeries, TruncationParams
 from .specialfn import bessel_series
 
@@ -67,25 +63,22 @@ __all__ = [
 TWO_PI = 2 * math.pi
 
 
-def _exponent_sum(nums: np.ndarray, den: int, bits: int = 53, tables=None):
-    """sum of e^{2 pi i num/den} over an int64 numerator array.
+def _exponent_sum(nums: np.ndarray, den: int, bits: int, tables: dict):
+    """sum of e^{2 pi i num/den} over an int64 numerator array, as the
+    Gaussian integer (re, im, e) that stands for (re + i im) 2^-e.
 
     bits <= 53 evaluates the unit phases in float64 (the exponents are
-    already reduced exactly, so each phase is correct to an ulp).  Larger
-    bits sum exactly in fixed point over the root table of den (see
-    _root_table; `tables` maps den to its table and is shared by the
-    layers of one box): each residue r = q B + s contributes
-    giant[q] * baby[s], the products are summed as exact integers, and the
-    sum is rounded once to an mpc of P bits.  The result is deterministic,
-    and its error is at most nums.size * (2 isqrt(den) + 3) * 2^-P.
+    already reduced exactly, so each phase is correct to an ulp), and the
+    float sum converts exactly (_gaussian).  Larger bits sum exactly in fixed
+    point over the root table of den (see _root_table; `tables` maps den to
+    its table and is shared by the layers of one box): each residue
+    r = q B + s contributes giant[q] * baby[s], an exact integer at e = 2 P.
+    The result is deterministic, and its error is at most
+    nums.size * (2 isqrt(den) + 3) * 2^-P.
     """
-    if nums.size == 0:
-        return 0j
     if bits <= 53:
         angles = (nums % den).astype(np.float64) * (TWO_PI / den)
-        return complex(np.sum(np.cos(angles)) + 1j * np.sum(np.sin(angles)))
-    if tables is None:
-        tables = {}
+        return _gaussian(complex(np.sum(np.cos(angles)), np.sum(np.sin(angles))))
     if den not in tables:
         tables[den] = _root_table(den, bits)
     prec, step, baby, giant = tables[den]
@@ -101,8 +94,14 @@ def _exponent_sum(nums: np.ndarray, den: int, bits: int = 53, tables=None):
         gr, gi = giant[q]
         re += gr * ir - gi * ii
         im += gr * ii + gi * ir
-    with mpmath.workprec(prec):
-        return mpmath.mpc(mpmath.ldexp(re, -2 * prec), mpmath.ldexp(im, -2 * prec))
+    return re, im, 2 * prec
+
+
+def _gaussian(z: complex):
+    """(re, im, e) with z = (re + i im) 2^-e exactly (float.as_integer_ratio)."""
+    (a, p), (b, q) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    den = max(p, q)  # p and q are powers of two
+    return a * (den // p), b * (den // q), den.bit_length() - 1
 
 
 def _root_table(den: int, bits: int):
@@ -112,18 +111,13 @@ def _root_table(den: int, bits: int):
 
     Each step is one fixed-point multiplication rounded to nearest
     (<= 2^-1/2 ulps), by a seed carried 16 bits beyond P, so the k-th power
-    is off by under 0.72 k ulps; a product giant[q] * baby[s] is then off by
-    under (1.44 B + 0.72) * 2^-P, and rounding the exact sum to P bits adds
-    one more ulp per element.
+    is off by under 0.72 k ulps, and a product giant[q] * baby[s] by under
+    (1.44 B + 0.72) * 2^-P.
     """
-    prec = _table_bits(den, bits)
+    prec = bits + 16 + den.bit_length()
     step = math.isqrt(den)
     return (prec, step, _fixed_powers(Fraction(1, den), step, prec),
             _fixed_powers(Fraction(step, den), den // step + 1, prec))
-
-
-def _table_bits(den: int, bits: int) -> int:
-    return bits + 16 + den.bit_length()
 
 
 def _fixed_powers(x: Fraction, count: int, prec: int) -> list:
@@ -174,12 +168,12 @@ def _layer_error(c: int, den: int, bits: int) -> float:
     elements) with phases over den, evaluated at `bits` (see _exponent_sum)."""
     if bits <= 53:
         return c * 2.0 ** -50  # phi(c) ulps
-    return c * (2 * math.isqrt(den) + 3) * 2.0 ** -_table_bits(den, bits)
+    return c * (2 * math.isqrt(den) + 3) * 2.0 ** -(bits + 16 + den.bit_length())
 
 
 def _layers(data: AutomorphyData, c: int, keys, bits: int) -> list:
-    """(K_c(x, y)_{j,alpha}, error bound) for every (x, y, j, alpha) in keys,
-    from one box.
+    """(re, im, e, error bound) of K_c(x, y)_{j,alpha} = (re + i im) 2^-e for
+    every (x, y, j, alpha) in keys, from one box.
 
     The exponent (x a + y d)/c minus the box phases of the character is
     reduced exactly over one common denominator.  Diagonal rho: the
@@ -210,11 +204,11 @@ def _layers(data: AutomorphyData, c: int, keys, bits: int) -> list:
         nums = (x.numerator * qy * a + y.numerator * qx * d) * (den // d0) \
             - chi_num * (den // chi_den)
         if diagonal:
-            out.append((_exponent_sum(nums, den, bits, tables), _layer_error(c, den, bits)))
+            out.append((*_exponent_sum(nums, den, bits, tables), _layer_error(c, den, bits)))
             continue
         angles = (nums % den).astype(np.float64) * (TWO_PI / den)
-        out.append((complex(np.sum(rho_inv[:, j - 1, alpha - 1] * np.exp(1j * angles))),
-                    _layer_error(c, c, 53)))
+        layer = complex(np.sum(rho_inv[:, j - 1, alpha - 1] * np.exp(1j * angles)))
+        out.append((*_gaussian(layer), _layer_error(c, c, 53)))
     return out
 
 
@@ -224,11 +218,16 @@ def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
 
     For the trivial character and p = 1 this is the classical Kloosterman
     sum S(x, y; c).  Exact zero when rho is diagonal and j != alpha.
-    bits selects the phase-evaluation precision (see layer_bits_for).
+    bits selects the phase-evaluation precision (see layer_bits_for): a
+    complex at 53 bits, else an mpc rounded to the fixed-point layer's P bits.
     """
     if _structural_zero(data, j, alpha):
         return 0j
-    return _layers(data, c, [(Fraction(x), Fraction(y), j, alpha)], bits)[0][0]
+    re, im, e, _error = _layers(data, c, [(Fraction(x), Fraction(y), j, alpha)], bits)[0]
+    if bits <= 53:
+        return complex(re / (1 << e), im / (1 << e))
+    with mpmath.workprec(e // 2):
+        return mpmath.mpc(mpmath.ldexp(re, -e), mpmath.ldexp(im, -e))
 
 
 def _structural_zero(data: AutomorphyData, j: int, alpha: int) -> bool:
@@ -238,84 +237,111 @@ def _structural_zero(data: AutomorphyData, j: int, alpha: int) -> bool:
 
 @dataclass
 class _CSum:
-    """One c-sum: the terms weight(c) * K_c(x, y)_{j,alpha} in ascending c,
-    the bound on its c > c_max remainder, and the rounding noise bound of
-    its terms (see _run)."""
+    """One c-sum pref * sum_c u_c K_c(x, y)_{j,alpha} over c = level, ...,
+    c_max; _run accumulates it as the Gaussian integer S = re + i im at 2^-P."""
 
     key: tuple  # (x, y, j, alpha)
-    weight: object  # c -> (mp weight of the layer at c, bound on its error)
-    tail: float
-    terms: list = field(default_factory=list)
+    pref: object  # common prefactor, at _prefactor_prec bits
+    weight: object  # w for c^-w, else (u_c, |u_c| 2^-P, du_c) of a Bessel weight
+    tail: float  # bound on the c > c_max remainder
+    m: int | None = None  # every layer is the Ramanujan sum c_c(m) (_ramanujan_m)
+    re: int = 0
+    im: int = 0
     noise: float = 0.0
 
 
 def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
-    """The coefficient engine: one ascending pass over c fills every c-sum.
+    """The coefficient engine: one pass fills every c-sum; call inside
+    trunc.ctx.working(), at wp bits.
 
-    Call inside trunc.ctx.working().  Every computed layer adds to its sum's
-    noise its weight's error bound times c >= |K_c|, plus
-    |weight| * (layer rounding bound + c 2^(e - wp)).  The layer rounding
-    bound is phi(c) * 2^-50 in float64, and phi(c) * (2 isqrt(den) + 3) *
-    2^-P for an exact fixed-point layer with phases over den
-    (P = bits + 16 + den.bit_length(); see _exponent_sum), with phi(c) <= c.
+    Each c-sum accumulates S = sum_c u_c K_c exactly at the scale 2^-P,
+    P = wp + bit_length(c_max) + 8 (_scale_bits); _value rounds pref S 2^-P
+    once.  u_c is the weight as an integer: floor(2^P / c^w) from one table
+    per w per pass, or a Bessel weight (_coefficient_sum); du_c bounds the
+    weight's own error beyond the floor (0 for c^-w).  K_c = (re + i im) 2^-e is
+      - the Ramanujan sum c_c(m) (e = 0) when the c-sum has m set: S is one
+        integer dot product over the table, with no box;
+      - an exact fixed-point box layer (_exponent_sum);
+      - a float64 box or matrix-rho layer, converted exactly (_gaussian).
+    Each product u_c K_c is an integer multiply and a shift by e, rounded to
+    nearest (under one unit of 2^-P in modulus, exact at e = 0).
 
-    The c 2^(e - wp) part covers the roundings at the working precision wp
-    (mpmath's: the context's bits plus its guard).  Each is at most 2^-wp
-    times its result, and |K_c| <= c:
-      - the two steps that finish the weight (amp * c^-w; pref / c times
-        the Bessel value): 2 units;
-      - the product weight * K_c: 1 unit;
-      - compensated_sum: both parts of its bound are at most 2^-wp times
-        the sum of |term| in each of the real and imaginary parts (for
-        fewer than 2^(wp-1) terms), so 2 sqrt(2) units.
-    That is under 6 units; e = 3 leaves room for the second-order terms
-    and for the common prefactor of a weight (amp, pref), which is kept at
-    _prefactor_prec bits and is off by under 2^-wp/8 relative.
+    The one noise rule, with kmax_c >= |K_c| (|c_c(m)|, else c >= |C+(c)|)
+    and dK_c the layer's error bound (0 for c_c(m); phi(c) 2^-50 in
+    float64; phi(c) (2 isqrt(den) + 3) 2^-T in fixed point,
+    T = bits + 16 + den.bit_length(); phi(c) <= c):
 
-    All of this includes a layer that rounds to exactly 0 (a vanishing
-    Ramanujan sum, say).  Structural zeros never reach the engine: their
-    callers store an exact 0 with tail 0 and build no c-sum for them.
+      |pref| (sum_c ((du_c + 2^-P) kmax_c + |u_c| 2^-P dK_c + 2^-P)
+              + 2^(1 - wp) |S| 2^-P).
+
+    The sum runs over every c, so a layer that rounds to exactly 0 still
+    counts; the last term covers _value's rounding at wp and the
+    prefactor's 2^-wp/8 (_prefactor_prec).  Structural zeros never reach
+    the engine: their callers store an exact 0 with tail 0.
     """
-    if not sums:
+    prec = _scale_bits(trunc.c_max)
+    unit = 2.0 ** -prec
+    cs = list(range(data.group.level, trunc.c_max + 1, data.group.level))
+    powers = {}
+
+    def weight(s):  # (u_c, |u_c| 2^-P, du_c)
+        if not isinstance(s.weight, int):
+            return s.weight
+        if s.weight not in powers:
+            u = [(1 << prec) // c ** s.weight for c in cs]
+            powers[s.weight] = u, np.array(u, dtype=float) * unit, 0.0
+        return powers[s.weight]
+
+    def settle(s, weights, kmax, dk):  # the noise rule
+        _u, u_abs, du = weights
+        s.noise = float(abs(s.pref)) * (
+            math.fsum(((du + unit) * kmax + u_abs * dk + unit).tolist())
+            + math.hypot(s.re, s.im) * unit * 2.0 ** (1 - mpmath.mp.prec))
+
+    box = [s for s in sums if s.m is None]
+    if len(box) < len(sums):
+        if data.group.lam != 1:
+            raise NotImplementedError("built-in c-sums require lambda == 1")
+        mu = _moebius(trunc.c_max)
+    for s in sums:
+        if s.m is not None:
+            layers, weights = _ramanujan_layers(s.m, data.group.level, mu), weight(s)
+            s.re = sum(k * u for k, u in zip(layers.tolist(), weights[0]) if k)
+            settle(s, weights, np.abs(layers), 0.0)
+    if not box:
         return
     bits = trunc.layer_bits or layer_bits_for(trunc.ctx, trunc.c_max, data.group.level)
-    rounding = 2.0 ** (3 - mpmath.mp.prec)
-    keys = [s.key for s in sums]
-    for c in _c_values(data.group, trunc.c_max):
-        for s, (value, error) in zip(sums, _layers(data, c, keys, bits)):
-            weight, weight_error = s.weight(c)
-            s.noise += float(abs(weight)) * (error + c * rounding) + weight_error * c
-            if value != 0:
-                s.terms.append(weight * mpmath.mpc(value))
+    keys, weights, errors = [s.key for s in box], [weight(s) for s in box], [[] for _s in box]
+    for n, c in enumerate(cs):
+        for s, (u, _a, _d), errs, (re, im, e, error) in zip(box, weights, errors,
+                                                             _layers(data, c, keys, bits)):
+            s.re += (u[n] * re + (1 << e >> 1)) >> e  # to nearest
+            s.im += (u[n] * im + (1 << e >> 1)) >> e
+            errs.append(error)
+    for s, ws, errs in zip(box, weights, errors):
+        settle(s, ws, np.array(cs, dtype=float), np.array(errs))
 
 
-def _c_values(spec, c_max: int):
-    return range(spec.level, c_max + 1, spec.level)
+def _value(sums: list, trunc: TruncationParams):
+    """sum of s.pref (s.re + i s.im) 2^-P over the c-sums, rounded once per
+    part at wp: mpmath.fdot forms the products exactly and rounds their sum."""
+    prec = _scale_bits(trunc.c_max)
+    re = mpmath.fdot([(s.pref.real, s.re) for s in sums] + [(s.pref.imag, -s.im) for s in sums])
+    im = mpmath.fdot([(s.pref.real, s.im) for s in sums] + [(s.pref.imag, s.re) for s in sums])
+    return mpmath.mpc(mpmath.ldexp(re, -prec), mpmath.ldexp(im, -prec))
 
 
-@dataclass(frozen=True)
-class _Power:
-    """The weight amp c^-w of a c-sum at x = 0 or y = 0 (amp kept at
-    _prefactor_prec(w) bits)."""
-
-    amp: object
-    w: int
-
-    def __call__(self, c):
-        return self.amp * mpmath.mpf(c) ** -self.w, 0.0
+def _scale_bits(c_max: int) -> int:
+    """P of the scale 2^-P of every c-sum; call at the working precision."""
+    return mpmath.mp.prec + c_max.bit_length() + 8
 
 
-def _ramanujan_m(data: AutomorphyData, s: _CSum):
-    """m if every layer of the c-sum s is the Ramanujan sum c_c(m), else None.
-
-    That holds for a power weight on a diagonal rho whose effective
-    character is trivial, at x = 0 (the layer is the sum of e(y d/c)) or
-    y = 0 (of e(x a/c)) over the units mod c; kappa = 0 there, so
-    m = |x + y| is an integer.
-    """
-    x, y, _j, alpha = s.key
-    if (isinstance(s.weight, _Power) and x * y == 0
-            and isinstance(data.rho, DiagonalRepresentation)
+def _ramanujan_m(data: AutomorphyData, x: Fraction, y: Fraction, alpha: int):
+    """m if every layer K_c(x, y)_{alpha,alpha} is the Ramanujan sum c_c(m),
+    else None: on a diagonal rho whose effective character is trivial, at
+    x = 0 (the layer is the sum of e(y d/c)) or y = 0 (of e(x a/c)) over the
+    units mod c; kappa = 0 there, so m = |x + y| is an integer."""
+    if (x * y == 0 and isinstance(data.rho, DiagonalRepresentation)
             and isinstance(data.scalar_character(alpha), TrivialMultiplier)):
         return int(abs(x + y))
     return None
@@ -334,70 +360,26 @@ def _moebius(limit: int) -> np.ndarray:
     return mu
 
 
-def _ramanujan_csums(spec, w: int, ms, c_max: int):
-    """The c-sums sum_c c_c(m) c^-w over c in _c_values(spec, c_max), for
-    every m in ms, exactly in integers.  Call at the working precision wp.
-
-    Returns (P, [(S, bound) per m]) with S = sum_c c_c(m) floor(2^P / c^w)
-    and P = wp + bit_length(c_max) + 8: each floor is off by under one, so
-    S 2^-P is within bound = sum_c |c_c(m)| 2^-P of the exact c-sum.  mu is
-    sieved and the floors are taken once per call; c_c(m) comes from
-    c_c(m) = sum_{d | (c, m)} mu(c/d) d, one array pass per divisor d of m.
-    """
-    if spec.lam != 1:
-        raise NotImplementedError("built-in c-sums require lambda == 1")
-    prec = mpmath.mp.prec + c_max.bit_length() + 8
-    cs = np.arange(spec.level, c_max + 1, spec.level)
-    mu = _moebius(c_max)
-    scaled = [(1 << prec) // c ** w for c in cs.tolist()]
-    out = []
-    for m in ms:
-        layers = np.zeros(c_max + 1, dtype=np.int64)
-        for d in range(1, min(m, c_max) + 1):
-            if m % d == 0:
-                layers[d::d] += d * mu[1:c_max // d + 1]
-        layers = layers[cs].tolist()
-        out.append((sum(k * f for k, f in zip(layers, scaled) if k),
-                    math.ldexp(sum(map(abs, layers)), -prec)))
-    return prec, out
-
-
-def _fill(data: AutomorphyData, sums: list, trunc: TruncationParams):
-    """Fill every c-sum of one pass; call inside trunc.ctx.working().
-
-    The Ramanujan sums (_ramanujan_m) get one exact term amp S 2^-P each
-    (_ramanujan_csums), and the others go to the box engine (_run).  The
-    noise of an exact term is |amp| times the bound of S 2^-P, plus
-    |amp S 2^-P| 2^(3 - wp) for the roundings at wp: S to wp bits and the
-    product by amp, one unit each; amp's 2^-wp/8; compensated_sum's
-    2 sqrt(2) units (see _run).
-    """
-    ms = [_ramanujan_m(data, s) for s in sums]
-    _run(data, [s for s, m in zip(sums, ms) if m is None], trunc)
-    exact = [(s, m) for s, m in zip(sums, ms) if m is not None]
-    rounding = 2.0 ** (3 - mpmath.mp.prec)
-    for w in sorted({s.weight.w for s, _m in exact}):
-        group = [(s, m) for s, m in exact if s.weight.w == w]
-        prec, results = _ramanujan_csums(data.group, w, [m for _s, m in group], trunc.c_max)
-        for (s, _m), (total, bound) in zip(group, results):
-            value = mpmath.ldexp(mpmath.mpf(total), -prec)
-            s.terms.append(s.weight.amp * value)
-            s.noise += float(abs(s.weight.amp)) * (bound + float(abs(value)) * rounding)
+def _ramanujan_layers(m: int, level: int, mu: np.ndarray) -> np.ndarray:
+    """c_c(m) = sum_{d | (c, m)} mu(c/d) d for c = level, 2 level, ..., c_max,
+    as int64, from mu = _moebius(c_max): one array pass per divisor d of m."""
+    c_max = len(mu) - 1
+    layers = np.zeros(c_max + 1, dtype=np.int64)
+    for d in range(1, min(m, c_max) + 1):
+        if m % d == 0:
+            layers[d::d] += d * mu[1:c_max // d + 1]
+    return layers[level::level]
 
 
 def _check_weight(weight: int, trunc: TruncationParams, level: int = 1):
     if weight < 3:
         raise ValueError("Poincare coefficient sums diverge for weight < 3")
     if trunc.c_max < level:
-        raise ValueError(
-            f"c_max = {trunc.c_max} is below the smallest positive c "
-            f"(= level {level}) of the group"
-        )
+        raise ValueError(f"c_max = {trunc.c_max} is below the smallest positive c "
+                         f"(= level {level}) of the group")
     if weight == 3 and not trunc.allow_slow_convergence:
-        raise ValueError(
-            "weight 3 converges only conditionally; pass "
-            "allow_slow_convergence=True (CLI: --allow-slow-convergence)"
-        )
+        raise ValueError("weight 3 converges only conditionally; pass "
+                         "allow_slow_convergence=True (CLI: --allow-slow-convergence)")
 
 
 def _bessel_tail(weight: int, zeta: float, c_max: int, rfac: float,
@@ -413,6 +395,14 @@ def _bessel_tail(weight: int, zeta: float, c_max: int, rfac: float,
     return coef * c_max ** (1 - nu) / (nu - 1)
 
 
+def _power_tail(w: int, c_max: int, m) -> float:
+    """Bound on sum_{c > c_max} |K_c| c^-w: |c_c(m)| <= sigma(m) for every c
+    when the layers are Ramanujan sums (m not None), else |C+(c)| <= c."""
+    if m is None:
+        return c_max ** (2 - w) / (w - 2)
+    return sum(d for d in range(1, m + 1) if m % d == 0) * c_max ** (1 - w) / (w - 1)
+
+
 def _prefactor_prec(w: int) -> int:
     """Bits p for the common prefactor (amp, pref) of a weight-w c-sum.  It
     takes under 4 w + 32 roundings of 2^-p relative (the powers ^w and ^(w-1)
@@ -424,9 +414,23 @@ def _prefactor_prec(w: int) -> int:
 def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
                      j: int, alpha: int, trunc: TruncationParams) -> _CSum:
     """The c-sum of one coefficient (see the module docstring); call inside
-    trunc.ctx.working().  Its prefactor is kept at _prefactor_prec(w) bits."""
+    trunc.ctx.working().  Its prefactor is kept at _prefactor_prec(w) bits.
+
+    A Bessel weight v_c = J or I(2 half/c)/c enters as
+    u_c = floor(2^(P-E) v_c), with 2^E >= max |v_c| moved into the
+    prefactor, so that 2^-P is relative to the largest weight; du_c is the
+    kernel's bound over c, times 2^-E.
+    """
     lam = data.lam
     key = (x, y, j, alpha)
+    if x != 0:
+        xy = abs(x) * y
+        half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator) \
+            / (mpmath.mpf(lam.numerator) / lam.denominator)
+        cs = range(data.group.level, trunc.c_max + 1, data.group.level)
+        # J or I at 2 half/c for every c, from one kernel call
+        values = bessel_series(w - 1, half, cs, trunc.ctx, x > 0)
+        top = max(mpmath.mag(v) for v, _bound in values)
     with mpmath.workprec(_prefactor_prec(w)):
         two_pi_lam = 2 * mpmath.pi * lam.denominator / lam.numerator
         phase = exp2pi(Fraction(-w, 4))  # i^{-w}
@@ -436,23 +440,18 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
         else:
             q = y / abs(x)
             rfac = (mpmath.mpf(q.numerator) / q.denominator) ** (mpmath.mpf(w - 1) / 2)
-            pref = two_pi_lam * phase * rfac
+            pref = two_pi_lam * phase * rfac * mpmath.ldexp(1, top)
     if x == 0:
+        m = _ramanujan_m(data, x, y, alpha)
         a2 = (TWO_PI / float(lam)) ** w / math.factorial(w - 1) * float(y) ** (w - 1)
-        return _CSum(key, _Power(amp, w), a2 * trunc.c_max ** (2 - w) / (w - 2))
-    modified = x < 0
-    xy = abs(x) * y
-    half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator) \
-        / (mpmath.mpf(lam.numerator) / lam.denominator)
-    cs = _c_values(data.group, trunc.c_max)
-    # J or I at 2 half/c for every c, from one kernel call
-    values = dict(zip(cs, bessel_series(w - 1, half, cs, trunc.ctx, not modified)))
-
-    def weight(c):
-        return pref / c * values[c][0], float(abs(pref)) / c * values[c][1]
-
-    return _CSum(key, weight, _bessel_tail(w, float(half), trunc.c_max, float(rfac),
-                                           float(lam), modified))
+        return _CSum(key, amp, w, a2 * _power_tail(w, trunc.c_max, m), m)
+    prec = _scale_bits(trunc.c_max)
+    # floor(floor(X)/c) = floor(X/c); ldexp and floor are exact on an mpf
+    u = [int(mpmath.floor(mpmath.ldexp(v, prec - top))) // c for (v, _b), c in zip(values, cs)]
+    weight = (u, np.abs(np.array(u, dtype=float)) * 2.0 ** -prec,
+              np.array([math.ldexp(bound, -top) / c for (_v, bound), c in zip(values, cs)]))
+    return _CSum(key, pref, weight, _bessel_tail(w, float(half), trunc.c_max, float(rfac),
+                                                 float(lam), x < 0))
 
 
 def _coefficients(data: AutomorphyData, weight: int, n: int, alpha: int,
@@ -464,8 +463,8 @@ def _coefficients(data: AutomorphyData, weight: int, n: int, alpha: int,
         sums = {(l, j): _coefficient_sum(data, weight, x, l + data.kappa_of(j), j,
                                          alpha, trunc)
                 for l, j in indices if not _structural_zero(data, j, alpha)}
-        _fill(data, list(sums.values()), trunc)
-        return [(compensated_sum(sums[i].terms), sums[i].tail + sums[i].noise)
+        _run(data, list(sums.values()), trunc)
+        return [(_value([sums[i]], trunc), sums[i].tail + sums[i].noise)
                 if i in sums else (mpmath.mpc(0), 0.0) for i in indices]
 
 
@@ -522,8 +521,8 @@ def constant_term_cf(f: FourierSeries, trunc: TruncationParams):
     Returns (values, tails): one complex constant and one tail bound per
     component, the tail including the layer-rounding noise at the layer
     precision (trunc.layer_bits, else layer_bits_for).  On a trivial
-    effective character every layer is a Ramanujan sum, and the c-sum is
-    exact in integers up to one counted rounding (see _fill).
+    effective character every layer is an exact Ramanujan sum (see _run),
+    with |c_c(m)| <= sigma(m) in the tail.  Each component is rounded once.
     """
     data = f.automorphy
     w = f.weight  # = k + 2
@@ -542,14 +541,14 @@ def constant_term_cf(f: FourierSeries, trunc: TruncationParams):
             for (n, t) in principal:
                 if _structural_zero(data, j, t):
                     continue
+                x = f.freq(n, t)  # x = n + kappa_t < 0 rides on the 'a' entry
+                m = _ramanujan_m(data, x, Fraction(0), t)
                 tail = abs(complex(f.coeffs[(n, t)])) * (TWO_PI / float(lam)) ** w \
                     / math.factorial(w - 1) * float(lam) ** (w - 1) \
-                    * trunc.c_max ** (2 - w) / (w - 2)
-                # x = n + kappa_t < 0 rides on the 'a' entry
-                per_comp[j - 1].append(
-                    _CSum((f.freq(n, t), Fraction(0), j, t), _Power(amps[(n, t)], w), tail))
-        _fill(data, [s for sums in per_comp for s in sums], trunc)
-        values = [compensated_sum([x for s in sums for x in s.terms]) for sums in per_comp]
+                    * _power_tail(w, trunc.c_max, m)
+                per_comp[j - 1].append(_CSum((x, Fraction(0), j, t), amps[(n, t)], w, tail, m))
+        _run(data, [s for sums in per_comp for s in sums], trunc)
+        values = [_value(sums, trunc) for sums in per_comp]
     tails = [sum((s.tail + s.noise for s in sums), 0.0) for sums in per_comp]
     return values, tails
 

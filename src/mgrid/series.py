@@ -28,12 +28,13 @@ class TruncationParams:
     """Cutoff of the c-sums, the tail tolerance they must certify, and the
     working precision used for Bessel/gamma prefactors and accumulation.
 
-    layer_bits pins the phase-evaluation precision of the Kloosterman
+    layer_bits pins the phase-evaluation precision of the Kloosterman box
     layers; None selects it automatically from the context and the box
-    size (see poincare.layer_bits_for).  Runs being compared against each
-    other's tail bounds should pin the same value.  The exact Ramanujan
-    c-sums of a trivial effective character at x = 0 or y = 0 build no
-    layers and ignore it.
+    size (see poincare.layer_bits_for).  Float64 and fixed-point layers
+    feed the same exact c-sum accumulator, and their rounding bounds enter
+    its one noise rule.  Runs being compared against each other's tail
+    bounds should pin the same value.  The exact Ramanujan c-sums of a
+    trivial effective character at x = 0 or y = 0 build no box and ignore it.
     """
 
     c_max: int = 5000

@@ -1,12 +1,13 @@
 """The coefficient engine: exact box phases of every built-in multiplier
 against the per-element phase, user multipliers that define only phase(),
-one-pass series against single coefficients, the float64 and fixed-point
-layer noise of the c-sums, the constant term's layer precision, the exact
-fixed-point layers against 256-bit sums and Ramanujan sums, the exact
-Ramanujan c-sums against box layers and the passes that use them without
-a box, one matrix evaluation per box element, the leading delta term at
-context precision, the Bessel weights' error in the tails, structural
-zeros with no tail, and the weight prefactors' share of the rounding."""
+one-pass series against single coefficients, the one noise rule of the
+c-sum accumulator over float64 and fixed-point layers, the constant term's
+layer precision, the exact fixed-point layers against 256-bit sums and
+Ramanujan sums, the Ramanujan and box layer sources against each other,
+the Ramanujan c-sums' sigma(m) tails, passes that build no box, one matrix
+evaluation per box element, the leading delta term at context precision,
+the Bessel weights' error in the tails, structural zeros with no tail, and
+the weight prefactors' share of the rounding."""
 
 import math
 from dataclasses import dataclass
@@ -31,11 +32,10 @@ from mgrid.automorphy import (
 from mgrid.groups import GroupSpec, cplus_arrays, enumerate_cplus, gamma0, sl2z
 from mgrid.poincare import (
     _coefficient_sum,
-    _CSum,
     _exponent_sum,
     _layer_error,
-    _ramanujan_csums,
     _run,
+    _value,
     constant_term_cf,
     kloosterman_layer,
     poincare_coefficient,
@@ -45,6 +45,11 @@ from mgrid.precision import PrecisionContext, exp2pi
 from mgrid.series import FourierSeries, TruncationParams
 
 CTX = PrecisionContext(mantissa_bits=113, target_tol=1e-25)
+
+# eta^24, the character of Delta: trivial on SL2(Z), but not a
+# TrivialMultiplier, so its x = 0 sums keep the box path
+DELTA4 = AutomorphyData(weight=4, chi=EtaPowerMultiplier(24),
+                        rho=trivial_representation(), group=sl2z())
 
 DIRICHLET4 = DirichletMultiplier(4, ((1, Fraction(0)), (3, Fraction(1, 2))))
 DIRICHLET5 = DirichletMultiplier(5, ((1, Fraction(0)), (2, Fraction(1, 4)),
@@ -200,19 +205,36 @@ def test_constant_term_honours_layer_bits_and_counts_float_noise():
 
 
 def test_float_noise_counts_every_computed_layer_but_no_structural_zero():
-    # x = 0 on the trivial character: the layers are Ramanujan sums, and the
-    # vanishing ones (c_475(1), mu(475) = 0) can round to exactly 0 in
-    # float64; their error bound still counts.  _run is called directly: a
-    # pass sends these sums to the exact Ramanujan path instead.
-    trivial = AutomorphyData(weight=4, chi=TrivialMultiplier(),
-                             rho=trivial_representation(), group=sl2z())
+    # x = 0 on eta^24 (trivial on SL2(Z), but kept on the box path): the
+    # layers are Ramanujan sums, and the vanishing ones (c_475(1),
+    # mu(475) = 0) can round to exactly 0 in float64; their error bound
+    # still counts
     trunc = TruncationParams(c_max=475, tail_tol=1.0, ctx=CTX, layer_bits=53)
-    s = _CSum((Fraction(0), Fraction(1), 1, 1), lambda c: (mpmath.mpf(1), 0.0), 0.0)
-    with CTX.working():
-        _run(trivial, [s], trunc)
-    assert s.noise == sum(1.0 * (c * 2.0 ** -50 + _working_rounding(c))
-                          for c in range(1, 476))
+    s = _engine_sum(trunc)
+    assert s.noise == _noise_rule(s, trunc, lambda c: c * 2.0 ** -50)
     _assert_structural_zeros_are_exact(trunc)
+
+
+def _engine_sum(trunc):
+    """The x = 0, y = 1 weight-4 c-sum on eta^24, after one engine pass."""
+    with CTX.working():
+        s = _coefficient_sum(DELTA4, 4, Fraction(0), Fraction(1), 1, 1, trunc)
+        _run(DELTA4, [s], trunc)
+    return s
+
+
+def _noise_rule(s, trunc, layer_error):
+    """The documented noise of a power-weight c-sum over box layers:
+    |pref| (sum_c ((0 + 2^-P) c + |u_c| 2^-P dK_c + 2^-P) + 2^(1-wp) |S| 2^-P),
+    u_c = floor(2^P / c^4), P = wp + bit_length(c_max) + 8."""
+    with CTX.working():
+        wp = mpmath.mp.prec
+        pref = float(abs(s.pref))
+    prec = wp + trunc.c_max.bit_length() + 8
+    unit = 2.0 ** -prec
+    terms = [unit * c + float((1 << prec) // c ** 4) * unit * layer_error(c) + unit
+             for c in range(1, trunc.c_max + 1)]
+    return pref * (math.fsum(terms) + math.hypot(s.re, s.im) * unit * 2.0 ** (1 - wp))
 
 
 def _assert_structural_zeros_are_exact(trunc):
@@ -227,13 +249,6 @@ def _assert_structural_zeros_are_exact(trunc):
         assert value == 0 and tail == 0.0
 
 
-def _working_rounding(c):
-    """The documented bound c 2^(3 - wp) on the working-precision roundings
-    of one term, per unit of |weight|."""
-    with CTX.working():
-        return c * 2.0 ** (3 - mpmath.mp.prec)
-
-
 def _exact_layer_bound(count, den, bits=113):
     """The documented rounding bound of an exact fixed-point layer."""
     prec = bits + 16 + den.bit_length()
@@ -245,24 +260,19 @@ def test_exact_layer_kernel_against_256_bit_sum(den):
     rng = np.random.default_rng(den)
     for size in (1, 3, 40, 400):
         nums = rng.integers(-2**62, 2**62, size=size, dtype=np.int64)
-        got = _exponent_sum(nums, den, 113)
-        assert got == _exponent_sum(nums, den, 113)  # bit for bit
+        re, im, e = _exponent_sum(nums, den, 113, {})
+        assert (re, im, e) == _exponent_sum(nums, den, 113, {})  # bit for bit
         with mpmath.workprec(256):
             ref = mpmath.fsum(exp2pi(Fraction(v, den)) for v in nums.tolist())
-            err = abs(got - ref)
+            err = abs(mpmath.mpc(mpmath.ldexp(re, -e), mpmath.ldexp(im, -e)) - ref)
         assert err <= _exact_layer_bound(size, den)
 
 
 def test_exact_layer_noise_counts_every_computed_layer_but_no_structural_zero():
-    trivial = AutomorphyData(weight=4, chi=TrivialMultiplier(),
-                             rho=trivial_representation(), group=sl2z())
     trunc = TruncationParams(c_max=100, tail_tol=1.0, ctx=CTX, layer_bits=113)
-    s = _CSum((Fraction(0), Fraction(1), 1, 1), lambda c: (mpmath.mpf(2), 0.0), 0.0)
-    with CTX.working():
-        _run(trivial, [s], trunc)
-    # x = 0, y = 1 on the trivial character: phases over den = c
-    assert s.noise == sum(2.0 * (_exact_layer_bound(c, c) + _working_rounding(c))
-                          for c in range(1, 101))
+    s = _engine_sum(trunc)
+    # x = 0, y = 1 on eta^24: phases over den = 24 c (box_phases)
+    assert s.noise == _noise_rule(s, trunc, lambda c: _exact_layer_bound(c, 24 * c))
     _assert_structural_zeros_are_exact(trunc)
 
 
@@ -301,21 +311,45 @@ RAMANUJAN_MS = (1, 2, 7, 12, 60, 210, 360)
 @pytest.mark.parametrize("w", [4, 12])
 @pytest.mark.parametrize("spec", [sl2z(), gamma0(4)], ids=["sl2z", "gamma0(4)"])
 def test_exact_ramanujan_csums_match_box_layers(spec, w):
+    # the engine's exact Ramanujan c-sums (value and noise, no truncation
+    # tail) against sum_c c^-w K_c over box layers at 53 and 113 bits
     data = AutomorphyData(weight=w, chi=TrivialMultiplier(),
                           rho=trivial_representation(), group=spec)
+    trunc = TruncationParams(c_max=200, tail_tol=1.0, ctx=CTX)
     cs = range(spec.level, 201, spec.level)
     with CTX.working():
-        prec, exact = _ramanujan_csums(spec, w, RAMANUJAN_MS, 200)
+        sums = [_coefficient_sum(data, w, Fraction(0), Fraction(m), 1, 1, trunc)
+                for m in RAMANUJAN_MS]
+        _run(data, sums, trunc)
+        exact = [(_value([s], trunc), s.pref, s.noise) for s in sums]
     for bits in (53, 113):
-        for m, (total, bound) in zip(RAMANUJAN_MS, exact):
+        for m, (value, amp, noise) in zip(RAMANUJAN_MS, exact):
             layers = [kloosterman_layer(data, c, Fraction(0), Fraction(m), bits=bits)
                       for c in cs]
             with mpmath.workprec(256):
-                box = mpmath.fsum(mpmath.mpc(k) * mpmath.mpf(c) ** -w
-                                  for c, k in zip(cs, layers))
-                err = abs(mpmath.ldexp(total, -prec) - box)
-            box_bound = sum(c ** -w * _layer_error(c, c, bits) for c in cs)
-            assert err <= bound + box_bound
+                box = amp * mpmath.fsum(mpmath.mpc(k) * mpmath.mpf(c) ** -w
+                                        for c, k in zip(cs, layers))
+                err = abs(value - box)
+            box_bound = float(abs(amp)) * sum(c ** -w * _layer_error(c, c, bits) for c in cs)
+            assert err <= noise + box_bound
+
+
+@pytest.mark.parametrize("bits", [53, 113])
+def test_ramanujan_and_box_sources_agree(bits):
+    # the same weight-12 x = 0 sums through the Ramanujan source (trivial
+    # character) and through the box (eta^24), within both returned tails
+    args = (12, 0, 1, range(1, 11))
+    trunc = TruncationParams(c_max=200, tail_tol=1.0, ctx=CTX, layer_bits=bits)
+    exact = poincare_series(AutomorphyData(weight=12, chi=TrivialMultiplier(),
+                                           rho=trivial_representation(), group=sl2z()),
+                            *args, trunc)
+    box = poincare_series(AutomorphyData(weight=12, chi=EtaPowerMultiplier(24),
+                                         rho=trivial_representation(), group=sl2z()),
+                          *args, trunc)
+    with CTX.working():
+        for l in range(1, 11):
+            assert abs(exact.coefficient(l) - box.coefficient(l)) \
+                <= exact.tail_bound(l) + box.tail_bound(l)
 
 
 def test_ramanujan_passes_build_no_box(monkeypatch):
@@ -425,22 +459,49 @@ def test_structural_zeros_cost_no_tail():
                                   (Fraction(0), Fraction(59, 24)), (Fraction(-1), Fraction(7)),
                                   (Fraction(1), Fraction(59, 24))])
 def test_weight_24_prefactor_within_its_eighth_of_a_unit(x, y):
-    # each weight is its prefactor times c^-w (x = 0) or times the Bessel value
-    # over c, two roundings at wp; the prefactor may add 2^-wp/8 relative
+    # each term's weight is the prefactor times u_c 2^-P: u_c = floor(2^P c^-w)
+    # (x = 0), else a Bessel value over c scaled by the power of two moved
+    # into the prefactor, within du_c + 2^-P; the prefactor may add 2^-wp/8
+    # relative
     data = AutomorphyData(weight=24, chi=TrivialMultiplier(),
                           rho=trivial_representation(), group=sl2z())
     trunc = TruncationParams(c_max=5, tail_tol=1.0, ctx=CTX)
     with CTX.working():
-        unit = 2.0 ** -mpmath.mp.prec
+        wp = mpmath.mp.prec
         s = _coefficient_sum(data, 24, x, y, 1, 1, trunc)
-        weights = [s.weight(c) for c in range(1, 6)]
+    prec = wp + 3 + 8
+    if x == 0:
+        assert s.weight == 24
+        u, du = [(1 << prec) // c ** 24 for c in range(1, 6)], [0.0] * 5
+    else:
+        u, _u_abs, du = s.weight
     with mpmath.workprec(400):
         yy = mpmath.mpf(y.numerator) / y.denominator
-        for c, (got, bessel_error) in zip(range(1, 6), weights):
+        for c, u_c, du_c in zip(range(1, 6), u, du):
             if x == 0:
                 exact = (2 * mpmath.pi) ** 24 / mpmath.factorial(23) * yy ** 23 / c ** 24
             else:
                 bessel = mpmath.besseli if x < 0 else mpmath.besselj
                 exact = 2 * mpmath.pi * yy ** mpmath.mpf(11.5) / c \
                     * bessel(23, 4 * mpmath.pi * mpmath.sqrt(yy) / c)
-            assert abs(got - exact) <= bessel_error + (2 + 1 / 8) * unit * abs(exact)
+            got = s.pref * mpmath.ldexp(u_c, -prec)
+            bound = abs(s.pref) * (du_c + 2.0 ** -prec) + abs(exact) * 2.0 ** -wp / 8
+            assert abs(got - exact) <= bound
+
+
+def test_ramanujan_tails_use_sigma():
+    # |c_c(m)| <= sigma(m) for every c, so the tail of an exact Ramanujan
+    # c-sum is |amp| sigma(m) c_max^(1-w)/(w-1): at c_max 2500 it is below
+    # 1e-8 and still covers the move out to c_max 10^5
+    data = AutomorphyData(weight=4, chi=TrivialMultiplier(),
+                          rho=trivial_representation(), group=sl2z())
+    f = FourierSeries(4, data, {(-1, 1): mpmath.mpc(1)}, {(-1, 1): 0.0})
+    near, far = (TruncationParams(c_max=c_max, tail_tol=1.0, ctx=CTX)
+                 for c_max in (2500, 10 ** 5))
+    value, tail = poincare_coefficient(data, 4, 0, 1, 1, 1, near)
+    ref, _tail = poincare_coefficient(data, 4, 0, 1, 1, 1, far)
+    (cf,), (cf_tail,) = constant_term_cf(f, near)
+    (cf_ref,), _tails = constant_term_cf(f, far)
+    with CTX.working():
+        assert tail < 1e-8 and abs(value - ref) <= tail
+        assert cf_tail < 1e-8 and abs(cf - cf_ref) <= cf_tail
