@@ -2,7 +2,8 @@
 
 Subcommands: coeffs, grid, duality, lvalue, period, pairing, selfcheck.
 Exit codes: 0 success, 1 usage/configuration error, 2 computed but with
-unconverged tails, an L-value err above --tol, or a failed selfcheck.
+unconverged tails (duality: either side's), an L-value err above --tol, or
+a failed selfcheck.
 Float fields are emitted as shortest round-trip decimals plus a parallel
 hex-float field, so identical configurations produce byte-identical reports.
 """
@@ -210,13 +211,15 @@ def cmd_duality(args) -> int:
             _complex_entry(row, rep.lhs, "lhs_re", "lhs_im")
             _complex_entry(row, rep.rhs, "rhs_re", "rhs_im")
             _float_entry(row, "residual", rep.residual)
+            _float_entry(row, "lhs_tail", rep.lhs_tail)
+            _float_entry(row, "rhs_tail", rep.rhs_tail)
             pairs.append(row)
     payload = {"k": args.k, "pairs": pairs}
     rows = [(r["n1"], r["a1"], r["n2"], r["a2"], repr(r["lhs_re"]),
              repr(r["lhs_im"]), repr(r["residual"])) for r in pairs]
     _emit(args, payload, rows, ("n1", "a1", "n2", "a2", "lhs_re", "lhs_im",
                                 "residual"))
-    return 0
+    return 2 if any(max(r["lhs_tail"], r["rhs_tail"]) > args.tol for r in pairs) else 0
 
 
 def _build_sform(args, data, trunc):
@@ -331,25 +334,23 @@ def cmd_pairing(args) -> int:
 def cmd_selfcheck(args) -> int:
     import math
 
-    from .poincare import kloosterman_layer
+    from .groups import enumerate_cplus, sl2z
+    from .poincare import kloosterman_layer, poincare_coefficient
     from .specialfn import bessel_i, bessel_j, gamma_upper
 
-    data, trunc = build_config(args, weight=4)
+    _data, trunc = build_config(args, weight=4)  # validates the configuration
+    ctx = trunc.ctx
     checks = []
 
-    def sieve_phi(limit):
-        phi = list(range(limit + 1))
-        for p in range(2, limit + 1):
-            if phi[p] == p:
-                for q in range(p, limit + 1, p):
-                    phi[q] -= phi[q] // p
-        return phi
-
-    phi = sieve_phi(60)
-    from .groups import enumerate_cplus, sl2z
-
-    ok = all(len(enumerate_cplus(sl2z(), c)) == phi[c] for c in range(1, 61))
+    ok = all(len(enumerate_cplus(sl2z(), c)) == sum(math.gcd(d, c) == 1 for d in range(c))
+             for c in range(1, 61))
     checks.append(("cplus-cardinality-phi", ok))
+
+    def scalar(chi):
+        return AutomorphyData(weight=12, chi=chi, group=sl2z(),
+                              rho=DiagonalRepresentation((TrivialMultiplier(),)))
+
+    trivial = scalar(TrivialMultiplier())
     ok = True
     for c in range(1, 21):
         direct = 0j
@@ -358,29 +359,19 @@ def cmd_selfcheck(args) -> int:
                 continue
             a = pow(d, -1, c)
             direct += np.exp(2j * np.pi * (a + (-d % c)) / c)
-        lay = kloosterman_layer(data, c, Fraction(1), Fraction(-1))
+        lay = kloosterman_layer(trivial, c, Fraction(1), Fraction(-1))
         ok = ok and abs(direct - lay) < 1e-9
     checks.append(("kloosterman-layer-direct", ok))
-    ctx = trunc.ctx
-    # the exact x = 0 weight-4 c-sums sum_c c^-4 c_c(y) against the same
-    # sums over box layers, within both bounds plus the roundings at wp
-    from .poincare import _layer_error, _ramanujan_csums, layer_bits_for
-
-    trivial = AutomorphyData(weight=4, chi=TrivialMultiplier(),
-                             rho=DiagonalRepresentation((TrivialMultiplier(),)),
-                             group=sl2z())
-    bits = layer_bits_for(ctx, 60)
-    ok = True
+    # the exact x = 0 weight-12 Ramanujan c-sums against the same sums
+    # through the box layers of eta^24 (trivial on SL2(Z), but not a
+    # TrivialMultiplier), within both tails
+    small = TruncationParams(c_max=60, tail_tol=1.0, ctx=ctx)
     with ctx.working():
-        unit = 2.0 ** (3 - mpmath.mp.prec)
-        prec, exact = _ramanujan_csums(sl2z(), 4, (1, 2, 3), 60)
-        for y, (total, bound) in zip((1, 2, 3), exact):
-            box = mpmath.fsum(mpmath.mpc(kloosterman_layer(trivial, c, Fraction(0), Fraction(y),
-                                                           bits=bits)) * mpmath.mpf(c) ** -4
-                              for c in range(1, 61))
-            box_bound = sum(c ** -4 * (_layer_error(c, c, bits) + c * unit) for c in range(1, 61))
-            value = mpmath.ldexp(total, -prec)
-            ok = ok and abs(value - box) <= bound + box_bound + float(abs(value)) * unit
+        ok = True
+        for y in (1, 2, 3):
+            (v1, t1), (v2, t2) = (poincare_coefficient(data, 12, 0, 1, y, 1, small)
+                                  for data in (trivial, scalar(EtaPowerMultiplier(24))))
+            ok = ok and abs(v1 - v2) <= t1 + t2
     checks.append(("ramanujan-csum", ok))
     with ctx.working():
         # Gamma(3, z) = 2 Gamma(2, z) + z^2 e^-z, to the context's bits

@@ -161,6 +161,8 @@ def build_G(data: AutomorphyData, k: int, n2: int, alpha2: int,
 
 @dataclass
 class DualityReport:
+    """The sides of a(n1; idx2) = -b(n2; idx1), the residual and each side's tail."""
+
     n1: int
     alpha1: int
     n2: int
@@ -168,29 +170,33 @@ class DualityReport:
     lhs: complex
     rhs: complex
     residual: float
+    lhs_tail: float
+    rhs_tail: float
 
 
 def _holo_b_coefficient(data: AutomorphyData, k: int, n2: int, alpha2: int,
                         l: int, j: int, trunc: TruncationParams):
-    """b_{n2,alpha2}(l, j) of G+ without building the whole form."""
+    """(b_{n2,alpha2}(l, j) of G+, its tail bound) without building the
+    whole form: the tail of its c-sum times |ratio|^(k+1), 0 for the
+    leading 1."""
     cdata = conjugate(data)
     mu = -n2 + cdata.kappa_of(alpha2)
     yp = l + cdata.kappa_of(j)
     if (l, j) == (-n2, alpha2):
-        return mpmath.mpc(1)
+        return mpmath.mpc(1), 0.0
+    if yp < 0:
+        raise ValueError(f"G+ has no coefficient at l + kappa'_j = {yp} < 0")
     with trunc.ctx.working():
         mu_mp = mpmath.mpf(mu.numerator) / mu.denominator
         if yp > 0:
-            a, _ = poincare_coefficient(cdata, k + 2, n2, alpha2, l, j, trunc)
-            ymp = mpmath.mpf(yp.numerator) / yp.denominator
-            return a * (mu_mp / ymp) ** (k + 1)
-        if yp == 0:
-            series = FourierSeries(k + 2, cdata,
-                                   coeffs={(-n2, alpha2): mpmath.mpc(1)},
+            a, tail = poincare_coefficient(cdata, k + 2, n2, alpha2, l, j, trunc)
+            ratio = mu_mp / (mpmath.mpf(yp.numerator) / yp.denominator)
+        else:
+            series = FourierSeries(k + 2, cdata, coeffs={(-n2, alpha2): mpmath.mpc(1)},
                                    truncation=trunc)
-            cf_vals, _ = constant_term_cf(series, trunc)
-            return mu_mp ** (k + 1) * cf_vals[j - 1]
-    raise ValueError(f"G+ has no coefficient at l + kappa'_j = {yp} < 0")
+            cf_vals, cf_tails = constant_term_cf(series, trunc)
+            a, tail, ratio = cf_vals[j - 1], cf_tails[j - 1], mu_mp
+        return a * ratio ** (k + 1), tail * abs(float(ratio)) ** (k + 1)
 
 
 def verify_duality(data: AutomorphyData, k: int, n1: int, alpha1: int,
@@ -199,7 +205,7 @@ def verify_duality(data: AutomorphyData, k: int, n1: int, alpha1: int,
 
     idx2 = n2 - (kappa_{a2} + kappa'_{a2}) on the f side, idx1 mirrored;
     the two sides run through independent (chi, rho) / (chi-bar, rho-bar)
-    coefficient sums.
+    coefficient sums.  Each side carries its tail bound.
     """
     cdata = conjugate(data)
     if not n1 - data.kappa_of(alpha1) >= 0:
@@ -208,13 +214,12 @@ def verify_duality(data: AutomorphyData, k: int, n1: int, alpha1: int,
         raise ValueError("n2 index out of grid range")
     idx2 = n2 - int(data.kappa_of(alpha2) + cdata.kappa_of(alpha2))
     idx1 = n1 - int(data.kappa_of(alpha1) + cdata.kappa_of(alpha1))
-    lhs, _ = poincare_coefficient(data, k + 2, n1, alpha1, idx2, alpha2, trunc)
-    b = _holo_b_coefficient(data, k, n2, alpha2, idx1, alpha1, trunc)
-    rhs = -b
-    lhs_c, rhs_c = complex(lhs), complex(rhs)
+    lhs, lhs_tail = poincare_coefficient(data, k + 2, n1, alpha1, idx2, alpha2, trunc)
+    b, rhs_tail = _holo_b_coefficient(data, k, n2, alpha2, idx1, alpha1, trunc)
+    lhs_c, rhs_c = complex(lhs), complex(-b)
     denom = max(abs(lhs_c), abs(rhs_c), 1.0)
     return DualityReport(n1, alpha1, n2, alpha2, lhs_c, rhs_c,
-                         abs(lhs_c - rhs_c) / denom)
+                         abs(lhs_c - rhs_c) / denom, lhs_tail, rhs_tail)
 
 
 def apply_Dk1(G: HarmonicForm) -> FourierSeries:

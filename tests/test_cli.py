@@ -67,6 +67,16 @@ def test_duality_report(capsys):
     assert all(row["residual"] < 1e-6 for row in doc["pairs"])
 
 
+def test_duality_tails_above_tol_exit_2(capsys):
+    rc, out, _err = run_cli(capsys, [
+        "duality", "--k", "10", "--n1", "1", "--n2", "1", "--cmax", "5",
+        "--tol", "1e-30",
+    ])
+    assert rc == 2
+    (row,) = json.loads(out)["pairs"]
+    assert max(row["lhs_tail"], row["rhs_tail"]) > 1e-30
+
+
 def test_grid_pair_report(capsys):
     rc, out, _err = run_cli(capsys, [
         "grid", "--k", "10", "--n1", "1", "--n2", "1", "--lmax", "3",
@@ -154,8 +164,11 @@ def test_pairing_fit_and_predict(capsys):
 
 
 def test_selfcheck(capsys):
-    for bits in (53, 113, 200):
-        rc, out, _err = run_cli(capsys, ["selfcheck", "--bits", str(bits)])
+    # every check builds its own data, so a configured character or group
+    # does not make one fail
+    for flags in (["--bits", "53"], ["--bits", "113"], ["--bits", "200"],
+                  ["--character", "eta:4"], ["--group", "4"]):
+        rc, out, _err = run_cli(capsys, ["selfcheck", *flags])
         assert rc == 0
         doc = json.loads(out)
         assert all(c["pass"] for c in doc["checks"])
