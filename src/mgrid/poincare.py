@@ -238,15 +238,16 @@ def _structural_zero(data: AutomorphyData, j: int, alpha: int) -> bool:
 @dataclass
 class _CSum:
     """One c-sum pref * sum_c u_c K_c(x, y)_{j,alpha} over c = level, ...,
-    c_max; _run accumulates it as the Gaussian integer S = re + i im at 2^-P."""
+    c_max, accumulated by _run as S = re + i im at the scale 2^-e."""
 
     key: tuple  # (x, y, j, alpha)
     pref: object  # common prefactor, at _prefactor_prec bits
-    weight: object  # w for c^-w, else (u_c, |u_c| 2^-P, du_c) of a Bessel weight
+    weight: object  # w for c^-w, else (u_c, e, |u_c| 2^-e, du_c) of a Bessel weight
     tail: float  # bound on the c > c_max remainder
     m: int | None = None  # every layer is the Ramanujan sum c_c(m) (_ramanujan_m)
     re: int = 0
     im: int = 0
+    e: int = 0
     noise: float = 0.0
 
 
@@ -254,46 +255,49 @@ def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
     """The coefficient engine: one pass fills every c-sum; call inside
     trunc.ctx.working(), at wp bits.
 
-    Each c-sum accumulates S = sum_c u_c K_c exactly at the scale 2^-P,
-    P = wp + bit_length(c_max) + 8 (_scale_bits); _value rounds pref S 2^-P
-    once.  u_c is the weight as an integer: floor(2^P / c^w) from one table
-    per w per pass, or a Bessel weight (_coefficient_sum); du_c bounds the
-    weight's own error beyond the floor (0 for c^-w).  K_c = (re + i im) 2^-e is
-      - the Ramanujan sum c_c(m) (e = 0) when the c-sum has m set: S is one
+    Each c-sum accumulates S = sum_c u_c K_c exactly at the scale 2^-e, and
+    _value rounds pref S 2^-e once.  u_c = floor(2^e v_c) is the weight v_c
+    as an integer, e = P - top with P = wp + bit_length(c_max) + 8 and
+    2^top >= max |v_c|: P bits below the largest weight.  c^-w has
+    2^-top <= level^w < 2^(1-top) and one table per w per pass; a Bessel
+    weight brings its own (_coefficient_sum).  du_c bounds the weight's own
+    error beyond the floor (0 for c^-w).  K_c = (re + i im) 2^-f is
+      - the Ramanujan sum c_c(m) (f = 0) when the c-sum has m set: S is one
         integer dot product over the table, with no box;
       - an exact fixed-point box layer (_exponent_sum);
       - a float64 box or matrix-rho layer, converted exactly (_gaussian).
-    Each product u_c K_c is an integer multiply and a shift by e, rounded to
-    nearest (under one unit of 2^-P in modulus, exact at e = 0).
+    Each product u_c K_c is an integer multiply and a shift by f, rounded to
+    nearest (under one unit of 2^-e in modulus, exact at f = 0).
 
     The one noise rule, with kmax_c >= |K_c| (|c_c(m)|, else c >= |C+(c)|)
     and dK_c the layer's error bound (0 for c_c(m); phi(c) 2^-50 in
     float64; phi(c) (2 isqrt(den) + 3) 2^-T in fixed point,
     T = bits + 16 + den.bit_length(); phi(c) <= c):
 
-      |pref| (sum_c ((du_c + 2^-P) kmax_c + |u_c| 2^-P dK_c + 2^-P)
-              + 2^(1 - wp) |S| 2^-P).
+      |pref| (sum_c ((du_c + 2^-e) kmax_c + |u_c| 2^-e dK_c + 2^-e)
+              + 2^(1 - wp) |S| 2^-e).
 
-    The sum runs over every c, so a layer that rounds to exactly 0 still
-    counts; the last term covers _value's rounding at wp and the
-    prefactor's 2^-wp/8 (_prefactor_prec).  Structural zeros never reach
-    the engine: their callers store an exact 0 with tail 0.
+    The sum runs over every c, so a layer that rounds to 0 still counts; the
+    last term covers _value's rounding at wp and the prefactor's 2^-wp/8
+    (_prefactor_prec).  Structural zeros never reach the engine.
     """
     prec = _scale_bits(trunc.c_max)
-    unit = 2.0 ** -prec
-    cs = list(range(data.group.level, trunc.c_max + 1, data.group.level))
+    level = data.group.level
+    cs = list(range(level, trunc.c_max + 1, level))
     powers = {}
 
-    def weight(s):  # (u_c, |u_c| 2^-P, du_c)
+    def weight(s):  # (u_c, e, |u_c| 2^-e, du_c)
         if not isinstance(s.weight, int):
             return s.weight
         if s.weight not in powers:
-            u = [(1 << prec) // c ** s.weight for c in cs]
-            powers[s.weight] = u, np.array(u, dtype=float) * unit, 0.0
+            e = prec + (level ** s.weight).bit_length() - 1
+            u = [(1 << e) // c ** s.weight for c in cs]
+            powers[s.weight] = u, e, np.array(u, dtype=float) * 2.0 ** -e, 0.0
         return powers[s.weight]
 
-    def settle(s, weights, kmax, dk):  # the noise rule
-        _u, u_abs, du = weights
+    def settle(s, weights, kmax, dk):  # the scale of S and the noise rule
+        _u, s.e, u_abs, du = weights
+        unit = 2.0 ** -s.e
         s.noise = float(abs(s.pref)) * (
             math.fsum(((du + unit) * kmax + u_abs * dk + unit).tolist())
             + math.hypot(s.re, s.im) * unit * 2.0 ** (1 - mpmath.mp.prec))
@@ -305,34 +309,35 @@ def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
         mu = _moebius(trunc.c_max)
     for s in sums:
         if s.m is not None:
-            layers, weights = _ramanujan_layers(s.m, data.group.level, mu), weight(s)
+            layers, weights = _ramanujan_layers(s.m, level, mu), weight(s)
             s.re = sum(k * u for k, u in zip(layers.tolist(), weights[0]) if k)
             settle(s, weights, np.abs(layers), 0.0)
     if not box:
         return
-    bits = trunc.layer_bits or layer_bits_for(trunc.ctx, trunc.c_max, data.group.level)
+    bits = trunc.layer_bits or layer_bits_for(trunc.ctx, trunc.c_max, level)
     keys, weights, errors = [s.key for s in box], [weight(s) for s in box], [[] for _s in box]
     for n, c in enumerate(cs):
-        for s, (u, _a, _d), errs, (re, im, e, error) in zip(box, weights, errors,
-                                                             _layers(data, c, keys, bits)):
-            s.re += (u[n] * re + (1 << e >> 1)) >> e  # to nearest
-            s.im += (u[n] * im + (1 << e >> 1)) >> e
+        for s, ws, errs, (re, im, f, error) in zip(box, weights, errors,
+                                                    _layers(data, c, keys, bits)):
+            s.re += (ws[0][n] * re + (1 << f >> 1)) >> f  # to nearest
+            s.im += (ws[0][n] * im + (1 << f >> 1)) >> f
             errs.append(error)
     for s, ws, errs in zip(box, weights, errors):
         settle(s, ws, np.array(cs, dtype=float), np.array(errs))
 
 
-def _value(sums: list, trunc: TruncationParams):
-    """sum of s.pref (s.re + i s.im) 2^-P over the c-sums, rounded once per
-    part at wp: mpmath.fdot forms the products exactly and rounds their sum."""
-    prec = _scale_bits(trunc.c_max)
-    re = mpmath.fdot([(s.pref.real, s.re) for s in sums] + [(s.pref.imag, -s.im) for s in sums])
-    im = mpmath.fdot([(s.pref.real, s.im) for s in sums] + [(s.pref.imag, s.re) for s in sums])
-    return mpmath.mpc(mpmath.ldexp(re, -prec), mpmath.ldexp(im, -prec))
+def _value(sums: list):
+    """sum of s.pref (s.re + i s.im) 2^-s.e over the c-sums, rounded once per
+    part at wp (mpmath.fdot forms exact products; ldexp is exact)."""
+    re = mpmath.fdot([(mpmath.ldexp(s.pref.real, -s.e), s.re) for s in sums]
+                     + [(mpmath.ldexp(s.pref.imag, -s.e), -s.im) for s in sums])
+    im = mpmath.fdot([(mpmath.ldexp(s.pref.real, -s.e), s.im) for s in sums]
+                     + [(mpmath.ldexp(s.pref.imag, -s.e), s.re) for s in sums])
+    return mpmath.mpc(re, im)
 
 
 def _scale_bits(c_max: int) -> int:
-    """P of the scale 2^-P of every c-sum; call at the working precision."""
+    """P, the bits a c-sum keeps below its largest weight (see _run), at wp."""
     return mpmath.mp.prec + c_max.bit_length() + 8
 
 
@@ -415,22 +420,11 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
                      j: int, alpha: int, trunc: TruncationParams) -> _CSum:
     """The c-sum of one coefficient (see the module docstring); call inside
     trunc.ctx.working().  Its prefactor is kept at _prefactor_prec(w) bits.
-
-    A Bessel weight v_c = J or I(2 half/c)/c enters as
-    u_c = floor(2^(P-E) v_c), with 2^E >= max |v_c| moved into the
-    prefactor, so that 2^-P is relative to the largest weight; du_c is the
-    kernel's bound over c, times 2^-E.
+    A Bessel weight v_c = J or I(2 half/c)/c enters as u_c = floor(2^e v_c),
+    e = P - top with 2^top >= max |J or I| (see _run); du_c = its bound / c.
     """
     lam = data.lam
     key = (x, y, j, alpha)
-    if x != 0:
-        xy = abs(x) * y
-        half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator) \
-            / (mpmath.mpf(lam.numerator) / lam.denominator)
-        cs = range(data.group.level, trunc.c_max + 1, data.group.level)
-        # J or I at 2 half/c for every c, from one kernel call
-        values = bessel_series(w - 1, half, cs, trunc.ctx, x > 0)
-        top = max(mpmath.mag(v) for v, _bound in values)
     with mpmath.workprec(_prefactor_prec(w)):
         two_pi_lam = 2 * mpmath.pi * lam.denominator / lam.numerator
         phase = exp2pi(Fraction(-w, 4))  # i^{-w}
@@ -440,16 +434,22 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
         else:
             q = y / abs(x)
             rfac = (mpmath.mpf(q.numerator) / q.denominator) ** (mpmath.mpf(w - 1) / 2)
-            pref = two_pi_lam * phase * rfac * mpmath.ldexp(1, top)
+            pref = two_pi_lam * phase * rfac
     if x == 0:
         m = _ramanujan_m(data, x, y, alpha)
         a2 = (TWO_PI / float(lam)) ** w / math.factorial(w - 1) * float(y) ** (w - 1)
         return _CSum(key, amp, w, a2 * _power_tail(w, trunc.c_max, m), m)
-    prec = _scale_bits(trunc.c_max)
+    xy = abs(x) * y
+    half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator) \
+        / (mpmath.mpf(lam.numerator) / lam.denominator)
+    cs = range(data.group.level, trunc.c_max + 1, data.group.level)
+    # J or I at 2 half/c for every c, from one kernel call
+    values = bessel_series(w - 1, half, cs, trunc.ctx, x > 0)
+    e = _scale_bits(trunc.c_max) - max(mpmath.mag(v) for v, _bound in values)
     # floor(floor(X)/c) = floor(X/c); ldexp and floor are exact on an mpf
-    u = [int(mpmath.floor(mpmath.ldexp(v, prec - top))) // c for (v, _b), c in zip(values, cs)]
-    weight = (u, np.abs(np.array(u, dtype=float)) * 2.0 ** -prec,
-              np.array([math.ldexp(bound, -top) / c for (_v, bound), c in zip(values, cs)]))
+    u = [int(mpmath.floor(mpmath.ldexp(v, e))) // c for (v, _b), c in zip(values, cs)]
+    weight = (u, e, np.abs(np.array(u, dtype=float)) * 2.0 ** -e,
+              np.array([bound / c for (_v, bound), c in zip(values, cs)]))
     return _CSum(key, pref, weight, _bessel_tail(w, float(half), trunc.c_max, float(rfac),
                                                  float(lam), x < 0))
 
@@ -464,7 +464,7 @@ def _coefficients(data: AutomorphyData, weight: int, n: int, alpha: int,
                                          alpha, trunc)
                 for l, j in indices if not _structural_zero(data, j, alpha)}
         _run(data, list(sums.values()), trunc)
-        return [(_value([sums[i]], trunc), sums[i].tail + sums[i].noise)
+        return [(_value([sums[i]]), sums[i].tail + sums[i].noise)
                 if i in sums else (mpmath.mpc(0), 0.0) for i in indices]
 
 
@@ -548,7 +548,7 @@ def constant_term_cf(f: FourierSeries, trunc: TruncationParams):
                     * _power_tail(w, trunc.c_max, m)
                 per_comp[j - 1].append(_CSum((x, Fraction(0), j, t), amps[(n, t)], w, tail, m))
         _run(data, [s for sums in per_comp for s in sums], trunc)
-        values = [_value(sums, trunc) for sums in per_comp]
+        values = [_value(sums) for sums in per_comp]
     tails = [sum((s.tail + s.noise for s in sums), 0.0) for sums in per_comp]
     return values, tails
 

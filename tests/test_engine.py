@@ -321,7 +321,7 @@ def test_exact_ramanujan_csums_match_box_layers(spec, w):
         sums = [_coefficient_sum(data, w, Fraction(0), Fraction(m), 1, 1, trunc)
                 for m in RAMANUJAN_MS]
         _run(data, sums, trunc)
-        exact = [(_value([s], trunc), s.pref, s.noise) for s in sums]
+        exact = [(_value([s]), s.pref, s.noise) for s in sums]
     for bits in (53, 113):
         for m, (value, amp, noise) in zip(RAMANUJAN_MS, exact):
             layers = [kloosterman_layer(data, c, Fraction(0), Fraction(m), bits=bits)
@@ -459,22 +459,21 @@ def test_structural_zeros_cost_no_tail():
                                   (Fraction(0), Fraction(59, 24)), (Fraction(-1), Fraction(7)),
                                   (Fraction(1), Fraction(59, 24))])
 def test_weight_24_prefactor_within_its_eighth_of_a_unit(x, y):
-    # each term's weight is the prefactor times u_c 2^-P: u_c = floor(2^P c^-w)
-    # (x = 0), else a Bessel value over c scaled by the power of two moved
-    # into the prefactor, within du_c + 2^-P; the prefactor may add 2^-wp/8
-    # relative
+    # each term's weight is the prefactor times u_c 2^-e: u_c = floor(2^e c^-w)
+    # with e = P (x = 0), else a Bessel value over c within du_c + 2^-e; the
+    # prefactor may add 2^-wp/8 relative
     data = AutomorphyData(weight=24, chi=TrivialMultiplier(),
                           rho=trivial_representation(), group=sl2z())
     trunc = TruncationParams(c_max=5, tail_tol=1.0, ctx=CTX)
     with CTX.working():
         wp = mpmath.mp.prec
         s = _coefficient_sum(data, 24, x, y, 1, 1, trunc)
-    prec = wp + 3 + 8
     if x == 0:
         assert s.weight == 24
-        u, du = [(1 << prec) // c ** 24 for c in range(1, 6)], [0.0] * 5
+        e = wp + 3 + 8
+        u, du = [(1 << e) // c ** 24 for c in range(1, 6)], [0.0] * 5
     else:
-        u, _u_abs, du = s.weight
+        u, e, _u_abs, du = s.weight
     with mpmath.workprec(400):
         yy = mpmath.mpf(y.numerator) / y.denominator
         for c, u_c, du_c in zip(range(1, 6), u, du):
@@ -484,8 +483,8 @@ def test_weight_24_prefactor_within_its_eighth_of_a_unit(x, y):
                 bessel = mpmath.besseli if x < 0 else mpmath.besselj
                 exact = 2 * mpmath.pi * yy ** mpmath.mpf(11.5) / c \
                     * bessel(23, 4 * mpmath.pi * mpmath.sqrt(yy) / c)
-            got = s.pref * mpmath.ldexp(u_c, -prec)
-            bound = abs(s.pref) * (du_c + 2.0 ** -prec) + abs(exact) * 2.0 ** -wp / 8
+            got = s.pref * mpmath.ldexp(u_c, -e)
+            bound = abs(s.pref) * (du_c + 2.0 ** -e) + abs(exact) * 2.0 ** -wp / 8
             assert abs(got - exact) <= bound
 
 
