@@ -335,7 +335,7 @@ def cmd_selfcheck(args) -> int:
     import math
 
     from .groups import enumerate_cplus, sl2z
-    from .poincare import kloosterman_layer, poincare_coefficient
+    from .poincare import _coefficient_sum, _run, _value, kloosterman_layer
     from .specialfn import bessel_i, bessel_j, gamma_upper
 
     _data, trunc = build_config(args, weight=4)  # validates the configuration
@@ -347,7 +347,7 @@ def cmd_selfcheck(args) -> int:
     checks.append(("cplus-cardinality-phi", ok))
 
     def scalar(chi):
-        return AutomorphyData(weight=12, chi=chi, group=sl2z(),
+        return AutomorphyData(weight=4, chi=chi, group=sl2z(),
                               rho=DiagonalRepresentation((TrivialMultiplier(),)))
 
     trivial = scalar(TrivialMultiplier())
@@ -362,16 +362,18 @@ def cmd_selfcheck(args) -> int:
         lay = kloosterman_layer(trivial, c, Fraction(1), Fraction(-1))
         ok = ok and abs(direct - lay) < 1e-9
     checks.append(("kloosterman-layer-direct", ok))
-    # the exact x = 0 weight-12 Ramanujan c-sums against the same sums
+    # the exact x = 0 weight-4 Ramanujan c-sums against the same sums
     # through the box layers of eta^24 (trivial on SL2(Z), but not a
-    # TrivialMultiplier), within both tails
+    # TrivialMultiplier), within both noise bounds (the c <= 60 sums agree)
     small = TruncationParams(c_max=60, tail_tol=1.0, ctx=ctx)
     with ctx.working():
-        ok = True
-        for y in (1, 2, 3):
-            (v1, t1), (v2, t2) = (poincare_coefficient(data, 12, 0, 1, y, 1, small)
-                                  for data in (trivial, scalar(EtaPowerMultiplier(24))))
-            ok = ok and abs(v1 - v2) <= t1 + t2
+        sides = []
+        for data in (trivial, scalar(EtaPowerMultiplier(24))):
+            sums = [_coefficient_sum(data, 4, Fraction(0), Fraction(y), 1, 1, small)
+                    for y in (1, 2, 3)]
+            _run(data, sums, small)
+            sides.append([(_value([s]), s.noise) for s in sums])
+        ok = all(abs(v1 - v2) <= n1 + n2 for (v1, n1), (v2, n2) in zip(*sides))
     checks.append(("ramanujan-csum", ok))
     with ctx.working():
         # Gamma(3, z) = 2 Gamma(2, z) + z^2 e^-z, to the context's bits

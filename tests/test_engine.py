@@ -225,8 +225,8 @@ def _engine_sum(trunc):
 
 def _noise_rule(s, trunc, layer_error):
     """The documented noise of a power-weight c-sum over box layers:
-    |pref| (sum_c ((0 + 2^-P) c + |u_c| 2^-P dK_c + 2^-P) + 2^(1-wp) |S| 2^-P),
-    u_c = floor(2^P / c^4), P = wp + bit_length(c_max) + 8."""
+    |pref| (sum_c ((0 + 2^-e) c + |u_c| 2^-e dK_c + 2^-e) + 2^(1-wp) |S| 2^-e),
+    u_c = floor(2^e / c^4), e = P = wp + bit_length(c_max) + 8 on SL2(Z)."""
     with CTX.working():
         wp = mpmath.mp.prec
         pref = float(abs(s.pref))
