@@ -174,8 +174,7 @@ def cmd_grid(args) -> int:
     pair = build_pair(data, args.k, args.n1, args.alpha1, args.n2, args.alpha2,
                       trunc, lmax=args.lmax)
     f, G, rep = pair.f, pair.G, pair.duality
-    pair_row = {"n1": args.n1, "a1": args.alpha1, "n2": args.n2,
-                "a2": args.alpha2}
+    pair_row = {"n1": args.n1, "a1": args.alpha1, "n2": args.n2, "a2": args.alpha2}
     _complex_entry(pair_row, rep.lhs, "lhs_re", "lhs_im")
     _complex_entry(pair_row, rep.rhs, "rhs_re", "rhs_im")
     _float_entry(pair_row, "residual", rep.residual)
@@ -183,6 +182,7 @@ def cmd_grid(args) -> int:
     for (l, j), v in sorted(G.nonholo.items()):
         e = {"l": l, "j": j}
         _complex_entry(e, v)
+        _float_entry(e, "tail_bound", G.nonholo_tails.get((l, j), 0.0))
         nonholo.append(e)
     payload = {
         "k": args.k,
@@ -192,8 +192,11 @@ def cmd_grid(args) -> int:
         "shadow": _series_json(G.shadow, data, args),
         "duality": {"pairs": [pair_row]},
     }
-    bad = f.unconverged_entries() + G.holo.unconverged_entries()
-    payload["unconverged"] = [{"n": n, "j": j} for (n, j) in bad]
+    parts = {"f": f.unconverged_entries(), "G_plus": G.holo.unconverged_entries(),
+             "G_minus": [key for key, t in sorted(G.nonholo_tails.items()) if not t <= args.tol],
+             "shadow": G.shadow.unconverged_entries()}
+    bad = [{"part": part, "n": n, "j": j} for part, keys in parts.items() for (n, j) in keys]
+    payload["unconverged"] = bad
     _emit(args, payload)
     return 2 if bad else 0
 
@@ -241,9 +244,8 @@ def cmd_lvalue(args) -> int:
     f = _build_sform(args, data, trunc)
     twist = TwistSpec.from_element(gamma, data.lam)
     values = []
-    for s in args.s:
-        lv = lvalue_series(f, twist, s, t0=args.t0, trunc=trunc)
-        row = {"s": s,
+    for lv in lvalue_series(f, twist, args.s, t0=args.t0, trunc=trunc):
+        row = {"s": lv.s,
                "twist": {"a": twist.gamma.a, "b": twist.gamma.b,
                          "c": twist.gamma.c, "d": twist.gamma.d},
                "t0": args.t0, "method": lv.method}
@@ -251,7 +253,7 @@ def cmd_lvalue(args) -> int:
         _float_entry(row, "err", lv.err)
         values.append(row)
         if args.method == "both":
-            li = lvalue_integral(f, twist, s, t0=args.t0)
+            li = lvalue_integral(f, twist, lv.s, t0=args.t0)
             row2 = dict(row)
             row2["method"] = li.method
             _complex_entry(row2, li.value)

@@ -164,7 +164,7 @@ def period_r_parabolic(f: FourierSeries, gamma: GroupElement, k: int) -> PeriodP
 
 def period_r(f: FourierSeries, gamma: GroupElement, k: int,
              trunc: TruncationParams, t0: float = 1.0) -> PeriodPolynomial:
-    """r(f, gamma; tau) from the k+1 critical twisted L-values:
+    """r(f, gamma; tau) from the k+1 critical twisted L-values, one pass:
 
         sum_{n=0}^k i^{1-n} binom(k,n) L*(f, zeta_{c lam}^{-d}, n+1)
                     (tau + d/c)^{k-n}.
@@ -177,8 +177,7 @@ def period_r(f: FourierSeries, gamma: GroupElement, k: int,
     twist = TwistSpec.from_element(gamma, f.automorphy.lam)
     g = twist.gamma
     coeffs = np.zeros(k + 1, dtype=complex)
-    for n in range(k + 1):
-        lv = lvalue_series(f, twist, n + 1, t0=t0, trunc=trunc)
+    for n, lv in enumerate(lvalue_series(f, twist, range(1, k + 2), t0=t0, trunc=trunc)):
         coeffs[k - n] = complex(1j ** (1 - n)) * math.comb(k, n) * complex(lv.lstar)
     return PeriodPolynomial(g, k, coeffs, shift=g.d / g.c)
 

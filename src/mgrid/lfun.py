@@ -13,7 +13,10 @@ element gamma = (a b; c d), c > 0, the completed twisted series is
 with zeta^x = e^{2 pi i x/(c lam)}, principal powers (arg in (-pi, pi]),
 and L = (2 pi)^s / Gamma(s) L*.  The value is independent of t0; the
 incomplete-gamma factors at the finitely many negative frequencies carry
-the regularization.  The integral representation
+the regularization.  lvalue_series sums it for a list of s in one pass
+over the coefficients, with Gamma(n, x) at integer n >= 1 from one
+fixed-point sweep of its finite sum (DLMF 8.4.8) per argument, within
+2^-wp (|Gamma(n, x)| + Gamma(n, |x|)).  The integral representation
 
     L* = i^{-s} R.int_{-d/c}^{i inf} f(tau) (tau + d/c)^{s-1} dtau
 
@@ -89,26 +92,69 @@ class LValue:
     err: float
 
 
-def _gamma_factor_bound(s: int, x: float) -> float:
-    """Rough decreasing majorant of |Gamma(s, x)| for x > 0 (estimates only)."""
-    if x <= 2 * max(s, 1):
-        return math.gamma(max(s, 1))
-    return 2.0 * x ** (s - 1) * math.exp(-x)
+def _gamma_sweep(x, orders) -> dict:
+    """{n: Gamma(n, x)} for the given orders n >= 1 and real mpf x, by one
+    sweep of DLMF 8.4.8, Gamma(n, x) = (n-1)! e^{-x} sum_{j<n} x^j/j!, in
+    fixed point: X = x 2^p exactly, T_0 = 2^p, T_j = ((T_{j-1} X) >> p) // j.
+    Two floors a step put the partial sums within 2n sum_{j<n} |x|^j/j!
+    units, so with exp and the product at p bits the error is at most
+    (2n+3) 2^-p e^{|x|-x} Gamma(n, |x|).  p = wp + max(10, bit_length(2N+3)
+    + 1) + (2|x| log2(e) when x < 0, the sum's cancellation) makes every
+    value, rounded to wp = mp.prec, within 2^-wp (|Gamma(n, x)| +
+    Gamma(n, |x|)); for N <= 254, p does not depend on the orders asked.
+    """
+    n_max = max(orders, default=0)
+    prec = mpmath.mp.prec + max(10, (2 * n_max + 3).bit_length() + 1)
+    if x < 0:
+        prec += math.ceil(2 * 1.4426950408889634 * float(-x))
+    sign, man, exp, _bc = mpmath.mpf(x)._mpf_
+    prec = max(prec, -exp)
+    big_x = (-1) ** sign * man << (exp + prec)
+    out = {}
+    with mpmath.workprec(prec):
+        ex = mpmath.exp(-x)
+        term, psum, fact = 1 << prec, 0, 1
+        for n in range(1, n_max + 1):
+            psum += term
+            if n in orders:
+                out[n] = mpmath.ldexp(ex * (fact * psum), -prec)
+            term = ((term * big_x) >> prec) // n
+            fact *= n
+    return {n: +g for n, g in out.items()}
 
 
-def lvalue_series(f: FourierSeries, twist: TwistSpec, s: int, t0: float = 1.0,
-                  trunc: TruncationParams | None = None) -> LValue:
-    """Twisted L-value by the incomplete-gamma series (the regularization).
+def _gamma_majorant(s: int, x: float) -> float:
+    """Certified upper bound on Gamma(s, x), integer s, real x > 0: DLMF 8.4.8
+    for s > 1, x^{s-1} e^{-x} (DLMF 8.10.1) for s <= 1; exps of double sums
+    of logs, each exponent off by under `slack`, plus a subnormal a term."""
+    log_x = math.log(x)
+    total = math.fsum(math.exp(math.lgamma(s) - x + j * log_x - math.lgamma(j + 1))
+                      for j in range(s)) if s > 1 else math.exp((s - 1) * log_x - x)
+    slack = 2.0**-48 * (x + (abs(s) + 1) * (abs(log_x) + math.lgamma(abs(s) + 2)))
+    return total * (1 + 2 * slack) + max(s, 1) * math.ulp(0.0)
+
+
+def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
+                  trunc: TruncationParams | None = None):
+    """Twisted L-values by the incomplete-gamma series (the regularization).
+
+    s is an integer >= 1 (one LValue) or a sequence of them (a list, in
+    order), all from one pass over the stored coefficients: a coefficient's
+    frequency, twist phases and Gamma(n, x) at every order n >= 1 needed
+    come once, from one _gamma_sweep per argument (one for both when
+    x1 = x2).  An order <= 0 (s >= weight) calls gamma_upper.
 
     All stored coefficients enter; the err field reports the estimated
-    neglected remainder plus the propagated coefficient tail bounds.  The
+    neglected remainder (a guessed coefficient envelope times certified
+    gamma majorants) plus the propagated coefficient tail bounds.  The
     working precision is the context of trunc when given, else of f.
     """
+    s_list = list(s) if hasattr(s, "__iter__") else [s]
     if f.automorphy.dim != 1:
         raise NotImplementedError("L-series are computed per scalar component")
     if not f.has_zero_constant_term():
         raise ValueError("L-series require a vanishing constant term")
-    if s < 1:
+    if any(si < 1 for si in s_list):
         raise ValueError("critical values are taken at integer s >= 1")
     if t0 <= 0:
         raise ValueError("t0 must be positive")
@@ -117,54 +163,56 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s: int, t0: float = 1.0,
     g = twist.gamma
     a_g, c_g, d_g = g.a, g.c, g.d
     lam = f.automorphy.lam
-    kap = f.automorphy.kappa_of(1)
+    # estimated remainder past the stored range (positive-frequency side)
+    rem = dict.fromkeys(s_list, 0.0)
+    if f.coeffs:
+        m_top = max(m for (m, _j) in f.coeffs) + 1
+        order = -min((n for (n, _j) in f.principal_support()), default=0)  # guessed
+        env = coefficient_envelope(f.automorphy, w, order, 1, m_top, 1)
+        x1t = 2 * math.pi * float(m_top + f.automorphy.kappa_of(1)) * t0 / float(lam)
+        x2t = 2 * math.pi * float(m_top + f.automorphy.kappa_of(1)) / (c_g * c_g * t0 * float(lam))
+        for si in rem:
+            rem[si] = 2 * (env * (_gamma_majorant(si, x1t) + c_g ** (w - 2 * si)
+                                  * _gamma_majorant(w - si, x2t)))
+    acc = {si: ([], [], [0.0]) for si in s_list}  # terms1, terms2, err
+    orders1, orders2 = set(acc), {w - si for si in acc if w - si >= 1}
     with ctx.working():
         lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
         two_pi = 2 * mpmath.pi
+        chi_g = f.automorphy.scalar_character(1).value(g)
         # i^w times the arg(-c)^(w - 2s) phase e(w/2 - s) for c > 0
-        pref2 = (exp2pi(Fraction(3 * w, 4)) * mpmath.mpf(c_g) ** (w - 2 * s)
-                 / f.automorphy.scalar_character(1).value(g))
-        terms1, terms2 = [], []
-        err = 0.0
+        pref2 = {si: exp2pi(Fraction(3 * w, 4)) * mpmath.mpf(c_g) ** (w - 2 * si) / chi_g
+                 for si in acc}
         for (m, _j), am in f.items():
             if am == 0:
                 continue
             fr = f.freq(m, 1)  # m + kappa, exact Fraction
             fmp = mpmath.mpf(fr.numerator) / fr.denominator
             x1 = two_pi * fmp * t0 / lam_mp
-            g1 = gamma_upper(s, x1, ctx)
-            base = two_pi * fmp / lam_mp
-            # principal power of a possibly negative real base
-            pw1 = mpmath.power(mpmath.mpc(base), s)
-            terms1.append(am * twist.zeta_power(-d_g * fr) * g1 / pw1)
             x2 = two_pi * fmp / (c_g * c_g * t0 * lam_mp)
-            g2 = gamma_upper(w - s, x2, ctx)
-            pw2 = mpmath.power(mpmath.mpc(base), w - s)
-            terms2.append(am * twist.zeta_power(a_g * fr) * g2 / pw2)
+            # principal powers of a possibly negative real base
+            base = mpmath.mpc(two_pi * fmp / lam_mp)
+            gam1 = _gamma_sweep(x1, orders1 | orders2 if x1 == x2 else orders1)
+            gam2 = gam1 if x1 == x2 else _gamma_sweep(x2, orders2)
+            az1 = am * twist.zeta_power(-d_g * fr)
+            az2 = am * twist.zeta_power(a_g * fr)
             tb = f.tails.get((m, 1), 0.0)
-            if tb:
-                err += tb * float(abs(g1 / pw1) + abs(pref2) * abs(g2 / pw2))
-        lstar = compensated_sum(terms1) + pref2 * compensated_sum(terms2)
-        value = (two_pi) ** s / mpmath.factorial(s - 1) * lstar
-    # estimated remainder past the stored range (positive-frequency side)
-    stored = [m for (m, _j) in f.coeffs]
-    if not stored:
-        return LValue(s, twist, value, lstar, "series", t0, err)
-    m_top = max(stored) + 1
-    env = coefficient_envelope(f.automorphy, w, _poincare_order_of(f), 1, m_top, 1)
-    x1t = 2 * math.pi * float(m_top + kap) * t0 / float(lam)
-    x2t = 2 * math.pi * float(m_top + kap) / (c_g * c_g * t0 * float(lam))
-    rem = env * (_gamma_factor_bound(s, x1t) + c_g ** (w - 2 * s)
-                 * _gamma_factor_bound(w - s, x2t))
-    err += 2 * rem
-    return LValue(s, twist, value, lstar, "series", t0, err)
-
-
-def _poincare_order_of(f: FourierSeries) -> int:
-    """Heuristic order of the pole for the envelope estimate: the most
-    negative stored index (0 for cusp forms)."""
-    neg = [n for (n, _j) in f.coeffs if f.freq(n, _j) < 0]
-    return -min(neg) if neg else 0
+            for si, (terms1, terms2, err) in acc.items():
+                g1 = gam1[si]
+                g2 = gam2[w - si] if w - si >= 1 else gamma_upper(w - si, x2, ctx)
+                pw1 = mpmath.power(base, si)
+                pw2 = mpmath.power(base, w - si)
+                terms1.append(az1 * g1 / pw1)
+                terms2.append(az2 * g2 / pw2)
+                if tb:
+                    err[0] += tb * float(abs(g1 / pw1) + abs(pref2[si]) * abs(g2 / pw2))
+        out = []
+        for si in s_list:
+            terms1, terms2, err = acc[si]
+            lstar = compensated_sum(terms1) + pref2[si] * compensated_sum(terms2)
+            value = two_pi ** si / mpmath.factorial(si - 1) * lstar
+            out.append(LValue(si, twist, value, lstar, "series", t0, err[0] + rem[si]))
+    return out if hasattr(s, "__iter__") else out[0]
 
 
 def lvalue_integral(f: FourierSeries, twist: TwistSpec, s: int,
@@ -226,15 +274,6 @@ class PairingMatrix:
     def feature_dim(self) -> int:
         return len(self.gens) * (self.k + 1)
 
-    def entry(self, alpha: int, i: int, beta: int, j: int) -> complex:
-        """B_{alpha,beta}(i, j): degrees 0 <= alpha,beta <= k, generators
-        1 <= i,j <= t (feature order is generator-major, degree-minor)."""
-        if not (0 <= alpha <= self.k and 0 <= beta <= self.k):
-            raise IndexError("degree index out of range")
-        if not (1 <= i <= len(self.gens) and 1 <= j <= len(self.gens)):
-            raise IndexError("generator index out of range")
-        return complex(self.B[(i - 1) * (self.k + 1) + alpha,
-                              (j - 1) * (self.k + 1) + beta])
 
 
 def period_feature_vector(rh_polys) -> np.ndarray:

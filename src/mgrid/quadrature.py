@@ -24,55 +24,49 @@ __all__ = ["vertical_poly_integral", "regularized_moment", "eval_component_grid"
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
+def _component_terms(series: FourierSeries, j: int):
+    """(float frequencies F, complex coefficients a) of component j, in the
+    series' iteration order: the one float conversion a quadrature makes."""
+    terms = [(float(series.freq(n, jj)), complex(v))
+             for (n, jj), v in series.items() if jj == j]
+    return np.array([F for F, _a in terms]), np.array([a for _F, a in terms], dtype=complex)
+
+
+def _eval_terms(F: np.ndarray, a: np.ndarray, lam: float, zs: np.ndarray) -> np.ndarray:
+    """sum a e^{2 pi i F z / lambda} over the terms (F, a), on a grid."""
+    return a @ np.exp(2j * np.pi * np.outer(F, zs) / lam)
+
+
 def eval_component_grid(series: FourierSeries, j: int, zs: np.ndarray,
                         principal: bool = True) -> np.ndarray:
     """Component j of the series on a grid of points (complex128).
 
     principal=False drops the exponentially growing terms (freq < 0).
     """
-    lam = float(series.automorphy.lam)
-    freqs, coeffs = [], []
-    for (n, jj), v in series.items():
-        if jj != j:
-            continue
-        f = float(series.freq(n, jj))
-        if not principal and f < 0:
-            continue
-        freqs.append(f)
-        coeffs.append(complex(v))
-    if not freqs:
-        return np.zeros_like(zs, dtype=complex)
-    freqs = np.asarray(freqs)
-    coeffs = np.asarray(coeffs)
-    phases = np.exp(2j * np.pi * np.outer(freqs, zs) / lam)
-    return coeffs @ phases
+    F, a = _component_terms(series, j)
+    keep = (F >= 0) | principal
+    return _eval_terms(F[keep], a[keep], float(series.automorphy.lam), zs)
 
 
-def _closed_form_ray(series: FourierSeries, j: int, z0: complex, P: complex,
-                     R: complex, M: int, select) -> complex:
-    """Exact ray integral of the selected Fourier terms against (P + Rt)^M.
+def _closed_form_ray(freqs: np.ndarray, coeffs: np.ndarray, lam: float, z0: complex,
+                     P: complex, R: complex, M: int) -> complex:
+    """Exact ray integral of the Fourier terms (F, a) against (P + Rt)^M.
 
-    For each term a e^{2 pi i F z / lambda}:
+    For each term a e^{2 pi i F z / lambda} with F != 0:
       i * a * e^{2 pi i F z0 / lambda} *
         sum_j binom(M, j) P^{M-j} R^j * j! / beta^{j+1},   beta = 2 pi F / lambda,
     the j!/beta^{j+1} factor being the regularized moment for beta < 0.
     """
-    lam = float(series.automorphy.lam)
     total = 0j
-    for (n, jj), v in series.items():
-        if jj != j:
+    for F, a in zip(freqs.tolist(), coeffs.tolist()):
+        if a == 0:
             continue
-        F = float(series.freq(n, jj))
-        if not select(F) or complex(v) == 0:
-            continue
-        if F == 0:
-            raise ValueError("ray integrals require a vanishing constant term")
         beta = 2 * math.pi * F / lam
         inner = 0j
         for m in range(M + 1):
             inner += (math.comb(M, m) * P ** (M - m) * R**m
                       * math.factorial(m) / beta ** (m + 1))
-        total += 1j * complex(v) * np.exp(2j * np.pi * F * z0 / lam) * inner
+        total += 1j * a * np.exp(2j * np.pi * F * z0 / lam) * inner
     return total
 
 
@@ -84,14 +78,15 @@ def vertical_poly_integral(series: FourierSeries, j: int, z0: complex,
     Principal-part terms are integrated exactly; the rest by composite
     Gauss-Legendre up to a height V where the first neglected contribution
     is below tol, with the closed-form tail of the stored series added.
+    Component j is converted to floats once, for every panel and both
+    closed forms.
     """
     lam = float(series.automorphy.lam)
-    pos_freqs = [float(series.freq(n, jj)) for (n, jj) in series.coeffs
-                 if jj == j and series.freq(n, jj) > 0]
-    value = _closed_form_ray(series, j, z0, P, R, M, select=lambda F: F < 0)
-    if not pos_freqs:
+    F, a = _component_terms(series, j)
+    value = _closed_form_ray(F[F < 0], a[F < 0], lam, z0, P, R, M)
+    if not (F > 0).any():
         return value
-    fmin = min(pos_freqs)
+    fmin = F[F > 0].min()
     # height where the slowest-decaying term, times polynomial growth, dies
     V = 1.0
     scale = max(abs(P), 1.0) + abs(R)
@@ -103,18 +98,17 @@ def vertical_poly_integral(series: FourierSeries, j: int, z0: complex,
     while edges[-1] < V:
         edges.append(min(edges[-1] + step, V))
         step *= 2
-    bulk = 0j
+    bulk, F_dec, a_dec = 0j, F[F >= 0], a[F >= 0]
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = (hi - lo) / 2
         ts = lo + half * (_NODES + 1)
         zs = z0 + 1j * ts
-        fv = eval_component_grid(series, j, zs, principal=False)
+        fv = _eval_terms(F_dec, a_dec, lam, zs)
         integrand = fv * (P + R * ts) ** M
         bulk += half * np.sum(_WEIGHTS * integrand)
     bulk *= 1j  # dz = i dt
     z_top = z0 + 1j * V
-    tail = _closed_form_ray(series, j, z_top, P + R * V, R, M,
-                            select=lambda F: F > 0)
+    tail = _closed_form_ray(F[F > 0], a[F > 0], lam, z_top, P + R * V, R, M)
     return value + bulk + tail
 
 
@@ -149,7 +143,6 @@ def regularized_moment(series: FourierSeries, gamma, m: int, t0: float = 1.0,
     upper = vertical_poly_integral(series, j, z1, z1 + d / c, 1j, m, tol)
     w0 = (a * z1 + (a * d - 1) // c) / (c * z1 + d)
     Mlow = series.weight - 2 - m
-    low_int = vertical_poly_integral(series, j, w0, -c * w0 + a, -1j * c,
-                                     Mlow, tol)
+    low_int = vertical_poly_integral(series, j, w0, -c * w0 + a, -1j * c, Mlow, tol)
     chi_val = complex(chi_eff.value(gamma))
     return upper - low_int * c ** (-m) / chi_val

@@ -88,6 +88,23 @@ def test_grid_pair_report(capsys):
     assert doc["G_plus"]["weight"] == -10
     assert doc["duality"]["pairs"][0]["residual"] < 1e-6
     assert doc["G_minus"]
+    assert all("tail_bound" in e for e in doc["G_minus"])
+    assert doc["unconverged"] == []
+
+
+def test_grid_unconverged_shadow_exits_2(capsys):
+    # at c_max 20 the E_12-like f and the G+ entries are within 1e-7, the
+    # shadow P_{-2} is not: only the shadow rows may make the run fail
+    rc, out, _err = run_cli(capsys, [
+        "grid", "--k", "10", "--n1", "0", "--n2", "2", "--lmax", "3",
+        "--cmax", "20", "--tol", "1e-7",
+    ])
+    doc = json.loads(out)
+    assert rc == 2
+    assert doc["unconverged"]
+    assert {e["part"] for e in doc["unconverged"]} == {"shadow"}
+    tails = [e["tail_bound"] for part in ("f", "G_plus") for e in doc[part]["entries"]]
+    assert max(tails + [e["tail_bound"] for e in doc["G_minus"]]) <= 1e-7
 
 
 def test_odd_weight_trivial_character_exits_1(capsys):

@@ -243,3 +243,18 @@ def test_period_space_injectivity_dim1():
     f = cusp_form_wt12(40)
     poly = period_r(f, S, 10, TR)
     assert poly.norm() > 1e-8
+
+
+def test_eval_component_grid_matches_the_stored_terms():
+    # the one-shot entry on the quadrature's term list: every stored term of
+    # the component, or only the non-growing ones when principal=False
+    from mgrid.quadrature import eval_component_grid
+
+    wh = poincare_series(DATA12, 12, 1, 1, range(1, 6), TR)
+    zs = np.array([0.1 + 0.8j, -0.3 + 1.5j])
+    for principal in (True, False):
+        want = sum(complex(v) * np.exp(2j * np.pi * n * zs)
+                   for (n, _j), v in wh.items() if principal or n >= 0)
+        got = eval_component_grid(wh, 1, zs, principal=principal)
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+    assert np.array_equal(eval_component_grid(wh, 2, zs), np.zeros(2))

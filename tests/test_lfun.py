@@ -1,6 +1,8 @@
 """Twisted L-values: t0 invariance, series vs integral representation,
 Petersson unfolding symmetry, and the period-pairing fit."""
 
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from mgrid.automorphy import (
     TrivialMultiplier,
     trivial_representation,
 )
-from mgrid.eichler import period_rH, supplementary
+import mgrid.lfun as lfun
+from mgrid.cli import main
+from mgrid.eichler import period_r, period_rH, supplementary
 from mgrid.groups import S, T, GroupElement, sl2z
 from mgrid.lfun import (
     TwistSpec,
@@ -178,3 +182,106 @@ def test_fit_pairing_eta_multiplier_pure_L_branch():
     p0 = poincare_series(data, 5, 0, 1, range(1, 3), tr)
     truth = complex(petersson_poincare(p0, -1, 1, data, k))
     assert abs(pred - truth) / abs(truth) < 1e-4
+
+
+# a twist whose a and d are both nonzero, with c = 2 (nontrivial phases)
+TWIST_2 = TwistSpec.from_element(GroupElement(1, 1, 2, 3), 1)
+
+
+@pytest.mark.parametrize("series, t0", [("delta", 1.0), ("delta", 2.0), ("wh", 1.0)])
+def test_one_pass_equals_single_calls(delta_like, series, t0):
+    f = delta_like if series == "delta" else poincare_series(DATA12, 12, 1, 1,
+                                                             range(1, 30), TR)
+    if series == "wh":
+        assert min(f.freq(n, j) for (n, j) in f.coeffs) < 0
+    one_pass = lvalue_series(f, TWIST_2, range(1, 12), t0=t0, trunc=TR)
+    assert [lv.s for lv in one_pass] == list(range(1, 12))
+    for lv in one_pass:
+        single = lvalue_series(f, TWIST_2, lv.s, t0=t0, trunc=TR)
+        assert lv.value == single.value
+        assert lv.lstar == single.lstar
+        assert lv.err == single.err
+
+
+GAMMA_SWEEP_X = [-6 * mpmath.pi, -2 * mpmath.pi, mpmath.mpf("1e-3"), 1,
+                 2 * mpmath.pi, 120 * mpmath.pi, 800]
+
+
+@pytest.mark.parametrize("bits", [53, 113, 200])
+def test_gamma_sweep_within_documented_bound(bits):
+    # |G_n - Gamma(n, x)| <= 2^-wp (|Gamma(n, x)| + Gamma(n, |x|)); at x = -2 pi
+    # the sum cancels from e^{2 pi} to e^{-2 pi}, and without the x < 0 guard
+    # bits the high orders fall outside the bound
+    orders = range(1, 25)
+    for x0 in GAMMA_SWEEP_X:
+        with PrecisionContext(bits, 1e-30).working():
+            x = +mpmath.mpf(x0)
+            wp = mpmath.mp.prec
+            got = lfun._gamma_sweep(x, orders)
+        assert sorted(got) == list(orders)
+        with mpmath.workprec(600):
+            for n in orders:
+                exact = mpmath.re(mpmath.gammainc(n, x))
+                bound = mpmath.ldexp(abs(exact) + mpmath.gammainc(n, abs(x)), -wp)
+                assert abs(got[n] - exact) <= bound, (bits, float(x), n)
+
+
+def test_gamma_majorant_is_certified():
+    # the old "rough" bound gave 1.0 for Gamma(0, 0.1) = 1.823
+    assert lfun._gamma_majorant(0, 0.1) >= 1.8229
+    for s in range(-3, 25):
+        for x in (0.05, 0.1, 0.5, 1, 2, 5, 30, 200):
+            with mpmath.workprec(600):
+                exact = mpmath.gammainc(s, x)
+            assert lfun._gamma_majorant(s, x) >= exact, (s, x)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_period_polynomials_make_one_lvalue_pass(delta_like, monkeypatch):
+    calls = _counting(monkeypatch, lfun, "lvalue_series")
+    period_r(delta_like, S, 10, TR)
+    assert len(calls) == 1
+    period_rH(delta_like, S, 10, TR)
+    assert len(calls) == 2
+
+
+def test_cli_lvalue_makes_one_pass(capsys, monkeypatch):
+    calls = _counting(monkeypatch, lfun, "lvalue_series")
+    rc = main(["lvalue", "--weight", "12", "--n", "-1", "--s", "2", "--s", "6",
+               "--s", "11", "--lmax", "20", "--cmax", "20", "--tol", "1e-2"])
+    values = json.loads(capsys.readouterr().out)["values"]
+    assert rc == 0
+    assert len(calls) == 1
+    assert [row["s"] for row in values] == [2, 6, 11]
+
+
+def test_critical_s_make_no_gamma_upper_call(delta_like, monkeypatch):
+    calls = _counting(monkeypatch, lfun, "gamma_upper")
+    lvalue_series(delta_like, TWIST_S, range(1, 12), trunc=TR)
+    period_rH(delta_like, S, 10, TR)
+    assert calls == []
+
+
+def test_s_at_or_above_weight_reaches_gamma_upper(delta_like, monkeypatch):
+    # orders w - s <= 0 leave the sweep; the values are those of the
+    # one-gammainc-per-term implementation this sweep replaced
+    calls = _counting(monkeypatch, lfun, "gamma_upper")
+    lvs = lvalue_series(delta_like, TWIST_S, [12, 13], trunc=TR)
+    assert len(calls) == 2 * 60
+    before = {12: "2.824789895048719242612899845603453225378",
+              13: "2.832362598646802084496167914670593866186"}
+    with mpmath.workprec(200):
+        for lv in lvs:
+            ref = mpmath.mpf(before[lv.s])
+            assert abs(lv.value - ref) <= mpmath.ldexp(ref, 4 - 113)
