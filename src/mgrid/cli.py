@@ -167,17 +167,22 @@ def cmd_coeffs(args) -> int:
     return 2 if bad else 0
 
 
+def _duality_row(rep) -> dict:
+    row = {"n1": rep.n1, "a1": rep.alpha1, "n2": rep.n2, "a2": rep.alpha2}
+    _complex_entry(row, rep.lhs, "lhs_re", "lhs_im")
+    _complex_entry(row, rep.rhs, "rhs_re", "rhs_im")
+    for key in ("residual", "lhs_tail", "rhs_tail"):
+        _float_entry(row, key, getattr(rep, key))
+    return row
+
+
 def cmd_grid(args) -> int:
     from .gridforms import build_pair
 
     data, trunc = build_config(args, weight=args.k + 2)
     pair = build_pair(data, args.k, args.n1, args.alpha1, args.n2, args.alpha2,
                       trunc, lmax=args.lmax)
-    f, G, rep = pair.f, pair.G, pair.duality
-    pair_row = {"n1": args.n1, "a1": args.alpha1, "n2": args.n2, "a2": args.alpha2}
-    _complex_entry(pair_row, rep.lhs, "lhs_re", "lhs_im")
-    _complex_entry(pair_row, rep.rhs, "rhs_re", "rhs_im")
-    _float_entry(pair_row, "residual", rep.residual)
+    f, G, pair_row = pair.f, pair.G, _duality_row(pair.duality)
     nonholo = []
     for (l, j), v in sorted(G.nonholo.items()):
         e = {"l": l, "j": j}
@@ -196,27 +201,20 @@ def cmd_grid(args) -> int:
              "G_minus": [key for key, t in sorted(G.nonholo_tails.items()) if not t <= args.tol],
              "shadow": G.shadow.unconverged_entries()}
     bad = [{"part": part, "n": n, "j": j} for part, keys in parts.items() for (n, j) in keys]
+    bad += [{"part": "duality", "side": side} for side in ("lhs", "rhs")
+            if not pair_row[side + "_tail"] <= args.tol]
     payload["unconverged"] = bad
     _emit(args, payload)
     return 2 if bad else 0
 
 
 def cmd_duality(args) -> int:
-    from .gridforms import verify_duality
+    from .gridforms import build_grid
 
     data, trunc = build_config(args, weight=args.k + 2)
-    pairs = []
-    for n1 in args.n1:
-        for n2 in args.n2:
-            rep = verify_duality(data, args.k, n1, args.alpha1, n2,
-                                 args.alpha2, trunc)
-            row = {"n1": n1, "a1": args.alpha1, "n2": n2, "a2": args.alpha2}
-            _complex_entry(row, rep.lhs, "lhs_re", "lhs_im")
-            _complex_entry(row, rep.rhs, "rhs_re", "rhs_im")
-            _float_entry(row, "residual", rep.residual)
-            _float_entry(row, "lhs_tail", rep.lhs_tail)
-            _float_entry(row, "rhs_tail", rep.rhs_tail)
-            pairs.append(row)
+    reports = build_grid(data, args.k, trunc, duality=[(n1, args.alpha1, n2, args.alpha2)
+                                                       for n1 in args.n1 for n2 in args.n2])[2]
+    pairs = [_duality_row(rep) for rep in reports]
     payload = {"k": args.k, "pairs": pairs}
     rows = [(r["n1"], r["a1"], r["n2"], r["a2"], repr(r["lhs_re"]),
              repr(r["lhs_im"]), repr(r["residual"])) for r in pairs]
@@ -337,7 +335,7 @@ def cmd_selfcheck(args) -> int:
     import math
 
     from .groups import enumerate_cplus, sl2z
-    from .poincare import _coefficient_sum, _run, _value, kloosterman_layer
+    from .poincare import Walk, kloosterman_layer
     from .specialfn import bessel_i, bessel_j, gamma_upper
 
     _data, trunc = build_config(args, weight=4)  # validates the configuration
@@ -367,15 +365,13 @@ def cmd_selfcheck(args) -> int:
     # the exact x = 0 weight-4 Ramanujan c-sums against the same sums
     # through the box layers of eta^24 (trivial on SL2(Z), but not a
     # TrivialMultiplier), within both noise bounds (the c <= 60 sums agree)
-    small = TruncationParams(c_max=60, tail_tol=1.0, ctx=ctx)
+    walk = Walk(TruncationParams(c_max=60, tail_tol=1.0, ctx=ctx))
+    sides = [[walk.coefficient(data, 4, 0, 1, y, 1) for y in (1, 2, 3)]
+             for data in (trivial, scalar(EtaPowerMultiplier(24)))]
+    walk.run()
     with ctx.working():
-        sides = []
-        for data in (trivial, scalar(EtaPowerMultiplier(24))):
-            sums = [_coefficient_sum(data, 4, Fraction(0), Fraction(y), 1, 1, small)
-                    for y in (1, 2, 3)]
-            _run(data, sums, small)
-            sides.append([(_value([s]), s.noise) for s in sums])
-        ok = all(abs(v1 - v2) <= n1 + n2 for (v1, n1), (v2, n2) in zip(*sides))
+        ok = all(abs(walk.value(s1)[0] - walk.value(s2)[0]) <= s1.noise + s2.noise
+                 for s1, s2 in zip(*sides))
     checks.append(("ramanujan-csum", ok))
     with ctx.working():
         # Gamma(3, z) = 2 Gamma(2, z) + z^2 e^-z, to the context's bits

@@ -37,12 +37,13 @@ from fractions import Fraction
 import mpmath
 
 from .automorphy import AutomorphyData, conjugate, n_prime
-from .poincare import constant_term_cf, poincare_coefficient, poincare_series
+from .poincare import Walk
 from .series import FourierSeries, TruncationParams
 
 __all__ = [
     "HarmonicForm",
     "GridPair",
+    "build_grid",
     "build_pair",
     "build_f",
     "build_G",
@@ -90,63 +91,112 @@ class GridPair:
     duality: "DualityReport"
 
 
+def build_grid(data: AutomorphyData, k: int, trunc: TruncationParams, f=(), G=(),
+               duality=(), lmax: int = 12) -> tuple:
+    """([f_{n1,alpha1} per (n1, alpha1) in f], [G_{n2,alpha2} per (n2, alpha2)
+    in G], [DualityReport per (n1, alpha1, n2, alpha2) in duality]) from one
+    engine walk over c (poincare.Walk), whose boxes and root tables every
+    c-sum on (chi, rho) and on (chi-bar, rho-bar) reads.  The duality lhs is
+    f's entry at l = idx2, a yp > 0 rhs G+'s at l = idx1: one c-sum each.
+    """
+    if k < 1:
+        raise ValueError("grid weight parameter k must be a positive integer")
+    cdata, w, ls = conjugate(data), k + 2, range(0, lmax + 1)
+    for n1, alpha1 in [*f, *(p[:2] for p in duality)]:
+        if not n1 - data.kappa_of(alpha1) >= 0:
+            raise ValueError(f"grid index requires n1 - kappa_alpha1 >= 0, got "
+                             f"{n1} - {data.kappa_of(alpha1)}")
+    for n2, alpha2 in [*G, *(p[2:] for p in duality)]:
+        if not n2 - cdata.kappa_of(alpha2) > 0:
+            raise ValueError(f"grid index requires n2 - kappa'_alpha2 > 0, got "
+                             f"{n2} - {cdata.kappa_of(alpha2)}")
+    walk, constant_terms = Walk(trunc), {}
+
+    def constant_term(n2, alpha2):  # of G+: it needs only the leading 1 at (-n2, alpha2)
+        if (n2, alpha2) not in constant_terms:
+            lead = FourierSeries(w, cdata, coeffs={(-n2, alpha2): mpmath.mpc(1)},
+                                 truncation=trunc)
+            constant_terms[(n2, alpha2)] = walk.constant_term(lead)
+        return constant_terms[(n2, alpha2)]
+
+    fs = [walk.series(data, w, n1, alpha1, ls) for n1, alpha1 in f]
+    Gs = [(n2, alpha2, walk.series(cdata, w, n2, alpha2, ls), constant_term(n2, alpha2),
+           walk.series(data, w, n_prime(n2, data.kappa_of(alpha2)), alpha2, ls))
+          for n2, alpha2 in G]
+    sides = []
+    for n1, alpha1, n2, alpha2 in duality:
+        # a(n1; idx2) = -b(n2; idx1), b at yp = idx1 + kappa'_alpha1 = n1 - kappa_alpha1
+        idx2 = n2 - int(data.kappa_of(alpha2) + cdata.kappa_of(alpha2))
+        idx1 = n1 - int(data.kappa_of(alpha1) + cdata.kappa_of(alpha1))
+        yp = idx1 + cdata.kappa_of(alpha1)
+        sides.append((walk.coefficient(data, w, n1, alpha1, idx2, alpha2), yp,
+                      walk.coefficient(cdata, w, n2, alpha2, idx1, alpha1) if yp
+                      else constant_term(n2, alpha2)))
+    walk.run()
+    reports = []
+    for (n1, alpha1, n2, alpha2), (lhs, yp, rhs) in zip(duality, sides):
+        lhs, lhs_tail = walk.value(lhs)
+        a, tail = walk.value(rhs) if yp else [part[alpha1 - 1] for part in rhs()]
+        with trunc.ctx.working():
+            b, rhs_tail = _b_plus(k, -n2 + cdata.kappa_of(alpha2), yp, a, tail)
+        lhs_c, rhs_c = complex(lhs), complex(-b)
+        denom = max(abs(lhs_c), abs(rhs_c), 1.0)
+        reports.append(DualityReport(n1, alpha1, n2, alpha2, lhs_c, rhs_c,
+                                     abs(lhs_c - rhs_c) / denom, lhs_tail, rhs_tail))
+    return ([build() for build in fs],
+            [_harmonic_form(k, n2, alpha2, p_conj(), cf(), shadow())
+             for n2, alpha2, p_conj, cf, shadow in Gs], reports)
+
+
 def build_pair(data: AutomorphyData, k: int, n1: int, alpha1: int, n2: int,
                alpha2: int, trunc: TruncationParams, lmax: int = 12) -> GridPair:
-    """Both grid members plus the checked (not assumed) duality residual."""
-    f = build_f(data, k, n1, alpha1, trunc, lmax)
-    G = build_G(data, k, n2, alpha2, trunc, lmax)
-    rep = verify_duality(data, k, n1, alpha1, n2, alpha2, trunc)
+    """Both grid members and the checked (not assumed) duality, in one walk."""
+    (f,), (G,), (rep,) = build_grid(data, k, trunc, [(n1, alpha1)], [(n2, alpha2)],
+                                    [(n1, alpha1, n2, alpha2)], lmax)
     return GridPair(f=f, G=G, duality=rep)
 
 
 def build_f(data: AutomorphyData, k: int, n1: int, alpha1: int,
             trunc: TruncationParams, lmax: int = 12) -> FourierSeries:
     """f_{n1,alpha1}: the weight-(k+2) Poincare series on (chi, rho)."""
-    if k < 1:
-        raise ValueError("grid weight parameter k must be a positive integer")
-    if not n1 - data.kappa_of(alpha1) >= 0:
-        raise ValueError(
-            f"grid index requires n1 - kappa_alpha1 >= 0, got "
-            f"{n1} - {data.kappa_of(alpha1)}"
-        )
-    return poincare_series(data, k + 2, n1, alpha1, range(0, lmax + 1), trunc)
+    return build_grid(data, k, trunc, f=[(n1, alpha1)], lmax=lmax)[0][0]
 
 
 def build_G(data: AutomorphyData, k: int, n2: int, alpha2: int,
             trunc: TruncationParams, lmax: int = 12) -> HarmonicForm:
     """G_{n2,alpha2}: the harmonic partner on the conjugate automorphy."""
-    if k < 1:
-        raise ValueError("grid weight parameter k must be a positive integer")
-    cdata = conjugate(data)
+    return build_grid(data, k, trunc, G=[(n2, alpha2)], lmax=lmax)[1][0]
+
+
+def _b_plus(k: int, mu: Fraction, yp: Fraction, a, tail: float):
+    """(b, its tail) of G+ at yp = l + kappa'_j: a ratio^(k+1) from the conjugate
+    series' a there, ratio = mu/yp, or from its constant term, ratio = mu at
+    yp = 0.  Call inside the working context."""
+    ratio = mpmath.mpf(mu.numerator) / mu.denominator
+    if yp:
+        ratio /= mpmath.mpf(yp.numerator) / yp.denominator
+    return a * ratio ** (k + 1), tail * abs(float(ratio)) ** (k + 1)
+
+
+def _harmonic_form(k: int, n2: int, alpha2: int, p_conj: FourierSeries, cf,
+                   shadow: FourierSeries) -> HarmonicForm:
+    """G_{n2,alpha2} from the conjugate Poincare series P_{n2,alpha2}, its
+    constant term (values, tails) and the shadow P_{n2',alpha2}."""
+    cdata, data, trunc = p_conj.automorphy, shadow.automorphy, p_conj.truncation
     mu = -n2 + cdata.kappa_of(alpha2)  # = -n2 + kappa'_{alpha2} < 0
-    if not mu < 0:
-        raise ValueError(
-            f"grid index requires n2 - kappa'_alpha2 > 0, got {n2} - "
-            f"{cdata.kappa_of(alpha2)}"
-        )
-    p_conj = poincare_series(cdata, k + 2, n2, alpha2, range(0, lmax + 1), trunc)
-    cf_vals, cf_tails = constant_term_cf(p_conj, trunc)
-    n2p = n_prime(n2, data.kappa_of(alpha2))
-    shadow = poincare_series(data, k + 2, n2p, alpha2, range(0, lmax + 1), trunc)
     holo = FourierSeries(-k, cdata, truncation=trunc)
     nonholo, nh_tails = {}, {}
     with trunc.ctx.working():
-        mu_mp = mpmath.mpf(mu.numerator) / mu.denominator
         for (l, j), a in p_conj.items():
-            yp = p_conj.freq(l, j)
-            if (l, j) == (-n2, alpha2):
-                holo.coeffs[(l, j)] = mpmath.mpc(1)
-                holo.tails[(l, j)] = 0.0
-                continue
-            ratio = mu_mp / (mpmath.mpf(yp.numerator) / yp.denominator)
-            holo.coeffs[(l, j)] = a * ratio ** (k + 1)
-            holo.tails[(l, j)] = p_conj.tails[(l, j)] * abs(float(ratio)) ** (k + 1)
-        mu_pow = mu_mp ** (k + 1)
+            holo.coeffs[(l, j)], holo.tails[(l, j)] = (mpmath.mpc(1), 0.0) \
+                if (l, j) == (-n2, alpha2) else _b_plus(k, mu, p_conj.freq(l, j), a,
+                                                        p_conj.tails[(l, j)])
         for j in range(1, cdata.dim + 1):
             if cdata.kappa_of(j) == 0:
-                holo.coeffs[(0, j)] = mu_pow * cf_vals[j - 1]
-                holo.tails[(0, j)] = cf_tails[j - 1] * abs(float(mu_pow))
+                holo.coeffs[(0, j)], holo.tails[(0, j)] = _b_plus(
+                    k, mu, Fraction(0), cf[0][j - 1], cf[1][j - 1])
         # non-holomorphic coefficients read off the shadow
+        mu_mp = mpmath.mpf(mu.numerator) / mu.denominator
         sign_fact = mpmath.mpf(-1) ** k / mpmath.factorial(k)
         for (m, j), a in shadow.items():
             ym = shadow.freq(m, j)  # = m + kappa_j > 0
@@ -174,52 +224,14 @@ class DualityReport:
     rhs_tail: float
 
 
-def _holo_b_coefficient(data: AutomorphyData, k: int, n2: int, alpha2: int,
-                        l: int, j: int, trunc: TruncationParams):
-    """(b_{n2,alpha2}(l, j) of G+, its tail bound) without building the
-    whole form: the tail of its c-sum times |ratio|^(k+1), 0 for the
-    leading 1."""
-    cdata = conjugate(data)
-    mu = -n2 + cdata.kappa_of(alpha2)
-    yp = l + cdata.kappa_of(j)
-    if (l, j) == (-n2, alpha2):
-        return mpmath.mpc(1), 0.0
-    if yp < 0:
-        raise ValueError(f"G+ has no coefficient at l + kappa'_j = {yp} < 0")
-    with trunc.ctx.working():
-        mu_mp = mpmath.mpf(mu.numerator) / mu.denominator
-        if yp > 0:
-            a, tail = poincare_coefficient(cdata, k + 2, n2, alpha2, l, j, trunc)
-            ratio = mu_mp / (mpmath.mpf(yp.numerator) / yp.denominator)
-        else:
-            series = FourierSeries(k + 2, cdata, coeffs={(-n2, alpha2): mpmath.mpc(1)},
-                                   truncation=trunc)
-            cf_vals, cf_tails = constant_term_cf(series, trunc)
-            a, tail, ratio = cf_vals[j - 1], cf_tails[j - 1], mu_mp
-        return a * ratio ** (k + 1), tail * abs(float(ratio)) ** (k + 1)
-
-
 def verify_duality(data: AutomorphyData, k: int, n1: int, alpha1: int,
                    n2: int, alpha2: int, trunc: TruncationParams) -> DualityReport:
-    """Residual of a(n1; idx2) = -b(n2; idx1), both sides computed afresh.
-
-    idx2 = n2 - (kappa_{a2} + kappa'_{a2}) on the f side, idx1 mirrored;
-    the two sides run through independent (chi, rho) / (chi-bar, rho-bar)
-    coefficient sums.  Each side carries its tail bound.
-    """
-    cdata = conjugate(data)
-    if not n1 - data.kappa_of(alpha1) >= 0:
-        raise ValueError("n1 index out of grid range")
-    if not n2 - cdata.kappa_of(alpha2) > 0:
-        raise ValueError("n2 index out of grid range")
-    idx2 = n2 - int(data.kappa_of(alpha2) + cdata.kappa_of(alpha2))
-    idx1 = n1 - int(data.kappa_of(alpha1) + cdata.kappa_of(alpha1))
-    lhs, lhs_tail = poincare_coefficient(data, k + 2, n1, alpha1, idx2, alpha2, trunc)
-    b, rhs_tail = _holo_b_coefficient(data, k, n2, alpha2, idx1, alpha1, trunc)
-    lhs_c, rhs_c = complex(lhs), complex(-b)
-    denom = max(abs(lhs_c), abs(rhs_c), 1.0)
-    return DualityReport(n1, alpha1, n2, alpha2, lhs_c, rhs_c,
-                         abs(lhs_c - rhs_c) / denom, lhs_tail, rhs_tail)
+    """Residual of a(n1; idx2) = -b(n2; idx1), idx2 = n2 - (kappa_{a2} +
+    kappa'_{a2}) on the f side, idx1 mirrored.  The sides are independent
+    c-sums on (chi, rho) and (chi-bar, rho-bar) that share one walk over the
+    boxes (build_grid); the rhs is G+'s constant term at n1 = kappa_{a1} = 0.
+    Each side carries its tail bound."""
+    return build_grid(data, k, trunc, duality=[(n1, alpha1, n2, alpha2)])[2][0]
 
 
 def apply_Dk1(G: HarmonicForm) -> FourierSeries:

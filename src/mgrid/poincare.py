@@ -19,9 +19,11 @@ cached), asks each effective character for the exact phases of the whole
 box (Multiplier.box_phases, integer numerators over one denominator), and
 evaluates the layer of every requested (x, y, j, alpha) from that box: one
 cos/sin per box element in float64, or above 53 bits one integer
-multiply-add per element over a fixed-point table of roots of unity.
-poincare_series and constant_term_cf make one such pass;
-poincare_coefficient and kloosterman_layer are the engine on one index.
+multiply-add per element over a fixed-point table of roots of unity.  A
+Walk fills the c-sums of series, constant terms and coefficients on a datum
+and its conjugate in one such walk (gridforms.build_grid uses one per grid);
+poincare_series, poincare_coefficient and constant_term_cf are a Walk with
+one request, kloosterman_layer the engine at one c and one index.
 
 Every c-sum is a common prefactor times one exact integer sum
 S = sum_c u_c K_c at the scale 2^-P, rounded once, with one noise rule
@@ -144,7 +146,7 @@ MP_LAYER_ELEMENT_BUDGET = 40_000
 
 
 def layer_bits_for(ctx, c_max: int, level: int = 1) -> int:
-    """Working precision for the Kloosterman layers of one engine pass.
+    """Working precision for the Kloosterman layers of one engine walk.
 
     The layers are unit-modulus sums with exactly reduced rational phases,
     so float64 already gives ~1e-16 relative accuracy per element; that
@@ -171,26 +173,26 @@ def _layer_error(c: int, den: int, bits: int) -> float:
     return c * (2 * math.isqrt(den) + 3) * 2.0 ** -(bits + 16 + den.bit_length())
 
 
-def _layers(data: AutomorphyData, c: int, keys, bits: int) -> list:
+def _layers(data: AutomorphyData, c: int, box, keys, bits: int, tables: dict) -> list:
     """(re, im, e, error bound) of K_c(x, y)_{j,alpha} = (re + i im) 2^-e for
-    every (x, y, j, alpha) in keys, from one box.
+    every (x, y, j, alpha) in keys, from the box (a, d) = C+(c).
 
     The exponent (x a + y d)/c minus the box phases of the character is
     reduced exactly over one common denominator.  Diagonal rho: the
     character is chi * mu_alpha, the keys hold no structural zero (j !=
     alpha, see _structural_zero; their callers decide those once), and the
-    layers of one box share the root tables of their denominators.  Matrix
+    layers read the root tables of their denominators from `tables`, which
+    every datum's layers at this c share (see _exponent_sum).  Matrix
     rho: the character is chi, and rho(g^-1)_{j,alpha} e(exponent) is
     summed per element in float64, with rho(g^-1) evaluated once per box
     element for every key.
     """
-    a, d = cplus_arrays(data.group, c)
+    a, d = box
     diagonal = isinstance(data.rho, DiagonalRepresentation)
     if not diagonal:
         rho_inv = np.array([data.rho.matrix(g.inverse()) for g in cplus_elements(a, d, c)],
                            dtype=complex).reshape(-1, data.dim, data.dim)
     phases = {}
-    tables = {}
     out = []
     for x, y, j, alpha in keys:
         if alpha not in phases:
@@ -223,7 +225,8 @@ def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
     """
     if _structural_zero(data, j, alpha):
         return 0j
-    re, im, e, _error = _layers(data, c, [(Fraction(x), Fraction(y), j, alpha)], bits)[0]
+    re, im, e, _error = _layers(data, c, cplus_arrays(data.group, c),
+                                [(Fraction(x), Fraction(y), j, alpha)], bits, {})[0]
     if bits <= 53:
         return complex(re / (1 << e), im / (1 << e))
     with mpmath.workprec(e // 2):
@@ -251,15 +254,21 @@ class _CSum:
     noise: float = 0.0
 
 
-def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
-    """The coefficient engine: one pass fills every c-sum; call inside
+def _run(requests: list, trunc: TruncationParams):
+    """The coefficient engine: one walk over c fills every c-sum of every
+    request (data, sums); the data share one group.  Call inside
     trunc.ctx.working(), at wp bits.
+
+    Each c builds the box C+(c) and one dict of root tables once, for every
+    c-sum of every datum: a table depends only on (den, bits), so eta^2 and
+    its conjugate share theirs at den = 144 c.  No c-sum's value or bound
+    depends on which sums share the walk.
 
     Each c-sum accumulates S = sum_c u_c K_c exactly at the scale 2^-e, and
     _value rounds pref S 2^-e once.  u_c = floor(2^e v_c) is the weight v_c
     as an integer, e = P - top with P = wp + bit_length(c_max) + 8 and
     2^top >= max |v_c|: P bits below the largest weight.  c^-w has
-    2^-top <= level^w < 2^(1-top) and one table per w per pass; a Bessel
+    2^-top <= level^w < 2^(1-top) and one table per w per walk; a Bessel
     weight brings its own (_coefficient_sum).  du_c bounds the weight's own
     error beyond the floor (0 for c^-w).  K_c = (re + i im) 2^-f is
       - the Ramanujan sum c_c(m) (f = 0) when the c-sum has m set: S is one
@@ -281,8 +290,9 @@ def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
     last term covers _value's rounding at wp and the prefactor's 2^-wp/8
     (_prefactor_prec).  Structural zeros never reach the engine.
     """
+    group = requests[0][0].group
     prec = _scale_bits(trunc.c_max)
-    level = data.group.level
+    level = group.level
     cs = list(range(level, trunc.c_max + 1, level))
     powers = {}
 
@@ -302,28 +312,32 @@ def _run(data: AutomorphyData, sums: list, trunc: TruncationParams):
             math.fsum(((du + unit) * kmax + u_abs * dk + unit).tolist())
             + math.hypot(s.re, s.im) * unit * 2.0 ** (1 - mpmath.mp.prec))
 
-    box = [s for s in sums if s.m is None]
-    if len(box) < len(sums):
-        if data.group.lam != 1:
+    ramanujan = [s for _data, sums in requests for s in sums if s.m is not None]
+    if ramanujan:
+        if group.lam != 1:
             raise NotImplementedError("built-in c-sums require lambda == 1")
         mu = _moebius(trunc.c_max)
-    for s in sums:
-        if s.m is not None:
-            layers, weights = _ramanujan_layers(s.m, level, mu), weight(s)
-            s.re = sum(k * u for k, u in zip(layers.tolist(), weights[0]) if k)
-            settle(s, weights, np.abs(layers), 0.0)
-    if not box:
+    for s in ramanujan:
+        layers, weights = _ramanujan_layers(s.m, level, mu), weight(s)
+        s.re = sum(k * u for k, u in zip(layers.tolist(), weights[0]) if k)
+        settle(s, weights, np.abs(layers), 0.0)
+    boxes = [(data, [s for s in sums if s.m is None]) for data, sums in requests]
+    boxes = [(data, box, [s.key for s in box], [weight(s) for s in box], [[] for _s in box])
+             for data, box in boxes if box]
+    if not boxes:
         return
     bits = trunc.layer_bits or layer_bits_for(trunc.ctx, trunc.c_max, level)
-    keys, weights, errors = [s.key for s in box], [weight(s) for s in box], [[] for _s in box]
     for n, c in enumerate(cs):
-        for s, ws, errs, (re, im, f, error) in zip(box, weights, errors,
-                                                    _layers(data, c, keys, bits)):
-            s.re += (ws[0][n] * re + (1 << f >> 1)) >> f  # to nearest
-            s.im += (ws[0][n] * im + (1 << f >> 1)) >> f
-            errs.append(error)
-    for s, ws, errs in zip(box, weights, errors):
-        settle(s, ws, np.array(cs, dtype=float), np.array(errs))
+        arrays, tables = cplus_arrays(group, c), {}
+        for data, box, keys, weights, errors in boxes:
+            for s, ws, errs, (re, im, f, error) in zip(
+                    box, weights, errors, _layers(data, c, arrays, keys, bits, tables)):
+                s.re += (ws[0][n] * re + (1 << f >> 1)) >> f  # to nearest
+                s.im += (ws[0][n] * im + (1 << f >> 1)) >> f
+                errs.append(error)
+    for _data, box, _keys, weights, errors in boxes:
+        for s, ws, errs in zip(box, weights, errors):
+            settle(s, ws, np.array(cs, dtype=float), np.array(errs))
 
 
 def _value(sums: list):
@@ -454,18 +468,93 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
                                                  float(lam), x < 0))
 
 
-def _coefficients(data: AutomorphyData, weight: int, n: int, alpha: int,
-                  indices, trunc: TruncationParams) -> list:
-    """(value, tail_bound) of a_{n,alpha}(l, j) for every (l, j) in indices,
-    from one engine pass; a structural zero is an exact 0 with tail 0."""
-    x = -n + data.kappa_of(alpha)
-    with trunc.ctx.working():
-        sums = {(l, j): _coefficient_sum(data, weight, x, l + data.kappa_of(j), j,
-                                         alpha, trunc)
-                for l, j in indices if not _structural_zero(data, j, alpha)}
-        _run(data, list(sums.values()), trunc)
-        return [(_value([sums[i]]), sums[i].tail + sums[i].noise)
-                if i in sums else (mpmath.mpc(0), 0.0) for i in indices]
+class Walk:
+    """C-sums of series, constant terms and coefficients on data of one
+    group, filled by one engine walk over c (_run): register, run(), read.
+    A coefficient asked for twice on one datum and weight is one c-sum."""
+
+    def __init__(self, trunc: TruncationParams):
+        self.trunc, self.requests, self.coefficients = trunc, {}, {}
+
+    def _add(self, data: AutomorphyData, s: _CSum) -> _CSum:
+        self.requests.setdefault(id(data), (data, []))[1].append(s)
+        return s
+
+    def coefficient(self, data: AutomorphyData, w: int, n: int, alpha: int, l: int, j: int):
+        """The c-sum of a_{n,alpha}(l, j) at weight w (l + kappa_j > 0) for
+        value(), None for a structural zero."""
+        _check_weight(w, self.trunc, data.group.level)
+        key = (-n + data.kappa_of(alpha), l + data.kappa_of(j), j, alpha)
+        if (id(data), w, key) not in self.coefficients and not _structural_zero(data, j, alpha):
+            with self.trunc.ctx.working():
+                s = _coefficient_sum(data, w, *key, self.trunc)
+            self.coefficients[(id(data), w, key)] = self._add(data, s)
+        return self.coefficients.get((id(data), w, key))
+
+    def value(self, s) -> tuple:
+        """(value, tail_bound) of a coefficient c-sum; None gives (0, 0.0)."""
+        with self.trunc.ctx.working():
+            return (mpmath.mpc(0), 0.0) if s is None else (_value([s]), s.tail + s.noise)
+
+    def series(self, data: AutomorphyData, w: int, n: int, alpha: int, l_range):
+        """Registers poincare_series(data, w, n, alpha, l_range); returns the
+        function that builds it after run()."""
+        _check_weight(w, self.trunc, data.group.level)
+        if not 1 <= alpha <= data.dim:
+            raise ValueError(f"component alpha={alpha} outside 1..{data.dim}")
+        indices = [(l, j) for j in range(1, data.dim + 1) for l in l_range
+                   if l + data.kappa_of(j) > 0]
+        sums = [self.coefficient(data, w, n, alpha, l, j) for l, j in indices]
+
+        def build() -> FourierSeries:
+            series = FourierSeries(w, data, truncation=self.trunc)
+            for idx, s in zip(indices, sums):
+                series.coeffs[idx], series.tails[idx] = self.value(s)
+            with self.trunc.ctx.working():
+                series.coeffs[(-n, alpha)] = series.coeffs.get((-n, alpha), mpmath.mpc(0)) + 1
+            series.tails.setdefault((-n, alpha), 0.0)
+            return series
+        return build
+
+    def constant_term(self, f: FourierSeries):
+        """Registers constant_term_cf(f); returns the function that gives its
+        (values, tails) after run()."""
+        data = f.automorphy
+        w = f.weight  # = k + 2
+        lam = data.lam
+        principal = [(n, t) for (n, t) in f.principal_support() if f.coeffs[(n, t)] != 0]
+        with self.trunc.ctx.working():
+            with mpmath.workprec(_prefactor_prec(w)):
+                # (-i)^w (2 pi)^w / (lambda (w-1)!); each term is a(n, t) pref c^-w K_c
+                pref = exp2pi(Fraction(-w, 4)) * (2 * mpmath.pi) ** w * lam.denominator \
+                    / (lam.numerator * math.factorial(w - 1))
+                amps = {key: f.coeffs[key] * pref for key in principal}
+        per_comp = [[] for _j in range(data.dim)]
+        for j in range(1, data.dim + 1):
+            if data.kappa_of(j) != 0:
+                continue
+            for (n, t) in principal:
+                if _structural_zero(data, j, t):
+                    continue
+                x = f.freq(n, t)  # x = n + kappa_t < 0 rides on the 'a' entry
+                m = _ramanujan_m(data, x, Fraction(0), t)
+                tail = abs(complex(f.coeffs[(n, t)])) * (TWO_PI / float(lam)) ** w \
+                    / math.factorial(w - 1) * float(lam) ** (w - 1) \
+                    * _power_tail(w, self.trunc.c_max, m)
+                per_comp[j - 1].append(self._add(
+                    data, _CSum((x, Fraction(0), j, t), amps[(n, t)], w, tail, m)))
+
+        def build():
+            with self.trunc.ctx.working():
+                values = [_value(sums) for sums in per_comp]
+            return values, [sum((s.tail + s.noise for s in sums), 0.0) for sums in per_comp]
+        return build
+
+    def run(self):
+        """Fills every registered c-sum in one walk over c."""
+        if self.requests:
+            with self.trunc.ctx.working():
+                _run(list(self.requests.values()), self.trunc)
 
 
 def poincare_coefficient(data: AutomorphyData, weight: int, n: int, alpha: int,
@@ -478,11 +567,13 @@ def poincare_coefficient(data: AutomorphyData, weight: int, n: int, alpha: int,
     callers should treat as unconverged).  The Kronecker-delta leading
     term at (-n, alpha) is *not* included here; poincare_series adds it.
     """
-    _check_weight(weight, trunc, data.group.level)
     y = l + data.kappa_of(j)
     if not y > 0:
         raise ValueError(f"need l + kappa_j > 0, got {y}")
-    return _coefficients(data, weight, n, alpha, [(l, j)], trunc)[0]
+    walk = Walk(trunc)
+    s = walk.coefficient(data, weight, n, alpha, l, j)
+    walk.run()
+    return walk.value(s)
 
 
 def poincare_series(data: AutomorphyData, weight: int, n: int, alpha: int,
@@ -492,21 +583,10 @@ def poincare_series(data: AutomorphyData, weight: int, n: int, alpha: int,
     Includes the delta_{j,alpha} leading term at index (-n, alpha); indices
     with l + kappa_j <= 0 are skipped (they do not occur in the expansion).
     """
-    _check_weight(weight, trunc, data.group.level)
-    if not 1 <= alpha <= data.dim:
-        raise ValueError(f"component alpha={alpha} outside 1..{data.dim}")
-    indices = [(l, j) for j in range(1, data.dim + 1) for l in l_range
-               if l + data.kappa_of(j) > 0]
-    series = FourierSeries(weight, data, truncation=trunc)
-    for idx, (val, tail) in zip(indices, _coefficients(data, weight, n, alpha,
-                                                       indices, trunc)):
-        series.coeffs[idx] = val
-        series.tails[idx] = tail
-    key = (-n, alpha)
-    with trunc.ctx.working():
-        series.coeffs[key] = series.coeffs.get(key, mpmath.mpc(0)) + 1
-    series.tails.setdefault(key, 0.0)
-    return series
+    walk = Walk(trunc)
+    series = walk.series(data, weight, n, alpha, l_range)
+    walk.run()
+    return series()
 
 
 def constant_term_cf(f: FourierSeries, trunc: TruncationParams):
@@ -524,33 +604,10 @@ def constant_term_cf(f: FourierSeries, trunc: TruncationParams):
     effective character every layer is an exact Ramanujan sum (see _run),
     with |c_c(m)| <= sigma(m) in the tail.  Each component is rounded once.
     """
-    data = f.automorphy
-    w = f.weight  # = k + 2
-    lam = data.lam
-    principal = [(n, t) for (n, t) in f.principal_support() if f.coeffs[(n, t)] != 0]
-    with trunc.ctx.working():
-        with mpmath.workprec(_prefactor_prec(w)):
-            # (-i)^w (2 pi)^w / (lambda (w-1)!); each term is a(n, t) pref c^-w K_c
-            pref = exp2pi(Fraction(-w, 4)) * (2 * mpmath.pi) ** w * lam.denominator \
-                / (lam.numerator * math.factorial(w - 1))
-            amps = {key: f.coeffs[key] * pref for key in principal}
-        per_comp = [[] for _j in range(data.dim)]
-        for j in range(1, data.dim + 1):
-            if data.kappa_of(j) != 0:
-                continue
-            for (n, t) in principal:
-                if _structural_zero(data, j, t):
-                    continue
-                x = f.freq(n, t)  # x = n + kappa_t < 0 rides on the 'a' entry
-                m = _ramanujan_m(data, x, Fraction(0), t)
-                tail = abs(complex(f.coeffs[(n, t)])) * (TWO_PI / float(lam)) ** w \
-                    / math.factorial(w - 1) * float(lam) ** (w - 1) \
-                    * _power_tail(w, trunc.c_max, m)
-                per_comp[j - 1].append(_CSum((x, Fraction(0), j, t), amps[(n, t)], w, tail, m))
-        _run(data, [s for sums in per_comp for s in sums], trunc)
-        values = [_value(sums) for sums in per_comp]
-    tails = [sum((s.tail + s.noise for s in sums), 0.0) for sums in per_comp]
-    return values, tails
+    walk = Walk(trunc)
+    constant_term = walk.constant_term(f)
+    walk.run()
+    return constant_term()
 
 
 def coefficient_envelope(data: AutomorphyData, weight: int, n: int, alpha: int,

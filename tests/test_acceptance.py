@@ -38,6 +38,7 @@ from mgrid.gridforms import (
     apply_Dk1,
     apply_xi,
     build_G,
+    build_grid,
     check_main2_symmetry,
     verify_duality,
 )
@@ -108,6 +109,31 @@ def test_criterion_02_zagier_duality_trivial():
                 rep = verify_duality(data, k, n1, 1, n2, 1, trunc)
                 worst = max(worst, rep.residual)
     report(2, "Zagier duality (trivial character)", worst, 1e-6,
+           extra=f", {time.time() - t_start:.1f}s")
+
+
+def test_criterion_02b_duality_sides_converge():
+    """Each duality side moves from c_max to 2 c_max by at most the sum of
+    its two tails, plus 2^-52 |side| per side for the complex128 report
+    (k = 10 at c_max 200, k = 2 at c_max 800).  Criterion 02's residual
+    stays near 0 at any c_max, since on the trivial character both sides
+    share their Kloosterman sums and Bessel values; this check fails when a
+    tail bound is too small."""
+    t_start = time.time()
+    worst = 0.0
+    for k, cmax, pairs in ((10, 200, ((1, 1), (2, 3), (0, 1), (3, 2))),
+                           (2, 800, ((0, 1), (1, 2), (3, 1), (0, 3)))):
+        data = trivial_data(k + 2)
+        duality = [(n1, 1, n2, 1) for n1, n2 in pairs]
+        near, far = (build_grid(data, k, TruncationParams(c_max=c, tail_tol=1.0, ctx=CTX),
+                                duality=duality)[2] for c in (cmax, 2 * cmax))
+        for r1, r2 in zip(near, far):
+            for side in ("lhs", "rhs"):
+                v1, v2 = getattr(r1, side), getattr(r2, side)
+                allowed = getattr(r1, side + "_tail") + getattr(r2, side + "_tail") \
+                    + 2.0 ** -52 * (abs(v1) + abs(v2))
+                worst = max(worst, abs(v1 - v2) / allowed)
+    report(2, "duality sides converge (move / allowed)", worst, 1.0,
            extra=f", {time.time() - t_start:.1f}s")
 
 

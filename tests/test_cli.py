@@ -5,6 +5,7 @@ import json
 import pytest
 
 from mgrid.cli import main, parse_character, parse_gamma, parse_rep
+from mgrid.groups import cplus_arrays
 
 
 def run_cli(capsys, argv):
@@ -105,6 +106,39 @@ def test_grid_unconverged_shadow_exits_2(capsys):
     assert {e["part"] for e in doc["unconverged"]} == {"shadow"}
     tails = [e["tail_bound"] for part in ("f", "G_plus") for e in doc[part]["entries"]]
     assert max(tails + [e["tail_bound"] for e in doc["G_minus"]]) <= 1e-7
+
+
+def test_grid_unconverged_duality_exits_2(capsys):
+    # lmax 0: f, G+ and the shadow hold no entry at l = 1, where both duality
+    # sides live; at c_max 10 only the sides' tails (1.0e-9) exceed 1e-10
+    rc, out, _err = run_cli(capsys, [
+        "grid", "--k", "10", "--n1", "1", "--n2", "1", "--lmax", "0",
+        "--cmax", "10", "--tol", "1e-10",
+    ])
+    doc = json.loads(out)
+    assert rc == 2
+    (row,) = doc["duality"]["pairs"]
+    assert min(row["lhs_tail"], row["rhs_tail"]) > 1e-10
+    assert doc["unconverged"] == [{"part": "duality", "side": "lhs"},
+                                  {"part": "duality", "side": "rhs"}]
+
+
+def test_duality_grid_makes_one_walk(capsys, monkeypatch):
+    from mgrid import poincare
+
+    calls = []
+
+    def counting_cplus_arrays(spec, c):
+        calls.append(c)
+        return cplus_arrays(spec, c)
+
+    monkeypatch.setattr(poincare, "cplus_arrays", counting_cplus_arrays)
+    rc, out, _err = run_cli(capsys, [
+        "duality", "--k", "10", "--n1", "1", "--n1", "2", "--n2", "1",
+        "--n2", "2", "--cmax", "40", "--tol", "1.0",
+    ])
+    assert rc == 0 and len(json.loads(out)["pairs"]) == 4
+    assert calls == list(range(1, 41))
 
 
 def test_odd_weight_trivial_character_exits_1(capsys):

@@ -219,7 +219,7 @@ def _engine_sum(trunc):
     """The x = 0, y = 1 weight-4 c-sum on eta^24, after one engine pass."""
     with CTX.working():
         s = _coefficient_sum(DELTA4, 4, Fraction(0), Fraction(1), 1, 1, trunc)
-        _run(DELTA4, [s], trunc)
+        _run([(DELTA4, [s])], trunc)
     return s
 
 
@@ -320,7 +320,7 @@ def test_exact_ramanujan_csums_match_box_layers(spec, w):
     with CTX.working():
         sums = [_coefficient_sum(data, w, Fraction(0), Fraction(m), 1, 1, trunc)
                 for m in RAMANUJAN_MS]
-        _run(data, sums, trunc)
+        _run([(data, sums)], trunc)
         exact = [(_value([s]), s.pref, s.noise) for s in sums]
     for bits in (53, 113):
         for m, (value, amp, noise) in zip(RAMANUJAN_MS, exact):

@@ -19,9 +19,11 @@ from mgrid.gridforms import (
     apply_xi,
     build_G,
     build_f,
+    build_pair,
     check_main2_symmetry,
     verify_duality,
 )
+from mgrid import poincare
 from mgrid.groups import sl2z
 from mgrid.poincare import poincare_series
 from mgrid.precision import PrecisionContext
@@ -174,3 +176,53 @@ def test_main2_symmetry_zero_overlap():
     Gb = build_G(data2, 10, 2, 2, TR, lmax=2)
     # b^- of Ga lives in component 1 only, Gb in component 2 only
     assert check_main2_symmetry(Ga, Gb) == 0.0
+
+
+def _entries(series):
+    return [(key, value, series.tails[key]) for key, value in series.items()]
+
+
+ETA2 = AutomorphyData(weight=5, chi=EtaPowerMultiplier(2), rho=trivial_representation(),
+                      group=sl2z())
+TWO = AutomorphyData(weight=12, chi=TrivialMultiplier(),
+                     rho=DiagonalRepresentation((TrivialMultiplier(), TrivialMultiplier())),
+                     group=sl2z())
+
+
+@pytest.mark.parametrize("data, k, pair, c_max", [
+    (ETA2, 3, (1, 1, 1, 1), 30),
+    (DATA12, 10, (0, 1, 2, 1), 60),  # Ramanujan and constant-term sums in the walk
+    (TWO, 10, (1, 1, 1, 2), 30),
+    (TWO, 10, (0, 2, 2, 2), 30),
+], ids=["eta2-k3", "trivial-k10-n1=0", "diag-cross", "diag-n1=0"])
+def test_build_pair_equals_separate_calls(data, k, pair, c_max):
+    # one shared walk gives every value and tail of f, G+, G-, the shadow and
+    # both duality sides bit for bit as the three separate builders do
+    n1, a1, n2, a2 = pair
+    trunc = TruncationParams(c_max=c_max, tail_tol=1.0, ctx=CTX)
+    pair_ = build_pair(data, k, n1, a1, n2, a2, trunc, lmax=4)
+    f = build_f(data, k, n1, a1, trunc, lmax=4)
+    G = build_G(data, k, n2, a2, trunc, lmax=4)
+    rep = verify_duality(data, k, n1, a1, n2, a2, trunc)
+    assert _entries(pair_.f) == _entries(f)
+    for got, ref in ((pair_.G.holo, G.holo), (pair_.G.shadow, G.shadow)):
+        assert _entries(got) == _entries(ref)
+    assert pair_.G.nonholo == G.nonholo and pair_.G.nonholo_tails == G.nonholo_tails
+    assert pair_.duality == rep
+
+
+def test_build_pair_walks_c_once(monkeypatch):
+    # eta^2 at c_max 80: f, G+ and its constant term, the shadow and both
+    # duality sides read one box and one root table per c (5 per c apart)
+    counts = {"cplus_arrays": 0, "_root_table": 0}
+    for name in counts:
+        original = getattr(poincare, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(poincare, name, counted)
+    build_pair(ETA2, 3, 1, 1, 1, 1, TruncationParams(c_max=80, tail_tol=1.0, ctx=CTX),
+               lmax=10)
+    assert counts == {"cplus_arrays": 80, "_root_table": 80}
