@@ -334,8 +334,9 @@ def cmd_pairing(args) -> int:
 def cmd_selfcheck(args) -> int:
     import math
 
-    from .groups import enumerate_cplus, sl2z
-    from .poincare import Walk, kloosterman_layer
+    from .groups import cplus_arrays, enumerate_cplus, sl2z
+    from .poincare import Walk, _layers, kloosterman_layer
+    from .precision import exp2pi
     from .specialfn import bessel_i, bessel_j, gamma_upper
 
     _data, trunc = build_config(args, weight=4)  # validates the configuration
@@ -346,8 +347,8 @@ def cmd_selfcheck(args) -> int:
              for c in range(1, 61))
     checks.append(("cplus-cardinality-phi", ok))
 
-    def scalar(chi):
-        return AutomorphyData(weight=4, chi=chi, group=sl2z(),
+    def scalar(chi, weight=4):
+        return AutomorphyData(weight=weight, chi=chi, group=sl2z(),
                               rho=DiagonalRepresentation((TrivialMultiplier(),)))
 
     trivial = scalar(TrivialMultiplier())
@@ -373,6 +374,16 @@ def cmd_selfcheck(args) -> int:
         ok = all(abs(walk.value(s1)[0] - walk.value(s2)[0]) <= s1.noise + s2.noise
                  for s1, s2 in zip(*sides))
     checks.append(("ramanujan-csum", ok))
+    # one multi-key eta^2 box in one pass at the context's bits, each row
+    # against a per-element sum of its phases, within the layer bound
+    eta2, c = scalar(EtaPowerMultiplier(2), 5), 37
+    keys = [(-1 + eta2.kappa[0], l + eta2.kappa[0], 1, 1) for l in range(11)]
+    (rows, error), = _layers(eta2, c, cplus_arrays(sl2z(), c), [keys], ctx.mantissa_bits, {})
+    with mpmath.workprec(ctx.mantissa_bits + 40):
+        ok = all(abs(mpmath.mpc(mpmath.ldexp(re, -e), mpmath.ldexp(im, -e)) - mpmath.fsum(
+            exp2pi(x * g.a / c + y * g.d / c - eta2.chi.phase(g)) for g in enumerate_cplus(
+                sl2z(), c))) <= error for (x, y, _j, _a), (re, im, e) in zip(keys, rows))
+    checks.append(("layers-batched", ok))
     with ctx.working():
         # Gamma(3, z) = 2 Gamma(2, z) + z^2 e^-z, to the context's bits
         g1 = gamma_upper(3, 2.0, ctx)

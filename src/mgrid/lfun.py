@@ -77,8 +77,8 @@ class TwistSpec:
         return cls(gamma, Fraction(lam))
 
     def zeta_power(self, x) -> mpmath.mpc:
-        """e^{2 pi i x / (c lam)} for rational x."""
-        return exp2pi(Fraction(x) / (self.gamma.c * self.lam))
+        """e^{2 pi i x / (c lam)} for rational x; exactly 1 at x = 0."""
+        return mpmath.mpc(1) if x == 0 else exp2pi(Fraction(x) / (self.gamma.c * self.lam))
 
 
 @dataclass

@@ -17,11 +17,13 @@ a sum over the double-coset boxes C+(c):
 ascending order, builds the box C+(c) once (groups.cplus_arrays; never
 cached), asks each effective character for the exact phases of the whole
 box (Multiplier.box_phases, integer numerators over one denominator), and
-evaluates the layer of every requested (x, y, j, alpha) from that box: one
-cos/sin per box element in float64, or above 53 bits one integer
-multiply-add per element over a fixed-point table of roots of unity.  A
-Walk fills the c-sums of series, constant terms and coefficients on a datum
-and its conjugate in one such walk (gridforms.build_grid uses one per grid);
+evaluates the layers of every requested (x, y, j, alpha) from that box in
+one array pass per group of keys that share alpha and a phase denominator:
+a (keys x box) numerator array, then one cos/sin per element in float64,
+or above 53 bits one gather from a fixed-point table of roots of unity and
+one exact integer multiply-and-sum per row.  A Walk fills the c-sums of
+series, constant terms and coefficients on equal data, a datum and its
+conjugate in one such walk (gridforms.build_grid uses one per grid);
 poincare_series, poincare_coefficient and constant_term_cf are a Walk with
 one request, kloosterman_layer the engine at one c and one index.
 
@@ -46,6 +48,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from mpmath.libmp import mpf_shift, round_floor, to_int
 
 from .automorphy import AutomorphyData, DiagonalRepresentation, TrivialMultiplier
 from .groups import cplus_arrays, cplus_elements
@@ -65,38 +68,34 @@ __all__ = [
 TWO_PI = 2 * math.pi
 
 
-def _exponent_sum(nums: np.ndarray, den: int, bits: int, tables: dict):
-    """sum of e^{2 pi i num/den} over an int64 numerator array, as the
-    Gaussian integer (re, im, e) that stands for (re + i im) 2^-e.
+def _exponent_sums(nums: np.ndarray, den: int, bits: int, tables: dict, weights=None) -> list:
+    """[(re, im, e)] per row of a 2-D int64 numerator array, in one pass: the
+    row's sum of e^{2 pi i num/den} (times `weights`, complex, of the same
+    shape) as the Gaussian integer (re + i im) 2^-e.
 
     bits <= 53 evaluates the unit phases in float64 (the exponents are
-    already reduced exactly, so each phase is correct to an ulp), and the
-    float sum converts exactly (_gaussian).  Larger bits sum exactly in fixed
-    point over the root table of den (see _root_table; `tables` maps den to
-    its table and is shared by the layers of one box): each residue
-    r = q B + s contributes giant[q] * baby[s], an exact integer at e = 2 P.
-    The result is deterministic, and its error is at most
-    nums.size * (2 isqrt(den) + 3) * 2^-P.
+    already reduced exactly, so each phase is correct to an ulp), and each
+    row's float sum converts exactly (_gaussian).  Larger bits (no weights)
+    sum exactly in fixed point over the root table of den (see _root_table;
+    `tables` maps den to it for one box): each residue r = q B + s gathers
+    giant[q] and baby[s], and a row is one exact sum of their complex
+    products at e = 2 P.  Deterministic; a row's error is at most
+    row length * (2 isqrt(den) + 3) * 2^-P.
     """
     if bits <= 53:
         angles = (nums % den).astype(np.float64) * (TWO_PI / den)
-        return _gaussian(complex(np.sum(np.cos(angles)), np.sum(np.sin(angles))))
+        if weights is not None:
+            return [_gaussian(z) for z in (weights * np.exp(1j * angles)).sum(axis=1).tolist()]
+        return [_gaussian(complex(re, im)) for re, im in zip(np.cos(angles).sum(axis=1).tolist(),
+                                                             np.sin(angles).sum(axis=1).tolist())]
     if den not in tables:
         tables[den] = _root_table(den, bits)
     prec, step, baby, giant = tables[den]
-    residues, counts = np.unique(nums % den, return_counts=True)
-    inner = {}  # q -> sum of cnt * baby[s] over the residues q B + s
-    for r, cnt in zip(residues.tolist(), counts.tolist()):
-        q, s = divmod(r, step)
-        br, bi = baby[s]
-        ir, ii = inner.get(q, (0, 0))
-        inner[q] = (ir + cnt * br, ii + cnt * bi)
-    re = im = 0
-    for q, (ir, ii) in inner.items():
-        gr, gi = giant[q]
-        re += gr * ir - gi * ii
-        im += gr * ii + gi * ir
-    return re, im, 2 * prec
+    q, s = np.divmod(nums % den, step)
+    # three exact products per element, from the (re, im, re + im) rows:
+    # re = gr br - gi bi, im = (gr + gi)(br + bi) - gr br - gi bi
+    rr, ii, ss = (np.einsum("kn,kn->k", g[q], b[s]) for g, b in zip(giant, baby))
+    return [(r, i, 2 * prec) for r, i in zip((rr - ii).tolist(), (ss - rr - ii).tolist())]
 
 
 def _gaussian(z: complex):
@@ -108,8 +107,8 @@ def _gaussian(z: complex):
 
 def _root_table(den: int, bits: int):
     """(P, B, baby, giant): e(s/den) for s < B = isqrt(den) and e(q B/den)
-    for q <= den // B, as (re, im) integer pairs scaled by 2^P with
-    P = bits + 16 + den.bit_length().
+    for q <= den // B, as integers scaled by 2^P in (re, im, re + im) rows of
+    an object array, with P = bits + 16 + den.bit_length().
 
     Each step is one fixed-point multiplication rounded to nearest
     (<= 2^-1/2 ulps), by a seed carried 16 bits beyond P, so the k-th power
@@ -122,8 +121,9 @@ def _root_table(den: int, bits: int):
             _fixed_powers(Fraction(step, den), den // step + 1, prec))
 
 
-def _fixed_powers(x: Fraction, count: int, prec: int) -> list:
-    """[e(k x) * 2^prec for k < count] as rounded (re, im) integer pairs."""
+def _fixed_powers(x: Fraction, count: int, prec: int) -> np.ndarray:
+    """e(k x) * 2^prec for k < count, rounded to integers (re, im), as the
+    (re, im, re + im) rows of an object array."""
     shift = prec + 16
     with mpmath.workprec(shift + 16):
         seed = exp2pi(x)
@@ -131,17 +131,18 @@ def _fixed_powers(x: Fraction, count: int, prec: int) -> list:
         wi = int(mpmath.nint(mpmath.ldexp(seed.imag, shift)))
     half = 1 << (shift - 1)
     re, im = 1 << prec, 0
-    out = [(re, im)]
+    out = [(re, im, re + im)]
     for _k in range(1, count):
         re, im = (re * wr - im * wi + half) >> shift, (re * wi + im * wr + half) >> shift
-        out.append((re, im))
-    return out
+        out.append((re, im, re + im))
+    return np.array(out, dtype=object).T
 
 
 # Element budget above which high-precision layers fall back to float64:
-# an mp layer costs one integer multiply-add per box element (plus a root
-# table of about 2 sqrt(den) fixed-point steps per denominator and box),
-# against one numpy cos/sin per element in float64.
+# an exact layer costs one gathered big-integer product per box element and
+# key (numpy object arrays, one pass per group of keys), plus a root table
+# of about 2 sqrt(den) fixed-point steps per denominator and box, against
+# one numpy cos/sin per element and key in float64.
 MP_LAYER_ELEMENT_BUDGET = 40_000
 
 
@@ -155,8 +156,9 @@ def layer_bits_for(ctx, c_max: int, level: int = 1) -> int:
     asks for more than double precision and the total box size
     sum_{c <= c_max} phi(c) ~ 0.31 c_max^2 / level stays within budget, the
     layers run at full context precision; otherwise they stay in float64.
-    Either way a layer costs O(1) work per box element: a numpy cos/sin in
-    float64, one integer multiply-add in exact fixed point.
+    Either way a group of keys costs one array pass over (keys x box): a
+    numpy cos/sin per element in float64, a gathered exact integer product
+    per element in fixed point.
     Deterministic for fixed (ctx, c_max, level).
     """
     if ctx.mantissa_bits <= 64:
@@ -167,25 +169,26 @@ def layer_bits_for(ctx, c_max: int, level: int = 1) -> int:
 
 def _layer_error(c: int, den: int, bits: int) -> float:
     """Bound on the rounding error of one layer over C+(c) (|C+(c)| <= c
-    elements) with phases over den, evaluated at `bits` (see _exponent_sum)."""
+    elements) with phases over den, evaluated at `bits` (see _exponent_sums)."""
     if bits <= 53:
         return c * 2.0 ** -50  # phi(c) ulps
     return c * (2 * math.isqrt(den) + 3) * 2.0 ** -(bits + 16 + den.bit_length())
 
 
-def _layers(data: AutomorphyData, c: int, box, keys, bits: int, tables: dict) -> list:
-    """(re, im, e, error bound) of K_c(x, y)_{j,alpha} = (re + i im) 2^-e for
-    every (x, y, j, alpha) in keys, from the box (a, d) = C+(c).
+def _layers(data: AutomorphyData, c: int, box, groups, bits: int, tables: dict) -> list:
+    """[(rows, error bound)] per group of keys, rows holding (re, im, e) of
+    K_c(x, y)_{j,alpha} = (re + i im) 2^-e for each (x, y, j, alpha) of the
+    group, from the box (a, d) = C+(c).
 
-    The exponent (x a + y d)/c minus the box phases of the character is
-    reduced exactly over one common denominator.  Diagonal rho: the
+    The keys of a group share alpha and x.denominator * y.denominator, so
+    the exponent (x a + y d)/c minus the box phases of the character reduces
+    exactly over one denominator den, and the group is one (keys x box)
+    numerator array in one pass (_exponent_sums).  Diagonal rho: the
     character is chi * mu_alpha, the keys hold no structural zero (j !=
     alpha, see _structural_zero; their callers decide those once), and the
-    layers read the root tables of their denominators from `tables`, which
-    every datum's layers at this c share (see _exponent_sum).  Matrix
-    rho: the character is chi, and rho(g^-1)_{j,alpha} e(exponent) is
-    summed per element in float64, with rho(g^-1) evaluated once per box
-    element for every key.
+    root tables in `tables` serve every datum at this c.  Matrix rho: the
+    character is chi, and the float64 pass weighs each element by
+    rho(g^-1)_{j,alpha}, with rho(g^-1) evaluated once per box element.
     """
     a, d = box
     diagonal = isinstance(data.rho, DiagonalRepresentation)
@@ -194,23 +197,23 @@ def _layers(data: AutomorphyData, c: int, box, keys, bits: int, tables: dict) ->
                            dtype=complex).reshape(-1, data.dim, data.dim)
     phases = {}
     out = []
-    for x, y, j, alpha in keys:
+    for keys in groups:
+        alpha = keys[0][3]
         if alpha not in phases:
             chi = data.scalar_character(alpha) if diagonal else data.chi
             phases[alpha] = chi.box_phases(a, d, c)
         chi_num, chi_den = phases[alpha]
-        # exponent (x a + y d)/c over D0 = qx qy c (lambda = 1 here)
-        qx, qy = x.denominator, y.denominator
-        d0 = qx * qy * c
+        # exponent (x a + y d)/c over D0 = qx qy c (lambda = 1 here), one row per key
+        d0 = keys[0][0].denominator * keys[0][1].denominator * c
         den = math.lcm(d0, chi_den)
-        nums = (x.numerator * qy * a + y.numerator * qx * d) * (den // d0) \
-            - chi_num * (den // chi_den)
+        ca, cd = np.array([(x.numerator * y.denominator, y.numerator * x.denominator)
+                           for x, y, _j, _alpha in keys], dtype=np.int64).T * (den // d0)
+        nums = ca[:, None] * a + cd[:, None] * d - chi_num * (den // chi_den)
         if diagonal:
-            out.append((*_exponent_sum(nums, den, bits, tables), _layer_error(c, den, bits)))
+            out.append((_exponent_sums(nums, den, bits, tables), _layer_error(c, den, bits)))
             continue
-        angles = (nums % den).astype(np.float64) * (TWO_PI / den)
-        layer = complex(np.sum(rho_inv[:, j - 1, alpha - 1] * np.exp(1j * angles)))
-        out.append((*_gaussian(layer), _layer_error(c, c, 53)))
+        weights = rho_inv.transpose(1, 2, 0)[[j - 1 for _x, _y, j, _a in keys], alpha - 1]
+        out.append((_exponent_sums(nums, den, 53, tables, weights), _layer_error(c, c, 53)))
     return out
 
 
@@ -225,8 +228,8 @@ def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
     """
     if _structural_zero(data, j, alpha):
         return 0j
-    re, im, e, _error = _layers(data, c, cplus_arrays(data.group, c),
-                                [(Fraction(x), Fraction(y), j, alpha)], bits, {})[0]
+    re, im, e = _layers(data, c, cplus_arrays(data.group, c),
+                        [[(Fraction(x), Fraction(y), j, alpha)]], bits, {})[0][0][0]
     if bits <= 53:
         return complex(re / (1 << e), im / (1 << e))
     with mpmath.workprec(e // 2):
@@ -261,7 +264,9 @@ def _run(requests: list, trunc: TruncationParams):
 
     Each c builds the box C+(c) and one dict of root tables once, for every
     c-sum of every datum: a table depends only on (den, bits), so eta^2 and
-    its conjugate share theirs at den = 144 c.  No c-sum's value or bound
+    its conjugate share theirs at den = 144 c.  A datum's box c-sums with one
+    alpha and x.den * y.den (so one den at every c) are one _layers pass per c
+    and keep one float64 array of layer errors.  No c-sum's value or bound
     depends on which sums share the walk.
 
     Each c-sum accumulates S = sum_c u_c K_c exactly at the scale 2^-e, and
@@ -273,7 +278,7 @@ def _run(requests: list, trunc: TruncationParams):
     error beyond the floor (0 for c^-w).  K_c = (re + i im) 2^-f is
       - the Ramanujan sum c_c(m) (f = 0) when the c-sum has m set: S is one
         integer dot product over the table, with no box;
-      - an exact fixed-point box layer (_exponent_sum);
+      - an exact fixed-point box layer (_exponent_sums);
       - a float64 box or matrix-rho layer, converted exactly (_gaussian).
     Each product u_c K_c is an integer multiply and a shift by f, rounded to
     nearest (under one unit of 2^-e in modulus, exact at f = 0).
@@ -321,23 +326,32 @@ def _run(requests: list, trunc: TruncationParams):
         layers, weights = _ramanujan_layers(s.m, level, mu), weight(s)
         s.re = sum(k * u for k, u in zip(layers.tolist(), weights[0]) if k)
         settle(s, weights, np.abs(layers), 0.0)
-    boxes = [(data, [s for s in sums if s.m is None]) for data, sums in requests]
-    boxes = [(data, box, [s.key for s in box], [weight(s) for s in box], [[] for _s in box])
-             for data, box in boxes if box]
+    boxes = []  # (data, [(box c-sums, layer errors over c)] per group)
+    for data, sums in requests:
+        groups = {}  # keys sharing alpha and x.den * y.den share den at every c
+        for s in sums:
+            if s.m is None:
+                x, y, _j, alpha = s.key
+                groups.setdefault((alpha, x.denominator * y.denominator), []).append(s)
+        if groups:
+            boxes.append((data, [(g, np.empty(len(cs))) for g in groups.values()]))
     if not boxes:
         return
     bits = trunc.layer_bits or layer_bits_for(trunc.ctx, trunc.c_max, level)
     for n, c in enumerate(cs):
         arrays, tables = cplus_arrays(group, c), {}
-        for data, box, keys, weights, errors in boxes:
-            for s, ws, errs, (re, im, f, error) in zip(
-                    box, weights, errors, _layers(data, c, arrays, keys, bits, tables)):
-                s.re += (ws[0][n] * re + (1 << f >> 1)) >> f  # to nearest
-                s.im += (ws[0][n] * im + (1 << f >> 1)) >> f
-                errs.append(error)
-    for _data, box, _keys, weights, errors in boxes:
-        for s, ws, errs in zip(box, weights, errors):
-            settle(s, ws, np.array(cs, dtype=float), np.array(errs))
+        for data, groups in boxes:
+            layers = _layers(data, c, arrays, [[s.key for s in g] for g, _e in groups], bits, tables)
+            for (g, errors), (rows, error) in zip(groups, layers):
+                errors[n] = error
+                for s, (re, im, f) in zip(g, rows):
+                    u = weight(s)[0][n]
+                    s.re += (u * re + (1 << f >> 1)) >> f  # to nearest
+                    s.im += (u * im + (1 << f >> 1)) >> f
+    for _data, groups in boxes:
+        for g, errors in groups:
+            for s in g:
+                settle(s, weight(s), np.array(cs, dtype=float), errors)
 
 
 def _value(sums: list):
@@ -460,24 +474,33 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
     # J or I at 2 half/c for every c, from one kernel call
     values = bessel_series(w - 1, half, cs, trunc.ctx, x > 0)
     e = _scale_bits(trunc.c_max) - max(mpmath.mag(v) for v, _bound in values)
-    # floor(floor(X)/c) = floor(X/c); ldexp and floor are exact on an mpf
-    u = [int(mpmath.floor(mpmath.ldexp(v, e))) // c for (v, _b), c in zip(values, cs)]
+    # floor(floor(X)/c) = floor(X/c); the shift and the floor are exact
+    u = [to_int(mpf_shift(v._mpf_, e), round_floor) // c for (v, _b), c in zip(values, cs)]
     weight = (u, e, np.abs(np.array(u, dtype=float)) * 2.0 ** -e,
               np.array([bound / c for (_v, bound), c in zip(values, cs)]))
     return _CSum(key, pref, weight, _bessel_tail(w, float(half), trunc.c_max, float(rfac),
                                                  float(lam), x < 0))
 
 
+def _datum_key(data: AutomorphyData):
+    """data, so that equal data share c-sums; id(data) if a user multiplier makes it unhashable."""
+    try:
+        hash(data)
+    except TypeError:
+        return id(data)
+    return data
+
+
 class Walk:
     """C-sums of series, constant terms and coefficients on data of one
     group, filled by one engine walk over c (_run): register, run(), read.
-    A coefficient asked for twice on one datum and weight is one c-sum."""
+    A coefficient asked for twice on equal data and one weight is one c-sum."""
 
     def __init__(self, trunc: TruncationParams):
         self.trunc, self.requests, self.coefficients = trunc, {}, {}
 
     def _add(self, data: AutomorphyData, s: _CSum) -> _CSum:
-        self.requests.setdefault(id(data), (data, []))[1].append(s)
+        self.requests.setdefault(_datum_key(data), (data, []))[1].append(s)
         return s
 
     def coefficient(self, data: AutomorphyData, w: int, n: int, alpha: int, l: int, j: int):
@@ -485,11 +508,12 @@ class Walk:
         value(), None for a structural zero."""
         _check_weight(w, self.trunc, data.group.level)
         key = (-n + data.kappa_of(alpha), l + data.kappa_of(j), j, alpha)
-        if (id(data), w, key) not in self.coefficients and not _structural_zero(data, j, alpha):
+        entry = (_datum_key(data), w, key)
+        if entry not in self.coefficients and not _structural_zero(data, j, alpha):
             with self.trunc.ctx.working():
                 s = _coefficient_sum(data, w, *key, self.trunc)
-            self.coefficients[(id(data), w, key)] = self._add(data, s)
-        return self.coefficients.get((id(data), w, key))
+            self.coefficients[entry] = self._add(data, s)
+        return self.coefficients.get(entry)
 
     def value(self, s) -> tuple:
         """(value, tail_bound) of a coefficient c-sum; None gives (0, 0.0)."""

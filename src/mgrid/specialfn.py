@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 import mpmath
+from mpmath.libmp import from_int, mpf_abs, mpf_div, mpf_mul, mpf_shift, round_nearest, to_float
 
 from .precision import (
     DEFAULT_CONTEXT,
@@ -44,8 +45,10 @@ def bessel_series(order: int, half, divisors, ctx: PrecisionContext = DEFAULT_CO
     One fixed-point table serves every q: u_0 = 2^P and
     u_t = ((u_{t-1} W) >> P) // (t (order+t)), W = round(half^2 2^P), stand
     for 2^P tau_t(half), tau_t(b) = order! b^{2t}/(t! (order+t)!).  Horner's
-    S = u_t -+ S // q^2, from t = T(q) (see _stop_index) down, gives the value
-    (half/q)^order/order! S 2^-P at the ctx.working() precision wp.
+    S = u_t -+ S // q^2, from t = T(q) down, gives the value
+    (half/q)^order/order! S 2^-P at the ctx.working() precision wp.  All T(q)
+    read one table of log(t (order+t)) (_stop_index); each q's scale
+    lead/q^order, value and bound are mpmath.libmp operations on raw tuples.
 
     Rounding: tau_t(b) <= (b^t/t!)^2 <= e^{2b}, rising from tau_0 = 1, then
     falling.  A table step loses under 2 units and rounding W under 1/2, so
@@ -62,9 +65,9 @@ def bessel_series(order: int, half, divisors, ctx: PrecisionContext = DEFAULT_CO
     if half == 0:
         return [(mpmath.mpf(1 if order == 0 else 0), 0.0) for _q in divisors]
     with ctx.working():
-        half = mpmath.mpf(half)
+        half, wp, logs = mpmath.mpf(half), mpmath.mp.prec, [0.0, math.log(order + 1)]
         log_half = float(mpmath.log(half))
-        stops = [_stop_index(order, log_half - math.log(q), ctx) for q in divisors]
+        stops = [_stop_index(order, log_half - math.log(q), ctx, logs) for q in divisors]
         t_max = max(t for t, _tail in stops)
         guard = int(_LOG2E * float(2 * half / min(divisors)))
         prec = ctx.mantissa_bits + 30 + guard + 2 * (t_max + 1).bit_length()
@@ -74,29 +77,34 @@ def bessel_series(order: int, half, divisors, ctx: PrecisionContext = DEFAULT_CO
         for t in range(1, t_max + 1):
             table.append(((table[-1] * w) >> prec) // (t * (order + t)))
         sign, out = -1 if signed else 1, []
-        lead = ensure_finite(half**order / mpmath.factorial(order))
+        lead = ensure_finite(half**order / mpmath.factorial(order))._mpf_
         for q, (t_q, log_tail) in zip(divisors, stops):
             q2, total = q * q, 0
             for t in range(t_q, -1, -1):
                 total = table[t] + sign * (total // q2)
-            scale = lead / q**order
-            value = scale * mpmath.ldexp(total, -prec)
-            bound = math.exp(log_tail) + float(scale) * 2.0 ** -(ctx.mantissa_bits + 27) \
-                + float(abs(value)) * 2.0 ** (4 - mpmath.mp.prec)
-            out.append((value, bound * (1 + 2.0**-20) + math.ulp(0.0)))
+            scale = mpf_div(lead, from_int(q**order), wp, round_nearest)
+            value = mpf_mul(scale, mpf_shift(from_int(total), -prec), wp, round_nearest)
+            bound = math.exp(log_tail) \
+                + to_float(scale, rnd=round_nearest) * 2.0 ** -(ctx.mantissa_bits + 27) \
+                + to_float(mpf_abs(value), rnd=round_nearest) * 2.0 ** (4 - wp)
+            out.append((mpmath.mp.make_mpf(value), bound * (1 + 2.0**-20) + math.ulp(0.0)))
     return out
 
 
-def _stop_index(order: int, log_hq: float, ctx: PrecisionContext):
+def _stop_index(order: int, log_hq: float, ctx: PrecisionContext, logs: list):
     """(T, log tail): the first t >= 1 at which r = hq^2/((t+1)(order+t+1)), with
-    hq = e^{log_hq}, is below 1/2 and the tail term_t r/(1-r) below target_tol."""
-    log_term = order * log_hq - math.lgamma(order + 1)
+    hq = e^{log_hq}, is below 1/2 and the tail term_t r/(1-r) below target_tol.
+    logs[t] = log(t (order+t)) is one table for every hq of a call, grown here."""
+    log_term, tol = order * log_hq - math.lgamma(order + 1), math.log(ctx.target_tol)
     for t in range(1, ctx.iteration_cap + 1):
-        log_term += 2 * log_hq - math.log(t * (order + t))
-        log_ratio = 2 * log_hq - math.log((t + 1) * (order + t + 1))
-        if log_ratio < -math.log(2):
+        if len(logs) == t + 1:
+            logs.append(math.log((t + 1) * (order + t + 1)))
+        log_term += 2 * log_hq - logs[t]
+        log_ratio = 2 * log_hq - logs[t + 1]
+        # log1p(-e^r) <= 0, so the tail is below tol only if log_term + r is
+        if log_ratio < -math.log(2) and log_term + log_ratio < tol:
             log_tail = log_term + log_ratio - math.log1p(-math.exp(log_ratio))
-            if log_tail < math.log(ctx.target_tol):
+            if log_tail < tol:
                 return t, log_tail
     raise ConvergenceError(f"Bessel series did not certify {ctx.target_tol} within "
                            f"{ctx.iteration_cap} terms; raise mantissa_bits")

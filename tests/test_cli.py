@@ -223,7 +223,7 @@ def test_selfcheck(capsys):
         assert rc == 0
         doc = json.loads(out)
         assert all(c["pass"] for c in doc["checks"])
-        assert "ramanujan-csum" in {c["name"] for c in doc["checks"]}
+        assert {"ramanujan-csum", "layers-batched"} <= {c["name"] for c in doc["checks"]}
 
 
 def test_character_and_rep_parsers():

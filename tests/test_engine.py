@@ -29,12 +29,16 @@ from mgrid.automorphy import (
     frac,
     trivial_representation,
 )
+from mgrid.gridforms import build_pair
 from mgrid.groups import GroupSpec, cplus_arrays, enumerate_cplus, gamma0, sl2z
 from mgrid.poincare import (
     _coefficient_sum,
-    _exponent_sum,
+    _exponent_sums,
     _layer_error,
+    _layers,
+    _root_table,
     _run,
+    _scale_bits,
     _value,
     constant_term_cf,
     kloosterman_layer,
@@ -42,6 +46,7 @@ from mgrid.poincare import (
     poincare_series,
 )
 from mgrid.precision import PrecisionContext, exp2pi
+from mgrid.specialfn import bessel_series
 from mgrid.series import FourierSeries, TruncationParams
 
 CTX = PrecisionContext(mantissa_bits=113, target_tol=1e-25)
@@ -257,15 +262,165 @@ def _exact_layer_bound(count, den, bits=113):
 
 @pytest.mark.parametrize("den", [1, 2, 7, 60, 144 * 37, 144 * 80])
 def test_exact_layer_kernel_against_256_bit_sum(den):
+    # one pass over a multi-row numerator array: every row within its bound
+    # of a 256-bit sum, and equal bit for bit to the row evaluated alone
     rng = np.random.default_rng(den)
     for size in (1, 3, 40, 400):
-        nums = rng.integers(-2**62, 2**62, size=size, dtype=np.int64)
-        re, im, e = _exponent_sum(nums, den, 113, {})
-        assert (re, im, e) == _exponent_sum(nums, den, 113, {})  # bit for bit
-        with mpmath.workprec(256):
-            ref = mpmath.fsum(exp2pi(Fraction(v, den)) for v in nums.tolist())
-            err = abs(mpmath.mpc(mpmath.ldexp(re, -e), mpmath.ldexp(im, -e)) - ref)
-        assert err <= _exact_layer_bound(size, den)
+        nums = rng.integers(-2**62, 2**62, size=(3, size), dtype=np.int64)
+        rows = _exponent_sums(nums, den, 113, {})
+        assert len(rows) == 3 and rows == _exponent_sums(nums, den, 113, {})  # bit for bit
+        for row, (re, im, e) in zip(nums, rows):
+            assert [(re, im, e)] == _exponent_sums(row[None, :], den, 113, {})
+            with mpmath.workprec(256):
+                ref = mpmath.fsum(exp2pi(Fraction(v, den)) for v in row.tolist())
+                err = abs(mpmath.mpc(mpmath.ldexp(re, -e), mpmath.ldexp(im, -e)) - ref)
+            assert err <= _exact_layer_bound(size, den)
+
+
+def _key_groups(keys):
+    """The engine's groups: keys sharing alpha and x.den * y.den (see _run)."""
+    groups = {}
+    for key in keys:
+        x, y, _j, alpha = key
+        groups.setdefault((alpha, x.denominator * y.denominator), []).append(key)
+    return list(groups.values())
+
+
+def _element_phases(data, c, key):
+    """[(rho(g^-1)_{j,alpha}, e-exponent)] per element g of C+(c), one Fraction
+    x a/c + y d/c - phase(g) at a time, and the layer's denominator."""
+    x, y, j, alpha = key
+    diagonal = isinstance(data.rho, DiagonalRepresentation)
+    chi = data.scalar_character(alpha) if diagonal else data.chi
+    out = [(1 if diagonal else data.rho.matrix(g.inverse())[j - 1][alpha - 1],
+             x * g.a / c + y * g.d / c - chi.phase(g)) for g in enumerate_cplus(data.group, c)]
+    _nums, chi_den = chi.box_phases(*cplus_arrays(data.group, c), c)
+    return out, math.lcm(x.denominator * y.denominator * c, chi_den)
+
+
+def _elementwise_exact_layer(phases, den, bits):
+    """A plain per-element Python sum of giant[q] baby[s] over the root table
+    of den, r = q B + s the residue of each phase."""
+    prec, step, baby, giant = _root_table(den, bits)
+    re = im = 0
+    for _w, phase in phases:
+        r = phase * den % den
+        assert r.denominator == 1
+        q, s = divmod(int(r), step)
+        (gr, gi), (br, bi) = giant[:2, q], baby[:2, s]
+        re, im = re + gr * br - gi * bi, im + gr * bi + gi * br
+    return re, im, 2 * prec
+
+
+def _eta2_keys():
+    data = AutomorphyData(weight=5, chi=EtaPowerMultiplier(2), rho=trivial_representation(),
+                          group=sl2z())
+    kap = data.kappa_of(1)  # 1/12, and 11/12 on the conjugate
+    f_keys = [(-1 + kap, l + kap, 1, 1) for l in range(0, 11)] \
+        + [(-1 + kap, Fraction(0), 1, 1), (kap, Fraction(0), 1, 1)]  # a second group
+    g_keys = [(-kap, l + 1 - kap, 1, 1) for l in range(0, 11)]  # G+ on the conjugate
+    return [(data, f_keys), (data.conjugate(), g_keys)], (1, 7, 12, 37)
+
+
+def _trivial_keys():
+    data = AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=trivial_representation(),
+                          group=sl2z())
+    return [(data, [(Fraction(1), Fraction(l), 1, 1) for l in range(1, 61)])], (1, 12, 30)
+
+
+def _two_component_keys():
+    data = _two_component()
+    keys = [(-n + data.kappa_of(a), l + data.kappa_of(a), a, a)
+            for a in (1, 2) for n in (-1, 1) for l in range(0, 4)]
+    return [(data, keys)], (1, 6, 25)
+
+
+def _dirichlet_keys():
+    data = AutomorphyData(weight=5, chi=DIRICHLET4, rho=trivial_representation(),
+                          group=gamma0(4))
+    keys = [(Fraction(-n), Fraction(l), 1, 1) for n in (-1, 1) for l in range(1, 6)]
+    return [(data, keys)], (4, 12, 28)
+
+
+def _matrix_keys():
+    rho = _two_component().rho
+    mat = MatrixRepresentation(2, rho.matrix, [rho.phase_T(1), rho.phase_T(2)])
+    data = AutomorphyData(weight=5, chi=EtaPowerMultiplier(2), rho=mat, group=sl2z())
+    keys = [(-1 + data.kappa_of(a), l + data.kappa_of(j), j, a)
+            for a in (1, 2) for j in (1, 2) for l in range(0, 3)]
+    return [(data, keys)], (1, 6, 13)
+
+
+LAYER_CASES = {"eta2": _eta2_keys, "trivial": _trivial_keys,
+               "diag(trivial;eta:4)": _two_component_keys, "dirichlet4": _dirichlet_keys,
+               "matrix": _matrix_keys}
+
+
+@pytest.mark.parametrize("case", LAYER_CASES)
+def test_batched_layers_equal_an_elementwise_sum(case):
+    # every row of every group of one _layers call against its own key's
+    # per-element sum: bit for bit in fixed point at 113 bits, within
+    # c 2^-50 of a 256-bit sum in float64 (the only matrix-rho path)
+    data_keys, cs = LAYER_CASES[case]()
+    for c in cs:
+        box, tables = cplus_arrays(data_keys[0][0].group, c), {}
+        for data, keys in data_keys:
+            groups = _key_groups(keys)
+            matrix = not isinstance(data.rho, DiagonalRepresentation)
+            for bits in (53,) if matrix else (53, 113):
+                layers = _layers(data, c, box, groups, bits, tables)
+                assert [len(rows) for rows, _error in layers] == [len(g) for g in groups]
+                for group, (rows, error) in zip(groups, layers):
+                    for key, (re, im, e) in zip(group, rows):
+                        phases, den = _element_phases(data, c, key)
+                        if bits > 53:
+                            assert (re, im, e) == _elementwise_exact_layer(phases, den, bits)
+                            assert error == _layer_error(c, den, bits)
+                            continue
+                        assert error == c * 2.0 ** -50
+                        with mpmath.workprec(256):
+                            ref = mpmath.fsum(mpmath.mpc(w) * exp2pi(p) for w, p in phases)
+                            got = mpmath.mpc(mpmath.ldexp(re, -e), mpmath.ldexp(im, -e))
+                            assert abs(got - ref) <= error
+
+
+def test_eta2_pair_evaluates_one_batch_per_datum_and_c(monkeypatch):
+    # eta^2 at c_max 80: f and the shadow on eta^2, G+ on its conjugate, 33
+    # keys per c; one array pass per datum and c (80 c x 2 data), where a
+    # per-key kernel would make 2,640 evaluations
+    calls = []
+
+    def counted(nums, *args):
+        calls.append(nums.shape[0])
+        return _exponent_sums(nums, *args)
+
+    monkeypatch.setattr("mgrid.poincare._exponent_sums", counted)
+    data = AutomorphyData(weight=5, chi=EtaPowerMultiplier(2), rho=trivial_representation(),
+                          group=sl2z())
+    build_pair(data, 3, 1, 1, 1, 1, TruncationParams(c_max=80, tail_tol=1.0, ctx=CTX), lmax=10)
+    assert len(calls) == 160 and sum(calls) == 2640
+
+
+@pytest.mark.parametrize("n", [-1, 1], ids=["J", "I"])
+@pytest.mark.parametrize("w", [5, 12], ids=["order4", "order11"])
+def test_bessel_weights_equal_the_mpf_route(w, n):
+    # u_c = floor(2^e v_c) // c and e = P - max mag(v_c), from libmp tuples,
+    # against the same steps on mpf objects, bit for bit
+    chi = EtaPowerMultiplier(2) if w == 5 else TrivialMultiplier()
+    data = AutomorphyData(weight=w, chi=chi, rho=trivial_representation(), group=sl2z())
+    x, y = -n + data.kappa_of(1), 2 + data.kappa_of(1)
+    trunc = TruncationParams(c_max=80, tail_tol=1.0, ctx=CTX)
+    cs = range(1, 81)
+    with CTX.working():
+        u, e, u_abs, du = _coefficient_sum(data, w, x, y, 1, 1, trunc).weight
+        xy = abs(x) * y
+        half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator)
+        values = bessel_series(w - 1, half, cs, CTX, x > 0)
+        ref_e = _scale_bits(80) - max(mpmath.mag(v) for v, _b in values)
+        ref_u = [int(mpmath.floor(mpmath.ldexp(v, ref_e))) // c for (v, _b), c in zip(values, cs)]
+    assert e == ref_e and u == ref_u
+    assert u_abs.tolist() == [abs(float(v)) * 2.0 ** -e for v in ref_u]
+    assert du.tolist() == [b / c for (_v, b), c in zip(values, cs)]
 
 
 def test_exact_layer_noise_counts_every_computed_layer_but_no_structural_zero():

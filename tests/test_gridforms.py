@@ -226,3 +226,28 @@ def test_build_pair_walks_c_once(monkeypatch):
     build_pair(ETA2, 3, 1, 1, 1, 1, TruncationParams(c_max=80, tail_tol=1.0, ctx=CTX),
                lmax=10)
     assert counts == {"cplus_arrays": 80, "_root_table": 80}
+
+
+def test_equal_data_share_their_csums(monkeypatch):
+    # the trivial character is self-conjugate, so at n1 = n2 f and G+'s
+    # conjugate series are one set of c-sums: 6 c-sums, not 9, and every
+    # value and tail of the pair as the separate builders give it
+    calls = []
+    original = poincare._coefficient_sum
+
+    def counted(*args):
+        calls.append(args[:4])
+        return original(*args)
+
+    monkeypatch.setattr(poincare, "_coefficient_sum", counted)
+    pair_ = build_pair(DATA12, 10, 1, 1, 1, 1, TR, lmax=3)
+    assert len(calls) == 6 and conjugate(DATA12) == DATA12
+    f, G = build_f(DATA12, 10, 1, 1, TR, lmax=3), build_G(DATA12, 10, 1, 1, TR, lmax=3)
+    assert _entries(pair_.f) == _entries(f)
+    assert _entries(pair_.f) == _entries(poincare_series(conjugate(DATA12), 12, 1, 1,
+                                                         range(0, 4), TR))
+    for got, ref in ((pair_.G.holo, G.holo), (pair_.G.shadow, G.shadow)):
+        assert [(k, v._mpc_, t) for k, v, t in _entries(got)] \
+            == [(k, v._mpc_, t) for k, v, t in _entries(ref)]
+    assert pair_.G.nonholo == G.nonholo and pair_.G.nonholo_tails == G.nonholo_tails
+    assert pair_.duality == verify_duality(DATA12, 10, 1, 1, 1, 1, TR)
