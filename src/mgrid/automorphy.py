@@ -380,6 +380,11 @@ class AutomorphyData:
                 raise ValueError("rho(-I) must be the identity matrix")
         object.__setattr__(self, "kappa", kappa_vector(self.chi, self.rho))
 
+    def __hash__(self):
+        """On fields every datum can hash, as a user multiplier may not, so that
+        equal data (compared field by field) are one key of a Walk."""
+        return hash((self.weight, self.group, self.kappa))
+
     @property
     def lam(self) -> Fraction:
         return self.group.lam

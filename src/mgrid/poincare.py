@@ -482,15 +482,6 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
                                                  float(lam), x < 0))
 
 
-def _datum_key(data: AutomorphyData):
-    """data, so that equal data share c-sums; id(data) if a user multiplier makes it unhashable."""
-    try:
-        hash(data)
-    except TypeError:
-        return id(data)
-    return data
-
-
 class Walk:
     """C-sums of series, constant terms and coefficients on data of one
     group, filled by one engine walk over c (_run): register, run(), read.
@@ -500,7 +491,7 @@ class Walk:
         self.trunc, self.requests, self.coefficients = trunc, {}, {}
 
     def _add(self, data: AutomorphyData, s: _CSum) -> _CSum:
-        self.requests.setdefault(_datum_key(data), (data, []))[1].append(s)
+        self.requests.setdefault(data, (data, []))[1].append(s)
         return s
 
     def coefficient(self, data: AutomorphyData, w: int, n: int, alpha: int, l: int, j: int):
@@ -508,12 +499,11 @@ class Walk:
         value(), None for a structural zero."""
         _check_weight(w, self.trunc, data.group.level)
         key = (-n + data.kappa_of(alpha), l + data.kappa_of(j), j, alpha)
-        entry = (_datum_key(data), w, key)
-        if entry not in self.coefficients and not _structural_zero(data, j, alpha):
+        if (data, w, key) not in self.coefficients and not _structural_zero(data, j, alpha):
             with self.trunc.ctx.working():
                 s = _coefficient_sum(data, w, *key, self.trunc)
-            self.coefficients[entry] = self._add(data, s)
-        return self.coefficients.get(entry)
+            self.coefficients[(data, w, key)] = self._add(data, s)
+        return self.coefficients.get((data, w, key))
 
     def value(self, s) -> tuple:
         """(value, tail_bound) of a coefficient c-sum; None gives (0, 0.0)."""
