@@ -3,7 +3,9 @@ against the per-element phase, user multipliers that define only phase(),
 one-pass series against single coefficients, the one noise rule of the
 c-sum accumulator over float64 and fixed-point layers, the constant term's
 layer precision, the exact fixed-point layers against 256-bit sums and
-Ramanujan sums, the Ramanujan and box layer sources against each other,
+Ramanujan sums, the batched layers of every key group against per-element
+sums, one array pass per datum and c, the Bessel weights' libmp route
+against mpf arithmetic, the Ramanujan and box layer sources against each other,
 the Ramanujan c-sums' sigma(m) tails, passes that build no box, one matrix
 evaluation per box element, the leading delta term at context precision,
 the Bessel weights' error in the tails, structural zeros with no tail, and
