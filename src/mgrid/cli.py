@@ -334,8 +334,9 @@ def cmd_pairing(args) -> int:
 def cmd_selfcheck(args) -> int:
     import math
 
-    from .groups import cplus_arrays, enumerate_cplus, sl2z
-    from .poincare import Walk, _layers, kloosterman_layer
+    from .groups import S, cplus_arrays, enumerate_cplus, sl2z
+    from .lfun import TwistSpec, lvalue_series
+    from .poincare import Walk, _layers, kloosterman_layer, poincare_series
     from .precision import exp2pi
     from .specialfn import bessel_i, bessel_j, gamma_upper
 
@@ -384,6 +385,15 @@ def cmd_selfcheck(args) -> int:
             exp2pi(x * g.a / c + y * g.d / c - eta2.chi.phase(g)) for g in enumerate_cplus(
                 sl2z(), c))) <= error for (x, y, _j, _a), (re, im, e) in zip(keys, rows))
     checks.append(("layers-batched", ok))
+    # one fixed-point series L-value (weight 12, S, s = 6: both sides alike)
+    # against the per-term mp sum of its coefficients, within its err
+    tr = TruncationParams(c_max=20, tail_tol=1.0, ctx=ctx)
+    f = poincare_series(scalar(TrivialMultiplier(), 12), 12, -1, 1, range(1, 21), tr)
+    lv = lvalue_series(f, TwistSpec.from_element(S, 1), 6, trunc=tr)
+    with mpmath.workprec(ctx.mantissa_bits + 60):
+        ref = 2 * mpmath.fsum(a * mpmath.gammainc(6, 2 * mpmath.pi * m) / (2 * mpmath.pi * m) ** 6
+                              for (m, _j), a in f.items())
+    checks.append(("lvalue-fixed-point", abs(lv.lstar - ref) <= lv.err))
     with ctx.working():
         # Gamma(3, z) = 2 Gamma(2, z) + z^2 e^-z, to the context's bits
         g1 = gamma_upper(3, 2.0, ctx)

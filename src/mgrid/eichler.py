@@ -237,16 +237,15 @@ def period_rN(f: FourierSeries, gamma: GroupElement, k: int,
 def _moment_polynomial(f: FourierSeries, gamma: GroupElement, k: int,
                        t0: float, tol: float, conj: bool) -> PeriodPolynomial:
     """sum_m C(k, m) (-1)^m M_m (tau + d/c)^{k-m} from the quadrature
-    moments M_m = R.int f(z) (z + d/c)^m dz, each conjugated when conj;
-    the parabolic polynomial when c = 0."""
+    moments M_m = R.int f(z) (z + d/c)^m dz, each conjugated when conj, from
+    one float conversion of f; the parabolic polynomial when c = 0."""
     if gamma.c == 0:
         return period_r_parabolic(f, gamma, k)
     if gamma.c < 0:
         gamma = -gamma
     shift = gamma.d / gamma.c
     coeffs = np.zeros(k + 1, dtype=complex)
-    for m in range(k + 1):
-        mom = regularized_moment(f, gamma, m, t0=t0, tol=tol)
+    for m, mom in enumerate(regularized_moment(f, gamma, range(k + 1), t0=t0, tol=tol)):
         coeffs[k - m] += math.comb(k, m) * (-1) ** m * (mom.conjugate() if conj else mom)
     return PeriodPolynomial(gamma, k, coeffs, shift)
 

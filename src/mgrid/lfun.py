@@ -13,10 +13,12 @@ element gamma = (a b; c d), c > 0, the completed twisted series is
 with zeta^x = e^{2 pi i x/(c lam)}, principal powers (arg in (-pi, pi]),
 and L = (2 pi)^s / Gamma(s) L*.  The value is independent of t0; the
 incomplete-gamma factors at the finitely many negative frequencies carry
-the regularization.  lvalue_series sums it for a list of s in one pass
-over the coefficients, with Gamma(n, x) at integer n >= 1 from one
-fixed-point sweep of its finite sum (DLMF 8.4.8) per argument, within
-2^-wp (|Gamma(n, x)| + Gamma(n, |x|)).  The integral representation
+the regularization.  lvalue_series sums each side for a list of s in one
+exact integer pass over the coefficients (one fixed-point sweep of DLMF
+8.4.8 per argument, exact rational powers), rounded once at wp; its err is
+the estimated remainder, plus the propagated tails, plus the rounding noise
+|pref| 2^-e (N + 2^(-wp-1) (M + N)) per side and 2^(1-wp) |L*| (the rule
+and its parts are in lvalue_series).  The integral representation
 
     L* = i^{-s} R.int_{-d/c}^{i inf} f(tau) (tau + d/c)^{s-1} dtau
 
@@ -37,11 +39,12 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_man_exp, mpc_mul, mpf_exp, pi_fixed, round_nearest, to_float
 
 from .automorphy import AutomorphyData
 from .groups import GroupElement, generators
-from .poincare import coefficient_envelope
-from .precision import compensated_sum, exp2pi
+from .poincare import _CSum, _prefactor_prec, _value, coefficient_envelope
+from .precision import exp2pi
 from .quadrature import regularized_moment
 from .series import FourierSeries, TruncationParams
 from .specialfn import gamma_upper
@@ -78,7 +81,7 @@ class TwistSpec:
 
     def zeta_power(self, x) -> mpmath.mpc:
         """e^{2 pi i x / (c lam)} for rational x; exactly 1 at x = 0."""
-        return mpmath.mpc(1) if x == 0 else exp2pi(Fraction(x) / (self.gamma.c * self.lam))
+        return exp2pi(Fraction(x) / (self.gamma.c * self.lam))
 
 
 @dataclass
@@ -92,35 +95,83 @@ class LValue:
     err: float
 
 
-def _gamma_sweep(x, orders) -> dict:
-    """{n: Gamma(n, x)} for the given orders n >= 1 and real mpf x, by one
-    sweep of DLMF 8.4.8, Gamma(n, x) = (n-1)! e^{-x} sum_{j<n} x^j/j!, in
-    fixed point: X = x 2^p exactly, T_0 = 2^p, T_j = ((T_{j-1} X) >> p) // j.
-    Two floors a step put the partial sums within 2n sum_{j<n} |x|^j/j!
-    units, so with exp and the product at p bits the error is at most
-    (2n+3) 2^-p e^{|x|-x} Gamma(n, |x|).  p = wp + max(10, bit_length(2N+3)
-    + 1) + (2|x| log2(e) when x < 0, the sum's cancellation) makes every
-    value, rounded to wp = mp.prec, within 2^-wp (|Gamma(n, x)| +
-    Gamma(n, |x|)); for N <= 254, p does not depend on the orders asked.
+def _fixed(parts):
+    """(re, im, e) with (re + i im) 2^e exactly the mpc whose mpf tuples are parts."""
+    e = min((p[2] for p in parts if p[1]), default=0)
+    re, im = ((-1) ** sign * man << (exp - e) if man else 0 for sign, man, exp, _bc in parts)
+    return re, im, e
+
+
+def _gamma_sweep(q: Fraction, orders) -> dict:
+    """{n: (G, 0, E, D)}: Gamma(n, x) = G 2^E within D 2^E, x = 2 pi q, for the
+    orders n >= 1, by one integer sweep of DLMF 8.4.8, Gamma(n, x) =
+    (n-1)! e^{-x} sum_{j<n} x^j/j!, at p bits: X = x 2^p within 2 units,
+    T_0 = 2^p, T_j = ((T_{j-1} X) >> p) // j, and one exp, e^{-X 2^-p} = m 2^E'
+    at p bits; G = (n-1)! m sum_{j<n} T_j, E = E' - p.  Two floors a step put
+    the partial sums within 2n sum_{j<n} |x|^j/j! units, so with X and exp
+    the error is under (2n+6) 2^-p e^{|x|-x} Gamma(n, |x|) <= D 2^E, D =
+    ((2n+7) (n-1)! m sum_{j<n} |T_j| >> p) + 1.  p = wp + max(10,
+    bit_length(2N+3) + 1) (+ 4 pi |q| log2(e) + 1 when x < 0, the sum's
+    cancellation) puts G 2^E within 2^-wp (|Gamma(n, x)| + Gamma(n, |x|));
+    for N <= 254, p does not depend on the orders asked.
     """
     n_max = max(orders, default=0)
     prec = mpmath.mp.prec + max(10, (2 * n_max + 3).bit_length() + 1)
-    if x < 0:
-        prec += math.ceil(2 * 1.4426950408889634 * float(-x))
-    sign, man, exp, _bc = mpmath.mpf(x)._mpf_
-    prec = max(prec, -exp)
-    big_x = (-1) ** sign * man << (exp + prec)
-    out = {}
-    with mpmath.workprec(prec):
-        ex = mpmath.exp(-x)
-        term, psum, fact = 1 << prec, 0, 1
-        for n in range(1, n_max + 1):
-            psum += term
-            if n in orders:
-                out[n] = mpmath.ldexp(ex * (fact * psum), -prec)
-            term = ((term * big_x) >> prec) // n
-            fact *= n
-    return {n: +g for n, g in out.items()}
+    if q.numerator < 0:
+        prec += math.ceil(4 * math.pi * 1.4426950408889634 * float(-q)) + 1
+    g = (2 * abs(q.numerator)).bit_length()
+    big_x = 2 * q.numerator * pi_fixed(prec + g) // (q.denominator << g)
+    _s, man, exp, _bc = mpf_exp(from_man_exp(-big_x, -prec), prec, round_nearest)
+    term, psum, apsum, fact, out = 1 << prec, 0, 0, 1, {}
+    for n in range(1, n_max + 1):
+        psum, apsum = psum + term, apsum + abs(term)
+        if n in orders:
+            out[n] = (fact * psum * man, 0, exp - prec,
+                      ((2 * n + 7) * fact * apsum * man >> prec) + 1)
+        term = ((term * big_x) >> prec) // n
+        fact *= n
+    return out
+
+
+def _power(fr: Fraction, n: int):
+    """fr^-n = up/down exactly, down > 0: (-1)^n |fr|^-n for fr < 0."""
+    if n < 0:
+        return fr.numerator ** -n, fr.denominator ** -n
+    up, down = fr.denominator ** n, fr.numerator ** n
+    return (-up, -down) if down < 0 else (up, down)
+
+
+def _fixed_sum(terms, n: int, pref) -> _CSum:
+    """pref sum_m A G fr^-n over terms (fr, t, A, G), call at wp: the sum is
+    re + i im at 2^-e, P = wp + bit_length(terms) + 8 bits below its largest
+    term.  A is an exact (re, im, e) triple, G one with a fourth entry d
+    (Gamma within d units of its 2^e), t = tail / |a|.  A term enters
+    floored, off by under 2 units plus its Gamma bound carried through |A|
+    |fr^-n|, D_m + 1 units (D_m its floor).  With N = sum (3 + D_m), M the
+    terms' sum of |re| + |im| and T = sum t (|re| + |im| + 3 + D_m), tail is
+    |pref| 2^-e T and noise |pref| 2^-e (N + 2^(-wp-1) (M + N)), where
+    2^(-wp-1) (M + N) covers the twist phases and the prefactor."""
+    terms = [(a, gam, _power(fr, n), t) for fr, t, a, gam in terms]
+    e = mpmath.mp.prec + len(terms).bit_length() + 8 - max(
+        ((abs(ar) + abs(ai)).bit_length() + (abs(gr) + abs(gi)).bit_length() + ae + ge
+         + abs(up).bit_length() - down.bit_length() + 1
+         for (ar, ai, ae), (gr, gi, ge, _d), (up, down), _t in terms), default=0)
+    re = im = noise = mag = 0
+    tail = 0.0
+    for (ar, ai, ae), (gr, gi, ge, d), (up, down), t in terms:
+        xr, xi = (ar * gr - ai * gi) * up, (ar * gi + ai * gr) * up
+        xd = (abs(ar) + abs(ai)) * d * abs(up)
+        sh = ae + ge + e
+        if sh >= 0:
+            xr, xi, xd = xr << sh, xi << sh, xd << sh
+        else:
+            xr, xi, xd = xr >> -sh, xi >> -sh, xd >> -sh
+        tr, ti, dn = xr // down, xi // down, xd // down
+        re, im, u = re + tr, im + ti, abs(tr) + abs(ti)
+        noise, mag, tail = noise + 3 + dn, mag + u, tail + t * (u + 3 + dn)
+    unit = math.ldexp(float(abs(pref)), -e)
+    return _CSum(None, pref, None, unit * tail, re=re, im=im, e=e,
+                 noise=unit * (noise + 2.0 ** (-mpmath.mp.prec - 1) * (mag + noise)))
 
 
 def _gamma_majorant(s: int, x: float) -> float:
@@ -142,12 +193,19 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
     order), all from one pass over the stored coefficients: a coefficient's
     frequency, twist phases and Gamma(n, x) at every order n >= 1 needed
     come once, from one _gamma_sweep per argument (one for both when
-    x1 = x2).  An order <= 0 (s >= weight) calls gamma_upper.
-
-    All stored coefficients enter; the err field reports the estimated
-    neglected remainder (a guessed coefficient envelope times certified
-    gamma majorants) plus the propagated coefficient tail bounds.  The
-    working precision is the context of trunc when given, else of f.
+    x1 = x2).  An order <= 0 (s >= weight) calls gamma_upper, taken to be
+    within 2^(3-wp) (|re| + |im|).  Each side of L* is one exact integer sum
+    (_fixed_sum) of A G fr^-n: A = a(m) zeta exactly, zeta at
+    _prefactor_prec(w) bits (1 at x = 0), and fr^-n exact, so a negative
+    base b gives (-1)^n |b|^n; its prefactor pref, the powers of 2 pi/lambda
+    and the side-2 phase, is kept at _prefactor_prec(max(w, s)) bits.  L* is
+    rounded once at wp (poincare._value).  err has three parts:
+      - the estimated remainder past the stored range (a guessed
+        coefficient envelope times certified gamma majorants);
+      - the propagated coefficient tails, each side's tail;
+      - the rounding noise, each side's noise plus 2^(1-wp) |L*|.
+    wp is the working precision of the context of trunc when given, else
+    of f.
     """
     s_list = list(s) if hasattr(s, "__iter__") else [s]
     if f.automorphy.dim != 1:
@@ -161,7 +219,6 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
     ctx = (trunc or f.truncation).ctx
     w = f.weight
     g = twist.gamma
-    a_g, c_g, d_g = g.a, g.c, g.d
     lam = f.automorphy.lam
     # estimated remainder past the stored range (positive-frequency side)
     rem = dict.fromkeys(s_list, 0.0)
@@ -170,48 +227,48 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
         order = -min((n for (n, _j) in f.principal_support()), default=0)  # guessed
         env = coefficient_envelope(f.automorphy, w, order, 1, m_top, 1)
         x1t = 2 * math.pi * float(m_top + f.automorphy.kappa_of(1)) * t0 / float(lam)
-        x2t = 2 * math.pi * float(m_top + f.automorphy.kappa_of(1)) / (c_g * c_g * t0 * float(lam))
+        x2t = 2 * math.pi * float(m_top + f.automorphy.kappa_of(1)) / (g.c * g.c * t0 * float(lam))
         for si in rem:
-            rem[si] = 2 * (env * (_gamma_majorant(si, x1t) + c_g ** (w - 2 * si)
+            rem[si] = 2 * (env * (_gamma_majorant(si, x1t) + g.c ** (w - 2 * si)
                                   * _gamma_majorant(w - si, x2t)))
-    acc = {si: ([], [], [0.0]) for si in s_list}  # terms1, terms2, err
-    orders1, orders2 = set(acc), {w - si for si in acc if w - si >= 1}
+    orders1, orders2 = set(s_list), {w - si for si in s_list if w - si >= 1}
+    orders0 = {w - si for si in s_list} - orders2  # through gamma_upper
+    r1, r2 = Fraction(t0) / lam, 1 / (g.c * g.c * Fraction(t0) * lam)  # x = 2 pi fr r
+    one_sweep, orders12 = r1 == r2, orders1 | orders2  # x1 = x2
+    rows = []  # (fr, tail/|a|, A at side 1, Gamma at x1, A at side 2, Gamma at x2)
     with ctx.working():
-        lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
-        two_pi = 2 * mpmath.pi
-        chi_g = f.automorphy.scalar_character(1).value(g)
-        # i^w times the arg(-c)^(w - 2s) phase e(w/2 - s) for c > 0
-        pref2 = {si: exp2pi(Fraction(3 * w, 4)) * mpmath.mpf(c_g) ** (w - 2 * si) / chi_g
-                 for si in acc}
-        for (m, _j), am in f.items():
-            if am == 0:
-                continue
-            fr = f.freq(m, 1)  # m + kappa, exact Fraction
-            fmp = mpmath.mpf(fr.numerator) / fr.denominator
-            x1 = two_pi * fmp * t0 / lam_mp
-            x2 = two_pi * fmp / (c_g * c_g * t0 * lam_mp)
-            # principal powers of a possibly negative real base
-            base = mpmath.mpc(two_pi * fmp / lam_mp)
-            gam1 = _gamma_sweep(x1, orders1 | orders2 if x1 == x2 else orders1)
-            gam2 = gam1 if x1 == x2 else _gamma_sweep(x2, orders2)
-            az1 = am * twist.zeta_power(-d_g * fr)
-            az2 = am * twist.zeta_power(a_g * fr)
-            tb = f.tails.get((m, 1), 0.0)
-            for si, (terms1, terms2, err) in acc.items():
-                g1 = gam1[si]
-                g2 = gam2[w - si] if w - si >= 1 else gamma_upper(w - si, x2, ctx)
-                pw1 = mpmath.power(base, si)
-                pw2 = mpmath.power(base, w - si)
-                terms1.append(az1 * g1 / pw1)
-                terms2.append(az2 * g2 / pw2)
-                if tb:
-                    err[0] += tb * float(abs(g1 / pw1) + abs(pref2[si]) * abs(g2 / pw2))
-        out = []
+        wp = mpmath.mp.prec
+        with mpmath.workprec(_prefactor_prec(w)):
+            chi_g = f.automorphy.scalar_character(1).value(g)
+            for (m, _j), am in f.items():
+                am = am if isinstance(am, mpmath.mpc) else mpmath.mpc(am)
+                a = _fixed(am._mpc_)
+                if not (a[0] or a[1]):
+                    continue
+                fr = f.freq(m, 1)  # m + kappa, exact Fraction
+                gam1 = _gamma_sweep(fr * r1, orders12 if one_sweep else orders1)
+                gam2 = gam1 if one_sweep else _gamma_sweep(fr * r2, orders2)
+                for n in orders0:
+                    gr, gi, ge = _fixed(gamma_upper(n, 2 * mpmath.pi * (fr * r2), ctx)._mpc_)
+                    gam2[n] = (gr, gi, ge, ((abs(gr) + abs(gi)) >> (wp - 3)) + 1)
+                a1, a2 = [_fixed(mpc_mul(am._mpc_, twist.zeta_power(x * fr)._mpc_, 0))
+                          if x else a for x in (-g.d, g.a)]
+                tb = f.tails.get((m, 1), 0.0)
+                tb = tb and tb / math.hypot(*map(to_float, am._mpc_))  # tail / |a|
+                rows.append((fr, tb, a1, gam1, a2, gam2))
+        two_pi, out = 2 * mpmath.pi, []
         for si in s_list:
-            terms1, terms2, err = acc[si]
-            lstar = compensated_sum(terms1) + pref2[si] * compensated_sum(terms2)
-            value = two_pi ** si / mpmath.factorial(si - 1) * lstar
-            out.append(LValue(si, twist, value, lstar, "series", t0, err[0] + rem[si]))
+            with mpmath.workprec(_prefactor_prec(max(w, si))):
+                two_pi_lam = 2 * mpmath.pi * lam.denominator / lam.numerator
+                # i^w times the arg(-c)^(w - 2s) phase e(w/2 - s) for c > 0
+                prefs = (two_pi_lam ** -si, exp2pi(Fraction(3 * w, 4))
+                         * mpmath.mpf(g.c) ** (w - 2 * si) * two_pi_lam ** (si - w) / chi_g)
+            sums = [_fixed_sum([(r[0], r[1], r[2 + 2 * k], r[3 + 2 * k][n]) for r in rows],
+                               n, pref) for k, (n, pref) in enumerate(zip((si, w - si), prefs))]
+            lstar = _value(sums)
+            err = rem[si] + sum(s.tail + s.noise for s in sums) + 2.0 ** (1 - wp) * float(abs(lstar))
+            out.append(LValue(si, twist, two_pi ** si / mpmath.factorial(si - 1) * lstar, lstar,
+                              "series", t0, err))
     return out if hasattr(s, "__iter__") else out[0]
 
 

@@ -3,8 +3,9 @@
 All multiprecision arithmetic goes through mpmath.  A PrecisionContext fixes
 the binary mantissa size and the absolute tolerance that series truncations
 must certify.  Complex results are mpmath ``mpc`` values; callers that want
-machine floats can apply ``complex()``.  Sums of many terms are exact integer
-sums of the terms' mantissas, rounded once (compensated_sum).
+machine floats can apply ``complex()``.  Long sums in src/ are exact fixed-
+point integer sums rounded once (the coefficient engine and the L-series);
+compensated_sum is no longer called there and stays for benchmarks/spans.py.
 """
 
 from __future__ import annotations
@@ -89,6 +90,9 @@ def exp2pi(x) -> mpmath.mpc:
 
 def compensated_sum(terms):
     """Sum of a finite sequence of real or complex terms, rounded once.
+
+    No code in src/ calls it any more; it stays because benchmarks/spans.py
+    wraps it, until the library's own run trace replaces that tracer.
 
     mpmath.fsum: the real and imaginary parts are each added as exact
     integer mantissas (mpmath.libmp.mpf_sum) and rounded to nearest at the

@@ -81,8 +81,12 @@ def vertical_poly_integral(series: FourierSeries, j: int, z0: complex,
     Component j is converted to floats once, for every panel and both
     closed forms.
     """
-    lam = float(series.automorphy.lam)
-    F, a = _component_terms(series, j)
+    return _ray(*_component_terms(series, j), float(series.automorphy.lam), z0, P, R, M, tol)
+
+
+def _ray(F: np.ndarray, a: np.ndarray, lam: float, z0: complex, P: complex,
+         R: complex, M: int, tol: float) -> complex:
+    """vertical_poly_integral on the converted terms (F, a) of a component."""
     value = _closed_form_ray(F[F < 0], a[F < 0], lam, z0, P, R, M)
     if not (F > 0).any():
         return value
@@ -112,8 +116,8 @@ def vertical_poly_integral(series: FourierSeries, j: int, z0: complex,
     return value + bulk + tail
 
 
-def regularized_moment(series: FourierSeries, gamma, m: int, t0: float = 1.0,
-                       tol: float = 1e-12, j: int = 1) -> complex:
+def regularized_moment(series: FourierSeries, gamma, m, t0: float = 1.0,
+                       tol: float = 1e-12, j: int = 1):
     """R. int_{-d/c}^{i inf} f(z) (z + d/c)^m dz for a scalar series f.
 
     Split at z1 = -d/c + i t0; the leg hugging the cusp is transported to a
@@ -122,6 +126,8 @@ def regularized_moment(series: FourierSeries, gamma, m: int, t0: float = 1.0,
       lower leg = -chi_f(gamma)^{-1} c^{-m} *
                   int_{gamma z1}^{i inf} f(w) (-c w + a)^{w_f - 2 - m} dw.
 
+    m is an integer (one complex) or a sequence of them (a list, in order);
+    component j is converted to floats once for both rays of every m.
     Requires c != 0 and a vanishing constant term.
     """
     a, _, c, d = gamma.as_tuple()
@@ -130,19 +136,21 @@ def regularized_moment(series: FourierSeries, gamma, m: int, t0: float = 1.0,
     if c < 0:
         gamma = -gamma
         a, _, c, d = gamma.as_tuple()
-    if not 0 <= m <= series.weight - 2:
-        raise ValueError(
-            f"moment order {m} outside 0..weight-2 = {series.weight - 2}")
+    m_list = list(m) if hasattr(m, "__iter__") else [m]
+    for mi in m_list:
+        if not 0 <= mi <= series.weight - 2:
+            raise ValueError(
+                f"moment order {mi} outside 0..weight-2 = {series.weight - 2}")
     if not series.has_zero_constant_term():
         raise ValueError("the constant term must vanish")
     data = series.automorphy
     if data.dim != 1 and j == 1 and any(jj != 1 for (_, jj) in series.coeffs):
         raise NotImplementedError("moments are implemented per scalar component")
-    chi_eff = data.scalar_character(j)
+    chi_val = complex(data.scalar_character(j).value(gamma))
+    terms, lam = _component_terms(series, j), float(data.lam)
     z1 = -d / c + 1j * t0
-    upper = vertical_poly_integral(series, j, z1, z1 + d / c, 1j, m, tol)
     w0 = (a * z1 + (a * d - 1) // c) / (c * z1 + d)
-    Mlow = series.weight - 2 - m
-    low_int = vertical_poly_integral(series, j, w0, -c * w0 + a, -1j * c, Mlow, tol)
-    chi_val = complex(chi_eff.value(gamma))
-    return upper - low_int * c ** (-m) / chi_val
+    out = [_ray(*terms, lam, z1, z1 + d / c, 1j, mi, tol)  # upper leg minus lower leg
+           - _ray(*terms, lam, w0, -c * w0 + a, -1j * c, series.weight - 2 - mi, tol)
+           * c ** (-mi) / chi_val for mi in m_list]
+    return out if hasattr(m, "__iter__") else out[0]

@@ -202,6 +202,25 @@ def test_period_rN_and_theorem_HN():
         period_rN(wh, S, 10)
 
 
+def test_period_rN_converts_the_series_once(monkeypatch):
+    # the k+1 moments share one float conversion of f for both their rays
+    # (two per moment before), and each equals its own regularized_moment
+    import mgrid.quadrature as quadrature
+
+    f = cusp_form_wt12(40)
+    calls = []
+    real = quadrature._component_terms
+    monkeypatch.setattr(quadrature, "_component_terms",
+                        lambda *args: calls.append(args) or real(*args))
+    rn = period_rN(f, S, 10)
+    assert len(calls) == 1
+    want = np.zeros(11, dtype=complex)
+    for m in range(11):
+        mom = quadrature.regularized_moment(f, S, m)
+        want[10 - m] += math.comb(10, m) * (-1) ** m * mom.conjugate()
+    assert np.array_equal(rn.coeffs, want)
+
+
 def test_supplementary_identity_cases():
     assert check_supplementary_identity([], DATA12, 10, S, TR) == 0
     res = check_supplementary_identity([(1, -1, 1)], DATA12, 10, S, TR, lmax=50)

@@ -2,6 +2,7 @@
 Petersson unfolding symmetry, and the period-pairing fit."""
 
 import json
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -25,7 +26,7 @@ from mgrid.lfun import (
     predict_gram,
 )
 from mgrid.poincare import poincare_series
-from mgrid.precision import PrecisionContext
+from mgrid.precision import PrecisionContext, exp2pi
 from mgrid.series import FourierSeries, TruncationParams
 
 CTX = PrecisionContext(mantissa_bits=113, target_tol=1e-25)
@@ -203,27 +204,33 @@ def test_one_pass_equals_single_calls(delta_like, series, t0):
         assert lv.err == single.err
 
 
-GAMMA_SWEEP_X = [-6 * mpmath.pi, -2 * mpmath.pi, mpmath.mpf("1e-3"), 1,
-                 2 * mpmath.pi, 120 * mpmath.pi, 800]
+# x = 2 pi q: -6 pi, -2 pi, about 1e-3, about 1.05, 2 pi, 120 pi, about 798
+GAMMA_SWEEP_Q = [Fraction(-3), Fraction(-1), Fraction(1, 6283), Fraction(1, 6),
+                 Fraction(1), Fraction(60), Fraction(127)]
 
 
 @pytest.mark.parametrize("bits", [53, 113, 200])
 def test_gamma_sweep_within_documented_bound(bits):
     # |G_n - Gamma(n, x)| <= 2^-wp (|Gamma(n, x)| + Gamma(n, |x|)); at x = -2 pi
     # the sum cancels from e^{2 pi} to e^{-2 pi}, and without the x < 0 guard
-    # bits the high orders fall outside the bound
+    # bits the high orders fall outside the bound.  The integer value G 2^E
+    # also lies within the D 2^E that lvalue_series carries into its noise.
     orders = range(1, 25)
-    for x0 in GAMMA_SWEEP_X:
+    for q in GAMMA_SWEEP_Q:
         with PrecisionContext(bits, 1e-30).working():
-            x = +mpmath.mpf(x0)
             wp = mpmath.mp.prec
-            got = lfun._gamma_sweep(x, orders)
+            got = lfun._gamma_sweep(q, orders)
         assert sorted(got) == list(orders)
         with mpmath.workprec(600):
+            x = 2 * mpmath.pi * q.numerator / q.denominator
             for n in orders:
+                g, zero, e, d = got[n]
+                value = mpmath.ldexp(g, e)
                 exact = mpmath.re(mpmath.gammainc(n, x))
                 bound = mpmath.ldexp(abs(exact) + mpmath.gammainc(n, abs(x)), -wp)
-                assert abs(got[n] - exact) <= bound, (bits, float(x), n)
+                assert zero == 0
+                assert abs(value - exact) <= bound, (bits, q, n)
+                assert abs(value - exact) <= mpmath.ldexp(d, e), (bits, q, n)
 
 
 def test_gamma_majorant_is_certified():
@@ -285,3 +292,67 @@ def test_s_at_or_above_weight_reaches_gamma_upper(delta_like, monkeypatch):
         for lv in lvs:
             ref = mpmath.mpf(before[lv.s])
             assert abs(lv.value - ref) <= mpmath.ldexp(ref, 4 - 113)
+
+
+def _per_term_lstar(f, twist, s, t0, bits=300):
+    """L* by the per-term formula the fixed-point pass replaced, at bits:
+    mpc terms a(m) zeta Gamma(n, x) / b^n with mpmath.gammainc and principal
+    mpmath.power, summed as they come."""
+    w, g, lam = f.weight, twist.gamma, f.automorphy.lam
+    with mpmath.workprec(bits):
+        lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
+        two_pi = 2 * mpmath.pi
+        pref2 = (exp2pi(Fraction(3 * w, 4)) * mpmath.mpf(g.c) ** (w - 2 * s)
+                 / f.automorphy.scalar_character(1).value(g))
+        side1 = side2 = mpmath.mpc(0)
+        for (m, _j), am in f.items():
+            fr = f.freq(m, 1)
+            fmp = mpmath.mpf(fr.numerator) / fr.denominator
+            base = mpmath.mpc(two_pi * fmp / lam_mp)
+            x1 = two_pi * fmp * t0 / lam_mp
+            x2 = two_pi * fmp / (g.c * g.c * t0 * lam_mp)
+            side1 += (am * twist.zeta_power(-g.d * fr) * mpmath.gammainc(s, x1)
+                      / mpmath.power(base, s))
+            side2 += (am * twist.zeta_power(g.a * fr) * mpmath.gammainc(w - s, x2)
+                      / mpmath.power(base, w - s))
+        return side1 + pref2 * side2
+
+
+@pytest.fixture(scope="module")
+def reference_series(delta_like):
+    from mgrid.automorphy import EtaPowerMultiplier
+
+    eta2 = AutomorphyData(weight=5, chi=EtaPowerMultiplier(2),
+                          rho=trivial_representation(), group=sl2z())
+    return {"delta": delta_like,
+            "wh": poincare_series(DATA12, 12, 1, 1, range(1, 30), TR),
+            "eta2": poincare_series(eta2, 5, 0, 1, range(0, 30),
+                                    TruncationParams(c_max=20, tail_tol=1.0, ctx=CTX))}
+
+
+@pytest.mark.parametrize("bits", [53, 113, 200])
+@pytest.mark.parametrize("name, twist, t0, s_values", [
+    ("delta", TWIST_S, 1.0, range(1, 12)),
+    ("delta", TWIST_2, 2.0, range(1, 12)),  # x1 != x2, nontrivial phases
+    ("wh", TWIST_S, 0.5, range(1, 12)),     # negative frequency, cancellation
+    ("eta2", TWIST_S, 1.0, range(1, 5)),    # kappa = 1/12, chi(S) != 1
+    ("delta", TWIST_S, 1.0, [12, 13]),      # orders <= 0 through gamma_upper
+])
+def test_fixed_point_lstar_against_per_term_sum(reference_series, monkeypatch, bits,
+                                                name, twist, t0, s_values):
+    # with the tails dropped and the remainder estimate switched off, err is
+    # the rounding noise alone, and it must cover the distance to a 300-bit
+    # per-term sum of the same stored coefficients, up to 2^-wp |lstar|
+    f = reference_series[name]
+    bare = FourierSeries(f.weight, f.automorphy, coeffs=f.coeffs, truncation=f.truncation)
+    ctx = PrecisionContext(bits, 1e-30)
+    trunc = TruncationParams(c_max=60, tail_tol=1e-9, ctx=ctx)
+    wp = bits + 20
+    full = lvalue_series(f, twist, s_values, t0=t0, trunc=trunc)
+    monkeypatch.setattr(lfun, "coefficient_envelope", lambda *args: 0.0)
+    for lv, lv_full in zip(lvalue_series(bare, twist, s_values, t0=t0, trunc=trunc), full):
+        ref = _per_term_lstar(f, twist, lv.s, t0)
+        with mpmath.workprec(300):
+            gap = abs(lv.lstar - ref)
+            assert gap <= lv.err + mpmath.ldexp(abs(lv.lstar), -wp), (name, bits, lv.s)
+            assert lv_full.lstar == lv.lstar and lv_full.err >= lv.err
