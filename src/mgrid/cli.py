@@ -2,8 +2,8 @@
 
 Subcommands: coeffs, grid, duality, lvalue, period, pairing, selfcheck.
 Exit codes: 0 success, 1 usage/configuration error, 2 computed but with
-unconverged tails (duality: either side's), an L-value err above --tol, or
-a failed selfcheck.
+unconverged tails (coeffs: the series'; period: the series it integrates;
+duality: either side's), an L-value err above --tol, or a failed selfcheck.
 Float fields are emitted as shortest round-trip decimals plus a parallel
 hex-float field, so identical configurations produce byte-identical reports.
 """
@@ -296,7 +296,7 @@ def cmd_period(args) -> int:
     _emit(args, payload,
           [(c["i"], repr(c["re"]), repr(c["im"])) for c in coeffs],
           ("i", "re", "im"))
-    return 0
+    return 2 if f.unconverged_entries() else 0
 
 
 def cmd_pairing(args) -> int:

@@ -210,7 +210,9 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
     s_list = list(s) if hasattr(s, "__iter__") else [s]
     if f.automorphy.dim != 1:
         raise NotImplementedError("L-series are computed per scalar component")
-    if not f.has_zero_constant_term():
+    kappa = f.automorphy.kappa_of(1)
+    terms = [(m, m + kappa, am) for (m, _j), am in f.items()]  # dim 1: j = 1
+    if any(am != 0 for _m, fr, am in terms if fr == 0):
         raise ValueError("L-series require a vanishing constant term")
     if any(si < 1 for si in s_list):
         raise ValueError("critical values are taken at integer s >= 1")
@@ -222,12 +224,12 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
     lam = f.automorphy.lam
     # estimated remainder past the stored range (positive-frequency side)
     rem = dict.fromkeys(s_list, 0.0)
-    if f.coeffs:
-        m_top = max(m for (m, _j) in f.coeffs) + 1
-        order = -min((n for (n, _j) in f.principal_support()), default=0)  # guessed
+    if terms:
+        m_top = terms[-1][0] + 1
+        order = -min((m for m, fr, _a in terms if fr < 0), default=0)  # guessed
         env = coefficient_envelope(f.automorphy, w, order, 1, m_top, 1)
-        x1t = 2 * math.pi * float(m_top + f.automorphy.kappa_of(1)) * t0 / float(lam)
-        x2t = 2 * math.pi * float(m_top + f.automorphy.kappa_of(1)) / (g.c * g.c * t0 * float(lam))
+        x1t = 2 * math.pi * float(m_top + kappa) * t0 / float(lam)
+        x2t = 2 * math.pi * float(m_top + kappa) / (g.c * g.c * t0 * float(lam))
         for si in rem:
             rem[si] = 2 * (env * (_gamma_majorant(si, x1t) + g.c ** (w - 2 * si)
                                   * _gamma_majorant(w - si, x2t)))
@@ -240,12 +242,11 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
         wp = mpmath.mp.prec
         with mpmath.workprec(_prefactor_prec(w)):
             chi_g = f.automorphy.scalar_character(1).value(g)
-            for (m, _j), am in f.items():
+            for m, fr, am in terms:
                 am = am if isinstance(am, mpmath.mpc) else mpmath.mpc(am)
                 a = _fixed(am._mpc_)
                 if not (a[0] or a[1]):
                     continue
-                fr = f.freq(m, 1)  # m + kappa, exact Fraction
                 gam1 = _gamma_sweep(fr * r1, orders12 if one_sweep else orders1)
                 gam2 = gam1 if one_sweep else _gamma_sweep(fr * r2, orders2)
                 for n in orders0:

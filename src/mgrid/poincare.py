@@ -48,7 +48,6 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from mpmath.libmp import mpf_shift, round_floor, to_int
 
 from .automorphy import AutomorphyData, DiagonalRepresentation, TrivialMultiplier
 from .groups import cplus_arrays, cplus_elements
@@ -448,8 +447,9 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
                      j: int, alpha: int, trunc: TruncationParams) -> _CSum:
     """The c-sum of one coefficient (see the module docstring); call inside
     trunc.ctx.working().  Its prefactor is kept at _prefactor_prec(w) bits.
-    A Bessel weight v_c = J or I(2 half/c)/c enters as u_c = floor(2^e v_c),
-    e = P - top with 2^top >= max |J or I| (see _run); du_c = its bound / c.
+    A Bessel weight v_c = J or I(2 half/c)/c = V_c 2^-E/c (bessel_series) enters
+    as u_c = floor(V_c 2^(e-E)) // c, e = P - top, top = max bit_length(V_c) - E
+    (see _run); du_c = V_c's bound / c.
     """
     lam = data.lam
     key = (x, y, j, alpha)
@@ -472,12 +472,11 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
         / (mpmath.mpf(lam.numerator) / lam.denominator)
     cs = range(data.group.level, trunc.c_max + 1, data.group.level)
     # J or I at 2 half/c for every c, from one kernel call
-    values = bessel_series(w - 1, half, cs, trunc.ctx, x > 0)
-    e = _scale_bits(trunc.c_max) - max(mpmath.mag(v) for v, _bound in values)
-    # floor(floor(X)/c) = floor(X/c); the shift and the floor are exact
-    u = [to_int(mpf_shift(v._mpf_, e), round_floor) // c for (v, _b), c in zip(values, cs)]
-    weight = (u, e, np.abs(np.array(u, dtype=float)) * 2.0 ** -e,
-              np.array([bound / c for (_v, bound), c in zip(values, cs)]))
+    values, scale, bounds = bessel_series(w - 1, half, cs, trunc.ctx, x > 0)
+    e = scale + _scale_bits(trunc.c_max) - max(v.bit_length() for v in values)
+    # floor(floor(X)/c) = floor(X/c); >> floors
+    u = [(v << e - scale if e >= scale else v >> scale - e) // c for v, c in zip(values, cs)]
+    weight = (u, e, np.abs(np.array(u, dtype=float)) * 2.0 ** -e, bounds / np.array(cs))
     return _CSum(key, pref, weight, _bessel_tail(w, float(half), trunc.c_max, float(rfac),
                                                  float(lam), x < 0))
 

@@ -10,7 +10,7 @@ their power series
 
 with a geometric tail bound certifying the remainder; bessel_series sums them
 in fixed point, from one table of terms for the arguments 2h/q of many q,
-and returns a certified error bound with each value.  The upper incomplete
+as integers at one scale with certified error bounds.  The upper incomplete
 gamma Gamma(s, z), for integer order only, is mpmath.gammainc at the working
 precision; it carries no bound of its own.  Principal branch throughout:
 arg z in (-pi, pi]."""
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 import mpmath
-from mpmath.libmp import from_int, mpf_abs, mpf_div, mpf_mul, mpf_shift, round_nearest, to_float
+import numpy as np
 
 from .precision import (
     DEFAULT_CONTEXT,
@@ -38,17 +38,17 @@ _LOG2E = 1.4426950408889634
 
 
 def bessel_series(order: int, half, divisors, ctx: PrecisionContext = DEFAULT_CONTEXT,
-                  signed: bool = True) -> list:
-    """[(J_order(2 half/q), error bound) for q in divisors] (I_order if not
-    signed) for integer order >= 0, real half >= 0 and integers q >= 1.
+                  signed: bool = True) -> tuple:
+    """(V, E, bounds): J_order(2 half/q) (I_order if not signed) as V[i] 2^-E,
+    V[i] an integer, with bounds[i] (float64) on its error, for q = divisors[i],
+    integer order >= 0, real half >= 0 and integers q >= 1.
 
     One fixed-point table serves every q: u_0 = 2^P and
     u_t = ((u_{t-1} W) >> P) // (t (order+t)), W = round(half^2 2^P), stand
     for 2^P tau_t(half), tau_t(b) = order! b^{2t}/(t! (order+t)!).  Horner's
-    S = u_t -+ S // q^2, from t = T(q) down, gives the value
-    (half/q)^order/order! S 2^-P at the ctx.working() precision wp.  All T(q)
-    read one table of log(t (order+t)) (_stop_index); each q's scale
-    lead/q^order, value and bound are mpmath.libmp operations on raw tuples.
+    S = u_t -+ S // q^2, from t = T(q) (_stop_indices) down, and the lead
+    half^order/order! = m 2^x, rounded once at the ctx.working() precision
+    wp, give V = floor(m S / q^order) at E = P - x.
 
     Rounding: tau_t(b) <= (b^t/t!)^2 <= e^{2b}, rising from tau_0 = 1, then
     falling.  A table step loses under 2 units and rounding W under 1/2, so
@@ -58,66 +58,89 @@ def bessel_series(order: int, half, divisors, ctx: PrecisionContext = DEFAULT_CO
     P = mantissa_bits + 30 + 2 bit_length(max T + 1) + LOG2E 2 half/q_min (the
     last term absorbs the cancellation of the alternating J) makes that under
     2^-(mantissa_bits + 27).  The bound adds the tail reached, that times
-    (half/q)^order/order!, 2^{4-wp} |value| (the product), rounded up in doubles.
+    (half/q)^order/order!, 2^{4-wp} |V 2^-E| (the lead's rounding, and one
+    more at wp in bessel_j) and the floor's 2^-E, rounded up in doubles.
     """
     if order < 0 or half < 0:
         raise ValueError("order and argument must be non-negative")
     if half == 0:
-        return [(mpmath.mpf(1 if order == 0 else 0), 0.0) for _q in divisors]
+        return [int(order == 0)] * len(divisors), 0, np.zeros(len(divisors))
     with ctx.working():
-        half, wp, logs = mpmath.mpf(half), mpmath.mp.prec, [0.0, math.log(order + 1)]
-        log_half = float(mpmath.log(half))
-        stops = [_stop_index(order, log_half - math.log(q), ctx, logs) for q in divisors]
-        t_max = max(t for t, _tail in stops)
-        guard = int(_LOG2E * float(2 * half / min(divisors)))
-        prec = ctx.mantissa_bits + 30 + guard + 2 * (t_max + 1).bit_length()
-        shift = 2 * half.exp + prec
-        w = half.man**2 << shift if shift >= 0 else (half.man**2 >> (-shift - 1)) + 1 >> 1
-        table = [1 << prec]
-        for t in range(1, t_max + 1):
-            table.append(((table[-1] * w) >> prec) // (t * (order + t)))
-        sign, out = -1 if signed else 1, []
+        half, wp = mpmath.mpf(half), mpmath.mp.prec
         lead = ensure_finite(half**order / mpmath.factorial(order))._mpf_
-        for q, (t_q, log_tail) in zip(divisors, stops):
-            q2, total = q * q, 0
-            for t in range(t_q, -1, -1):
-                total = table[t] + sign * (total // q2)
-            scale = mpf_div(lead, from_int(q**order), wp, round_nearest)
-            value = mpf_mul(scale, mpf_shift(from_int(total), -prec), wp, round_nearest)
-            bound = math.exp(log_tail) \
-                + to_float(scale, rnd=round_nearest) * 2.0 ** -(ctx.mantissa_bits + 27) \
-                + to_float(mpf_abs(value), rnd=round_nearest) * 2.0 ** (4 - wp)
-            out.append((mpmath.mp.make_mpf(value), bound * (1 + 2.0**-20) + math.ulp(0.0)))
-    return out
+        log_hq = float(mpmath.log(half)) - np.array([math.log(q) for q in divisors])
+        guard = int(_LOG2E * float(2 * half / min(divisors)))
+    # blocks of 128 q, each as wide as its own largest hq needs: small arrays at any c_max
+    stops, log_tails, log_leads = map(np.concatenate, zip(*(
+        _stop_indices(order, log_hq[i:i + 128], ctx) for i in range(0, len(log_hq), 128))))
+    t_max = int(stops.max())
+    prec = ctx.mantissa_bits + 30 + guard + 2 * (t_max + 1).bit_length()
+    shift = 2 * half.exp + prec
+    w = half.man**2 << shift if shift >= 0 else (half.man**2 >> (-shift - 1)) + 1 >> 1
+    table = [1 << prec]
+    for t in range(1, t_max + 1):
+        table.append(((table[-1] * w) >> prec) // (t * (order + t)))
+    sign, values = -1 if signed else 1, []
+    for q, t_q in zip(divisors, stops.tolist()):
+        q2, total = q * q, 0
+        for t in range(t_q, -1, -1):
+            total = table[t] + sign * (total // q2)
+        values.append(lead[1] * total // q**order)
+    scale, cut = prec - lead[2], max(0, max(abs(v).bit_length() for v in values) - 1000)
+    sizes = np.ldexp([float(abs(v) >> cut) for v in values], cut - scale)  # |V| 2^-E
+    bounds = np.exp(log_tails) + np.exp(log_leads) * 2.0 ** -(ctx.mantissa_bits + 27) \
+        + sizes * 2.0 ** (4 - wp) + math.ldexp(1.0, -scale)
+    return values, scale, bounds * (1 + 2.0**-20) + math.ulp(0.0)
 
 
-def _stop_index(order: int, log_hq: float, ctx: PrecisionContext, logs: list):
-    """(T, log tail): the first t >= 1 at which r = hq^2/((t+1)(order+t+1)), with
-    hq = e^{log_hq}, is below 1/2 and the tail term_t r/(1-r) below target_tol.
-    logs[t] = log(t (order+t)) is one table for every hq of a call, grown here."""
-    log_term, tol = order * log_hq - math.lgamma(order + 1), math.log(ctx.target_tol)
-    for t in range(1, ctx.iteration_cap + 1):
-        if len(logs) == t + 1:
-            logs.append(math.log((t + 1) * (order + t + 1)))
-        log_term += 2 * log_hq - logs[t]
-        log_ratio = 2 * log_hq - logs[t + 1]
-        # log1p(-e^r) <= 0, so the tail is below tol only if log_term + r is
-        if log_ratio < -math.log(2) and log_term + log_ratio < tol:
-            log_tail = log_term + log_ratio - math.log1p(-math.exp(log_ratio))
-            if log_tail < tol:
-                return t, log_tail
-    raise ConvergenceError(f"Bessel series did not certify {ctx.target_tol} within "
-                           f"{ctx.iteration_cap} terms; raise mantissa_bits")
+def _stop_indices(order: int, log_hq: np.ndarray, ctx: PrecisionContext):
+    """(T, log tail, log lead) per hq = e^{log_hq}, lead = hq^order/order!: T is
+    the first t >= 1 at which r = hq^2/((t+1)(order+t+1)) < 1/2 and the tail
+    term_t r/(1-r) < target_tol, bit for bit as a loop over t finds it, by
+    np.add.accumulate over an (hq x t) array of the loop's steps, twice the
+    ratio's t ~ sqrt(2) hq wide (doubled up to the iteration cap if short).
+    The ratio and term conditions hold from a t0 on, the tail's (in math, as
+    the loop) at t0 or t0 + 1: r(t0+1) < 1/2 by more than rounding."""
+    tol, cap = math.log(ctx.target_tol), ctx.iteration_cap
+    width = 2 * int(math.sqrt(2) * math.exp(log_hq.max())) + 32
+    while True:
+        width = min(cap, width)
+        steps = 2 * log_hq[:, None] - np.array([math.log(t * (order + t))  # [:, t]: log r(t)
+                                                for t in range(1, width + 3)])
+        terms = np.add.accumulate(np.column_stack(
+            [order * log_hq - math.lgamma(order + 1), steps]), axis=1)
+        ok = (steps[:, 1:width + 1] < -math.log(2)) & (terms[:, 2:width + 2] < tol)
+        if ok.any(axis=1).all() or width == cap:
+            break
+        width *= 2
+    stops, found, rows = ok.argmax(axis=1) + 1, ok.any(axis=1).all(), np.arange(len(log_hq))
+
+    def tails(t):  # in math, as the loop
+        return np.array([a - math.log1p(-math.exp(r)) for a, r in
+                         zip(terms[rows, t + 1].tolist(), steps[rows, t].tolist())])
+    if found:
+        log_tails = tails(stops)
+        if (log_tails >= tol).any():
+            stops = stops + (log_tails >= tol)
+            log_tails = tails(stops)
+    if not found or stops.max() > cap:
+        raise ConvergenceError(f"Bessel series did not certify {ctx.target_tol} within "
+                               f"{cap} terms; raise mantissa_bits")
+    return stops, log_tails, terms[:, 0]
 
 
 def bessel_j(order: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Bessel J_order(x) for integer order >= 0 and real x >= 0."""
-    return bessel_series(order, mpmath.ldexp(x, -1), [1], ctx)[0][0]
+    values, scale, _bounds = bessel_series(order, mpmath.ldexp(x, -1), [1], ctx)
+    with ctx.working():
+        return mpmath.mpf((values[0], -scale))  # rounded once
 
 
 def bessel_i(order: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Modified Bessel I_order(x) for integer order >= 0 and real x >= 0."""
-    return bessel_series(order, mpmath.ldexp(x, -1), [1], ctx, signed=False)[0][0]
+    values, scale, _bounds = bessel_series(order, mpmath.ldexp(x, -1), [1], ctx, False)
+    with ctx.working():
+        return mpmath.mpf((values[0], -scale))  # rounded once
 
 
 def gamma_upper(s: int, z, ctx: PrecisionContext = DEFAULT_CONTEXT):

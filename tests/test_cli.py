@@ -194,14 +194,34 @@ def test_lvalue_err_above_tol_exits_2(capsys):
 
 
 def test_period_output(capsys):
+    # l <= 8: every tail of the series is below 1e-6 at c_max 50
     rc, out, _err = run_cli(capsys, [
-        "period", "--k", "10", "--n", "-1", "--kind", "rH", "--lmax", "40",
+        "period", "--k", "10", "--n", "-1", "--kind", "rH", "--lmax", "8",
         "--cmax", "50", "--tol", "1e-6",
     ])
     assert rc == 0
     doc = json.loads(out)
     assert doc["basis"] == "tau+d/c"
     assert len(doc["coeffs"]) == 11
+
+
+PERIOD_L40 = ["period", "--k", "10", "--n", "-1", "--kind", "rH", "--lmax", "40",
+              "--cmax", "50"]
+
+
+def test_period_tails_above_tol_exit_2(capsys):
+    # at c_max 50 the tails of l = 9..40 run from 3.1e-6 up to 43
+    rc, out, _err = run_cli(capsys, PERIOD_L40 + ["--tol", "1e-6"])
+    assert rc == 2
+    assert len(json.loads(out)["coeffs"]) == 11
+
+
+def test_period_tails_within_tol_exit_0(capsys):
+    # the same report as at --tol 1e-6 (both work at target_tol 1e-25); only
+    # the exit code follows the tolerance
+    rc, out, _err = run_cli(capsys, PERIOD_L40 + ["--tol", "50"])
+    assert rc == 0
+    assert run_cli(capsys, PERIOD_L40 + ["--tol", "1e-6"])[1] == out
 
 
 def test_pairing_fit_and_predict(capsys):

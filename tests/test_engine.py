@@ -4,12 +4,12 @@ one-pass series against single coefficients, the one noise rule of the
 c-sum accumulator over float64 and fixed-point layers, the constant term's
 layer precision, the exact fixed-point layers against 256-bit sums and
 Ramanujan sums, the batched layers of every key group against per-element
-sums, one array pass per datum and c, the Bessel weights' libmp route
-against mpf arithmetic, the Ramanujan and box layer sources against each other,
-the Ramanujan c-sums' sigma(m) tails, passes that build no box, one matrix
-evaluation per box element, the leading delta term at context precision,
-the Bessel weights' error in the tails, structural zeros with no tail, and
-the weight prefactors' share of the rounding."""
+sums, one array pass per datum and c, the Bessel weights as the kernel's
+integers and against 400-bit J and I, the Ramanujan and box layer sources
+against each other, the Ramanujan c-sums' sigma(m) tails, passes that build
+no box, one matrix evaluation per box element, the leading delta term at
+context precision, the Bessel weights' error in the tails, structural zeros
+with no tail, and the weight prefactors' share of the rounding."""
 
 import math
 from dataclasses import dataclass
@@ -406,8 +406,9 @@ def test_eta2_pair_evaluates_one_batch_per_datum_and_c(monkeypatch):
 @pytest.mark.parametrize("n", [-1, 1], ids=["J", "I"])
 @pytest.mark.parametrize("w", [5, 12], ids=["order4", "order11"])
 def test_bessel_weights_equal_the_mpf_route(w, n):
-    # u_c = floor(2^e v_c) // c and e = P - max mag(v_c), from libmp tuples,
-    # against the same steps on mpf objects, bit for bit
+    # (u, e) are the kernel's integers V_c 2^-E moved to P bits below the
+    # largest and floored by c, bit for bit; each u_c 2^-e lies within
+    # du_c + 2^-e of a 400-bit J or I(2 half/c)/c
     chi = EtaPowerMultiplier(2) if w == 5 else TrivialMultiplier()
     data = AutomorphyData(weight=w, chi=chi, rho=trivial_representation(), group=sl2z())
     x, y = -n + data.kappa_of(1), 2 + data.kappa_of(1)
@@ -417,12 +418,17 @@ def test_bessel_weights_equal_the_mpf_route(w, n):
         u, e, u_abs, du = _coefficient_sum(data, w, x, y, 1, 1, trunc).weight
         xy = abs(x) * y
         half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator)
-        values = bessel_series(w - 1, half, cs, CTX, x > 0)
-        ref_e = _scale_bits(80) - max(mpmath.mag(v) for v, _b in values)
-        ref_u = [int(mpmath.floor(mpmath.ldexp(v, ref_e))) // c for (v, _b), c in zip(values, cs)]
+        values, scale, bounds = bessel_series(w - 1, half, cs, CTX, x > 0)
+        ref_e = _scale_bits(80) - max(abs(v).bit_length() for v in values) + scale
+    ref_u = [math.floor(Fraction(v, c) * Fraction(2) ** (ref_e - scale))
+             for v, c in zip(values, cs)]
     assert e == ref_e and u == ref_u
     assert u_abs.tolist() == [abs(float(v)) * 2.0 ** -e for v in ref_u]
-    assert du.tolist() == [b / c for (_v, b), c in zip(values, cs)]
+    assert du.tolist() == [b / c for b, c in zip(bounds.tolist(), cs)]
+    ref = mpmath.besselj if x > 0 else mpmath.besseli
+    with mpmath.workprec(400):
+        for c, u_c, du_c in zip(cs, u, du.tolist()):
+            assert abs(mpmath.ldexp(u_c, -e) - ref(w - 1, 2 * half / c) / c) <= du_c + 2.0 ** -e
 
 
 def test_exact_layer_noise_counts_every_computed_layer_but_no_structural_zero():

@@ -107,8 +107,8 @@ def test_bessel_recurrences(n, half, q):
     # J and I at x = 2 half/q, each order from one multi-divisor kernel call
     for signed, sign in ((True, 1), (False, -1)):
         (lo, b_lo), (mid, b_mid), (hi, b_hi) = (
-            bessel_series(order, half, [1, q], BESSEL_CTX, signed)[1]
-            for order in (n - 1, n, n + 1))
+            (mpmath.ldexp(values[1], -scale), bounds[1]) for values, scale, bounds in
+            (bessel_series(order, half, [1, q], BESSEL_CTX, signed) for order in (n - 1, n, n + 1)))
         with mpmath.workprec(300):
             ratio = 2 * n * q / (2 * mpmath.mpf(half))
             residual = abs(lo + sign * hi - ratio * mid)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from mgrid.precision import PrecisionContext, compensated_sum, ConvergenceError
-from mgrid.specialfn import bessel_i, bessel_j, bessel_series, gamma_upper, h_function
+from mgrid.specialfn import (_stop_indices, bessel_i, bessel_j, bessel_series, gamma_upper,
+                             h_function)
 
 CTX = PrecisionContext(mantissa_bits=113, target_tol=1e-25)
 
@@ -209,10 +210,38 @@ def test_bessel_series_within_its_bound(ctx, order, l):
         half = 2 * mpmath.pi * mpmath.sqrt(l)
     qs = list(range(1, 81))
     for signed, ref in ((True, mpmath.besselj), (False, mpmath.besseli)):
-        got = bessel_series(order, half, qs, ctx, signed)
+        values, scale, bounds = bessel_series(order, half, qs, ctx, signed)
         with mpmath.workprec(400):
-            for q, (value, bound) in zip(qs, got):
-                assert abs(value - ref(order, 2 * half / q)) <= bound
+            for q, value, bound in zip(qs, values, bounds.tolist()):
+                assert abs(mpmath.ldexp(value, -scale) - ref(order, 2 * half / q)) <= bound
+
+
+def _stop_index_loop(order, log_hq, ctx):
+    """The stop rule as a loop over t, one step at a time: the reference for
+    _stop_indices."""
+    log_term, tol = order * log_hq - math.lgamma(order + 1), math.log(ctx.target_tol)
+    for t in range(1, ctx.iteration_cap + 1):
+        log_term += 2 * log_hq - math.log(t * (order + t))
+        log_ratio = 2 * log_hq - math.log((t + 1) * (order + t + 1))
+        if log_ratio < -math.log(2) and log_term + log_ratio < tol:
+            log_tail = log_term + log_ratio - math.log1p(-math.exp(log_ratio))
+            if log_tail < tol:
+                return t, log_tail
+    raise ConvergenceError("no stop")
+
+
+@pytest.mark.parametrize("ctx", [CTX, TIGHT])
+@pytest.mark.parametrize("order", [0, 4, 11])
+@pytest.mark.parametrize("l", [1, 10, 60])
+def test_stop_indices_equal_the_loop(ctx, order, l):
+    # the engine's arguments 2 half/q (J and I share the rule): T and the
+    # log tail bit for bit
+    with ctx.working():
+        log_half = float(mpmath.log(2 * mpmath.pi * mpmath.sqrt(l)))
+    log_hq = log_half - np.array([math.log(q) for q in range(1, 81)])
+    stops, log_tails, _log_leads = _stop_indices(order, log_hq, ctx)
+    want = [_stop_index_loop(order, log_half - math.log(q), ctx) for q in range(1, 81)]
+    assert list(zip(stops.tolist(), log_tails.tolist())) == want
 
 
 @pytest.mark.parametrize("order", [0, 3, 11])
@@ -221,7 +250,9 @@ def test_bessel_j_and_i_are_the_one_divisor_kernel(order, x):
     half = mpmath.mpf(x) / 2
     for fn, signed, ref in ((bessel_j, True, mpmath.besselj),
                             (bessel_i, False, mpmath.besseli)):
-        value, bound = bessel_series(order, half, [1], TIGHT, signed)[0]
+        values, scale, bounds = bessel_series(order, half, [1], TIGHT, signed)
+        with TIGHT.working():
+            value, bound = mpmath.mpf((values[0], -scale)), bounds[0]  # rounded once
         got = fn(order, x, TIGHT)
         assert got == value and got._mpf_ == value._mpf_  # bit for bit
         with mpmath.workprec(400):
@@ -234,9 +265,11 @@ def test_bessel_series_iteration_cap_covers_every_divisor():
     tiny = PrecisionContext(mantissa_bits=53, target_tol=1e-10)
     with pytest.raises(ConvergenceError):
         bessel_series(0, 1000, [1, 8, 16], tiny)
+    values, scale, bounds = bessel_series(0, 1000, [8, 16], tiny)
     with mpmath.workprec(200):
-        for q, (value, bound) in zip([8, 16], bessel_series(0, 1000, [8, 16], tiny)):
-            assert abs(value - mpmath.besselj(0, mpmath.mpf(2000) / q)) <= bound
+        for q, value, bound in zip([8, 16], values, bounds.tolist()):
+            assert abs(mpmath.ldexp(value, -scale) - mpmath.besselj(0, mpmath.mpf(2000) / q)) \
+                <= bound
 
 
 def _bits(x):
@@ -245,8 +278,9 @@ def _bits(x):
 
 
 def _every_entry_point():
+    values, scale, bounds = bessel_series(4, 7 / 3, [1, 2, 5], CTX)
     return [_bits(bessel_j(3, 7.5, CTX)), _bits(bessel_i(2, 7.5, CTX)),
-            [(_bits(v), b) for v, b in bessel_series(4, 7 / 3, [1, 2, 5], CTX)],
+            (values, scale, bounds.tolist()),
             _bits(gamma_upper(3, mpmath.mpf(3), CTX)),
             _bits(gamma_upper(0, -1.0, CTX)),
             _bits(gamma_upper(-2, mpmath.mpc(1.5, -2.5), CTX)),
