@@ -28,6 +28,7 @@ from mgrid import (
     trivial_representation,
 )
 from mgrid.groups import S
+from mgrid.quadrature import eval_component_grid
 
 k = 10
 ctx = PrecisionContext(mantissa_bits=113, target_tol=1e-25)
@@ -42,8 +43,8 @@ r_q = period_r_quadrature(f, S, k)
 e = eichler_E(f, k)
 ck = c_weight(k + 2)
 tau = 0.1 + 0.7j
-direct = ck * (e.evaluate_component(tau)
-               - tau**k * e.evaluate_component(-1 / tau))
+direct = ck * (eval_component_grid(e, 1, tau)
+               - tau**k * eval_component_grid(e, 1, -1 / tau))[0]
 print(f"  L-value assembly   at tau: {r_l(tau):.12e}")
 print(f"  quadrature moments at tau: {r_q(tau):.12e}")
 print(f"  series difference  at tau: {direct:.12e}")

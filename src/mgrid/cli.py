@@ -81,7 +81,7 @@ def parse_gamma(spec: str) -> GroupElement:
     return GroupElement(*vals)
 
 
-def _add_common(p: _Parser):
+def _add_common(p: _Parser, *flags: str):
     p.add_argument("--group", type=int, default=1, metavar="N",
                    help="level N of Gamma_0(N) (default 1)")
     p.add_argument("--lambda", dest="lam", default="1",
@@ -96,11 +96,13 @@ def _add_common(p: _Parser):
     p.add_argument("--cmax", type=int, default=5000)
     p.add_argument("--tol", type=float, default=1e-8, help="tail tolerance")
     p.add_argument("--bits", type=int, default=113, help="mantissa bits")
-    p.add_argument("--t0", type=float, default=1.0)
+    if "t0" in flags:
+        p.add_argument("--t0", type=float, default=1.0)
     p.add_argument("--json", dest="json_path", default="-",
                    help="output path for the JSON report ('-' = stdout)")
-    p.add_argument("--csv", dest="csv_path", default="",
-                   help="optional CSV path for flat entry tables")
+    if "csv" in flags:
+        p.add_argument("--csv", dest="csv_path", default="",
+                       help="optional CSV path for flat entry tables")
     p.add_argument("--allow-slow-convergence", action="store_true")
 
 
@@ -145,7 +147,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
     else:
         with open(args.json_path, "w") as fh:
             fh.write(text + "\n")
-    if args.csv_path and csv_rows is not None:
+    if csv_rows is not None and args.csv_path:
         with open(args.csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(csv_header)
@@ -416,7 +418,7 @@ def make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="Poincare series coefficient table")
-    _add_common(p)
+    _add_common(p, "csv")
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=int, default=1)
@@ -435,7 +437,7 @@ def make_parser() -> _Parser:
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("duality", help="duality residual matrix")
-    _add_common(p)
+    _add_common(p, "csv")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n1", type=int, action="append", required=True)
     p.add_argument("--n2", type=int, action="append", required=True)
@@ -444,7 +446,7 @@ def make_parser() -> _Parser:
     p.set_defaults(func=cmd_duality)
 
     p = sub.add_parser("lvalue", help="twisted L-values of P_{n}")
-    _add_common(p)
+    _add_common(p, "csv", "t0")
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=int, default=1)
@@ -456,7 +458,7 @@ def make_parser() -> _Parser:
     p.set_defaults(func=cmd_lvalue)
 
     p = sub.add_parser("period", help="period polynomial of P_{n} (weight k+2)")
-    _add_common(p)
+    _add_common(p, "csv", "t0")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=int, default=1)
@@ -467,7 +469,7 @@ def make_parser() -> _Parser:
     p.set_defaults(func=cmd_period)
 
     p = sub.add_parser("pairing", help="fit the period pairing and predict")
-    _add_common(p)
+    _add_common(p, "t0")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--basis", required=True,
                    help="comma-separated cusp indices, e.g. '-1'")

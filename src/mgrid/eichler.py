@@ -119,7 +119,7 @@ def eichler_EH(f: FourierSeries, k: int, trunc: TruncationParams):
     return e, cf_vals, cf_tails
 
 
-def eichler_EN(f: FourierSeries, tau, k: int, tol: float = 1e-12) -> complex:
+def eichler_EN(f: FourierSeries, tau, k: int) -> complex:
     """E^N_f(tau) for a genuine cusp form, by vertical-ray quadrature."""
     _require_scalar(f)
     if f.weight != k + 2:
@@ -127,8 +127,7 @@ def eichler_EN(f: FourierSeries, tau, k: int, tol: float = 1e-12) -> complex:
     if not f.is_cusp_form():
         raise ValueError("E^N is defined only for cusp forms")
     tau = complex(tau)
-    integral = vertical_poly_integral(f, 1, tau, tau.conjugate() - tau, -1j, k,
-                                      tol=tol)
+    integral = vertical_poly_integral(f, 1, tau, tau.conjugate() - tau, -1j, k)
     return integral.conjugate() / c_weight(k + 2)
 
 
@@ -212,7 +211,7 @@ def period_rH(f: FourierSeries, gamma: GroupElement, k: int,
 
 
 def period_r_quadrature(f: FourierSeries, gamma: GroupElement, k: int,
-                        t0: float = 1.0, tol: float = 1e-12) -> PeriodPolynomial:
+                        t0: float = 1.0) -> PeriodPolynomial:
     """r(f, gamma; tau) as the regularized path integral
 
         R.int_{gamma^{-1}(i inf)}^{i inf} f(z) (tau - z)^k dz,
@@ -221,21 +220,21 @@ def period_r_quadrature(f: FourierSeries, gamma: GroupElement, k: int,
     Gauss-Legendre quadrature.  Independent of the L-series route.
     """
     _require_scalar(f)
-    return _moment_polynomial(f, gamma, k, t0, tol, conj=False)
+    return _moment_polynomial(f, gamma, k, t0, conj=False)
 
 
 def period_rN(f: FourierSeries, gamma: GroupElement, k: int,
-              t0: float = 1.0, tol: float = 1e-12) -> PeriodPolynomial:
+              t0: float = 1.0) -> PeriodPolynomial:
     """r^N(f, gamma; tau) = [ int_{gamma^{-1}(i inf)}^{i inf} f(z)
     (conj(tau) - z)^k dz ]^-  for a genuine cusp form, by quadrature."""
     _require_scalar(f)
     if not f.is_cusp_form():
         raise ValueError("r^N is defined only for cusp forms")
-    return _moment_polynomial(f, gamma, k, t0, tol, conj=True)
+    return _moment_polynomial(f, gamma, k, t0, conj=True)
 
 
 def _moment_polynomial(f: FourierSeries, gamma: GroupElement, k: int,
-                       t0: float, tol: float, conj: bool) -> PeriodPolynomial:
+                       t0: float, conj: bool) -> PeriodPolynomial:
     """sum_m C(k, m) (-1)^m M_m (tau + d/c)^{k-m} from the quadrature
     moments M_m = R.int f(z) (z + d/c)^m dz, each conjugated when conj, from
     one float conversion of f; the parabolic polynomial when c = 0."""
@@ -245,7 +244,7 @@ def _moment_polynomial(f: FourierSeries, gamma: GroupElement, k: int,
         gamma = -gamma
     shift = gamma.d / gamma.c
     coeffs = np.zeros(k + 1, dtype=complex)
-    for m, mom in enumerate(regularized_moment(f, gamma, range(k + 1), t0=t0, tol=tol)):
+    for m, mom in enumerate(regularized_moment(f, gamma, range(k + 1), t0=t0)):
         coeffs[k - m] += math.comb(k, m) * (-1) ** m * (mom.conjugate() if conj else mom)
     return PeriodPolynomial(gamma, k, coeffs, shift)
 
@@ -261,10 +260,9 @@ def slash_poly_value(poly: PeriodPolynomial, data: AutomorphyData, k: int,
 
 def check_supplementary_identity(combo, data: AutomorphyData, k: int,
                                  gamma: GroupElement, trunc: TruncationParams,
-                                 samples=SAMPLE_POINTS, t0: float = 1.0,
                                  lmax: int = 60) -> float:
     """Max normalized residual of r^H(f, g; tau) = [r^H(f*, g; conj tau)]^-
-    over the sample points, for f = sum b_i P_{n_i,alpha_i} a cusp form.
+    over SAMPLE_POINTS, for f = sum b_i P_{n_i,alpha_i} a cusp form.
 
     Both sides run through their own L-value pipelines: the left on the
     coefficients of f, the right on those of the supplementary function.
@@ -277,9 +275,8 @@ def check_supplementary_identity(combo, data: AutomorphyData, k: int,
     if f is None:
         return 0.0
     fstar = supplementary(combo, data, k, trunc, lmax=lmax)
-    lhs = period_rH(f, gamma, k, trunc, t0)
-    rhs = period_rH(fstar, gamma, k, trunc, t0).conjugate_reflected()
-    vals_l = [lhs(t) for t in samples]
-    vals_r = [rhs(t) for t in samples]
-    scale = max(max(abs(v) for v in vals_l), 1.0)
-    return max(abs(a - b) for a, b in zip(vals_l, vals_r)) / scale
+    lhs = period_rH(f, gamma, k, trunc)
+    rhs = period_rH(fstar, gamma, k, trunc).conjugate_reflected()
+    vals = [(lhs(t), rhs(t)) for t in SAMPLE_POINTS]
+    scale = max(max(abs(v) for v, _w in vals), 1.0)
+    return max(abs(v - w) for v, w in vals) / scale

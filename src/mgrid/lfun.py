@@ -45,7 +45,7 @@ from .automorphy import AutomorphyData
 from .groups import GroupElement, generators
 from .poincare import _CSum, _prefactor_prec, _value, coefficient_envelope
 from .precision import exp2pi
-from .quadrature import regularized_moment
+from .quadrature import RAY_TOL, regularized_moment
 from .series import FourierSeries, TruncationParams
 from .specialfn import gamma_upper
 
@@ -274,8 +274,9 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
 
 
 def lvalue_integral(f: FourierSeries, twist: TwistSpec, s: int,
-                    t0: float = 1.0, tol: float = 1e-12) -> LValue:
-    """L* by quadrature of i^{-s} R.int f(tau)(tau + d/c)^{s-1} d tau.
+                    t0: float = 1.0) -> LValue:
+    """L* by quadrature of i^{-s} R.int f(tau)(tau + d/c)^{s-1} d tau; err
+    is quadrature.RAY_TOL, a tolerance, not an estimate.
 
     Plainly convergent for genuine cusp forms, which is what this oracle is
     restricted to; weakly holomorphic input is rejected.
@@ -286,10 +287,10 @@ def lvalue_integral(f: FourierSeries, twist: TwistSpec, s: int,
         raise ValueError(
             f"the contour route covers s in 1..weight-1 = {f.weight - 1}")
     g = twist.gamma
-    mom = regularized_moment(f, g, s - 1, t0=t0, tol=tol)
+    mom = regularized_moment(f, g, s - 1, t0=t0)
     lstar = mpmath.mpc((-1j) ** s * mom)
     value = (2 * mpmath.pi) ** s / mpmath.factorial(s - 1) * lstar
-    return LValue(s, twist, value, lstar, "integral", t0, tol)
+    return LValue(s, twist, value, lstar, "integral", t0, RAY_TOL)
 
 
 def petersson_poincare(g: FourierSeries, n: int, alpha: int,

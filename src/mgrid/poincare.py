@@ -34,7 +34,7 @@ three sources: a float64 or a fixed-point box layer, each as an exact
 Gaussian integer, or, with no box, the Ramanujan sum
 c_c(m) = sum_{d | (c, m)} mu(c/d) d, m = |x + y| (Hardy & Wright,
 ch. XVI), which is every layer at x = 0 or y = 0 on a diagonal rho whose
-effective character is trivial; layer_bits does not apply to it.  The
+effective character is trivial; it has no layer precision.  The
 tail bound majorises the neglected c > c_max terms via |C+(c)| <= c, or
 |c_c(m)| <= sigma(m), and J_nu(z), I_nu(z) <= (z/2)^nu/nu! * geometric or
 exponential factors.
@@ -222,8 +222,8 @@ def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
 
     For the trivial character and p = 1 this is the classical Kloosterman
     sum S(x, y; c).  Exact zero when rho is diagonal and j != alpha.
-    bits selects the phase-evaluation precision (see layer_bits_for): a
-    complex at 53 bits, else an mpc rounded to the fixed-point layer's P bits.
+    bits is the phase precision a walk takes from layer_bits_for: a complex
+    at 53 bits, else an mpc rounded to the fixed-point layer's P bits.
     """
     if _structural_zero(data, j, alpha):
         return 0j
@@ -336,7 +336,7 @@ def _run(requests: list, trunc: TruncationParams):
             boxes.append((data, [(g, np.empty(len(cs))) for g in groups.values()]))
     if not boxes:
         return
-    bits = trunc.layer_bits or layer_bits_for(trunc.ctx, trunc.c_max, level)
+    bits = layer_bits_for(trunc.ctx, trunc.c_max, level)
     for n, c in enumerate(cs):
         arrays, tables = cplus_arrays(group, c), {}
         for data, groups in boxes:
@@ -613,9 +613,9 @@ def constant_term_cf(f: FourierSeries, trunc: TruncationParams):
 
     Returns (values, tails): one complex constant and one tail bound per
     component, the tail including the layer-rounding noise at the layer
-    precision (trunc.layer_bits, else layer_bits_for).  On a trivial
-    effective character every layer is an exact Ramanujan sum (see _run),
-    with |c_c(m)| <= sigma(m) in the tail.  Each component is rounded once.
+    precision of layer_bits_for.  On a trivial effective character every
+    layer is an exact Ramanujan sum (see _run), with |c_c(m)| <= sigma(m)
+    in the tail.  Each component is rounded once.
     """
     walk = Walk(trunc)
     constant_term = walk.constant_term(f)

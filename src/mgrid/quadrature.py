@@ -7,7 +7,9 @@ Gauss-Legendre on [0, V] plus the closed-form tail from height V; the
 finitely many exponentially growing terms (the principal part, when f is
 weakly holomorphic) are integrated in closed form over the full ray, which
 is exactly their regularized value: the analytic continuation of
-int_0^inf t^j e^{-beta t} dt = j! / beta^{j+1} to Re(beta) < 0.
+int_0^inf t^j e^{-beta t} dt = j! / beta^{j+1} to Re(beta) < 0.  V is the
+first height (capped at 60) where the slowest decaying term, times the
+polynomial, falls below RAY_TOL / 100; no error is estimated.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = ["vertical_poly_integral", "regularized_moment", "eval_component_grid"
 
 # the 32-point Gauss-Legendre rule on [-1, 1], used on every panel
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
+RAY_TOL = 1e-12  # the one ray tolerance; lvalue_integral reports it as its err
 
 
 def _component_terms(series: FourierSeries, j: int):
@@ -37,15 +40,15 @@ def _eval_terms(F: np.ndarray, a: np.ndarray, lam: float, zs: np.ndarray) -> np.
     return a @ np.exp(2j * np.pi * np.outer(F, zs) / lam)
 
 
-def eval_component_grid(series: FourierSeries, j: int, zs: np.ndarray,
-                        principal: bool = True) -> np.ndarray:
-    """Component j of the series on a grid of points (complex128).
-
-    principal=False drops the exponentially growing terms (freq < 0).
-    """
-    F, a = _component_terms(series, j)
-    keep = (F >= 0) | principal
-    return _eval_terms(F[keep], a[keep], float(series.automorphy.lam), zs)
+def eval_component_grid(series: FourierSeries, j: int, zs) -> np.ndarray:
+    """Component j of the stored series at points zs of the upper half-plane
+    (complex128, every stored term, no bound)."""
+    zs = np.asarray(zs, dtype=complex)
+    if not 1 <= j <= series.dim:
+        raise ValueError(f"component index {j} outside 1..{series.dim}")
+    if not (zs.imag > 0).all():
+        raise ValueError("points must lie in the upper half-plane")
+    return _eval_terms(*_component_terms(series, j), float(series.automorphy.lam), zs)
 
 
 def _closed_form_ray(freqs: np.ndarray, coeffs: np.ndarray, lam: float, z0: complex,
@@ -71,21 +74,20 @@ def _closed_form_ray(freqs: np.ndarray, coeffs: np.ndarray, lam: float, z0: comp
 
 
 def vertical_poly_integral(series: FourierSeries, j: int, z0: complex,
-                           P: complex, R: complex, M: int,
-                           tol: float = 1e-12) -> complex:
+                           P: complex, R: complex, M: int) -> complex:
     """int_{z0}^{z0 + i inf} f_j(z) (P + R t)^M dz  (z = z0 + i t), regularized.
 
     Principal-part terms are integrated exactly; the rest by composite
-    Gauss-Legendre up to a height V where the first neglected contribution
-    is below tol, with the closed-form tail of the stored series added.
+    Gauss-Legendre up to the height V of RAY_TOL (module docstring), with
+    the closed-form tail of the stored series added.
     Component j is converted to floats once, for every panel and both
     closed forms.
     """
-    return _ray(*_component_terms(series, j), float(series.automorphy.lam), z0, P, R, M, tol)
+    return _ray(*_component_terms(series, j), float(series.automorphy.lam), z0, P, R, M)
 
 
 def _ray(F: np.ndarray, a: np.ndarray, lam: float, z0: complex, P: complex,
-         R: complex, M: int, tol: float) -> complex:
+         R: complex, M: int) -> complex:
     """vertical_poly_integral on the converted terms (F, a) of a component."""
     value = _closed_form_ray(F[F < 0], a[F < 0], lam, z0, P, R, M)
     if not (F > 0).any():
@@ -95,7 +97,7 @@ def _ray(F: np.ndarray, a: np.ndarray, lam: float, z0: complex, P: complex,
     V = 1.0
     scale = max(abs(P), 1.0) + abs(R)
     while (math.exp(-2 * math.pi * fmin * (z0.imag + V) / lam)
-           * (scale * (1 + V)) ** M > tol * 1e-2) and V < 60:
+           * (scale * (1 + V)) ** M > RAY_TOL * 1e-2) and V < 60:
         V *= 1.25
     edges = [0.0]
     step = min(0.5, V / 4)
@@ -116,8 +118,7 @@ def _ray(F: np.ndarray, a: np.ndarray, lam: float, z0: complex, P: complex,
     return value + bulk + tail
 
 
-def regularized_moment(series: FourierSeries, gamma, m, t0: float = 1.0,
-                       tol: float = 1e-12, j: int = 1):
+def regularized_moment(series: FourierSeries, gamma, m, t0: float = 1.0):
     """R. int_{-d/c}^{i inf} f(z) (z + d/c)^m dz for a scalar series f.
 
     Split at z1 = -d/c + i t0; the leg hugging the cusp is transported to a
@@ -127,8 +128,8 @@ def regularized_moment(series: FourierSeries, gamma, m, t0: float = 1.0,
                   int_{gamma z1}^{i inf} f(w) (-c w + a)^{w_f - 2 - m} dw.
 
     m is an integer (one complex) or a sequence of them (a list, in order);
-    component j is converted to floats once for both rays of every m.
-    Requires c != 0 and a vanishing constant term.
+    f is converted to floats once for both rays of every m.  Requires
+    c != 0 and a vanishing constant term.
     """
     a, _, c, d = gamma.as_tuple()
     if c == 0:
@@ -144,13 +145,13 @@ def regularized_moment(series: FourierSeries, gamma, m, t0: float = 1.0,
     if not series.has_zero_constant_term():
         raise ValueError("the constant term must vanish")
     data = series.automorphy
-    if data.dim != 1 and j == 1 and any(jj != 1 for (_, jj) in series.coeffs):
-        raise NotImplementedError("moments are implemented per scalar component")
-    chi_val = complex(data.scalar_character(j).value(gamma))
-    terms, lam = _component_terms(series, j), float(data.lam)
+    if data.dim != 1:
+        raise NotImplementedError("moments are computed per scalar component")
+    chi_val = complex(data.scalar_character(1).value(gamma))
+    terms, lam = _component_terms(series, 1), float(data.lam)
     z1 = -d / c + 1j * t0
     w0 = (a * z1 + (a * d - 1) // c) / (c * z1 + d)
-    out = [_ray(*terms, lam, z1, z1 + d / c, 1j, mi, tol)  # upper leg minus lower leg
-           - _ray(*terms, lam, w0, -c * w0 + a, -1j * c, series.weight - 2 - mi, tol)
+    out = [_ray(*terms, lam, z1, z1 + d / c, 1j, mi)  # upper leg minus lower leg
+           - _ray(*terms, lam, w0, -c * w0 + a, -1j * c, series.weight - 2 - mi)
            * c ** (-mi) / chi_val for mi in m_list]
     return out if hasattr(m, "__iter__") else out[0]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from .automorphy import AutomorphyData
 from .precision import DEFAULT_CONTEXT, PrecisionContext
@@ -28,28 +27,22 @@ class TruncationParams:
     """Cutoff of the c-sums, the tail tolerance they must certify, and the
     working precision used for Bessel/gamma prefactors and accumulation.
 
-    layer_bits pins the phase-evaluation precision of the Kloosterman box
-    layers; None selects it automatically from the context and the box
-    size (see poincare.layer_bits_for).  Float64 and fixed-point layers
-    feed the same exact c-sum accumulator, and their rounding bounds enter
-    its one noise rule.  Runs being compared against each other's tail
-    bounds should pin the same value.  The exact Ramanujan c-sums of a
-    trivial effective character at x = 0 or y = 0 build no box and ignore it.
+    Each walk takes the phase-evaluation precision of its Kloosterman box
+    layers from poincare.layer_bits_for, a function of (ctx, c_max, level).
+    Float64 and fixed-point layers feed the same exact c-sum accumulator,
+    and their rounding bounds enter its one noise rule.
     """
 
     c_max: int = 5000
     tail_tol: float = 1e-8
     ctx: PrecisionContext = DEFAULT_CONTEXT
     allow_slow_convergence: bool = False
-    layer_bits: int | None = None
 
     def __post_init__(self):
         if self.c_max < 1:
             raise ValueError("c_max must be >= 1")
         if not self.tail_tol > 0:
             raise ValueError("tail_tol must be positive")
-        if self.layer_bits is not None and self.layer_bits < 53:
-            raise ValueError("layer_bits must be >= 53")
 
 
 class FourierSeries:
@@ -152,25 +145,6 @@ class FourierSeries:
                 out.coeffs[(n, j)] = a * fmp ** power
                 out.tails[(n, j)] = self.tail_bound(n, j) * abs(float(fmp)) ** power
         return out
-
-    def evaluate(self, tau) -> np.ndarray:
-        """Value of the q-expansion at tau (vector of length p, complex128).
-
-        Plain truncated-series evaluation; the caller is responsible for
-        choosing a coefficient range that has converged at Im(tau).
-        """
-        tau = complex(tau)
-        if not tau.imag > 0:
-            raise ValueError("tau must lie in the upper half-plane")
-        lam = float(self.automorphy.lam)
-        out = np.zeros(self.dim, dtype=complex)
-        for (n, j), v in self.items():
-            f = float(self.freq(n, j))
-            out[j - 1] += complex(v) * np.exp(2j * np.pi * f * tau / lam)
-        return out
-
-    def evaluate_component(self, tau, j: int = 1) -> complex:
-        return self.evaluate(tau)[j - 1]
 
     def __repr__(self):
         rng = sorted(n for (n, _) in self.coeffs)

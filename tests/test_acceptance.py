@@ -53,6 +53,7 @@ from mgrid.lfun import (
 )
 from mgrid.poincare import kloosterman_layer, poincare_coefficient, poincare_series
 from mgrid.precision import PrecisionContext
+from mgrid.quadrature import eval_component_grid
 from mgrid.series import TruncationParams
 
 CTX = PrecisionContext(mantissa_bits=113, target_tol=1e-25)
@@ -195,8 +196,7 @@ def test_criterion_06_supplementary_identity():
     five sample points, both sides through their own L-value pipelines."""
     data = trivial_data(12)
     trunc = TruncationParams(c_max=60, tail_tol=1e-9, ctx=CTX)
-    res = check_supplementary_identity([(1, -1, 1)], data, 10, S, trunc,
-                                       samples=SAMPLE_POINTS, lmax=60)
+    res = check_supplementary_identity([(1, -1, 1)], data, 10, S, trunc, lmax=60)
     report(6, "supplementary-function identity", res, 1e-5)
 
 
@@ -236,7 +236,8 @@ def test_criterion_08_lvalue_consistency():
 
 def test_criterion_09_period_assembly():
     """r(f, S; tau) from 11 L-values equals c_{k+2}(E_f - E_f|S)(tau) by
-    direct series evaluation at the 5 sample points; 1e-5."""
+    direct series evaluation (eval_component_grid) at the 5 sample points;
+    1e-5."""
     k = 10
     data = trivial_data(12)
     trunc = TruncationParams(c_max=60, tail_tol=1e-9, ctx=CTX)
@@ -245,13 +246,11 @@ def test_criterion_09_period_assembly():
     e = eichler_E(f, k)
     ck = c_weight(12)
     chi_inv = complex(data.scalar_character(1).value(S)) ** -1
-
-    def direct(tau):
-        slashed = chi_inv * tau**k * e.evaluate_component(-1 / tau)
-        return ck * (e.evaluate_component(tau) - slashed)
-
+    taus = np.array(SAMPLE_POINTS, dtype=complex)
+    direct = ck * (eval_component_grid(e, 1, taus)
+                   - chi_inv * taus**k * eval_component_grid(e, 1, -1 / taus))
     scale = max(abs(rp(t)) for t in SAMPLE_POINTS)
-    res = max(abs(direct(complex(t)) - rp(t)) for t in SAMPLE_POINTS) / scale
+    res = max(abs(d - rp(t)) for d, t in zip(direct, SAMPLE_POINTS)) / scale
     report(9, "period assembly from L-values", res, 1e-5)
 
 
@@ -339,7 +338,7 @@ def test_criterion_11c_box_cardinality():
     report(11, "box cardinality phi(c)", float(bad), 0.5, extra=" mismatches")
 
 
-def test_criterion_11d_truncation_monotonicity():
+def test_criterion_11d_truncation_monotonicity(pin_layer_bits):
     """|coef(c_max) - coef(2 c_max)| <= tail_bound(c_max) for the three
     coefficient regimes (cusp/J, Eisenstein, weakly holomorphic/I)."""
     worst = -1.0
@@ -349,13 +348,12 @@ def test_criterion_11d_truncation_monotonicity():
         (trivial_data(12), 12, 1, 1),    # I-Bessel
         (trivial_data(4), 4, 2, 3),      # I-Bessel, slow decay
     ]
+    pin_layer_bits(113)  # both runs share one layer precision
     for data, weight, n, l in cases:
         v1, t1 = poincare_coefficient(
-            data, weight, n, 1, l, 1,
-            TruncationParams(c_max=200, tail_tol=1.0, ctx=CTX, layer_bits=113))
+            data, weight, n, 1, l, 1, TruncationParams(c_max=200, tail_tol=1.0, ctx=CTX))
         v2, _t2 = poincare_coefficient(
-            data, weight, n, 1, l, 1,
-            TruncationParams(c_max=400, tail_tol=1.0, ctx=CTX, layer_bits=113))
+            data, weight, n, 1, l, 1, TruncationParams(c_max=400, tail_tol=1.0, ctx=CTX))
         gap = abs(complex(v1 - v2))
         worst = max(worst, gap / t1 if t1 > 0 else float(gap > 0))
     report(11, "truncation monotonicity", worst, 1.0, extra=" (gap/bound)")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mgrid.cli import main, parse_character, parse_gamma, parse_rep
+from mgrid.cli import main, make_parser, parse_character, parse_gamma, parse_rep
 from mgrid.groups import cplus_arrays
 
 
@@ -46,6 +46,30 @@ def test_coeffs_unreachable_tolerance_exits_2(capsys):
     assert rc == 2
     doc = json.loads(out)
     assert doc["unconverged"]
+
+
+# each subcommand's required flags, and the subcommands that read --csv / --t0
+_REQUIRED = {"coeffs": ["--weight", "4", "--n", "0"], "grid": ["--k", "2", "--n1", "1", "--n2", "1"],
+             "duality": ["--k", "2", "--n1", "1", "--n2", "1"],
+             "lvalue": ["--weight", "12", "--n", "-1", "--s", "1"],
+             "period": ["--k", "10", "--n", "-1"], "pairing": ["--k", "10", "--basis=-1"],
+             "selfcheck": []}
+_READERS = {("--csv", "csv_path", "out.csv"): {"coeffs", "duality", "lvalue", "period"},
+            ("--t0", "t0", 2.0): {"lvalue", "period", "pairing"}}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED))
+def test_csv_and_t0_only_where_read(command, capsys):
+    # a flag that a subcommand ignores is a usage error (exit 1), not a no-op
+    parser = make_parser()
+    for (flag, dest, value), readers in _READERS.items():
+        argv = [command, *_REQUIRED[command], flag, str(value)]
+        if command in readers:
+            assert getattr(parser.parse_args(argv), dest) == value
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 1
 
 
 def test_json_byte_determinism(capsys):

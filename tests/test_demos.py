@@ -1,0 +1,18 @@
+"""Every demo runs to completion as a script (exit code 0)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_exits_0(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=600, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

@@ -265,15 +265,26 @@ def test_period_space_injectivity_dim1():
 
 
 def test_eval_component_grid_matches_the_stored_terms():
-    # the one-shot entry on the quadrature's term list: every stored term of
-    # the component, or only the non-growing ones when principal=False
+    # the one evaluator sums every stored term of the component; it rejects
+    # a component outside 1..dim and a point off the upper half-plane
     from mgrid.quadrature import eval_component_grid
 
     wh = poincare_series(DATA12, 12, 1, 1, range(1, 6), TR)
     zs = np.array([0.1 + 0.8j, -0.3 + 1.5j])
-    for principal in (True, False):
-        want = sum(complex(v) * np.exp(2j * np.pi * n * zs)
-                   for (n, _j), v in wh.items() if principal or n >= 0)
-        got = eval_component_grid(wh, 1, zs, principal=principal)
-        assert np.allclose(got, want, rtol=1e-13, atol=0)
-    assert np.array_equal(eval_component_grid(wh, 2, zs), np.zeros(2))
+    want = sum(complex(v) * np.exp(2j * np.pi * n * zs) for (n, _j), v in wh.items())
+    assert np.allclose(eval_component_grid(wh, 1, zs), want, rtol=1e-13, atol=0)
+    for j, points in ((2, zs), (0, zs), (1, [1j, 0.5]), (1, [1j, 0.5 - 1j])):
+        with pytest.raises(ValueError):
+            eval_component_grid(wh, j, points)
+
+
+def test_regularized_moment_rejects_a_vector_series():
+    # even one whose stored terms all lie in component 1
+    from mgrid.automorphy import DiagonalRepresentation
+    from mgrid.quadrature import regularized_moment
+
+    pair = AutomorphyData(weight=12, chi=TrivialMultiplier(), group=sl2z(),
+                          rho=DiagonalRepresentation((TrivialMultiplier(),) * 2))
+    f = FourierSeries(12, pair, {(1, 1): mpmath.mpc(1)})
+    with pytest.raises(NotImplementedError):
+        regularized_moment(f, S, 0)

@@ -171,7 +171,7 @@ def test_matrix_representation_layers_match_diagonal():
 
 @pytest.mark.parametrize("layer_bits", [None, 53])
 @pytest.mark.parametrize("case", ["trivial", "eta2", "diag(trivial;eta:4)"])
-def test_series_entries_equal_single_coefficients(case, layer_bits):
+def test_series_entries_equal_single_coefficients(case, layer_bits, pin_layer_bits):
     if case == "trivial":
         data, weight, n = AutomorphyData(weight=12, chi=TrivialMultiplier(),
                                          rho=trivial_representation(),
@@ -182,7 +182,9 @@ def test_series_entries_equal_single_coefficients(case, layer_bits):
                                          group=sl2z()), 5, 1
     else:
         data, weight, n = _two_component(), 12, -1
-    trunc = TruncationParams(c_max=25, tail_tol=1.0, ctx=CTX, layer_bits=layer_bits)
+    if layer_bits is not None:
+        pin_layer_bits(layer_bits)
+    trunc = TruncationParams(c_max=25, tail_tol=1.0, ctx=CTX)
     series = poincare_series(data, weight, n, 1, range(-1, 6), trunc)
     checked = 0
     for (l, j), value in series.items():
@@ -195,7 +197,7 @@ def test_series_entries_equal_single_coefficients(case, layer_bits):
     assert checked >= 4 * data.dim
 
 
-def test_constant_term_honours_layer_bits_and_counts_float_noise():
+def test_constant_term_honours_layer_bits_and_counts_float_noise(pin_layer_bits):
     # eta^24 (the character of Delta) is trivial on SL2(Z), but it is not a
     # TrivialMultiplier, so its constant term keeps the box layers; the
     # trivial character's constant term is an exact Ramanujan sum
@@ -203,23 +205,25 @@ def test_constant_term_honours_layer_bits_and_counts_float_noise():
                           rho=trivial_representation(), group=sl2z())
     f = poincare_series(data, 12, 1, 1, range(1, 3),
                         TruncationParams(c_max=50, tail_tol=1e-6, ctx=CTX))
-    (v53,), (t53,) = constant_term_cf(
-        f, TruncationParams(c_max=400, tail_tol=1e-8, ctx=CTX, layer_bits=53))
-    (v113,), (t113,) = constant_term_cf(
-        f, TruncationParams(c_max=400, tail_tol=1e-8, ctx=CTX, layer_bits=113))
+    trunc = TruncationParams(c_max=400, tail_tol=1e-8, ctx=CTX)
+    pin_layer_bits(53)
+    (v53,), (t53,) = constant_term_cf(f, trunc)
+    pin_layer_bits(113)
+    (v113,), (t113,) = constant_term_cf(f, trunc)
     assert t53 > t113
     assert abs(complex(v53 - v113)) <= t53
 
 
-def test_float_noise_counts_every_computed_layer_but_no_structural_zero():
+def test_float_noise_counts_every_computed_layer_but_no_structural_zero(pin_layer_bits):
     # x = 0 on eta^24 (trivial on SL2(Z), but kept on the box path): the
     # layers are Ramanujan sums, and the vanishing ones (c_475(1),
     # mu(475) = 0) can round to exactly 0 in float64; their error bound
     # still counts
-    trunc = TruncationParams(c_max=475, tail_tol=1.0, ctx=CTX, layer_bits=53)
+    pin_layer_bits(53)
+    trunc = TruncationParams(c_max=475, tail_tol=1.0, ctx=CTX)
     s = _engine_sum(trunc)
     assert s.noise == _noise_rule(s, trunc, lambda c: c * 2.0 ** -50)
-    _assert_structural_zeros_are_exact(trunc)
+    _assert_structural_zeros_are_exact(trunc, 53)
 
 
 def _engine_sum(trunc):
@@ -244,13 +248,14 @@ def _noise_rule(s, trunc, layer_error):
     return pref * (math.fsum(terms) + math.hypot(s.re, s.im) * unit * 2.0 ** (1 - wp))
 
 
-def _assert_structural_zeros_are_exact(trunc):
+def _assert_structural_zeros_are_exact(trunc, bits):
     """The j != alpha block of a diagonal rho is zero by structure: its layers
-    and coefficients are an exact 0 with tail 0.0, in all three cases."""
+    (at the pinned bits) and coefficients are an exact 0 with tail 0.0, in
+    all three cases."""
     data = _two_component()
     for c in range(1, 31):
         assert kloosterman_layer(data, c, Fraction(-1), 2 + data.kappa_of(2), 2, 1,
-                                 trunc.layer_bits) == 0
+                                 bits) == 0
     for n in (-1, 0, 1):
         value, tail = poincare_coefficient(data, 12, n, 1, 2, 2, trunc)
         assert value == 0 and tail == 0.0
@@ -431,12 +436,13 @@ def test_bessel_weights_equal_the_mpf_route(w, n):
             assert abs(mpmath.ldexp(u_c, -e) - ref(w - 1, 2 * half / c) / c) <= du_c + 2.0 ** -e
 
 
-def test_exact_layer_noise_counts_every_computed_layer_but_no_structural_zero():
-    trunc = TruncationParams(c_max=100, tail_tol=1.0, ctx=CTX, layer_bits=113)
+def test_exact_layer_noise_counts_every_computed_layer_but_no_structural_zero(pin_layer_bits):
+    pin_layer_bits(113)
+    trunc = TruncationParams(c_max=100, tail_tol=1.0, ctx=CTX)
     s = _engine_sum(trunc)
     # x = 0, y = 1 on eta^24: phases over den = 24 c (box_phases)
     assert s.noise == _noise_rule(s, trunc, lambda c: _exact_layer_bound(c, 24 * c))
-    _assert_structural_zeros_are_exact(trunc)
+    _assert_structural_zeros_are_exact(trunc, 113)
 
 
 def _ramanujan_sum(c, y):
@@ -498,11 +504,12 @@ def test_exact_ramanujan_csums_match_box_layers(spec, w):
 
 
 @pytest.mark.parametrize("bits", [53, 113])
-def test_ramanujan_and_box_sources_agree(bits):
+def test_ramanujan_and_box_sources_agree(bits, pin_layer_bits):
     # the same weight-12 x = 0 sums through the Ramanujan source (trivial
     # character) and through the box (eta^24), within both returned tails
     args = (12, 0, 1, range(1, 11))
-    trunc = TruncationParams(c_max=200, tail_tol=1.0, ctx=CTX, layer_bits=bits)
+    pin_layer_bits(bits)
+    trunc = TruncationParams(c_max=200, tail_tol=1.0, ctx=CTX)
     exact = poincare_series(AutomorphyData(weight=12, chi=TrivialMultiplier(),
                                            rho=trivial_representation(), group=sl2z()),
                             *args, trunc)
@@ -577,17 +584,19 @@ def test_leading_delta_term_at_context_precision():
 
 
 @pytest.mark.parametrize("n, l", [(-1, 1), (2, 3)])
-def test_tail_covers_the_bessel_truncation(n, l):
+def test_tail_covers_the_bessel_truncation(n, l, pin_layer_bits):
     # a coarse target_tol truncates every J/I weight at about 1e-12; the same
     # c <= 30 sum at 200 bits and 1e-60 moves by that much, which the tail
     # must cover through the weights' error bounds
     data = AutomorphyData(weight=12, chi=TrivialMultiplier(),
                           rho=trivial_representation(), group=sl2z())
-    coarse = TruncationParams(c_max=30, tail_tol=1.0, layer_bits=113,
+    coarse = TruncationParams(c_max=30, tail_tol=1.0,
                               ctx=PrecisionContext(mantissa_bits=113, target_tol=1e-12))
-    fine = TruncationParams(c_max=30, tail_tol=1.0, layer_bits=200,
+    fine = TruncationParams(c_max=30, tail_tol=1.0,
                             ctx=PrecisionContext(mantissa_bits=200, target_tol=1e-60))
+    pin_layer_bits(113)
     value, tail = poincare_coefficient(data, 12, n, 1, l, 1, coarse)
+    pin_layer_bits(200)
     ref, _tail = poincare_coefficient(data, 12, n, 1, l, 1, fine)
     with fine.ctx.working():
         assert abs(value - ref) <= tail

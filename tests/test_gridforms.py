@@ -1,5 +1,8 @@
 """Grid construction: normalization, operator images against independently
-truncated Poincare runs, duality and the shadow-pairing symmetry."""
+truncated Poincare runs, duality, the shadow-pairing symmetry and the
+weight -k law of G = G+ + G-."""
+
+import math
 
 import mpmath
 import numpy as np
@@ -24,10 +27,12 @@ from mgrid.gridforms import (
     verify_duality,
 )
 from mgrid import poincare
-from mgrid.groups import sl2z
-from mgrid.poincare import poincare_series
+from mgrid.groups import S, sl2z
+from mgrid.poincare import coefficient_envelope, poincare_series
 from mgrid.precision import PrecisionContext
+from mgrid.quadrature import eval_component_grid
 from mgrid.series import FourierSeries, TruncationParams
+from mgrid.specialfn import h_function
 
 CTX = PrecisionContext(mantissa_bits=113, target_tol=1e-25)
 TR = TruncationParams(c_max=100, tail_tol=1e-5, ctx=CTX)
@@ -251,3 +256,59 @@ def test_equal_data_share_their_csums(monkeypatch):
             == [(k, v._mpc_, t) for k, v, t in _entries(ref)]
     assert pair_.G.nonholo == G.nonholo and pair_.G.nonholo_tails == G.nonholo_tails
     assert pair_.duality == verify_duality(DATA12, 10, 1, 1, 1, 1, TR)
+
+
+def _harmonic_value(G: HarmonicForm, zs):
+    """(G(z), a bound on its error) at points zs, from component 1's stored
+    coefficients: G+ through eval_component_grid, G- term by term as
+    sum b-(l) h(2 pi (l+kappa') y/lambda, k) e((l+kappa') x/lambda).
+
+    The bound adds, per point:
+      - each stored tail times its term's basis value;
+      - float64 rounding, (N + 8 + |exponent|) 2^-52 of each term's size
+        for N terms;
+      - the 40 terms past each stored range: b+ from coefficient_envelope,
+        and |b-| <= (2 pi/lambda) (2 pi |mu|/lambda)^(k+1) zeta(k+1)/((k+1)! k!)
+        from the shadow's c-sum with |C+(c)| <= c and |J_nu(z)| <=
+        (z/2)^nu/nu! (DLMF 10.14.4), mu = -n2 + kappa'_alpha2.  At these
+        heights (y > 0.78) each further term is below e^-3 times the one
+        before, so the rest is below the last one summed.
+    """
+    cdata, k, eps = G.conj_data, G.k, 2.0 ** -52
+    lam, kp, mu = float(cdata.lam), cdata.kappa_of(1), abs(float(-G.n2 + cdata.kappa_of(G.alpha2)))
+
+    def h(fr):  # the G- basis function at frequency fr < 0
+        return np.array([float(h_function(2 * np.pi * fr * y, k, CTX)) for y in zs.imag]) \
+            * np.exp(2j * np.pi * fr * zs.real)
+
+    plus = [(np.exp(2j * np.pi * fr * zs), fr, b, G.holo.tails[(l, 1)])
+            for (l, _j), b in G.holo.items() for fr in [float(G.holo.freq(l, 1)) / lam]]
+    minus = [(h(fr), fr, b, G.nonholo_tails[(l, 1)])
+             for (l, _j), b in sorted(G.nonholo.items()) for fr in [float(l + kp) / lam]]
+    rows = plus + minus
+    value = eval_component_grid(G.holo, 1, zs) + sum(complex(b) * v for v, _fr, b, _t in minus)
+    bound = sum(np.abs(v) * (t + eps * (len(rows) + 8 + np.abs(2 * np.pi * fr * zs))
+                             * abs(complex(b))) for v, fr, b, t in rows)
+    b_minus = 2 * np.pi / lam * (2 * np.pi * mu / lam) ** (k + 1) * 1.7 \
+        / (math.factorial(k + 1) * math.factorial(k))  # 1.7 > zeta(2) >= zeta(k + 1)
+    top_plus, top_minus = (max(l for l, _j in s.coeffs) for s in (G.holo, G.shadow))
+    for i in range(1, 41):
+        yp, ym = float(top_plus + i + kp), float(top_minus + i + G.shadow.automorphy.kappa_of(1))
+        env = coefficient_envelope(cdata, k + 2, G.n2, G.alpha2, top_plus + i, 1)
+        bound += env * (mu / yp) ** (k + 1) * np.exp(-2 * np.pi * yp * zs.imag / lam)
+        bound += b_minus * np.abs(h(-ym / lam))
+    return value, bound
+
+
+@pytest.mark.parametrize("data, k, c_max", [(DATA12, 10, 60), (ETA2, 3, 80)],
+                         ids=["trivial-k10", "eta2-k3"])
+def test_G_transforms_with_weight_minus_k(data, k, c_max):
+    # G(-1/tau) = chi_G(S) tau^-k G(tau), G = G+ + G-, within the summed
+    # bounds of both sides.  Without G-, or with b- negated, the residual is
+    # of the size of G; with 1/chi_G on eta^2 it is 2|G|
+    G = build_G(data, k, 1, 1, TruncationParams(c_max=c_max, tail_tol=1.0, ctx=CTX), lmax=12)
+    chi = complex(G.conj_data.chi.value(S))
+    taus = np.array([0.1 + 1.1j, -0.3 + 1.2j, 0.25 + 0.98j])
+    (g_s, b_s), (g, b) = _harmonic_value(G, -1 / taus), _harmonic_value(G, taus)
+    residual = np.abs(g_s - chi * taus ** -k * g)
+    assert (residual <= b_s + np.abs(taus) ** -k * b).all()

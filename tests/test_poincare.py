@@ -172,16 +172,15 @@ def test_nonpositive_frequency_rejected():
 
 
 @pytest.mark.parametrize("weight,n,l", [(4, 0, 2), (12, -1, 2), (12, 1, 1)])
-def test_truncation_monotonicity(weight, n, l):
+def test_truncation_monotonicity(weight, n, l, pin_layer_bits):
     data = trivial_data(weight)
     c1, c2 = 200, 400
     # pin the layer precision so both runs share one evaluation scheme
+    pin_layer_bits(113)
     v1, t1 = poincare_coefficient(data, weight, n, 1, l, 1,
-                                  TruncationParams(c_max=c1, tail_tol=1.0,
-                                                   ctx=CTX, layer_bits=113))
+                                  TruncationParams(c_max=c1, tail_tol=1.0, ctx=CTX))
     v2, _ = poincare_coefficient(data, weight, n, 1, l, 1,
-                                 TruncationParams(c_max=c2, tail_tol=1.0,
-                                                  ctx=CTX, layer_bits=113))
+                                 TruncationParams(c_max=c2, tail_tol=1.0, ctx=CTX))
     assert abs(complex(v1 - v2)) <= t1
 
 
