@@ -49,7 +49,8 @@ def test_coeffs_unreachable_tolerance_exits_2(capsys):
 
 
 # each subcommand's required flags, and the subcommands that read --csv / --t0
-_REQUIRED = {"coeffs": ["--weight", "4", "--n", "0"], "grid": ["--k", "2", "--n1", "1", "--n2", "1"],
+_REQUIRED = {"coeffs": ["--weight", "4", "--n", "0"],
+             "grid": ["--k", "2", "--n1", "1", "--n2", "1"],
              "duality": ["--k", "2", "--n1", "1", "--n2", "1"],
              "lvalue": ["--weight", "12", "--n", "-1", "--s", "1"],
              "period": ["--k", "10", "--n", "-1"], "pairing": ["--k", "10", "--basis=-1"],
