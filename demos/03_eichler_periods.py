@@ -3,7 +3,7 @@
 For a weight-(k+2) cusp form f the degree-k period polynomial r(f, gamma)
 can be assembled from k+1 critical twisted L-values, evaluated directly
 from the order-(k+1) primitive by series, or integrated along the contour
-joining the cusps by Gauss-Legendre quadrature.  The supplementary function
+joining the cusps, each ray term in closed form.  The supplementary function
 f* (a weakly holomorphic form with reflected principal part) mirrors the
 periods of f after the constant-term correction: r^H(f) = [r^H(f*)]^- at
 reflected arguments.

@@ -5,7 +5,7 @@ sums split at an arbitrary height t0; the finitely many exponentially
 growing terms of a weakly holomorphic form enter through incomplete gammas
 at negative argument, which is exactly the regularization.  The value is
 independent of t0, and for genuine cusp forms it agrees with the contour
-integral evaluated by quadrature.
+integral, each ray term evaluated in closed form.
 """
 
 from mgrid import (

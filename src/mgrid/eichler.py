@@ -14,7 +14,7 @@ with c_{k+2} = -k!/(2 pi i)^{k+1}.  The period polynomials
     r^N = c_{k+2} (E^N_f - E^N_f |_{-k} gamma)
 
 have degree <= k; r is assembled from k+1 critical twisted L-values, r^N
-from quadrature moments, and r^H differs from r by the constant-term
+from closed-form ray moments, and r^H differs from r by the constant-term
 correction  c_{k+2} c_f (1 - chi(gamma)^{-1} c^k (tau + d/c)^k).
 
 Period routines are implemented for scalar series (p = 1); a diagonal
@@ -85,12 +85,6 @@ class PeriodPolynomial:
         """tau -> conj(P(conj(tau))): conjugates the coefficients (real shift)."""
         return PeriodPolynomial(self.gamma, self.k, np.conj(self.coeffs), self.shift)
 
-    def __add__(self, other: "PeriodPolynomial") -> "PeriodPolynomial":
-        if other.k != self.k or other.shift != self.shift:
-            raise ValueError("incompatible period polynomials")
-        return PeriodPolynomial(self.gamma, self.k, self.coeffs + other.coeffs,
-                                self.shift)
-
     def norm(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if len(self.coeffs) else 0.0
 
@@ -120,7 +114,7 @@ def eichler_EH(f: FourierSeries, k: int, trunc: TruncationParams):
 
 
 def eichler_EN(f: FourierSeries, tau, k: int) -> complex:
-    """E^N_f(tau) for a genuine cusp form, by vertical-ray quadrature."""
+    """E^N_f(tau) for a genuine cusp form, by its closed-form ray integral."""
     _require_scalar(f)
     if f.weight != k + 2:
         raise ValueError(f"series weight {f.weight} != k+2 = {k + 2}")
@@ -216,8 +210,8 @@ def period_r_quadrature(f: FourierSeries, gamma: GroupElement, k: int,
 
         R.int_{gamma^{-1}(i inf)}^{i inf} f(z) (tau - z)^k dz,
 
-    expanded through the moments R.int f(z) (z + d/c)^m dz computed by
-    Gauss-Legendre quadrature.  Independent of the L-series route.
+    expanded through the moments R.int f(z) (z + d/c)^m dz, each ray term
+    in closed form (quadrature).  Independent of the L-series route.
     """
     _require_scalar(f)
     return _moment_polynomial(f, gamma, k, t0, conj=False)
@@ -226,7 +220,7 @@ def period_r_quadrature(f: FourierSeries, gamma: GroupElement, k: int,
 def period_rN(f: FourierSeries, gamma: GroupElement, k: int,
               t0: float = 1.0) -> PeriodPolynomial:
     """r^N(f, gamma; tau) = [ int_{gamma^{-1}(i inf)}^{i inf} f(z)
-    (conj(tau) - z)^k dz ]^-  for a genuine cusp form, by quadrature."""
+    (conj(tau) - z)^k dz ]^-  for a genuine cusp form, by ray moments."""
     _require_scalar(f)
     if not f.is_cusp_form():
         raise ValueError("r^N is defined only for cusp forms")
@@ -235,7 +229,7 @@ def period_rN(f: FourierSeries, gamma: GroupElement, k: int,
 
 def _moment_polynomial(f: FourierSeries, gamma: GroupElement, k: int,
                        t0: float, conj: bool) -> PeriodPolynomial:
-    """sum_m C(k, m) (-1)^m M_m (tau + d/c)^{k-m} from the quadrature
+    """sum_m C(k, m) (-1)^m M_m (tau + d/c)^{k-m} from the closed-form
     moments M_m = R.int f(z) (z + d/c)^m dz, each conjugated when conj, from
     one float conversion of f; the parabolic polynomial when c = 0."""
     if gamma.c == 0:

@@ -66,7 +66,6 @@ class GroupElement:
 
 S = GroupElement(0, -1, 1, 0)
 T = GroupElement(1, 1, 0, 1)
-IDENTITY = GroupElement(1, 0, 0, 1)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ and its parts are in lvalue_series).  The integral representation
 
     L* = i^{-s} R.int_{-d/c}^{i inf} f(tau) (tau + d/c)^{s-1} dtau
 
-is evaluated by quadrature for genuine cusp forms as an independent oracle.
+is evaluated term by term in closed form for genuine cusp forms
+(lvalue_integral): a second route that splits the contour at t0, carries
+the lower leg over by gamma and recombines the moments of (tau + d/c)^m.
 
 The pairing block: Petersson products of cusp-form Poincare series have the
 closed unfolding form (petersson_poincare); expressing their period vectors
@@ -45,7 +47,7 @@ from .automorphy import AutomorphyData
 from .groups import GroupElement, generators
 from .poincare import _CSum, _prefactor_prec, _value, coefficient_envelope
 from .precision import exp2pi
-from .quadrature import RAY_TOL, regularized_moment
+from .quadrature import _moments
 from .series import FourierSeries, TruncationParams
 from .specialfn import gamma_upper
 
@@ -275,22 +277,23 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
 
 def lvalue_integral(f: FourierSeries, twist: TwistSpec, s: int,
                     t0: float = 1.0) -> LValue:
-    """L* by quadrature of i^{-s} R.int f(tau)(tau + d/c)^{s-1} d tau; err
-    is quadrature.RAY_TOL, a tolerance, not an estimate.
+    """L* = i^{-s} R.int f(tau)(tau + d/c)^{s-1} d tau from the closed-form
+    ray integrals of quadrature.regularized_moment, in float64.
 
-    Plainly convergent for genuine cusp forms, which is what this oracle is
-    restricted to; weakly holomorphic input is rejected.
+    err bounds the float64 rounding of the closed forms plus the stored
+    coefficient tails carried through each term (quadrature._moments);
+    terms past the stored range are outside this bound.  Restricted to
+    genuine cusp forms; weakly holomorphic input is rejected.
     """
     if not f.is_cusp_form():
         raise ValueError("the integral oracle is restricted to cusp forms")
     if not 1 <= s <= f.weight - 1:
         raise ValueError(
             f"the contour route covers s in 1..weight-1 = {f.weight - 1}")
-    g = twist.gamma
-    mom = regularized_moment(f, g, s - 1, t0=t0)
+    (mom, err), = _moments(f, twist.gamma, [s - 1], t0)
     lstar = mpmath.mpc((-1j) ** s * mom)
     value = (2 * mpmath.pi) ** s / mpmath.factorial(s - 1) * lstar
-    return LValue(s, twist, value, lstar, "integral", t0, RAY_TOL)
+    return LValue(s, twist, value, lstar, "integral", t0, err)
 
 
 def petersson_poincare(g: FourierSeries, n: int, alpha: int,

@@ -72,9 +72,13 @@ def _exponent_sums(nums: np.ndarray, den: int, bits: int, tables: dict, weights=
     row's sum of e^{2 pi i num/den} (times `weights`, complex, of the same
     shape) as the Gaussian integer (re + i im) 2^-e.
 
-    bits <= 53 evaluates the unit phases in float64 (the exponents are
-    already reduced exactly, so each phase is correct to an ulp), and each
-    row's float sum converts exactly (_gaussian).  Larger bits (no weights)
+    bits <= 53 evaluates the unit phases in float64.  The angle, three
+    roundings of a value below 2 pi, is within 6 pi 2^-53; with numpy's sin
+    and cos taken within 2 ulps and a matrix-rho weight (|w| <= 1) adding a
+    complex product, an element is within 25.3 2^-53.  A row sum in any
+    order errs by 2^-53 times the sum of its partial sums (each below its
+    count), so a row of n is within n (n + 28) 2^-53 (_layer_error); its
+    float sum converts exactly (_gaussian).  Larger bits (no weights)
     sum exactly in fixed point over the root table of den (see _root_table;
     `tables` maps den to it for one box): each residue r = q B + s gathers
     giant[q] and baby[s], and a row is one exact sum of their complex
@@ -170,7 +174,7 @@ def _layer_error(c: int, den: int, bits: int) -> float:
     """Bound on the rounding error of one layer over C+(c) (|C+(c)| <= c
     elements) with phases over den, evaluated at `bits` (see _exponent_sums)."""
     if bits <= 53:
-        return c * 2.0 ** -50  # phi(c) ulps
+        return c * (c + 28) * 2.0 ** -53
     return c * (2 * math.isqrt(den) + 3) * 2.0 ** -(bits + 16 + den.bit_length())
 
 
@@ -283,7 +287,7 @@ def _run(requests: list, trunc: TruncationParams):
     nearest (under one unit of 2^-e in modulus, exact at f = 0).
 
     The one noise rule, with kmax_c >= |K_c| (|c_c(m)|, else c >= |C+(c)|)
-    and dK_c the layer's error bound (0 for c_c(m); phi(c) 2^-50 in
+    and dK_c the layer's error bound (0 for c_c(m); c (c + 28) 2^-53 in
     float64; phi(c) (2 isqrt(den) + 3) 2^-T in fixed point,
     T = bits + 16 + den.bit_length(); phi(c) <= c):
 

@@ -1,15 +1,17 @@
-"""Vertical-ray quadrature for period integrals and integral L-values.
+"""Vertical-ray integrals for period integrals and integral L-values.
 
 Every contour used here is a vertical ray [z0, z0 + i*infinity) carrying an
 integrand  f(z) * (P + R t)^M  with z = z0 + i t and f given by a stored
-q-expansion.  Decaying Fourier terms are integrated by composite
-Gauss-Legendre on [0, V] plus the closed-form tail from height V; the
-finitely many exponentially growing terms (the principal part, when f is
-weakly holomorphic) are integrated in closed form over the full ray, which
-is exactly their regularized value: the analytic continuation of
-int_0^inf t^j e^{-beta t} dt = j! / beta^{j+1} to Re(beta) < 0.  V is the
-first height (capped at 60) where the slowest decaying term, times the
-polynomial, falls below RAY_TOL / 100; no error is estimated.
+q-expansion.  Each Fourier term a e^{2 pi i F z / lambda} with F != 0 has
+the exact ray integral
+
+  i a e^{i beta z0} sum_j binom(M, j) P^{M-j} R^j j! / beta^{j+1},
+  beta = 2 pi F / lambda,
+
+from int_0^inf t^j e^{-beta t} dt = j! / beta^{j+1}; for beta < 0 (the
+principal part) it is the analytic continuation, the regularized value.
+Every term goes through this one closed form.  A nonzero constant term,
+whose ray integral diverges, is rejected.
 """
 
 from __future__ import annotations
@@ -22,22 +24,14 @@ from .series import FourierSeries
 
 __all__ = ["vertical_poly_integral", "regularized_moment", "eval_component_grid"]
 
-# the 32-point Gauss-Legendre rule on [-1, 1], used on every panel
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
-RAY_TOL = 1e-12  # the one ray tolerance; lvalue_integral reports it as its err
-
 
 def _component_terms(series: FourierSeries, j: int):
-    """(float frequencies F, complex coefficients a) of component j, in the
-    series' iteration order: the one float conversion a quadrature makes."""
-    terms = [(float(series.freq(n, jj)), complex(v))
+    """(float frequencies F, complex coefficients a, tails) of component j,
+    in the series' iteration order: the one float conversion a ray makes."""
+    terms = [(float(series.freq(n, jj)), complex(v), series.tails.get((n, jj), 0.0))
              for (n, jj), v in series.items() if jj == j]
-    return np.array([F for F, _a in terms]), np.array([a for _F, a in terms], dtype=complex)
-
-
-def _eval_terms(F: np.ndarray, a: np.ndarray, lam: float, zs: np.ndarray) -> np.ndarray:
-    """sum a e^{2 pi i F z / lambda} over the terms (F, a), on a grid."""
-    return a @ np.exp(2j * np.pi * np.outer(F, zs) / lam)
+    return (np.array([F for F, _a, _t in terms]), np.array([a for _F, a, _t in terms], dtype=complex),
+            np.array([t for _F, _a, t in terms]))
 
 
 def eval_component_grid(series: FourierSeries, j: int, zs) -> np.ndarray:
@@ -48,74 +42,81 @@ def eval_component_grid(series: FourierSeries, j: int, zs) -> np.ndarray:
         raise ValueError(f"component index {j} outside 1..{series.dim}")
     if not (zs.imag > 0).all():
         raise ValueError("points must lie in the upper half-plane")
-    return _eval_terms(*_component_terms(series, j), float(series.automorphy.lam), zs)
+    F, a, _tails = _component_terms(series, j)
+    return a @ np.exp(2j * np.pi * np.outer(F, zs) / float(series.automorphy.lam))
 
 
-def _closed_form_ray(freqs: np.ndarray, coeffs: np.ndarray, lam: float, z0: complex,
-                     P: complex, R: complex, M: int) -> complex:
-    """Exact ray integral of the Fourier terms (F, a) against (P + Rt)^M.
-
-    For each term a e^{2 pi i F z / lambda} with F != 0:
-      i * a * e^{2 pi i F z0 / lambda} *
-        sum_j binom(M, j) P^{M-j} R^j * j! / beta^{j+1},   beta = 2 pi F / lambda,
-    the j!/beta^{j+1} factor being the regularized moment for beta < 0.
+def _ray(F: np.ndarray, a: np.ndarray, tails: np.ndarray, lam: float, z0: complex,
+         P: complex, R: complex, M: int):
+    """(value, bound) of the closed forms (module docstring) of the converted
+    terms of a component at the float z0, P and R.  With x = R / beta the
+    inner sum is g_M / beta, g_0 = 1, g_i = P^i + i x g_{i-1}; G_M, the same
+    recurrence on |P| and |x|, majorises it, and mag = |e^{i beta z0}| G_M /
+    |beta| is a term's size per unit coefficient.  bound is
+      - 2^-53 sum |a| mag (32 + 12 M + 8 |beta z0|), the rounding: beta is
+        within 5 roundings, g_M within 11 M of G_M (a complex product, a
+        scaling and an add per step, with the errors of x and P^i), i beta z0
+        within 6, so the exponential within 6 |beta z0| + 8 (numpy's exp, cos
+        and sin taken within 2 ulps), and a's conversion, the last products,
+        the division and each part's fsum add 15;
+      - sum t mag, the stored coefficient tails t carried through each term.
     """
-    total = 0j
-    for F, a in zip(freqs.tolist(), coeffs.tolist()):
-        if a == 0:
-            continue
-        beta = 2 * math.pi * F / lam
-        inner = 0j
-        for m in range(M + 1):
-            inner += (math.comb(M, m) * P ** (M - m) * R**m
-                      * math.factorial(m) / beta ** (m + 1))
-        total += 1j * a * np.exp(2j * np.pi * F * z0 / lam) * inner
-    return total
+    if (a[F == 0] != 0).any():
+        raise ValueError("a nonzero constant term has a divergent ray integral")
+    F, a, tails = F[F != 0], a[F != 0], tails[F != 0]
+    beta = 2 * math.pi * F / lam
+    x = R / beta
+    g, G, p = np.ones(len(F), dtype=complex), np.ones(len(F)), 1 + 0j
+    for i in range(1, M + 1):
+        p *= P
+        g, G = p + i * x * g, abs(P) ** i + i * np.abs(x) * G
+    w = 1j * beta * z0
+    terms = 1j * a * np.exp(w) * g / beta
+    mag = np.exp(w.real) * G / np.abs(beta)
+    value = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    rounding = 2.0**-53 * math.fsum((np.abs(a) * mag * (32 + 12 * M + 8 * np.abs(w))).tolist())
+    # an infinite tail is an infinite bound, also where its term's mag underflows
+    carried = math.inf if np.isinf(tails).any() else math.fsum((tails * mag).tolist())
+    return value, rounding + carried
 
 
 def vertical_poly_integral(series: FourierSeries, j: int, z0: complex,
                            P: complex, R: complex, M: int) -> complex:
-    """int_{z0}^{z0 + i inf} f_j(z) (P + R t)^M dz  (z = z0 + i t), regularized.
-
-    Principal-part terms are integrated exactly; the rest by composite
-    Gauss-Legendre up to the height V of RAY_TOL (module docstring), with
-    the closed-form tail of the stored series added.
-    Component j is converted to floats once, for every panel and both
-    closed forms.
-    """
-    return _ray(*_component_terms(series, j), float(series.automorphy.lam), z0, P, R, M)
+    """int_{z0}^{z0 + i inf} f_j(z) (P + R t)^M dz  (z = z0 + i t), regularized,
+    term by term in closed form (module docstring).  Raises ValueError on a
+    nonzero constant term."""
+    return _ray(*_component_terms(series, j), float(series.automorphy.lam), z0, P, R, M)[0]
 
 
-def _ray(F: np.ndarray, a: np.ndarray, lam: float, z0: complex, P: complex,
-         R: complex, M: int) -> complex:
-    """vertical_poly_integral on the converted terms (F, a) of a component."""
-    value = _closed_form_ray(F[F < 0], a[F < 0], lam, z0, P, R, M)
-    if not (F > 0).any():
-        return value
-    fmin = F[F > 0].min()
-    # height where the slowest-decaying term, times polynomial growth, dies
-    V = 1.0
-    scale = max(abs(P), 1.0) + abs(R)
-    while (math.exp(-2 * math.pi * fmin * (z0.imag + V) / lam)
-           * (scale * (1 + V)) ** M > RAY_TOL * 1e-2) and V < 60:
-        V *= 1.25
-    edges = [0.0]
-    step = min(0.5, V / 4)
-    while edges[-1] < V:
-        edges.append(min(edges[-1] + step, V))
-        step *= 2
-    bulk, F_dec, a_dec = 0j, F[F >= 0], a[F >= 0]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = (hi - lo) / 2
-        ts = lo + half * (_NODES + 1)
-        zs = z0 + 1j * ts
-        fv = _eval_terms(F_dec, a_dec, lam, zs)
-        integrand = fv * (P + R * ts) ** M
-        bulk += half * np.sum(_WEIGHTS * integrand)
-    bulk *= 1j  # dz = i dt
-    z_top = z0 + 1j * V
-    tail = _closed_form_ray(F[F > 0], a[F > 0], lam, z_top, P + R * V, R, M)
-    return value + bulk + tail
+def _moments(series: FourierSeries, gamma, m_list: list, t0: float) -> list:
+    """[(moment, bound)] for each m of m_list: _ray's bounds of both legs,
+    plus 2^-50 of the lower leg for its factor c^-m / chi and 2^-52 of both
+    for the difference.  The points -d/c + i t0, its image a/c + i/(c^2 t0)
+    and the lower leg's P = -i/(c t0) round once or twice; that is outside
+    the bound (they are exact for S at t0 = 1)."""
+    a, _, c, d = gamma.as_tuple()
+    if c == 0:
+        raise ValueError("regularized moments need a group element with c != 0")
+    if c < 0:
+        gamma = -gamma
+        a, _, c, d = gamma.as_tuple()
+    for mi in m_list:
+        if not 0 <= mi <= series.weight - 2:
+            raise ValueError(
+                f"moment order {mi} outside 0..weight-2 = {series.weight - 2}")
+    data = series.automorphy
+    if data.dim != 1:
+        raise NotImplementedError("moments are computed per scalar component")
+    chi_val = complex(data.scalar_character(1).value(gamma))
+    terms, lam = _component_terms(series, 1), float(data.lam)
+    z1, w0 = -d / c + 1j * t0, a / c + 1j / (c * c * t0)
+    out = []
+    for mi in m_list:  # upper leg minus lower leg
+        up, up_err = _ray(*terms, lam, z1, 1j * t0, 1j, mi)
+        low, low_err = _ray(*terms, lam, w0, -1j / (c * t0), -1j * c, series.weight - 2 - mi)
+        low, low_err = low * c ** (-mi) / chi_val, (low_err + 2.0**-50 * abs(low)) * c ** (-mi)
+        out.append((up - low, up_err + low_err + 2.0**-52 * (abs(up) + abs(low))))
+    return out
 
 
 def regularized_moment(series: FourierSeries, gamma, m, t0: float = 1.0):
@@ -131,27 +132,5 @@ def regularized_moment(series: FourierSeries, gamma, m, t0: float = 1.0):
     f is converted to floats once for both rays of every m.  Requires
     c != 0 and a vanishing constant term.
     """
-    a, _, c, d = gamma.as_tuple()
-    if c == 0:
-        raise ValueError("regularized moments need a group element with c != 0")
-    if c < 0:
-        gamma = -gamma
-        a, _, c, d = gamma.as_tuple()
-    m_list = list(m) if hasattr(m, "__iter__") else [m]
-    for mi in m_list:
-        if not 0 <= mi <= series.weight - 2:
-            raise ValueError(
-                f"moment order {mi} outside 0..weight-2 = {series.weight - 2}")
-    if not series.has_zero_constant_term():
-        raise ValueError("the constant term must vanish")
-    data = series.automorphy
-    if data.dim != 1:
-        raise NotImplementedError("moments are computed per scalar component")
-    chi_val = complex(data.scalar_character(1).value(gamma))
-    terms, lam = _component_terms(series, 1), float(data.lam)
-    z1 = -d / c + 1j * t0
-    w0 = (a * z1 + (a * d - 1) // c) / (c * z1 + d)
-    out = [_ray(*terms, lam, z1, z1 + d / c, 1j, mi)  # upper leg minus lower leg
-           - _ray(*terms, lam, w0, -c * w0 + a, -1j * c, series.weight - 2 - mi)
-           * c ** (-mi) / chi_val for mi in m_list]
+    out = [v for v, _err in _moments(series, gamma, list(m) if hasattr(m, "__iter__") else [m], t0)]
     return out if hasattr(m, "__iter__") else out[0]

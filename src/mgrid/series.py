@@ -86,11 +86,8 @@ class FourierSeries:
         """Indices with n + kappa_j < 0 (exponential growth at i-infinity)."""
         return [(n, j) for (n, j) in sorted(self.coeffs) if self.freq(n, j) < 0]
 
-    def constant_indices(self):
-        return [(n, j) for (n, j) in sorted(self.coeffs) if self.freq(n, j) == 0]
-
     def has_zero_constant_term(self) -> bool:
-        return all(self.coeffs[idx] == 0 for idx in self.constant_indices())
+        return all(v == 0 for (n, j), v in self.coeffs.items() if self.freq(n, j) == 0)
 
     def is_cusp_form(self) -> bool:
         """No principal part and no constant term (all frequencies positive)."""

@@ -201,7 +201,7 @@ def test_criterion_06_supplementary_identity():
 
 
 def test_criterion_07_rH_equals_conjugated_rN():
-    """r^H from L-values against the conjugated quadrature polynomial r^N."""
+    """r^H from L-values against the conjugated ray-moment polynomial r^N."""
     data = trivial_data(12)
     trunc = TruncationParams(c_max=60, tail_tol=1e-9, ctx=CTX)
     f = poincare_series(data, 12, -1, 1, range(1, 61), trunc)
@@ -213,7 +213,7 @@ def test_criterion_07_rH_equals_conjugated_rN():
 
 
 def test_criterion_08_lvalue_consistency():
-    """Series vs quadrature for the weight-12 cusp form, untwisted, s=1..11
+    """Series vs contour integral for the weight-12 cusp form, untwisted, s=1..11
     (1e-6 relative); t0-invariance across {0.5, 1, 2} (1e-8)."""
     data = trivial_data(12)
     trunc = TruncationParams(c_max=60, tail_tol=1e-9, ctx=CTX)

@@ -222,7 +222,7 @@ def test_float_noise_counts_every_computed_layer_but_no_structural_zero(pin_laye
     pin_layer_bits(53)
     trunc = TruncationParams(c_max=475, tail_tol=1.0, ctx=CTX)
     s = _engine_sum(trunc)
-    assert s.noise == _noise_rule(s, trunc, lambda c: c * 2.0 ** -50)
+    assert s.noise == _noise_rule(s, trunc, lambda c: c * (c + 28) * 2.0 ** -53)
     _assert_structural_zeros_are_exact(trunc, 53)
 
 
@@ -367,7 +367,7 @@ LAYER_CASES = {"eta2": _eta2_keys, "trivial": _trivial_keys,
 def test_batched_layers_equal_an_elementwise_sum(case):
     # every row of every group of one _layers call against its own key's
     # per-element sum: bit for bit in fixed point at 113 bits, within
-    # c 2^-50 of a 256-bit sum in float64 (the only matrix-rho path)
+    # c (c + 28) 2^-53 of a 256-bit sum in float64 (the only matrix-rho path)
     data_keys, cs = LAYER_CASES[case]()
     for c in cs:
         box, tables = cplus_arrays(data_keys[0][0].group, c), {}
@@ -384,11 +384,23 @@ def test_batched_layers_equal_an_elementwise_sum(case):
                             assert (re, im, e) == _elementwise_exact_layer(phases, den, bits)
                             assert error == _layer_error(c, den, bits)
                             continue
-                        assert error == c * 2.0 ** -50
+                        assert error == c * (c + 28) * 2.0 ** -53
                         with mpmath.workprec(256):
                             ref = mpmath.fsum(mpmath.mpc(w) * exp2pi(p) for w, p in phases)
                             got = mpmath.mpc(mpmath.ldexp(re, -e), mpmath.ldexp(im, -e))
                             assert abs(got - ref) <= error
+
+
+def test_float64_row_within_the_layer_bound():
+    # one element whose angle k (2 pi/den) rounds three times, k = 10624 at
+    # den = 144 * 79 (an eta^2 denominator at c = 79), off by 1.45 2^-50 by
+    # itself; a row of 78 copies must stay within the bound of a layer at
+    # c = 79, which covers the angle, sin/cos and the row sum
+    den, k = 144 * 79, 10624
+    (re, im, e), = _exponent_sums(np.full((1, 78), k, dtype=np.int64), den, 53, {})
+    with mpmath.workprec(256):
+        got = mpmath.mpc(mpmath.ldexp(re, -e), mpmath.ldexp(im, -e))
+        assert abs(got - 78 * exp2pi(Fraction(k, den))) <= _layer_error(79, den, 53)
 
 
 def test_eta2_pair_evaluates_one_batch_per_datum_and_c(monkeypatch):

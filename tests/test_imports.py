@@ -1,10 +1,13 @@
-"""Every top-level import of a library module is used, every name a module
-exports exists, and no function or method carries a functools cache.
+"""Every top-level import of a library module is used, every module-level
+constant is read, every name a module exports exists, and no function or
+method carries a functools cache.
 
 Parses src/mgrid/*.py with ast: a name bound by a module-level import must
 appear as a name somewhere else in the module or in its __all__.  The
 package __init__ (which imports to re-export) and __future__ imports are
-exempt.  Every name in a module's __all__ must be an attribute of the
+exempt.  A name bound by a module-level assignment (dunders exempt) must be
+read in its module, listed in its __all__, or imported by another library
+module.  Every name in a module's __all__ must be an attribute of the
 imported module.  A cache decorator (lru_cache, cache, cached_property)
 would keep process-global state, so two identical calls could do
 different work and memory would grow with the calls made.
@@ -44,6 +47,44 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("import math\nimport os\n\nx = math.pi\n") == ["os"]
     assert unused_imports("from a import b, c\n__all__ = ['c']\nb()\n") == []
     assert unused_imports("from __future__ import annotations\n") == []
+
+
+def unread_constants(sources: dict) -> list:
+    """(module, name) of every module-level constant in sources (module stem
+    -> source) that nothing reads: no load of it in its own module, no entry
+    in that module's __all__, no `from .module import name` elsewhere."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    imported = {(node.module.rpartition(".")[2], alias.name)
+                for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module
+                for alias in node.names}
+    found = []
+    for mod, tree in trees.items():
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        bound = []
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            if names == ["__all__"]:
+                read.update(ast.literal_eval(node.value))
+            bound += names
+        found += [(mod, name) for name in bound if not name.startswith("__")
+                  and name not in read and (mod, name) not in imported]
+    return sorted(found)
+
+
+def test_checker_flags_an_unread_constant():
+    sources = {"a": "X = 1\nY, _Z = 2, 3\n__all__ = ['Y']\n__version__ = '0'\n",
+               "b": "from .a import X\nW = 4\n\ndef f():\n    return W\n"}
+    assert unread_constants(sources) == [("a", "_Z")]
+    assert unread_constants({"a": sources["a"]}) == [("a", "X"), ("a", "_Z")]
+
+
+def test_every_module_level_constant_is_read():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_constants(sources) == []
 
 
 CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}

@@ -83,6 +83,44 @@ def test_lvalue_integral_path_split_invariance(delta_like):
     assert abs(a - b) < 1e-9 * abs(a)
 
 
+def _closed_form_lstar(f, s, prec=200):
+    """L*(f, S, s) = i^-s (upper leg - lower leg) at t0 = 1, every ray term
+    i a e^{2 pi i n z0} sum_j binom(M, j) P^{M-j} R^j j! / (2 pi n)^{j+1}
+    evaluated at prec bits: the upper leg from z0 = i with P = R = i and
+    M = s - 1, the lower leg (S i = i) with P = R = -i and M = 11 - s."""
+    with mpmath.workprec(prec):
+        def leg(P, R, M):
+            return mpmath.fsum(
+                1j * a * mpmath.exp(-2 * mpmath.pi * n)
+                * mpmath.fsum(mpmath.binomial(M, j) * P ** (M - j) * R ** j
+                              * mpmath.factorial(j) / (2 * mpmath.pi * n) ** (j + 1)
+                              for j in range(M + 1))
+                for (n, _j), a in f.items())
+        return (-1j) ** s * (leg(1j, 1j, s - 1) - leg(-1j, -1j, 11 - s))
+
+
+def test_lvalue_integral_err_covers_rounding_and_tails(delta_like):
+    # err is the closed forms' float64 rounding plus the stored tails carried
+    # through each term.  The first covers the move to a 200-bit evaluation
+    # of the same coefficients (c_max 60, tails below the rounding); the
+    # second the move from c_max 12 coefficients to c_max 60 ones (l <= 20,
+    # where the c_max 12 tails are finite and dominate)
+    fine, coarse = (poincare_series(DATA12, 12, -1, 1, range(1, 21),
+                                    TruncationParams(c_max=cm, tail_tol=1.0, ctx=CTX))
+                    for cm in (60, 12))
+    for s in range(1, 12):
+        lv, ref = lvalue_integral(delta_like, TWIST_S, s), _closed_form_lstar(delta_like, s)
+        near, far = lvalue_integral(fine, TWIST_S, s), lvalue_integral(coarse, TWIST_S, s)
+        ref20 = _closed_form_lstar(fine, s)
+        with mpmath.workprec(200):
+            assert abs(lv.lstar - ref) <= lv.err
+            assert abs(far.lstar - ref20) <= far.err + near.err
+    # l = 130 at c_max 12: an infinite tail on a term whose size underflows
+    wide = poincare_series(DATA12, 12, -1, 1, range(1, 131),
+                           TruncationParams(c_max=12, tail_tol=1.0, ctx=CTX))
+    assert lvalue_integral(wide, TWIST_S, 3).err == float("inf")
+
+
 def test_lvalue_integral_rejects_weakly_holomorphic():
     wh = poincare_series(DATA12, 12, 1, 1, range(1, 5), TR)
     with pytest.raises(ValueError):

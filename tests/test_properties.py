@@ -37,7 +37,9 @@ BITS = st.sampled_from([53, 113])
 
 
 def _layer_error(c, bits):
-    """The documented rounding bound of one layer over at most c elements."""
+    """A rounding bound of one layer over at most c elements.  In float64 it
+    is the tighter c 2^-50, which these boxes (c <= 200) meet; the
+    documented bound is c (c + 28) 2^-53 (poincare._layer_error)."""
     if bits <= 53:
         return c * 2.0 ** -50
     return c * (2 * math.isqrt(c) + 3) * 2.0 ** -(bits + 16 + c.bit_length())
