@@ -84,8 +84,6 @@ def parse_gamma(spec: str) -> GroupElement:
 def _add_common(p: _Parser, *flags: str):
     p.add_argument("--group", type=int, default=1, metavar="N",
                    help="level N of Gamma_0(N) (default 1)")
-    p.add_argument("--lambda", dest="lam", default="1",
-                   help="cusp width at i-infinity (built-ins require 1)")
     p.add_argument("--generators", default="",
                    help="semicolon-separated a,b,c,d tuples (required for N>1 "
                         "commands that use generators)")
@@ -103,20 +101,17 @@ def _add_common(p: _Parser, *flags: str):
     if "csv" in flags:
         p.add_argument("--csv", dest="csv_path", default="",
                        help="optional CSV path for flat entry tables")
-    p.add_argument("--allow-slow-convergence", action="store_true")
 
 
 def build_config(args, weight: int):
-    lam = Fraction(args.lam)
     gens = tuple(parse_gamma(g) for g in args.generators.split(";") if g)
-    group = GroupSpec(level=args.group, lam=lam, gens=gens)
+    group = GroupSpec(level=args.group, gens=gens)
     chi = parse_character(args.character)
     rho = parse_rep(args.rep)
     data = AutomorphyData(weight=weight, chi=chi, rho=rho, group=group)
     ctx = PrecisionContext(mantissa_bits=args.bits,
                            target_tol=min(1e-25, args.tol * 1e-8))
-    trunc = TruncationParams(c_max=args.cmax, tail_tol=args.tol, ctx=ctx,
-                             allow_slow_convergence=args.allow_slow_convergence)
+    trunc = TruncationParams(c_max=args.cmax, tail_tol=args.tol, ctx=ctx)
     return data, trunc
 
 

@@ -202,8 +202,9 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
     base b gives (-1)^n |b|^n; its prefactor pref, the powers of 2 pi/lambda
     and the side-2 phase, is kept at _prefactor_prec(max(w, s)) bits.  L* is
     rounded once at wp (poincare._value).  err has three parts:
-      - the estimated remainder past the stored range (a guessed
-        coefficient envelope times certified gamma majorants);
+      - the estimated remainder past the stored range (the coefficient
+        envelope at the first omitted index, of a guessed order, times
+        certified gamma majorants);
       - the propagated coefficient tails, each side's tail;
       - the rounding noise, each side's noise plus 2^(1-wp) |L*|.
     wp is the working precision of the context of trunc when given, else

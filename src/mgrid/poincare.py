@@ -34,10 +34,9 @@ three sources: a float64 or a fixed-point box layer, each as an exact
 Gaussian integer, or, with no box, the Ramanujan sum
 c_c(m) = sum_{d | (c, m)} mu(c/d) d, m = |x + y| (Hardy & Wright,
 ch. XVI), which is every layer at x = 0 or y = 0 on a diagonal rho whose
-effective character is trivial; it has no layer precision.  The
-tail bound majorises the neglected c > c_max terms via |C+(c)| <= c, or
-|c_c(m)| <= sigma(m), and J_nu(z), I_nu(z) <= (z/2)^nu/nu! * geometric or
-exponential factors.
+effective character is trivial; it has no layer precision.  One
+majorant (_majorant) bounds every c > c_max tail and coefficient_envelope's
+whole c-sum; weight 3 converges absolutely, its terms being O(c^-2).
 """
 
 from __future__ import annotations
@@ -413,34 +412,36 @@ def _check_weight(weight: int, trunc: TruncationParams, level: int = 1):
     if trunc.c_max < level:
         raise ValueError(f"c_max = {trunc.c_max} is below the smallest positive c "
                          f"(= level {level}) of the group")
-    if weight == 3 and not trunc.allow_slow_convergence:
-        raise ValueError("weight 3 converges only conditionally; pass "
-                         "allow_slow_convergence=True (CLI: --allow-slow-convergence)")
 
 
-def _bessel_tail(weight: int, zeta: float, c_max: int, rfac: float,
-                 lam: float, modified: bool) -> float:
-    """Certified bound on the neglected c > c_max Bessel-case terms."""
-    nu = weight - 1
-    q = (zeta / (c_max + 1)) ** 2 / (nu + 1)
-    if q >= 0.5:
+def _majorant(w: int, x, y, lam, c0: int, m: int | None = None) -> float:
+    """Certified bound on sum_{c >= c0} |term_c| of the weight-w c-sum at
+    (x, y) (module docstring), from |K_c| <= c, or |c_c(m)| <= sigma(m) when
+    m > 0; J_nu(z) <= (z/2)^nu/nu! (DLMF 10.14.4), and I_nu(z) <=
+    (z/2)^nu/nu! e^min((z/2)^2/(nu+1), z) from its series, at z/2 = zeta/c <=
+    zeta/c0; and sum_{c >= c0} c^-p <= c0^-p + c0^(1-p)/(p-1).  Every term is
+    then a constant times c^-w |K_c|.  In logs: inf only when a double
+    overflows."""
+    x, y, lam, nu = float(x), float(y), float(lam), w - 1
+    log = math.log(TWO_PI / lam) - math.lgamma(w)
+    if x == 0:  # (2 pi/lambda)^w y^nu/nu!
+        log += nu * math.log(TWO_PI * y / lam)
+    else:  # (2 pi/lambda) (y/|x|)^(nu/2) zeta^nu/nu!, zeta = 2 pi sqrt(|x| y)/lambda
+        zeta = TWO_PI * math.sqrt(abs(x) * y) / lam
+        log += nu * (math.log(y / abs(x)) / 2 + math.log(zeta))
+        if x < 0:
+            log += min((zeta / c0) ** 2 / w, 2 * zeta / c0)
+    p = w if m else w - 1  # |c_c(m)| <= sigma(m) for m > 0, else |K_c| <= c
+    if m:
+        log += math.log(sum(d for d in range(1, m + 1) if m % d == 0))
+    try:
+        return math.exp(log - p * math.log(c0) + math.log1p(c0 / (p - 1)))
+    except OverflowError:
         return math.inf
-    coef = (TWO_PI / lam) * rfac * zeta**nu / math.factorial(nu) / (1 - q)
-    if modified:
-        coef *= math.exp(q)
-    return coef * c_max ** (1 - nu) / (nu - 1)
-
-
-def _power_tail(w: int, c_max: int, m) -> float:
-    """Bound on sum_{c > c_max} |K_c| c^-w: |c_c(m)| <= sigma(m) for every c
-    when the layers are Ramanujan sums (m not None), else |C+(c)| <= c."""
-    if m is None:
-        return c_max ** (2 - w) / (w - 2)
-    return sum(d for d in range(1, m + 1) if m % d == 0) * c_max ** (1 - w) / (w - 1)
 
 
 def _prefactor_prec(w: int) -> int:
-    """Bits p for the common prefactor (amp, pref) of a weight-w c-sum.  It
+    """Bits p for the common prefactor pref of a weight-w c-sum.  It
     takes under 4 w + 32 roundings of 2^-p relative (the powers ^w and ^(w-1)
     carry their bases' errors w-fold; the phase i^{-w} is off by under 11),
     so at p = wp + 3 + bit_length(4 w + 32) it is off by under 2^-wp/8."""
@@ -461,16 +462,16 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
         two_pi_lam = 2 * mpmath.pi * lam.denominator / lam.numerator
         phase = exp2pi(Fraction(-w, 4))  # i^{-w}
         if x == 0:
-            amp = two_pi_lam ** w / math.factorial(w - 1) * phase \
+            pref = two_pi_lam ** w / math.factorial(w - 1) * phase \
                 * (mpmath.mpf(y.numerator) / y.denominator) ** (w - 1)
         else:
             q = y / abs(x)
-            rfac = (mpmath.mpf(q.numerator) / q.denominator) ** (mpmath.mpf(w - 1) / 2)
-            pref = two_pi_lam * phase * rfac
+            pref = two_pi_lam * phase * (mpmath.mpf(q.numerator) / q.denominator) \
+                ** (mpmath.mpf(w - 1) / 2)
+    m = _ramanujan_m(data, x, y, alpha)  # None unless x = 0
+    tail = _majorant(w, x, y, lam, trunc.c_max + 1, m)
     if x == 0:
-        m = _ramanujan_m(data, x, y, alpha)
-        a2 = (TWO_PI / float(lam)) ** w / math.factorial(w - 1) * float(y) ** (w - 1)
-        return _CSum(key, amp, w, a2 * _power_tail(w, trunc.c_max, m), m)
+        return _CSum(key, pref, w, tail, m)
     xy = abs(x) * y
     half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator) \
         / (mpmath.mpf(lam.numerator) / lam.denominator)
@@ -481,8 +482,7 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
     # floor(floor(X)/c) = floor(X/c); >> floors
     u = [(v << e - scale if e >= scale else v >> scale - e) // c for v, c in zip(values, cs)]
     weight = (u, e, np.abs(np.array(u, dtype=float)) * 2.0 ** -e, bounds / np.array(cs))
-    return _CSum(key, pref, weight, _bessel_tail(w, float(half), trunc.c_max, float(rfac),
-                                                 float(lam), x < 0))
+    return _CSum(key, pref, weight, tail)
 
 
 class Walk:
@@ -555,9 +555,8 @@ class Walk:
                     continue
                 x = f.freq(n, t)  # x = n + kappa_t < 0 rides on the 'a' entry
                 m = _ramanujan_m(data, x, Fraction(0), t)
-                tail = abs(complex(f.coeffs[(n, t)])) * (TWO_PI / float(lam)) ** w \
-                    / math.factorial(w - 1) * float(lam) ** (w - 1) \
-                    * _power_tail(w, self.trunc.c_max, m)
+                tail = abs(complex(f.coeffs[(n, t)])) \
+                    * _majorant(w, 0, lam, lam, self.trunc.c_max + 1, m)  # x = 0's pref at y = lambda
                 per_comp[j - 1].append(self._add(
                     data, _CSum((x, Fraction(0), j, t), amps[(n, t)], w, tail, m)))
 
@@ -580,9 +579,9 @@ def poincare_coefficient(data: AutomorphyData, weight: int, n: int, alpha: int,
 
     Returns (value, tail_bound).  The value is the c <= c_max partial sum,
     added exactly and rounded once; tail_bound majorises the neglected
-    remainder (math.inf when the bound cannot certify decay yet, which
-    callers should treat as unconverged).  The Kronecker-delta leading
-    term at (-n, alpha) is *not* included here; poincare_series adds it.
+    remainder plus the rounding noise (finite unless the majorant
+    overflows a double).  The Kronecker-delta leading term at (-n, alpha)
+    is *not* included here; poincare_series adds it.
     """
     y = l + data.kappa_of(j)
     if not y > 0:
@@ -629,26 +628,10 @@ def constant_term_cf(f: FourierSeries, trunc: TruncationParams):
 
 def coefficient_envelope(data: AutomorphyData, weight: int, n: int, alpha: int,
                          l: int, j: int) -> float:
-    """Certified upper bound on |a_{n,alpha}(l, j)| (all three cases).
-
-    Uses |C+(c)| <= c, |J_nu| <= I_nu and
-    I_nu(z) <= (z/2)^nu e^z / nu!, so the c-sum is bounded by
-    (2 pi/lambda) rfac (zeta)^nu e^{2 zeta} zeta(nu) / nu! with
-    zeta = 2 pi sqrt(|x| y)/lambda.  Used to pick truncation points for
-    L-series m-sums; deliberately crude but safe.
-    """
-    x = float(-n + data.kappa_of(alpha))
-    y = float(l + data.kappa_of(j))
+    """Certified upper bound on |a_{n,alpha}(l, j)| (all three cases): the
+    whole c-sum's majorant (_majorant from c = 1).  Used to pick truncation
+    points for L-series m-sums."""
+    y = l + data.kappa_of(j)
     if y <= 0:
         return 0.0
-    lam = float(data.lam)
-    w = weight
-    if x == 0:
-        return (TWO_PI / lam) ** w / math.factorial(w - 1) * y ** (w - 1) * 2.0
-    nu = w - 1
-    zeta = TWO_PI * math.sqrt(abs(x) * y) / lam
-    rfac = (y / abs(x)) ** ((w - 1) / 2)
-    zeta_nu = 1.7  # > zeta(2) >= zeta(nu) for every nu >= 2
-    log_env = (math.log(TWO_PI / lam) + math.log(rfac) + nu * math.log(zeta)
-               + 2 * zeta - math.lgamma(nu + 1) + math.log(zeta_nu))
-    return math.exp(min(log_env, 700.0)) if log_env < 700 else math.inf
+    return _majorant(weight, -n + data.kappa_of(alpha), y, data.lam, 1)

@@ -5,8 +5,9 @@ A FourierSeries stores complex coefficients indexed by (n, j) where j is the
 
     e^{2 pi i (n + kappa_j) tau / lambda}.
 
-Every stored coefficient carries a finite tail bound (the certified error of
-the c-sum that produced it; exact coefficients carry 0.0).
+Every stored coefficient carries a tail bound (the certified error of the
+c-sum that produced it, finite unless its majorant overflows a double;
+exact coefficients carry 0.0).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class TruncationParams:
     c_max: int = 5000
     tail_tol: float = 1e-8
     ctx: PrecisionContext = DEFAULT_CONTEXT
-    allow_slow_convergence: bool = False
 
     def __post_init__(self):
         if self.c_max < 1:

@@ -288,11 +288,11 @@ def test_character_and_rep_parsers():
 
 
 def test_nonunit_lambda_exits_1(capsys):
-    rc, _out, err = run_cli(capsys, [
-        "coeffs", "--weight", "4", "--n", "0", "--lmax", "2", "--lambda", "2",
-    ])
-    assert rc == 1
-    assert "lambda" in err
+    # the built-ins need lambda = 1, so the CLI has no --lambda flag
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--weight", "4", "--n", "0", "--lmax", "2", "--lambda", "2"])
+    assert exc.value.code == 1
+    assert "lambda" in capsys.readouterr().err
 
 
 def test_structural_zeros_are_converged(capsys):

@@ -14,6 +14,7 @@ from mgrid.automorphy import (
     EtaPowerMultiplier,
     TrivialMultiplier,
     conjugate,
+    n_prime,
     trivial_representation,
 )
 from mgrid.gridforms import (
@@ -268,11 +269,11 @@ def _harmonic_value(G: HarmonicForm, zs):
       - float64 rounding, (N + 8 + |exponent|) 2^-52 of each term's size
         for N terms;
       - the 40 terms past each stored range: b+ from coefficient_envelope,
-        and |b-| <= (2 pi/lambda) (2 pi |mu|/lambda)^(k+1) zeta(k+1)/((k+1)! k!)
-        from the shadow's c-sum with |C+(c)| <= c and |J_nu(z)| <=
-        (z/2)^nu/nu! (DLMF 10.14.4), mu = -n2 + kappa'_alpha2.  At these
-        heights (y > 0.78) each further term is below e^-3 times the one
-        before, so the rest is below the last one summed.
+        and |b-| from coefficient_envelope on the shadow's index
+        n_prime(n2, kappa_alpha2) times (|mu|/y)^(k+1)/k!, mu = -n2 +
+        kappa'_alpha2 (a bound constant in y).  At these heights (y > 0.78)
+        each further term is below e^-3 times the one before, so the rest is
+        below the last one summed.
     """
     cdata, k, eps = G.conj_data, G.k, 2.0 ** -52
     lam, kp, mu = float(cdata.lam), cdata.kappa_of(1), abs(float(-G.n2 + cdata.kappa_of(G.alpha2)))
@@ -289,13 +290,15 @@ def _harmonic_value(G: HarmonicForm, zs):
     value = eval_component_grid(G.holo, 1, zs) + sum(complex(b) * v for v, _fr, b, _t in minus)
     bound = sum(np.abs(v) * (t + eps * (len(rows) + 8 + np.abs(2 * np.pi * fr * zs))
                              * abs(complex(b))) for v, fr, b, t in rows)
-    b_minus = 2 * np.pi / lam * (2 * np.pi * mu / lam) ** (k + 1) * 1.7 \
-        / (math.factorial(k + 1) * math.factorial(k))  # 1.7 > zeta(2) >= zeta(k + 1)
+    sdata = G.shadow.automorphy
+    shadow_n = n_prime(G.n2, sdata.kappa_of(G.alpha2))
     top_plus, top_minus = (max(l for l, _j in s.coeffs) for s in (G.holo, G.shadow))
     for i in range(1, 41):
-        yp, ym = float(top_plus + i + kp), float(top_minus + i + G.shadow.automorphy.kappa_of(1))
+        yp, ym = float(top_plus + i + kp), float(top_minus + i + sdata.kappa_of(1))
         env = coefficient_envelope(cdata, k + 2, G.n2, G.alpha2, top_plus + i, 1)
         bound += env * (mu / yp) ** (k + 1) * np.exp(-2 * np.pi * yp * zs.imag / lam)
+        b_minus = coefficient_envelope(sdata, k + 2, shadow_n, G.alpha2, top_minus + i, 1) \
+            * (mu / ym) ** (k + 1) / math.factorial(k)
         bound += b_minus * np.abs(h(-ym / lam))
     return value, bound
 

@@ -18,6 +18,7 @@ from mgrid.automorphy import (
 )
 from mgrid.groups import GroupElement, gamma0, sl2z
 from mgrid.poincare import (
+    coefficient_envelope,
     constant_term_cf,
     kloosterman_layer,
     poincare_coefficient,
@@ -153,13 +154,11 @@ def test_weight_preconditions():
     trunc = TruncationParams(c_max=10, tail_tol=1.0, ctx=CTX)
     with pytest.raises(ValueError):
         poincare_coefficient(data, 2, 0, 1, 1, 1, trunc)
+    # weight 3 converges absolutely (terms O(c^-2)): no opt-in, finite tails
     data3 = AutomorphyData(weight=3, chi=EtaPowerMultiplier(2),
                            rho=trivial_representation(), group=sl2z())
-    with pytest.raises(ValueError):
-        poincare_coefficient(data3, 3, 1, 1, 1, 1, trunc)
-    tr_ok = TruncationParams(c_max=10, tail_tol=1.0, ctx=CTX,
-                             allow_slow_convergence=True)
-    poincare_coefficient(data3, 3, 1, 1, 1, 1, tr_ok)  # does not raise
+    _val, tail = poincare_coefficient(data3, 3, 1, 1, 1, 1, trunc)
+    assert math.isfinite(tail)
 
 
 def test_nonpositive_frequency_rejected():
@@ -191,6 +190,34 @@ def test_eta_case_coefficient_finite_and_converged():
     val, tail = poincare_coefficient(data, 5, 1, 1, 0, 1, trunc)
     assert tail < 1e-4
     assert abs(complex(val)) > 0
+
+
+ETA2_5 = AutomorphyData(weight=5, chi=EtaPowerMultiplier(2),
+                        rho=trivial_representation(), group=sl2z())
+
+
+@pytest.mark.parametrize("data, weight, n", [(trivial_data(12), 12, -1), (trivial_data(12), 12, 1),
+                                             (ETA2_5, 5, 0), (ETA2_5, 5, 1)],
+                         ids=["J-weight12", "I-weight12", "eta2-J", "eta2-I"])
+def test_tails_finite_and_cover_the_move_to_cmax_300(data, weight, n):
+    # one majorant gives every tail and the envelope: J with no extra factor,
+    # I with e^min((z/2)^2/(nu+1), z).  From c_max 1 on, each tail is finite
+    # and, with the reference's, covers the move to c_max 300; the envelope
+    # covers every stored |a(l)| less the leading term at (-n, 1)
+    ls = range(0, 41)
+    ref = poincare_series(data, weight, n, 1, ls, TruncationParams(c_max=300, tail_tol=1.0, ctx=CTX))
+    series = [ref]
+    for c_max in (1, 3, 12):
+        f = poincare_series(data, weight, n, 1, ls, TruncationParams(c_max=c_max, tail_tol=1.0,
+                                                                     ctx=CTX))
+        for key, a in f.items():
+            assert math.isfinite(f.tails[key])
+            assert abs(complex(a - ref.coeffs[key])) <= f.tails[key] + ref.tails[key]
+        series.append(f)
+    for f in series:
+        for (l, j), a in f.items():
+            assert abs(complex(a) - ((l, j) == (-n, 1))) \
+                <= coefficient_envelope(data, weight, n, 1, l, j)
 
 
 def test_constant_term_cf_zero_cases():
