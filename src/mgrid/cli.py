@@ -2,8 +2,12 @@
 
 Subcommands: coeffs, grid, duality, lvalue, period, pairing, selfcheck.
 Exit codes: 0 success, 1 usage/configuration error, 2 computed but with
-unconverged tails (coeffs: the series'; period: the series it integrates;
-duality: either side's), an L-value err above --tol, or a failed selfcheck.
+something unconverged.  One rule: a bound is unconverged when not
+bound <= --tol (so a NaN bound is).  Each subcommand checks: coeffs, the
+series' tails; grid, the tails of f, G+, G- and the shadow and both
+duality sides'; duality, both sides' tails of every pair; lvalue, every
+err; period, the tails of the series it integrates; pairing, nothing (it
+reports no bound); selfcheck, that every check passes.
 Float fields are emitted as shortest round-trip decimals plus a parallel
 hex-float field, so identical configurations produce byte-identical reports.
 """
@@ -42,10 +46,11 @@ def _float_entry(out: dict, key: str, x: float):
     out[key + "_hex"] = x.hex()
 
 
-def _complex_entry(out: dict, value, prefix_re="re", prefix_im="im"):
+def _complex_entry(out: dict, value, prefix_re="re", prefix_im="im") -> dict:
     z = complex(value)
     _float_entry(out, prefix_re, z.real)
     _float_entry(out, prefix_im, z.imag)
+    return out
 
 
 def parse_character(spec: str):
@@ -115,38 +120,45 @@ def build_config(args, weight: int):
     return data, trunc
 
 
-def _series_json(series, data, args) -> dict:
+def _entries(items, tails, index="n") -> list:
     entries = []
-    for (n, j), v in series.items():
-        e = {"n": n, "j": j}
-        _complex_entry(e, v)
-        _float_entry(e, "tail_bound", series.tails.get((n, j), 0.0))
+    for (n, j), v in items:
+        e = _complex_entry({index: n, "j": j}, v)
+        _float_entry(e, "tail_bound", tails.get((n, j), 0.0))
         entries.append(e)
+    return entries
+
+
+def _series_json(series, data, args) -> dict:
     return {
         "weight": series.weight,
         "character": data.chi.label(),
         "rep": data.rho.label(),
         "lambda": str(data.lam),
         "kappa": [str(k) for k in data.kappa],
-        "entries": entries,
+        "entries": _entries(series.items(), series.tails),
         "c_max": args.cmax,
         "tail_tol": args.tol,
         "bits": args.bits,
     }
 
 
-def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
+def _emit(args, payload: dict, unconverged=(), table=(), header=()) -> int:
+    """Writes the JSON report and, with --csv, the header columns of each row
+    dict of table (the report's own table); the exit code: 2 if anything is
+    unconverged, else 0."""
     text = json.dumps(payload, indent=2)
     if args.json_path == "-":
         sys.stdout.write(text + "\n")
     else:
         with open(args.json_path, "w") as fh:
             fh.write(text + "\n")
-    if csv_rows is not None and args.csv_path:
+    if header and args.csv_path:
         with open(args.csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(csv_header)
-            writer.writerows(csv_rows)
+            writer.writerow(header)
+            writer.writerows([row[h] for h in header] for row in table)
+    return 2 if unconverged else 0
 
 
 def cmd_coeffs(args) -> int:
@@ -158,10 +170,7 @@ def cmd_coeffs(args) -> int:
     payload = _series_json(series, data, args)
     bad = series.unconverged_entries()
     payload["unconverged"] = [{"n": n, "j": j} for (n, j) in bad]
-    rows = [(n, j, repr(complex(v).real), repr(complex(v).imag),
-             repr(series.tails.get((n, j), 0.0))) for (n, j), v in series.items()]
-    _emit(args, payload, rows, ("n", "j", "re", "im", "tail_bound"))
-    return 2 if bad else 0
+    return _emit(args, payload, bad, payload["entries"], ("n", "j", "re", "im", "tail_bound"))
 
 
 def _duality_row(rep) -> dict:
@@ -180,17 +189,11 @@ def cmd_grid(args) -> int:
     pair = build_pair(data, args.k, args.n1, args.alpha1, args.n2, args.alpha2,
                       trunc, lmax=args.lmax)
     f, G, pair_row = pair.f, pair.G, _duality_row(pair.duality)
-    nonholo = []
-    for (l, j), v in sorted(G.nonholo.items()):
-        e = {"l": l, "j": j}
-        _complex_entry(e, v)
-        _float_entry(e, "tail_bound", G.nonholo_tails.get((l, j), 0.0))
-        nonholo.append(e)
     payload = {
         "k": args.k,
         "f": _series_json(f, data, args),
         "G_plus": _series_json(G.holo, data.conjugate(), args),
-        "G_minus": nonholo,
+        "G_minus": _entries(sorted(G.nonholo.items()), G.nonholo_tails, "l"),
         "shadow": _series_json(G.shadow, data, args),
         "duality": {"pairs": [pair_row]},
     }
@@ -201,8 +204,7 @@ def cmd_grid(args) -> int:
     bad += [{"part": "duality", "side": side} for side in ("lhs", "rhs")
             if not pair_row[side + "_tail"] <= args.tol]
     payload["unconverged"] = bad
-    _emit(args, payload)
-    return 2 if bad else 0
+    return _emit(args, payload, bad)
 
 
 def cmd_duality(args) -> int:
@@ -212,12 +214,9 @@ def cmd_duality(args) -> int:
     reports = build_grid(data, args.k, trunc, duality=[(n1, args.alpha1, n2, args.alpha2)
                                                        for n1 in args.n1 for n2 in args.n2])[2]
     pairs = [_duality_row(rep) for rep in reports]
-    payload = {"k": args.k, "pairs": pairs}
-    rows = [(r["n1"], r["a1"], r["n2"], r["a2"], repr(r["lhs_re"]),
-             repr(r["lhs_im"]), repr(r["residual"])) for r in pairs]
-    _emit(args, payload, rows, ("n1", "a1", "n2", "a2", "lhs_re", "lhs_im",
-                                "residual"))
-    return 2 if any(max(r["lhs_tail"], r["rhs_tail"]) > args.tol for r in pairs) else 0
+    bad = [r for r in pairs if not (r["lhs_tail"] <= args.tol and r["rhs_tail"] <= args.tol)]
+    return _emit(args, {"k": args.k, "pairs": pairs}, bad, pairs,
+                 ("n1", "a1", "n2", "a2", "lhs_re", "lhs_im", "residual"))
 
 
 def _build_sform(args, data, trunc):
@@ -240,26 +239,17 @@ def cmd_lvalue(args) -> int:
     twist = TwistSpec.from_element(gamma, data.lam)
     values = []
     for lv in lvalue_series(f, twist, args.s, t0=args.t0, trunc=trunc):
-        row = {"s": lv.s,
-               "twist": {"a": twist.gamma.a, "b": twist.gamma.b,
-                         "c": twist.gamma.c, "d": twist.gamma.d},
-               "t0": args.t0, "method": lv.method}
-        _complex_entry(row, lv.value)
-        _float_entry(row, "err", lv.err)
-        values.append(row)
-        if args.method == "both":
-            li = lvalue_integral(f, twist, lv.s, t0=args.t0)
-            row2 = dict(row)
-            row2["method"] = li.method
-            _complex_entry(row2, li.value)
-            _float_entry(row2, "err", li.err)
-            values.append(row2)
+        integral = [lvalue_integral(f, twist, lv.s, t0=args.t0)] if args.method == "both" else []
+        for res in [lv, *integral]:
+            row = {"s": lv.s, "twist": dict(zip("abcd", twist.gamma.as_tuple())),
+                   "t0": args.t0, "method": res.method}
+            _complex_entry(row, res.value)
+            _float_entry(row, "err", res.err)
+            values.append(row)
     payload = {"weight": args.weight, "n": args.n, "alpha": args.alpha,
                "values": values}
-    rows = [(r["s"], r["method"], repr(r["re"]), repr(r["im"]), repr(r["err"]))
-            for r in values]
-    _emit(args, payload, rows, ("s", "method", "re", "im", "err"))
-    return 2 if any(r["err"] > args.tol for r in values) else 0
+    return _emit(args, payload, [r for r in values if not r["err"] <= args.tol], values,
+                 ("s", "method", "re", "im", "err"))
 
 
 def cmd_period(args) -> int:
@@ -269,31 +259,19 @@ def cmd_period(args) -> int:
     gamma = parse_gamma(args.gamma)
     args.weight = args.k + 2
     f = _build_sform(args, data, trunc)
-    kind = args.kind
-    if kind == "r":
-        poly = period_r(f, gamma, args.k, trunc, t0=args.t0)
-    elif kind == "rH":
-        poly = period_rH(f, gamma, args.k, trunc, t0=args.t0)
-    elif kind == "rN":
+    if args.kind == "rN":
         poly = period_rN(f, gamma, args.k, t0=args.t0)
     else:
-        raise ValueError(f"unknown period kind {kind!r}")
-    coeffs = []
-    for i, cval in enumerate(poly.coeffs):
-        e = {"i": i}
-        _complex_entry(e, cval)
-        coeffs.append(e)
+        poly = (period_r if args.kind == "r" else period_rH)(f, gamma, args.k, trunc, t0=args.t0)
+    coeffs = [_complex_entry({"i": i}, cval) for i, cval in enumerate(poly.coeffs)]
     payload = {
-        "kind": kind,
-        "generator": {"a": gamma.a, "b": gamma.b, "c": gamma.c, "d": gamma.d},
+        "kind": args.kind,
+        "generator": dict(zip("abcd", gamma.as_tuple())),
         "basis": "tau+d/c" if gamma.c != 0 else "tau",
         "k": args.k,
         "coeffs": coeffs,
     }
-    _emit(args, payload,
-          [(c["i"], repr(c["re"]), repr(c["im"])) for c in coeffs],
-          ("i", "re", "im"))
-    return 2 if f.unconverged_entries() else 0
+    return _emit(args, payload, f.unconverged_entries(), coeffs, ("i", "re", "im"))
 
 
 def cmd_pairing(args) -> int:
@@ -324,8 +302,7 @@ def cmd_pairing(args) -> int:
         _complex_entry(row, truth, "unfold_re", "unfold_im")
         _float_entry(row, "rel_error", abs(pred - truth) / abs(truth))
         payload["prediction"] = row
-    _emit(args, payload)
-    return 0
+    return _emit(args, payload)  # no bound yet to check against --tol
 
 
 def cmd_selfcheck(args) -> int:
@@ -404,8 +381,7 @@ def cmd_selfcheck(args) -> int:
                    abs(float(bessel_j(3, 7.0, ctx)) - jq / math.pi) < 1e-8))
     checks.append(("bessel-i-positive", float(bessel_i(2, 1.5, ctx)) > 0))
     payload = {"checks": [{"name": n, "pass": bool(v)} for n, v in checks]}
-    _emit(args, payload)
-    return 0 if all(v for _n, v in checks) else 2
+    return _emit(args, payload, [n for n, v in checks if not v])
 
 
 def make_parser() -> _Parser:

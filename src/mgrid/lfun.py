@@ -221,6 +221,8 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
         raise ValueError("critical values are taken at integer s >= 1")
     if t0 <= 0:
         raise ValueError("t0 must be positive")
+    if twist.lam != f.automorphy.lam:
+        raise ValueError("the twist and the series have different lambda")
     ctx = (trunc or f.truncation).ctx
     w = f.weight
     g = twist.gamma

@@ -414,15 +414,18 @@ def _check_weight(weight: int, trunc: TruncationParams, level: int = 1):
                          f"(= level {level}) of the group")
 
 
-def _majorant(w: int, x, y, lam, c0: int, m: int | None = None) -> float:
+def _majorant(w: int, x, y, group, c0: int, m: int | None = None) -> float:
     """Certified bound on sum_{c >= c0} |term_c| of the weight-w c-sum at
-    (x, y) (module docstring), from |K_c| <= c, or |c_c(m)| <= sigma(m) when
-    m > 0; J_nu(z) <= (z/2)^nu/nu! (DLMF 10.14.4), and I_nu(z) <=
-    (z/2)^nu/nu! e^min((z/2)^2/(nu+1), z) from its series, at z/2 = zeta/c <=
-    zeta/c0; and sum_{c >= c0} c^-p <= c0^-p + c0^(1-p)/(p-1).  Every term is
-    then a constant times c^-w |K_c|.  In logs: inf only when a double
-    overflows."""
-    x, y, lam, nu = float(x), float(y), float(lam), w - 1
+    (x, y) (module docstring) on the group, whose c are the multiples N t of
+    its level N, t >= t0 = ceil(c0/N): from |K_c| <= c, or |c_c(m)| <=
+    sigma(m) when m > 0; J_nu(z) <= (z/2)^nu/nu! (DLMF 10.14.4), and I_nu(z)
+    <= (z/2)^nu/nu! e^min((z/2)^2/(nu+1), z) from its series, at z/2 =
+    zeta/c <= zeta/(N t0); and sum_{t >= t0} (N t)^-p <= (N t0)^-p (1 +
+    t0/(p-1)).  Every term is then a constant times c^-w |K_c|.  In logs:
+    inf only when a double overflows."""
+    x, y, lam, nu = float(x), float(y), float(group.lam), w - 1
+    t0 = -(-c0 // group.level)
+    c = group.level * t0  # the smallest c of the sum
     log = math.log(TWO_PI / lam) - math.lgamma(w)
     if x == 0:  # (2 pi/lambda)^w y^nu/nu!
         log += nu * math.log(TWO_PI * y / lam)
@@ -430,12 +433,12 @@ def _majorant(w: int, x, y, lam, c0: int, m: int | None = None) -> float:
         zeta = TWO_PI * math.sqrt(abs(x) * y) / lam
         log += nu * (math.log(y / abs(x)) / 2 + math.log(zeta))
         if x < 0:
-            log += min((zeta / c0) ** 2 / w, 2 * zeta / c0)
+            log += min((zeta / c) ** 2 / w, 2 * zeta / c)
     p = w if m else w - 1  # |c_c(m)| <= sigma(m) for m > 0, else |K_c| <= c
     if m:
         log += math.log(sum(d for d in range(1, m + 1) if m % d == 0))
     try:
-        return math.exp(log - p * math.log(c0) + math.log1p(c0 / (p - 1)))
+        return math.exp(log - p * math.log(c) + math.log1p(t0 / (p - 1)))
     except OverflowError:
         return math.inf
 
@@ -469,7 +472,7 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
             pref = two_pi_lam * phase * (mpmath.mpf(q.numerator) / q.denominator) \
                 ** (mpmath.mpf(w - 1) / 2)
     m = _ramanujan_m(data, x, y, alpha)  # None unless x = 0
-    tail = _majorant(w, x, y, lam, trunc.c_max + 1, m)
+    tail = _majorant(w, x, y, data.group, trunc.c_max + 1, m)
     if x == 0:
         return _CSum(key, pref, w, tail, m)
     xy = abs(x) * y
@@ -555,8 +558,9 @@ class Walk:
                     continue
                 x = f.freq(n, t)  # x = n + kappa_t < 0 rides on the 'a' entry
                 m = _ramanujan_m(data, x, Fraction(0), t)
+                # x = 0's pref at y = lambda
                 tail = abs(complex(f.coeffs[(n, t)])) \
-                    * _majorant(w, 0, lam, lam, self.trunc.c_max + 1, m)  # x = 0's pref at y = lambda
+                    * _majorant(w, 0, lam, data.group, self.trunc.c_max + 1, m)
                 per_comp[j - 1].append(self._add(
                     data, _CSum((x, Fraction(0), j, t), amps[(n, t)], w, tail, m)))
 
@@ -634,4 +638,4 @@ def coefficient_envelope(data: AutomorphyData, weight: int, n: int, alpha: int,
     y = l + data.kappa_of(j)
     if y <= 0:
         return 0.0
-    return _majorant(weight, -n + data.kappa_of(alpha), y, data.lam, 1)
+    return _majorant(weight, -n + data.kappa_of(alpha), y, data.group, 1)

@@ -1,6 +1,8 @@
 """Command-line front end: exit codes, JSON shape and determinism."""
 
+import csv
 import json
+import math
 
 import pytest
 
@@ -101,6 +103,64 @@ def test_duality_tails_above_tol_exit_2(capsys):
     assert rc == 2
     (row,) = json.loads(out)["pairs"]
     assert max(row["lhs_tail"], row["rhs_tail"]) > 1e-30
+
+
+# each --csv subcommand, and the JSON table its CSV rows come from
+_CSV_TABLES = {
+    "coeffs": (["coeffs", "--weight", "12", "--n", "-1", "--lmax", "5"], "entries"),
+    "duality": (["duality", "--k", "10", "--n1", "1", "--n1", "2", "--n2", "1"], "pairs"),
+    "lvalue": (["lvalue", "--weight", "12", "--n", "-1", "--s", "1", "--s", "6",
+                "--lmax", "20", "--method", "both"], "values"),
+    "period": (["period", "--k", "10", "--n", "-1", "--kind", "rH", "--lmax", "8"], "coeffs"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CSV_TABLES))
+def test_csv_rows_are_the_header_columns_of_the_json_table(command, capsys, tmp_path):
+    argv, table = _CSV_TABLES[command]
+    csv_path = tmp_path / "table.csv"
+    _rc, out, _err = run_cli(capsys, argv + ["--cmax", "40", "--tol", "1.0",
+                                             "--csv", str(csv_path)])
+    with open(csv_path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    doc_rows = json.loads(out)[table]
+    assert doc_rows and rows == [[str(r[h]) for h in header] for r in doc_rows]
+
+
+def test_nan_duality_tail_exits_2(capsys, monkeypatch):
+    # a NaN bound is unconverged: not tail <= tol, whichever side it is on
+    from mgrid import gridforms
+
+    build_grid = gridforms.build_grid
+
+    def nan_rhs_tails(*args, **kwargs):
+        f, G, reports = build_grid(*args, **kwargs)
+        for rep in reports:
+            rep.rhs_tail = math.nan
+        return f, G, reports
+
+    monkeypatch.setattr(gridforms, "build_grid", nan_rhs_tails)
+    rc, _out, _err = run_cli(capsys, ["duality", "--k", "10", "--n1", "1", "--n2", "1",
+                                      "--cmax", "40", "--tol", "1.0"])
+    assert rc == 2
+
+
+def test_nan_lvalue_err_exits_2(capsys, monkeypatch):
+    from mgrid import lfun
+
+    lvalue_series = lfun.lvalue_series
+
+    def nan_errs(*args, **kwargs):
+        values = lvalue_series(*args, **kwargs)
+        for lv in values:
+            lv.err = math.nan
+        return values
+
+    monkeypatch.setattr(lfun, "lvalue_series", nan_errs)
+    rc, out, _err = run_cli(capsys, ["lvalue", "--weight", "12", "--n", "-1", "--s", "6",
+                                     "--lmax", "20", "--cmax", "40", "--tol", "1.0"])
+    assert rc == 2
+    assert math.isnan(json.loads(out)["values"][0]["err"])
 
 
 def test_grid_pair_report(capsys):

@@ -7,10 +7,12 @@ appear as a name somewhere else in the module or in its __all__.  The
 package __init__ (which imports to re-export) and __future__ imports are
 exempt.  A name bound by a module-level assignment (dunders exempt) must be
 read in its module, listed in its __all__, or imported by another library
-module.  Every name in a module's __all__ must be an attribute of the
-imported module.  A cache decorator (lru_cache, cache, cached_property)
-would keep process-global state, so two identical calls could do
-different work and memory would grow with the calls made.
+module.  A module-level private function or class (one leading underscore)
+must be referenced by some library module outside its own body.  Every
+name in a module's __all__ must be an attribute of the imported module.
+A cache decorator (lru_cache, cache, cached_property) would keep
+process-global state, so two identical calls could do different work and
+memory would grow with the calls made.
 """
 
 import ast
@@ -85,6 +87,38 @@ def test_checker_flags_an_unread_constant():
 def test_every_module_level_constant_is_read():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unread_constants(sources) == []
+
+
+def unreferenced_private_defs(sources: dict) -> list:
+    """(module, name) of every module-level private function or class in
+    sources (module stem -> source) that no top-level statement of any
+    module but its own definition names: as a name, an attribute or an
+    imported name."""
+    statements = [(mod, node) for mod, src in sources.items() for node in ast.parse(src).body]
+    names = [{n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+              else n.name for n in ast.walk(node)
+              if isinstance(n, (ast.Name, ast.Attribute, ast.alias))} for _mod, node in statements]
+    found = []
+    for i, (mod, node) in enumerate(statements):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")
+                and not any(node.name in used for k, used in enumerate(names) if k != i)):
+            found.append((mod, node.name))
+    return sorted(found)
+
+
+def test_checker_flags_an_unreferenced_private_def():
+    sources = {"a": "def _f(n):\n    return _f(n - 1)\n\ndef _g():\n    pass\n\n"
+                    "class _C:\n    pass\n\nclass _D:\n    pass\n\n"
+                    "def __getattr__(name):\n    pass\n\nX = _g\n",
+               "b": "from .a import _C\nfrom . import a\n\ndef h():\n    return a._D\n"}
+    assert unreferenced_private_defs(sources) == [("a", "_f")]
+    assert unreferenced_private_defs({"a": sources["a"]}) == [("a", "_C"), ("a", "_D"), ("a", "_f")]
+
+
+def test_every_private_def_is_referenced():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_private_defs(sources) == []
 
 
 CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}

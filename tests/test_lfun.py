@@ -55,6 +55,14 @@ def test_lvalue_zero_form():
     assert complex(lv.value) == 0
 
 
+def test_lvalue_rejects_a_twist_of_another_lambda():
+    # the twist phases would use the twist's lambda and the frequencies the
+    # series', giving neither L-value
+    f = FourierSeries(12, DATA12, coeffs={(1, 1): mpmath.mpc(1)}, truncation=TR)
+    with pytest.raises(ValueError, match="lambda"):
+        lvalue_series(f, TwistSpec.from_element(GroupElement(1, 1, 2, 3), 2), 6, trunc=TR)
+
+
 def test_lvalue_rejects_constant_term():
     bad = FourierSeries(12, DATA12, coeffs={(0, 1): mpmath.mpc(1)},
                         truncation=TR)

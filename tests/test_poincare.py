@@ -220,6 +220,31 @@ def test_tails_finite_and_cover_the_move_to_cmax_300(data, weight, n):
                 <= coefficient_envelope(data, weight, n, 1, l, j)
 
 
+@pytest.mark.parametrize("level, shrink", [(2, 0.5), (4, 0.2), (11, 0.13)])
+def test_majorant_sums_over_multiples_of_the_level(level, shrink):
+    # on Gamma_0(N) a c-sum runs over c = N t only: the weight-12 P_{-1}
+    # tails at c_max 40 are at most shrink times SL2(Z)'s (about 0.47, 0.19
+    # and 0.13) and still cover the move to c_max 400; the envelope still
+    # covers every stored |a(l)| less the leading term, for n = -1, 0, 1, l <= 40
+    data = AutomorphyData(weight=12, chi=TrivialMultiplier(),
+                          rho=trivial_representation(), group=gamma0(level))
+    trunc = TruncationParams(c_max=40, tail_tol=1.0, ctx=CTX)
+    f = poincare_series(data, 12, -1, 1, range(0, 6), trunc)
+    ref = poincare_series(data, 12, -1, 1, range(0, 6),
+                          TruncationParams(c_max=400, tail_tol=1.0, ctx=CTX))
+    full = poincare_series(trivial_data(12), 12, -1, 1, range(0, 6), trunc)
+    for key, a in f.items():
+        assert f.tails[key] <= shrink * full.tails[key]
+        assert abs(complex(a - ref.coeffs[key])) <= f.tails[key]
+    # from c = 1, the sum over c = N t is N^-(w-1) times SL2(Z)'s (J weights)
+    assert coefficient_envelope(data, 12, -1, 1, 3, 1) == pytest.approx(
+        coefficient_envelope(trivial_data(12), 12, -1, 1, 3, 1) / level ** 11, rel=1e-12)
+    for n in (-1, 0, 1):
+        for (l, j), a in poincare_series(data, 12, n, 1, range(0, 41), trunc).items():
+            assert abs(complex(a) - ((l, j) == (-n, 1))) \
+                <= coefficient_envelope(data, 12, n, 1, l, j)
+
+
 def test_constant_term_cf_zero_cases():
     data = trivial_data(12)
     trunc = TruncationParams(c_max=100, tail_tol=1e-6, ctx=CTX)
