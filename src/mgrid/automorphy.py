@@ -200,15 +200,10 @@ class DirichletMultiplier(Multiplier):
                 if frac(tab[u * v % n] - tab[u] - tab[v]) != 0:
                     raise ValueError("phase table is not multiplicative")
 
-    def _lookup(self, d: int) -> Fraction:
-        n = self.modulus
-        u = d % n
-        if np.gcd(u, n) != 1:
-            raise ValueError(f"d = {d} is not coprime to the modulus {n}")
-        return dict(self.table)[u]
-
     def phase(self, gamma: GroupElement) -> Fraction:
-        return frac(self._lookup(gamma.d))
+        # the one-element box; d reduced first, so that any d fits int64
+        nums, den = self.box_phases(None, np.array([gamma.d % self.modulus]), gamma.c)
+        return Fraction(int(nums[0]), den)
 
     def box_phases(self, a, d, c: int):
         n = self.modulus

@@ -1,7 +1,8 @@
 """Batch command-line front end with machine-readable JSON/CSV output.
 
 Subcommands: coeffs, grid, duality, lvalue, period, pairing, selfcheck.
-Exit codes: 0 success, 1 usage/configuration error, 2 computed but with
+Exit codes: 0 success, 1 usage/configuration error (gamma outside the
+group, or --bits too few to certify a series), 2 computed but with
 something unconverged.  One rule: a bound is unconverged when not
 bound <= --tol (so a NaN bound is).  Each subcommand checks: coeffs, the
 series' tails; grid, the tails of f, G+, G- and the shadow and both
@@ -9,7 +10,8 @@ duality sides'; duality, both sides' tails of every pair; lvalue, every
 err; period, the tails of the series it integrates; pairing, nothing (it
 reports no bound); selfcheck, that every check passes.
 Float fields are emitted as shortest round-trip decimals plus a parallel
-hex-float field, so identical configurations produce byte-identical reports.
+hex-float field, so identical configurations produce byte-identical
+reports; a non-finite float is the string "nan", "inf" or "-inf".
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .automorphy import (
     TrivialMultiplier,
 )
 from .groups import GroupElement, GroupSpec
-from .precision import PrecisionContext
+from .precision import ConvergenceError, PrecisionContext
 from .series import TruncationParams
 
 
@@ -144,10 +146,11 @@ def _series_json(series, data, args) -> dict:
 
 
 def _emit(args, payload: dict, unconverged=(), table=(), header=()) -> int:
-    """Writes the JSON report and, with --csv, the header columns of each row
-    dict of table (the report's own table); the exit code: 2 if anything is
-    unconverged, else 0."""
-    text = json.dumps(payload, indent=2)
+    """Writes the JSON report, strict JSON (a non-finite float as its str),
+    and, with --csv, the header columns of each row dict of table (the
+    report's own table); the exit code: 2 if anything is unconverged, else 0."""
+    text = json.dumps(json.loads(json.dumps(payload), parse_constant=lambda c: str(float(c))),
+                      indent=2)
     if args.json_path == "-":
         sys.stdout.write(text + "\n")
     else:
@@ -161,12 +164,16 @@ def _emit(args, payload: dict, unconverged=(), table=(), header=()) -> int:
     return 2 if unconverged else 0
 
 
-def cmd_coeffs(args) -> int:
+def _build_sform(args, data, trunc):
     from .poincare import poincare_series
 
+    return poincare_series(data, args.weight, args.n, args.alpha,
+                           range(args.lmin, args.lmax + 1), trunc)
+
+
+def cmd_coeffs(args) -> int:
     data, trunc = build_config(args, weight=args.weight)
-    series = poincare_series(data, args.weight, args.n, args.alpha,
-                             range(args.lmin, args.lmax + 1), trunc)
+    series = _build_sform(args, data, trunc)
     payload = _series_json(series, data, args)
     bad = series.unconverged_entries()
     payload["unconverged"] = [{"n": n, "j": j} for (n, j) in bad]
@@ -219,24 +226,12 @@ def cmd_duality(args) -> int:
                  ("n1", "a1", "n2", "a2", "lhs_re", "lhs_im", "residual"))
 
 
-def _build_sform(args, data, trunc):
-    from .poincare import poincare_series
-
-    return poincare_series(data, args.weight, args.n, args.alpha,
-                           range(args.lmin, args.lmax + 1), trunc)
-
-
 def cmd_lvalue(args) -> int:
     from .lfun import TwistSpec, lvalue_integral, lvalue_series
 
     data, trunc = build_config(args, weight=args.weight)
-    gamma = parse_gamma(args.gamma)
-    if gamma.c == 0:
-        raise ValueError("lvalue needs a group element with c != 0")
-    if gamma.c % data.group.level != 0:
-        raise ValueError("gamma is not in the configured group")
+    twist = TwistSpec.from_element(parse_gamma(args.gamma), data.lam)
     f = _build_sform(args, data, trunc)
-    twist = TwistSpec.from_element(gamma, data.lam)
     values = []
     for lv in lvalue_series(f, twist, args.s, t0=args.t0, trunc=trunc):
         integral = [lvalue_integral(f, twist, lv.s, t0=args.t0)] if args.method == "both" else []
@@ -460,7 +455,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NotImplementedError) as exc:
+    except (ValueError, NotImplementedError, ConvergenceError) as exc:
         print(f"mgrid: {exc}", file=sys.stderr)
         return 1
 

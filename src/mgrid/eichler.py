@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
+from . import lfun
 from .automorphy import AutomorphyData, conjugate
 from .groups import GroupElement, moebius
 from .poincare import constant_term_cf, poincare_series
-from .quadrature import regularized_moment, vertical_poly_integral
+from .quadrature import _moments, vertical_poly_integral
 from .series import FourierSeries, TruncationParams
 
 __all__ = [
@@ -155,6 +156,21 @@ def period_r_parabolic(f: FourierSeries, gamma: GroupElement, k: int) -> PeriodP
     return PeriodPolynomial(gamma, k, np.zeros(k + 1, dtype=complex), 0.0)
 
 
+def _period(f: FourierSeries, gamma: GroupElement, k: int, route) -> PeriodPolynomial:
+    """sum_n u_n binom(k, n) w_n (tau + d/c)^{k-n}, the one assembler of the
+    period polynomials: route(twist) gives the k+1 pairs (u_n, w_n) at the
+    twist of gamma (lfun.TwistSpec, c > 0); the parabolic polynomial at c = 0."""
+    _require_scalar(f)
+    if gamma.c == 0:
+        return period_r_parabolic(f, gamma, k)
+    twist = lfun.TwistSpec.from_element(gamma, f.automorphy.lam)
+    g = twist.gamma
+    coeffs = np.zeros(k + 1, dtype=complex)
+    for n, (u, w) in enumerate(route(twist)):
+        coeffs[k - n] = u * math.comb(k, n) * w
+    return PeriodPolynomial(g, k, coeffs, shift=g.d / g.c)
+
+
 def period_r(f: FourierSeries, gamma: GroupElement, k: int,
              trunc: TruncationParams, t0: float = 1.0) -> PeriodPolynomial:
     """r(f, gamma; tau) from the k+1 critical twisted L-values, one pass:
@@ -162,17 +178,9 @@ def period_r(f: FourierSeries, gamma: GroupElement, k: int,
         sum_{n=0}^k i^{1-n} binom(k,n) L*(f, zeta_{c lam}^{-d}, n+1)
                     (tau + d/c)^{k-n}.
     """
-    _require_scalar(f)
-    if gamma.c == 0:
-        return period_r_parabolic(f, gamma, k)
-    from .lfun import TwistSpec, lvalue_series
-
-    twist = TwistSpec.from_element(gamma, f.automorphy.lam)
-    g = twist.gamma
-    coeffs = np.zeros(k + 1, dtype=complex)
-    for n, lv in enumerate(lvalue_series(f, twist, range(1, k + 2), t0=t0, trunc=trunc)):
-        coeffs[k - n] = complex(1j ** (1 - n)) * math.comb(k, n) * complex(lv.lstar)
-    return PeriodPolynomial(g, k, coeffs, shift=g.d / g.c)
+    return _period(f, gamma, k, lambda twist: [
+        (complex(1j ** (1 - n)), complex(lv.lstar))
+        for n, lv in enumerate(lfun.lvalue_series(f, twist, range(1, k + 2), t0=t0, trunc=trunc))])
 
 
 def _constant_correction(f: FourierSeries, gamma: GroupElement, k: int,
@@ -194,13 +202,10 @@ def period_rH(f: FourierSeries, gamma: GroupElement, k: int,
               trunc: TruncationParams, t0: float = 1.0) -> PeriodPolynomial:
     """r^H = r + constant-term correction (nonzero only when kappa_1 = 0
     and f has a pole; in particular r^H = r for genuine cusp forms)."""
-    _require_scalar(f)
-    if gamma.c == 0:
-        return period_r_parabolic(f, gamma, k)
     base = period_r(f, gamma, k, trunc, t0)
-    if gamma.c < 0:
-        gamma = -gamma
-    corr = _constant_correction(f, gamma, k, trunc)
+    if base.gamma.c == 0:  # r^H = r = 0 at +-T^m
+        return base
+    corr = _constant_correction(f, base.gamma, k, trunc)
     return PeriodPolynomial(base.gamma, k, base.coeffs + corr, base.shift)
 
 
@@ -210,37 +215,24 @@ def period_r_quadrature(f: FourierSeries, gamma: GroupElement, k: int,
 
         R.int_{gamma^{-1}(i inf)}^{i inf} f(z) (tau - z)^k dz,
 
-    expanded through the moments R.int f(z) (z + d/c)^m dz, each ray term
-    in closed form (quadrature).  Independent of the L-series route.
+    expanded through the moments M_m = R.int f(z) (z + d/c)^m dz, from one
+    float conversion of f, each ray term in closed form (quadrature).
+    Independent of the L-series route.
     """
-    _require_scalar(f)
-    return _moment_polynomial(f, gamma, k, t0, conj=False)
+    return _period(f, gamma, k, lambda twist: [
+        ((-1) ** m, mom) for m, (mom, _e) in enumerate(_moments(f, twist, range(k + 1), t0))])
 
 
 def period_rN(f: FourierSeries, gamma: GroupElement, k: int,
               t0: float = 1.0) -> PeriodPolynomial:
     """r^N(f, gamma; tau) = [ int_{gamma^{-1}(i inf)}^{i inf} f(z)
-    (conj(tau) - z)^k dz ]^-  for a genuine cusp form, by ray moments."""
-    _require_scalar(f)
+    (conj(tau) - z)^k dz ]^-  for a genuine cusp form: the moments of
+    period_r_quadrature, conjugated."""
     if not f.is_cusp_form():
         raise ValueError("r^N is defined only for cusp forms")
-    return _moment_polynomial(f, gamma, k, t0, conj=True)
-
-
-def _moment_polynomial(f: FourierSeries, gamma: GroupElement, k: int,
-                       t0: float, conj: bool) -> PeriodPolynomial:
-    """sum_m C(k, m) (-1)^m M_m (tau + d/c)^{k-m} from the closed-form
-    moments M_m = R.int f(z) (z + d/c)^m dz, each conjugated when conj, from
-    one float conversion of f; the parabolic polynomial when c = 0."""
-    if gamma.c == 0:
-        return period_r_parabolic(f, gamma, k)
-    if gamma.c < 0:
-        gamma = -gamma
-    shift = gamma.d / gamma.c
-    coeffs = np.zeros(k + 1, dtype=complex)
-    for m, mom in enumerate(regularized_moment(f, gamma, range(k + 1), t0=t0)):
-        coeffs[k - m] += math.comb(k, m) * (-1) ** m * (mom.conjugate() if conj else mom)
-    return PeriodPolynomial(gamma, k, coeffs, shift)
+    return _period(f, gamma, k, lambda twist: [
+        ((-1) ** m, mom.conjugate())
+        for m, (mom, _e) in enumerate(_moments(f, twist, range(k + 1), t0))])
 
 
 def slash_poly_value(poly: PeriodPolynomial, data: AutomorphyData, k: int,

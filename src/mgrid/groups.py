@@ -91,8 +91,12 @@ class GroupSpec:
         for g in self.gens:
             if not isinstance(g, GroupElement):
                 raise ValueError("generators must be GroupElement instances")
-            if g.c % self.level != 0:
+            if not self.contains(g):
                 raise ValueError(f"generator {g.as_tuple()} is not in Gamma_0({self.level})")
+
+    def contains(self, g: GroupElement) -> bool:
+        """Whether g lies in Gamma_0(level): c = 0 mod N."""
+        return g.c % self.level == 0
 
 
 def sl2z() -> GroupSpec:

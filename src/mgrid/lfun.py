@@ -221,11 +221,13 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
         raise ValueError("critical values are taken at integer s >= 1")
     if t0 <= 0:
         raise ValueError("t0 must be positive")
+    g = twist.gamma
     if twist.lam != f.automorphy.lam:
         raise ValueError("the twist and the series have different lambda")
+    if not f.automorphy.group.contains(g):
+        raise ValueError(f"{g.as_tuple()} is not in Gamma_0({f.automorphy.group.level})")
     ctx = (trunc or f.truncation).ctx
     w = f.weight
-    g = twist.gamma
     lam = f.automorphy.lam
     # estimated remainder past the stored range (positive-frequency side)
     rem = dict.fromkeys(s_list, 0.0)
@@ -293,7 +295,7 @@ def lvalue_integral(f: FourierSeries, twist: TwistSpec, s: int,
     if not 1 <= s <= f.weight - 1:
         raise ValueError(
             f"the contour route covers s in 1..weight-1 = {f.weight - 1}")
-    (mom, err), = _moments(f, twist.gamma, [s - 1], t0)
+    (mom, err), = _moments(f, twist, [s - 1], t0)
     lstar = mpmath.mpc((-1j) ** s * mom)
     value = (2 * mpmath.pi) ** s / mpmath.factorial(s - 1) * lstar
     return LValue(s, twist, value, lstar, "integral", t0, err)

@@ -88,23 +88,23 @@ def vertical_poly_integral(series: FourierSeries, j: int, z0: complex,
     return _ray(*_component_terms(series, j), float(series.automorphy.lam), z0, P, R, M)[0]
 
 
-def _moments(series: FourierSeries, gamma, m_list: list, t0: float) -> list:
-    """[(moment, bound)] for each m of m_list: _ray's bounds of both legs,
-    plus 2^-50 of the lower leg for its factor c^-m / chi and 2^-52 of both
-    for the difference.  The points -d/c + i t0, its image a/c + i/(c^2 t0)
-    and the lower leg's P = -i/(c t0) round once or twice; that is outside
-    the bound (they are exact for S at t0 = 1)."""
+def _moments(series: FourierSeries, twist, m_list, t0: float) -> list:
+    """[(moment, bound)] for each m of m_list at the element (c > 0) of the
+    lfun.TwistSpec twist: _ray's bounds of both legs, plus 2^-50 of the lower
+    leg for its factor c^-m / chi and 2^-52 of both for the difference.  The
+    points -d/c + i t0, its image a/c + i/(c^2 t0) and the lower leg's P =
+    -i/(c t0) round once or twice; that is outside the bound (they are exact
+    for S at t0 = 1)."""
+    data, gamma = series.automorphy, twist.gamma
+    if twist.lam != data.lam:
+        raise ValueError("the twist and the series have different lambda")
+    if not data.group.contains(gamma):
+        raise ValueError(f"{gamma.as_tuple()} is not in Gamma_0({data.group.level})")
     a, _, c, d = gamma.as_tuple()
-    if c == 0:
-        raise ValueError("regularized moments need a group element with c != 0")
-    if c < 0:
-        gamma = -gamma
-        a, _, c, d = gamma.as_tuple()
     for mi in m_list:
         if not 0 <= mi <= series.weight - 2:
             raise ValueError(
                 f"moment order {mi} outside 0..weight-2 = {series.weight - 2}")
-    data = series.automorphy
     if data.dim != 1:
         raise NotImplementedError("moments are computed per scalar component")
     chi_val = complex(data.scalar_character(1).value(gamma))
@@ -130,7 +130,10 @@ def regularized_moment(series: FourierSeries, gamma, m, t0: float = 1.0):
 
     m is an integer (one complex) or a sequence of them (a list, in order);
     f is converted to floats once for both rays of every m.  Requires
-    c != 0 and a vanishing constant term.
+    c != 0, gamma in the series' group and a vanishing constant term.
     """
-    out = [v for v, _err in _moments(series, gamma, list(m) if hasattr(m, "__iter__") else [m], t0)]
+    from .lfun import TwistSpec  # lfun imports this module
+
+    twist = TwistSpec.from_element(gamma, series.automorphy.lam)
+    out = [v for v, _err in _moments(series, twist, list(m) if hasattr(m, "__iter__") else [m], t0)]
     return out if hasattr(m, "__iter__") else out[0]

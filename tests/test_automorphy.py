@@ -144,6 +144,15 @@ def test_dirichlet_rejects_bad_tables_and_arguments():
     chi = DirichletMultiplier(4, ((1, Fraction(0)), (3, Fraction(1, 2))))
     with pytest.raises(ValueError):
         chi.phase(GroupElement(1, 1, 1, 2))  # d = 2 shares a factor with 4
+    with pytest.raises(ValueError):
+        chi.box_phases(np.array([1, 1]), np.array([-1, -6]), 4)
+    # phase is box_phases on a one-element box, d reduced mod N first, so
+    # that a d past int64 is exact
+    big = GroupElement(3, 2**71, 4, (1 + 2**73) // 3)
+    assert big.d % 4 == 3 and chi.phase(big) == Fraction(1, 2)
+    nums, den = chi.box_phases(np.array([3, 1]), np.array([-1, -3]), 4)
+    assert [Fraction(int(x), den) for x in nums] == [
+        chi.phase(GroupElement(3, -1, 4, -1)), chi.phase(GroupElement(1, -1, 4, -3))]
 
 
 def test_kappa_vector_examples():

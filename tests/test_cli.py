@@ -145,6 +145,10 @@ def test_nan_duality_tail_exits_2(capsys, monkeypatch):
     assert rc == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def test_nan_lvalue_err_exits_2(capsys, monkeypatch):
     from mgrid import lfun
 
@@ -160,7 +164,8 @@ def test_nan_lvalue_err_exits_2(capsys, monkeypatch):
     rc, out, _err = run_cli(capsys, ["lvalue", "--weight", "12", "--n", "-1", "--s", "6",
                                      "--lmax", "20", "--cmax", "40", "--tol", "1.0"])
     assert rc == 2
-    assert math.isnan(json.loads(out)["values"][0]["err"])
+    # strict JSON: the NaN is the string "nan", and no bare NaN/Infinity token is written
+    assert json.loads(out, parse_constant=_reject_constant)["values"][0]["err"] == "nan"
 
 
 def test_grid_pair_report(capsys):
@@ -232,6 +237,26 @@ def test_odd_weight_trivial_character_exits_1(capsys):
     ])
     assert rc == 1
     assert "chi(-I)" in err or "nontrivial" in err or "violates" in err
+
+
+def test_period_of_an_element_outside_the_group_exits_1(capsys):
+    # S is not in Gamma_0(4): no period polynomial of it is printed
+    rc, out, err = run_cli(capsys, [
+        "period", "--group", "4", "--k", "10", "--n", "-1", "--gamma", "0,-1,1,0",
+        "--cmax", "40", "--lmax", "8", "--tol", "1",
+    ])
+    assert rc == 1 and out == ""
+    assert "(0, -1, 1, 0) is not in Gamma_0(4)" in err
+
+
+def test_convergence_error_exits_1(capsys):
+    # 53 bits cannot certify this Bessel series: a configuration error, no traceback
+    rc, out, err = run_cli(capsys, [
+        "coeffs", "--weight", "12", "--n", "10", "--lmin", "250", "--lmax", "250",
+        "--bits", "53", "--cmax", "1", "--tol", "1",
+    ])
+    assert rc == 1 and out == ""
+    assert err.startswith("mgrid: Bessel series did not certify") and "mantissa_bits" in err
 
 
 def test_lvalue_parabolic_gamma_exits_1(capsys):

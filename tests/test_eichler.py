@@ -29,7 +29,7 @@ from mgrid.eichler import (
     slash_poly_value,
     supplementary,
 )
-from mgrid.groups import S, T, sl2z
+from mgrid.groups import S, T, GroupElement, gamma0, sl2z
 from mgrid.poincare import poincare_series
 from mgrid.precision import PrecisionContext
 from mgrid.series import FourierSeries, TruncationParams
@@ -288,3 +288,32 @@ def test_regularized_moment_rejects_a_vector_series():
     f = FourierSeries(12, pair, {(1, 1): mpmath.mpc(1)})
     with pytest.raises(NotImplementedError):
         regularized_moment(f, S, 0)
+
+
+def test_every_twist_route_rejects_an_element_outside_the_group():
+    # S is not in Gamma_0(4); T and (1 0; 4 1) are
+    from mgrid.lfun import TwistSpec, lvalue_integral, lvalue_series
+    from mgrid.quadrature import regularized_moment
+
+    data4 = AutomorphyData(weight=12, chi=TrivialMultiplier(),
+                           rho=trivial_representation(), group=gamma0(4))
+    tr = TruncationParams(c_max=40, tail_tol=1.0, ctx=CTX)
+    f = poincare_series(data4, 12, -1, 1, range(1, 9), tr)
+    twist = TwistSpec.from_element(S, 1)
+    for call in (lambda: lvalue_series(f, twist, 6, trunc=tr),
+                 lambda: lvalue_integral(f, twist, 6),
+                 lambda: regularized_moment(f, S, 0),
+                 lambda: period_r(f, S, 10, tr),
+                 lambda: period_rH(f, S, 10, tr),
+                 lambda: period_r_quadrature(f, S, 10),
+                 lambda: period_rN(f, S, 10)):
+        with pytest.raises(ValueError, match=r"is not in Gamma_0\(4\)"):
+            call()
+    for route in (period_r, period_rH):
+        assert not route(f, T, 10, tr).coeffs.any()
+    assert not period_rN(f, T, 10).coeffs.any()
+    g = GroupElement(1, 0, 4, 1)
+    r, rq = period_r(f, g, 10, tr), period_r_quadrature(f, g, 10)
+    assert r.gamma == rq.gamma == g and r.shift == rq.shift == 0.25
+    assert np.allclose(r.coeffs, rq.coeffs, rtol=0, atol=1e-6 * r.norm())
+    assert r.norm() > 0
