@@ -28,7 +28,7 @@ data = AutomorphyData(weight=12, chi=TrivialMultiplier(),
                       rho=trivial_representation(), group=sl2z())
 trunc = TruncationParams(c_max=60, tail_tol=1e-9, ctx=ctx)
 f = poincare_series(data, 12, -1, 1, range(1, 61), trunc)
-tw = TwistSpec.from_element(S, 1)
+tw = TwistSpec.from_element(S)
 
 print("=== critical values, weight-12 cusp form, untwisted (gamma = S) ===")
 print(f"{'s':>3} {'series':>24} {'integral':>24} {'rel dev':>10}")

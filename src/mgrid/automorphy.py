@@ -381,10 +381,6 @@ class AutomorphyData:
         return hash((self.weight, self.group, self.kappa))
 
     @property
-    def lam(self) -> Fraction:
-        return self.group.lam
-
-    @property
     def dim(self) -> int:
         return self.rho.dim
 

@@ -92,8 +92,8 @@ def _add_common(p: _Parser, *flags: str):
     p.add_argument("--group", type=int, default=1, metavar="N",
                    help="level N of Gamma_0(N) (default 1)")
     p.add_argument("--generators", default="",
-                   help="semicolon-separated a,b,c,d tuples (required for N>1 "
-                        "commands that use generators)")
+                   help="semicolon-separated a,b,c,d tuples (required for N>1 commands "
+                        "that use generators); write --generators=-1,... when a < 0")
     p.add_argument("--character", default="trivial",
                    help="trivial | eta:r | dirichlet:N:u=p/q,...")
     p.add_argument("--rep", default="diag(trivial)",
@@ -136,7 +136,7 @@ def _series_json(series, data, args) -> dict:
         "weight": series.weight,
         "character": data.chi.label(),
         "rep": data.rho.label(),
-        "lambda": str(data.lam),
+        "lambda": "1",  # the cusp width of Gamma_0(N)
         "kappa": [str(k) for k in data.kappa],
         "entries": _entries(series.items(), series.tails),
         "c_max": args.cmax,
@@ -230,7 +230,7 @@ def cmd_lvalue(args) -> int:
     from .lfun import TwistSpec, lvalue_integral, lvalue_series
 
     data, trunc = build_config(args, weight=args.weight)
-    twist = TwistSpec.from_element(parse_gamma(args.gamma), data.lam)
+    twist = TwistSpec.from_element(parse_gamma(args.gamma))
     f = _build_sform(args, data, trunc)
     values = []
     for lv in lvalue_series(f, twist, args.s, t0=args.t0, trunc=trunc):
@@ -358,7 +358,7 @@ def cmd_selfcheck(args) -> int:
     # against the per-term mp sum of its coefficients, within its err
     tr = TruncationParams(c_max=20, tail_tol=1.0, ctx=ctx)
     f = poincare_series(scalar(TrivialMultiplier(), 12), 12, -1, 1, range(1, 21), tr)
-    lv = lvalue_series(f, TwistSpec.from_element(S, 1), 6, trunc=tr)
+    lv = lvalue_series(f, TwistSpec.from_element(S), 6, trunc=tr)
     with mpmath.workprec(ctx.mantissa_bits + 60):
         ref = 2 * mpmath.fsum(a * mpmath.gammainc(6, 2 * mpmath.pi * m) / (2 * mpmath.pi * m) ** 6
                               for (m, _j), a in f.items())
@@ -417,7 +417,8 @@ def make_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--s", type=int, action="append", required=True)
-    p.add_argument("--gamma", default="0,-1,1,0")
+    p.add_argument("--gamma", default="0,-1,1,0",
+                   help="a,b,c,d (default S); write --gamma=-1,-1,-2,-3 when a < 0")
     p.add_argument("--method", choices=("series", "both"), default="series")
     p.add_argument("--lmin", type=int, default=0)
     p.add_argument("--lmax", type=int, default=60)
@@ -428,7 +429,8 @@ def make_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--gamma", default="0,-1,1,0")
+    p.add_argument("--gamma", default="0,-1,1,0",
+                   help="a,b,c,d (default S); write --gamma=-1,-1,-2,-3 when a < 0")
     p.add_argument("--kind", choices=("r", "rH", "rN"), default="rH")
     p.add_argument("--lmin", type=int, default=0)
     p.add_argument("--lmax", type=int, default=60)
@@ -438,9 +440,9 @@ def make_parser() -> _Parser:
     _add_common(p, "t0")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--basis", required=True,
-                   help="comma-separated cusp indices, e.g. '-1'")
+                   help="comma-separated cusp indices; write --basis=-1,-2 if the first is < 0")
     p.add_argument("--predict", default="",
-                   help="pair 'n1,n2' to predict from L-values")
+                   help="pair 'n1,n2' to predict from L-values; write --predict=-1,-2 if n1 < 0")
     p.add_argument("--lmax", type=int, default=60)
     p.set_defaults(func=cmd_pairing)
 

@@ -7,7 +7,8 @@ vanishing constant term, the order-(k+1) primitive and its variants are
     E^H_f = E_f + c_f            (c_f the constant forced by the principal part),
     E^N_f = (1/c_{k+2}) [ int_tau^{i inf} f(z) (conj(tau)-z)^k dz ]^-   (cusp f),
 
-with c_{k+2} = -k!/(2 pi i)^{k+1}.  The period polynomials
+with c_{k+2} = -k!/(2 pi i)^{k+1} and lambda = 1 on Gamma_0(N).  The period
+polynomials
 
     r   = c_{k+2} (E_f  - E_f |_{-k} gamma),
     r^H = c_{k+2} (E^H_f - E^H_f |_{-k} gamma),
@@ -163,7 +164,7 @@ def _period(f: FourierSeries, gamma: GroupElement, k: int, route) -> PeriodPolyn
     _require_scalar(f)
     if gamma.c == 0:
         return period_r_parabolic(f, gamma, k)
-    twist = lfun.TwistSpec.from_element(gamma, f.automorphy.lam)
+    twist = lfun.TwistSpec.from_element(gamma)
     g = twist.gamma
     coeffs = np.zeros(k + 1, dtype=complex)
     for n, (u, w) in enumerate(route(twist)):

@@ -251,11 +251,10 @@ def apply_xi(G: HarmonicForm) -> FourierSeries:
     k = G.k
     cdata = G.conj_data
     data = conjugate(cdata)
-    lam = cdata.lam
     out = FourierSeries(k + 2, data, truncation=G.holo.truncation)
     with G.holo.truncation.ctx.working():
         for (l, j), bm in sorted(G.nonholo.items()):
-            fp = (l + cdata.kappa_of(j)) / lam  # negative
+            fp = l + cdata.kappa_of(j)  # negative
             m = -l if cdata.kappa_of(j) == 0 else -l - 1  # -(l+kappa'_j) = m+kappa_j
             fmp = mpmath.mpf(fp.numerator) / fp.denominator
             val = -mpmath.conj(bm) * (-4 * mpmath.pi * fmp) ** (k + 1)

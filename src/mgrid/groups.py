@@ -2,18 +2,18 @@
 
 The coefficient formulas sum over the set
 
-    C+ = { (a b; c d) in Gamma : c > 0, 0 <= -d < c*lambda, 0 <= a < c*lambda },
+    C+ = { (a b; c d) in Gamma : c > 0, 0 <= -d < c, 0 <= a < c },
 
-a transversal of <T>\\Gamma/<T> restricted to positive lower-left entry.
-For the built-in groups (Gamma_0(N), cusp width lambda = 1 at i-infinity)
-the box at fixed c is parametrised by the units d in (-c, 0]: a is the
-inverse of d mod c lifted into [0, c) and b = (a d - 1)/c.
+a transversal of <T>\\Gamma/<T> restricted to positive lower-left entry
+(the paper's bounds are c*lambda; lambda, the cusp width at i-infinity, is
+1 on Gamma_0(N), and every formula in mgrid is for lambda = 1).  The box at
+fixed c is parametrised by the units d in (-c, 0]: a is the inverse of d
+mod c lifted into [0, c) and b = (a d - 1)/c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -70,24 +70,17 @@ T = GroupElement(1, 1, 0, 1)
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Level N congruence group with cusp width lam at i-infinity.
+    """Gamma_0(N) of level N (cusp width 1 at i-infinity).
 
-    lam is kept symbolic in all formulas downstream, but the built-in
-    element enumeration assumes integer matrices, i.e. lam == 1.
     For N > 1 the generator list must be supplied by the caller.
     """
 
     level: int = 1
-    lam: Fraction = Fraction(1)
     gens: tuple = field(default=())
 
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("level must be a positive integer")
-        lam = self.lam if isinstance(self.lam, Fraction) else Fraction(self.lam)
-        object.__setattr__(self, "lam", lam)
-        if not lam > 0:
-            raise ValueError("cusp width lambda must be positive")
         for g in self.gens:
             if not isinstance(g, GroupElement):
                 raise ValueError("generators must be GroupElement instances")
@@ -116,8 +109,6 @@ def cplus_arrays(spec: GroupSpec, c: int):
     """
     if c < 1:
         raise ValueError("c must be a positive integer")
-    if spec.lam != 1:
-        raise NotImplementedError("built-in enumeration requires lambda == 1")
     if c % spec.level != 0:
         e = np.array([], dtype=np.int64)
         return e, e

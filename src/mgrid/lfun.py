@@ -11,12 +11,13 @@ element gamma = (a b; c d), c > 0, the completed twisted series is
             / (2 pi (m+kappa)/lam)^{w-s},
 
 with zeta^x = e^{2 pi i x/(c lam)}, principal powers (arg in (-pi, pi]),
-and L = (2 pi)^s / Gamma(s) L*.  The value is independent of t0; the
-incomplete-gamma factors at the finitely many negative frequencies carry
-the regularization.  lvalue_series sums each side for a list of s in one
-exact integer pass over the coefficients (one fixed-point sweep of DLMF
-8.4.8 per argument, exact rational powers), rounded once at wp; its err is
-the estimated remainder, plus the propagated tails, plus the rounding noise
+and L = (2 pi)^s / Gamma(s) L*; the cusp width lam is 1 on Gamma_0(N).
+The value is independent of t0; the incomplete-gamma factors at the
+finitely many negative frequencies carry the regularization.
+lvalue_series sums each side for a list of s in one exact integer pass
+over the coefficients (one fixed-point sweep of DLMF 8.4.8 per argument,
+exact rational powers), rounded once at wp; its err is the estimated
+remainder, plus the propagated tails, plus the rounding noise
 |pref| 2^-e (N + 2^(-wp-1) (M + N)) per side and 2^(1-wp) |L*| (the rule
 and its parts are in lvalue_series).  The integral representation
 
@@ -66,24 +67,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TwistSpec:
-    """Twist by zeta_{c lam}^{-d} attached to a group element with c != 0."""
+    """Twist by zeta_c^{-d} attached to a group element with c != 0."""
 
     gamma: GroupElement
-    lam: Fraction
 
     def __post_init__(self):
         if self.gamma.c == 0:
             raise ValueError("twists need a group element with c != 0")
 
     @classmethod
-    def from_element(cls, gamma: GroupElement, lam) -> "TwistSpec":
-        if gamma.c < 0:
-            gamma = -gamma
-        return cls(gamma, Fraction(lam))
+    def from_element(cls, gamma: GroupElement, lam=1) -> "TwistSpec":
+        """The twist of whichever of +-gamma has c > 0.  lam, the cusp width,
+        stays accepted for callers that pass it, and must be 1."""
+        if lam != 1:
+            raise ValueError(f"cusp width lambda = {lam}: only lambda = 1 is built")
+        return cls(-gamma if gamma.c < 0 else gamma)
 
     def zeta_power(self, x) -> mpmath.mpc:
-        """e^{2 pi i x / (c lam)} for rational x; exactly 1 at x = 0."""
-        return exp2pi(Fraction(x) / (self.gamma.c * self.lam))
+        """e^{2 pi i x / c} for rational x; exactly 1 at x = 0."""
+        return exp2pi(Fraction(x) / self.gamma.c)
 
 
 @dataclass
@@ -199,7 +201,7 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
     within 2^(3-wp) (|re| + |im|).  Each side of L* is one exact integer sum
     (_fixed_sum) of A G fr^-n: A = a(m) zeta exactly, zeta at
     _prefactor_prec(w) bits (1 at x = 0), and fr^-n exact, so a negative
-    base b gives (-1)^n |b|^n; its prefactor pref, the powers of 2 pi/lambda
+    base b gives (-1)^n |b|^n; its prefactor pref, the powers of 2 pi
     and the side-2 phase, is kept at _prefactor_prec(max(w, s)) bits.  L* is
     rounded once at wp (poincare._value).  err has three parts:
       - the estimated remainder past the stored range (the coefficient
@@ -222,27 +224,24 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     g = twist.gamma
-    if twist.lam != f.automorphy.lam:
-        raise ValueError("the twist and the series have different lambda")
     if not f.automorphy.group.contains(g):
         raise ValueError(f"{g.as_tuple()} is not in Gamma_0({f.automorphy.group.level})")
     ctx = (trunc or f.truncation).ctx
     w = f.weight
-    lam = f.automorphy.lam
     # estimated remainder past the stored range (positive-frequency side)
     rem = dict.fromkeys(s_list, 0.0)
     if terms:
         m_top = terms[-1][0] + 1
         order = -min((m for m, fr, _a in terms if fr < 0), default=0)  # guessed
         env = coefficient_envelope(f.automorphy, w, order, 1, m_top, 1)
-        x1t = 2 * math.pi * float(m_top + kappa) * t0 / float(lam)
-        x2t = 2 * math.pi * float(m_top + kappa) / (g.c * g.c * t0 * float(lam))
+        x1t = 2 * math.pi * float(m_top + kappa) * t0
+        x2t = 2 * math.pi * float(m_top + kappa) / (g.c * g.c * t0)
         for si in rem:
             rem[si] = 2 * (env * (_gamma_majorant(si, x1t) + g.c ** (w - 2 * si)
                                   * _gamma_majorant(w - si, x2t)))
     orders1, orders2 = set(s_list), {w - si for si in s_list if w - si >= 1}
     orders0 = {w - si for si in s_list} - orders2  # through gamma_upper
-    r1, r2 = Fraction(t0) / lam, 1 / (g.c * g.c * Fraction(t0) * lam)  # x = 2 pi fr r
+    r1, r2 = Fraction(t0), 1 / (g.c * g.c * Fraction(t0))  # x = 2 pi fr r
     one_sweep, orders12 = r1 == r2, orders1 | orders2  # x1 = x2
     rows = []  # (fr, tail/|a|, A at side 1, Gamma at x1, A at side 2, Gamma at x2)
     with ctx.working():
@@ -267,10 +266,9 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
         two_pi, out = 2 * mpmath.pi, []
         for si in s_list:
             with mpmath.workprec(_prefactor_prec(max(w, si))):
-                two_pi_lam = 2 * mpmath.pi * lam.denominator / lam.numerator
                 # i^w times the arg(-c)^(w - 2s) phase e(w/2 - s) for c > 0
-                prefs = (two_pi_lam ** -si, exp2pi(Fraction(3 * w, 4))
-                         * mpmath.mpf(g.c) ** (w - 2 * si) * two_pi_lam ** (si - w) / chi_g)
+                prefs = ((2 * mpmath.pi) ** -si, exp2pi(Fraction(3 * w, 4))
+                         * mpmath.mpf(g.c) ** (w - 2 * si) * (2 * mpmath.pi) ** (si - w) / chi_g)
             sums = [_fixed_sum([(r[0], r[1], r[2 + 2 * k], r[3 + 2 * k][n]) for r in rows],
                                n, pref) for k, (n, pref) in enumerate(zip((si, w - si), prefs))]
             lstar = _value(sums)
@@ -307,19 +305,16 @@ def petersson_poincare(g: FourierSeries, n: int, alpha: int,
 
         lambda c_g(-n, alpha) (lambda/(4 pi (-n+kappa_alpha)))^{k+1} Gamma(k+1)
 
-    for cusp forms of weight k+2 with -n + kappa_alpha > 0.
+    for cusp forms of weight k+2 with -n + kappa_alpha > 0; lambda = 1 on Gamma_0(N).
     """
     x = -n + data.kappa_of(alpha)
     if not x > 0:
         raise ValueError("Petersson unfolding needs a cusp direction")
     if (-n, alpha) not in g.coeffs:
         raise ValueError(f"coefficient at ({-n}, {alpha}) not stored")
-    lam = data.lam
     with g.truncation.ctx.working():
-        lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
         xmp = mpmath.mpf(x.numerator) / x.denominator
-        return (lam_mp * g.coefficient(-n, alpha)
-                * (lam_mp / (4 * mpmath.pi * xmp)) ** (k + 1)
+        return (g.coefficient(-n, alpha) * (1 / (4 * mpmath.pi * xmp)) ** (k + 1)
                 * mpmath.factorial(k))
 
 

@@ -13,10 +13,11 @@ a sum over the double-coset boxes C+(c):
   x = 0:  (-2 pi i)^w / (Gamma(w) lambda^w)    sum_c c^{-w} K_c y^{w-1}
   x < 0:  (2 pi/lambda) i^{-w} (y/-x)^{(w-1)/2} sum_c c^{-1} K_c I_{w-1}(4 pi sqrt(-xy)/(c lambda))
 
-(w = weight).  One engine computes every c-sum: it walks c once in
-ascending order, builds the box C+(c) once (groups.cplus_arrays; never
-cached), asks each effective character for the exact phases of the whole
-box (Multiplier.box_phases, integer numerators over one denominator), and
+(w = weight; lambda, the cusp width at i-infinity, is 1 on Gamma_0(N)).
+One engine computes every c-sum: it walks c once in ascending order,
+builds the box C+(c) once (groups.cplus_arrays; never cached), asks each
+effective character for the exact phases of the whole box
+(Multiplier.box_phases, integer numerators over one denominator), and
 evaluates the layers of every requested (x, y, j, alpha) from that box in
 one array pass per group of keys that share alpha and a phase denominator:
 a (keys x box) numerator array, then one cos/sin per element in float64,
@@ -321,8 +322,6 @@ def _run(requests: list, trunc: TruncationParams):
 
     ramanujan = [s for _data, sums in requests for s in sums if s.m is not None]
     if ramanujan:
-        if group.lam != 1:
-            raise NotImplementedError("built-in c-sums require lambda == 1")
         mu = _moebius(trunc.c_max)
     for s in ramanujan:
         layers, weights = _ramanujan_layers(s.m, level, mu), weight(s)
@@ -423,14 +422,14 @@ def _majorant(w: int, x, y, group, c0: int, m: int | None = None) -> float:
     zeta/c <= zeta/(N t0); and sum_{t >= t0} (N t)^-p <= (N t0)^-p (1 +
     t0/(p-1)).  Every term is then a constant times c^-w |K_c|.  In logs:
     inf only when a double overflows."""
-    x, y, lam, nu = float(x), float(y), float(group.lam), w - 1
+    x, y, nu = float(x), float(y), w - 1
     t0 = -(-c0 // group.level)
     c = group.level * t0  # the smallest c of the sum
-    log = math.log(TWO_PI / lam) - math.lgamma(w)
-    if x == 0:  # (2 pi/lambda)^w y^nu/nu!
-        log += nu * math.log(TWO_PI * y / lam)
-    else:  # (2 pi/lambda) (y/|x|)^(nu/2) zeta^nu/nu!, zeta = 2 pi sqrt(|x| y)/lambda
-        zeta = TWO_PI * math.sqrt(abs(x) * y) / lam
+    log = math.log(TWO_PI) - math.lgamma(w)
+    if x == 0:  # (2 pi)^w y^nu/nu!
+        log += nu * math.log(TWO_PI * y)
+    else:  # 2 pi (y/|x|)^(nu/2) zeta^nu/nu!, zeta = 2 pi sqrt(|x| y)
+        zeta = TWO_PI * math.sqrt(abs(x) * y)
         log += nu * (math.log(y / abs(x)) / 2 + math.log(zeta))
         if x < 0:
             log += min((zeta / c) ** 2 / w, 2 * zeta / c)
@@ -459,25 +458,22 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
     as u_c = floor(V_c 2^(e-E)) // c, e = P - top, top = max bit_length(V_c) - E
     (see _run); du_c = V_c's bound / c.
     """
-    lam = data.lam
     key = (x, y, j, alpha)
     with mpmath.workprec(_prefactor_prec(w)):
-        two_pi_lam = 2 * mpmath.pi * lam.denominator / lam.numerator
         phase = exp2pi(Fraction(-w, 4))  # i^{-w}
         if x == 0:
-            pref = two_pi_lam ** w / math.factorial(w - 1) * phase \
+            pref = (2 * mpmath.pi) ** w / math.factorial(w - 1) * phase \
                 * (mpmath.mpf(y.numerator) / y.denominator) ** (w - 1)
         else:
             q = y / abs(x)
-            pref = two_pi_lam * phase * (mpmath.mpf(q.numerator) / q.denominator) \
+            pref = 2 * mpmath.pi * phase * (mpmath.mpf(q.numerator) / q.denominator) \
                 ** (mpmath.mpf(w - 1) / 2)
     m = _ramanujan_m(data, x, y, alpha)  # None unless x = 0
     tail = _majorant(w, x, y, data.group, trunc.c_max + 1, m)
     if x == 0:
         return _CSum(key, pref, w, tail, m)
     xy = abs(x) * y
-    half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator) \
-        / (mpmath.mpf(lam.numerator) / lam.denominator)
+    half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator)
     cs = range(data.group.level, trunc.c_max + 1, data.group.level)
     # J or I at 2 half/c for every c, from one kernel call
     values, scale, bounds = bessel_series(w - 1, half, cs, trunc.ctx, x > 0)
@@ -541,13 +537,11 @@ class Walk:
         (values, tails) after run()."""
         data = f.automorphy
         w = f.weight  # = k + 2
-        lam = data.lam
         principal = [(n, t) for (n, t) in f.principal_support() if f.coeffs[(n, t)] != 0]
         with self.trunc.ctx.working():
             with mpmath.workprec(_prefactor_prec(w)):
-                # (-i)^w (2 pi)^w / (lambda (w-1)!); each term is a(n, t) pref c^-w K_c
-                pref = exp2pi(Fraction(-w, 4)) * (2 * mpmath.pi) ** w * lam.denominator \
-                    / (lam.numerator * math.factorial(w - 1))
+                # (-i)^w (2 pi)^w / (w-1)!; each term is a(n, t) pref c^-w K_c
+                pref = exp2pi(Fraction(-w, 4)) * (2 * mpmath.pi) ** w / math.factorial(w - 1)
                 amps = {key: f.coeffs[key] * pref for key in principal}
         per_comp = [[] for _j in range(data.dim)]
         for j in range(1, data.dim + 1):
@@ -558,9 +552,9 @@ class Walk:
                     continue
                 x = f.freq(n, t)  # x = n + kappa_t < 0 rides on the 'a' entry
                 m = _ramanujan_m(data, x, Fraction(0), t)
-                # x = 0's pref at y = lambda
+                # x = 0's pref at y = lambda = 1
                 tail = abs(complex(f.coeffs[(n, t)])) \
-                    * _majorant(w, 0, lam, data.group, self.trunc.c_max + 1, m)
+                    * _majorant(w, 0, 1, data.group, self.trunc.c_max + 1, m)
                 per_comp[j - 1].append(self._add(
                     data, _CSum((x, Fraction(0), j, t), amps[(n, t)], w, tail, m)))
 

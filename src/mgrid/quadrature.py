@@ -3,7 +3,7 @@
 Every contour used here is a vertical ray [z0, z0 + i*infinity) carrying an
 integrand  f(z) * (P + R t)^M  with z = z0 + i t and f given by a stored
 q-expansion.  Each Fourier term a e^{2 pi i F z / lambda} with F != 0 has
-the exact ray integral
+the exact ray integral (lambda = 1 on Gamma_0(N))
 
   i a e^{i beta z0} sum_j binom(M, j) P^{M-j} R^j j! / beta^{j+1},
   beta = 2 pi F / lambda,
@@ -43,10 +43,10 @@ def eval_component_grid(series: FourierSeries, j: int, zs) -> np.ndarray:
     if not (zs.imag > 0).all():
         raise ValueError("points must lie in the upper half-plane")
     F, a, _tails = _component_terms(series, j)
-    return a @ np.exp(2j * np.pi * np.outer(F, zs) / float(series.automorphy.lam))
+    return a @ np.exp(2j * np.pi * np.outer(F, zs))
 
 
-def _ray(F: np.ndarray, a: np.ndarray, tails: np.ndarray, lam: float, z0: complex,
+def _ray(F: np.ndarray, a: np.ndarray, tails: np.ndarray, z0: complex,
          P: complex, R: complex, M: int):
     """(value, bound) of the closed forms (module docstring) of the converted
     terms of a component at the float z0, P and R.  With x = R / beta the
@@ -64,7 +64,7 @@ def _ray(F: np.ndarray, a: np.ndarray, tails: np.ndarray, lam: float, z0: comple
     if (a[F == 0] != 0).any():
         raise ValueError("a nonzero constant term has a divergent ray integral")
     F, a, tails = F[F != 0], a[F != 0], tails[F != 0]
-    beta = 2 * math.pi * F / lam
+    beta = 2 * math.pi * F
     x = R / beta
     g, G, p = np.ones(len(F), dtype=complex), np.ones(len(F)), 1 + 0j
     for i in range(1, M + 1):
@@ -85,7 +85,7 @@ def vertical_poly_integral(series: FourierSeries, j: int, z0: complex,
     """int_{z0}^{z0 + i inf} f_j(z) (P + R t)^M dz  (z = z0 + i t), regularized,
     term by term in closed form (module docstring).  Raises ValueError on a
     nonzero constant term."""
-    return _ray(*_component_terms(series, j), float(series.automorphy.lam), z0, P, R, M)[0]
+    return _ray(*_component_terms(series, j), z0, P, R, M)[0]
 
 
 def _moments(series: FourierSeries, twist, m_list, t0: float) -> list:
@@ -96,8 +96,6 @@ def _moments(series: FourierSeries, twist, m_list, t0: float) -> list:
     -i/(c t0) round once or twice; that is outside the bound (they are exact
     for S at t0 = 1)."""
     data, gamma = series.automorphy, twist.gamma
-    if twist.lam != data.lam:
-        raise ValueError("the twist and the series have different lambda")
     if not data.group.contains(gamma):
         raise ValueError(f"{gamma.as_tuple()} is not in Gamma_0({data.group.level})")
     a, _, c, d = gamma.as_tuple()
@@ -108,12 +106,12 @@ def _moments(series: FourierSeries, twist, m_list, t0: float) -> list:
     if data.dim != 1:
         raise NotImplementedError("moments are computed per scalar component")
     chi_val = complex(data.scalar_character(1).value(gamma))
-    terms, lam = _component_terms(series, 1), float(data.lam)
+    terms = _component_terms(series, 1)
     z1, w0 = -d / c + 1j * t0, a / c + 1j / (c * c * t0)
     out = []
     for mi in m_list:  # upper leg minus lower leg
-        up, up_err = _ray(*terms, lam, z1, 1j * t0, 1j, mi)
-        low, low_err = _ray(*terms, lam, w0, -1j / (c * t0), -1j * c, series.weight - 2 - mi)
+        up, up_err = _ray(*terms, z1, 1j * t0, 1j, mi)
+        low, low_err = _ray(*terms, w0, -1j / (c * t0), -1j * c, series.weight - 2 - mi)
         low, low_err = low * c ** (-mi) / chi_val, (low_err + 2.0**-50 * abs(low)) * c ** (-mi)
         out.append((up - low, up_err + low_err + 2.0**-52 * (abs(up) + abs(low))))
     return out
@@ -134,6 +132,6 @@ def regularized_moment(series: FourierSeries, gamma, m, t0: float = 1.0):
     """
     from .lfun import TwistSpec  # lfun imports this module
 
-    twist = TwistSpec.from_element(gamma, series.automorphy.lam)
+    twist = TwistSpec.from_element(gamma)
     out = [v for v, _err in _moments(series, twist, list(m) if hasattr(m, "__iter__") else [m], t0)]
     return out if hasattr(m, "__iter__") else out[0]

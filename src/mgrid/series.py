@@ -3,7 +3,7 @@
 A FourierSeries stores complex coefficients indexed by (n, j) where j is the
 1-based component index and the attached exponential is
 
-    e^{2 pi i (n + kappa_j) tau / lambda}.
+    e^{2 pi i (n + kappa_j) tau / lambda},   lambda = 1 on Gamma_0(N).
 
 Every stored coefficient carries a tail bound (the certified error of the
 c-sum that produced it, finite unless its majorant overflows a double;
@@ -131,11 +131,10 @@ class FourierSeries:
         power = -(k+1) is the Eichler primitive, power = k+1 the (k+1)-fold
         normalized derivative D^{k+1}.
         """
-        lam = self.automorphy.lam
         out = FourierSeries(weight, self.automorphy, truncation=self.truncation)
         with self.truncation.ctx.working():
             for (n, j), a in self.items():
-                fr = self.freq(n, j) / lam
+                fr = self.freq(n, j)
                 if fr == 0:
                     continue
                 fmp = mpmath.mpf(fr.numerator) / fr.denominator

@@ -218,7 +218,7 @@ def test_criterion_08_lvalue_consistency():
     data = trivial_data(12)
     trunc = TruncationParams(c_max=60, tail_tol=1e-9, ctx=CTX)
     f = poincare_series(data, 12, -1, 1, range(1, 61), trunc)
-    tw = TwistSpec.from_element(S, 1)
+    tw = TwistSpec.from_element(S)
     worst = 0.0
     for s in range(1, 12):
         ls = complex(lvalue_series(f, tw, s, t0=1.0, trunc=trunc).value)

@@ -29,6 +29,7 @@ def test_coeffs_eisenstein(capsys, tmp_path):
     assert entry["j"] == 1
     assert "re_hex" in entry and entry["re_hex"] == float(entry["re"]).hex()
     assert doc["kappa"] == ["0"]
+    assert doc["lambda"] == "1"
     assert csv_path.exists()
     header = csv_path.read_text().splitlines()[0]
     assert header == "n,j,re,im,tail_bound"
@@ -267,6 +268,19 @@ def test_lvalue_parabolic_gamma_exits_1(capsys):
     assert rc == 1
 
 
+def test_negative_gamma_is_normalised_to_c_positive(capsys):
+    # -gamma twists as gamma; a negative first entry needs the = form, since
+    # with a space argparse reads -1,... as an option
+    argv = ["lvalue", "--weight", "12", "--n", "-1", "--s", "6", "--lmax", "20", "--cmax", "20"]
+    rc_neg, out_neg, _err = run_cli(capsys, argv + ["--gamma=-1,-1,-2,-3"])
+    rc_pos, out_pos, _err = run_cli(capsys, argv + ["--gamma=1,1,2,3"])
+    assert rc_neg == rc_pos and out_neg == out_pos
+    assert json.loads(out_pos)["values"][0]["twist"] == {"a": 1, "b": 1, "c": 2, "d": 3}
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--gamma", "-1,-1,-2,-3"])
+    assert exc.value.code == 1 and "--gamma" in capsys.readouterr().err
+
+
 def test_lvalue_series_output_matches_library(capsys):
     rc, out, _err = run_cli(capsys, [
         "lvalue", "--weight", "12", "--n", "-1", "--s", "6", "--lmax", "40",
@@ -289,7 +303,7 @@ def test_lvalue_series_output_matches_library(capsys):
     trunc = TruncationParams(c_max=50, tail_tol=1e-6,
                              ctx=PrecisionContext(113, min(1e-25, 1e-6 * 1e-8)))
     f = poincare_series(data, 12, -1, 1, range(0, 41), trunc)
-    lv = lvalue_series(f, TwistSpec.from_element(S, 1), 6, t0=1.0, trunc=trunc)
+    lv = lvalue_series(f, TwistSpec.from_element(S), 6, t0=1.0, trunc=trunc)
     assert row["re"] == float(complex(lv.value).real)
     assert row["im"] == float(complex(lv.value).imag)
 

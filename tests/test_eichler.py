@@ -299,7 +299,7 @@ def test_every_twist_route_rejects_an_element_outside_the_group():
                            rho=trivial_representation(), group=gamma0(4))
     tr = TruncationParams(c_max=40, tail_tol=1.0, ctx=CTX)
     f = poincare_series(data4, 12, -1, 1, range(1, 9), tr)
-    twist = TwistSpec.from_element(S, 1)
+    twist = TwistSpec.from_element(S)
     for call in (lambda: lvalue_series(f, twist, 6, trunc=tr),
                  lambda: lvalue_integral(f, twist, 6),
                  lambda: regularized_moment(f, S, 0),

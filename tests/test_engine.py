@@ -32,7 +32,7 @@ from mgrid.automorphy import (
     trivial_representation,
 )
 from mgrid.gridforms import build_pair
-from mgrid.groups import GroupSpec, cplus_arrays, enumerate_cplus, gamma0, sl2z
+from mgrid.groups import cplus_arrays, enumerate_cplus, gamma0, sl2z
 from mgrid.poincare import (
     _coefficient_sum,
     _exponent_sums,
@@ -552,17 +552,6 @@ def test_ramanujan_passes_build_no_box(monkeypatch):
     calls.clear()
     (value,), (tail,) = constant_term_cf(f, trunc)
     assert calls == [] and value != 0 and tail > 0
-
-
-def test_ramanujan_passes_need_unit_lambda():
-    data = AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=trivial_representation(),
-                          group=GroupSpec(lam=Fraction(2)))
-    trunc = TruncationParams(c_max=20, tail_tol=1.0, ctx=CTX)
-    with pytest.raises(NotImplementedError, match="lambda"):
-        poincare_series(data, 12, 0, 1, range(1, 3), trunc)
-    f = FourierSeries(12, data, {(-1, 1): mpmath.mpc(1)}, {(-1, 1): 0.0}, trunc)
-    with pytest.raises(NotImplementedError, match="lambda"):
-        constant_term_cf(f, trunc)
 
 
 def test_matrix_rho_evaluated_once_per_box_element():

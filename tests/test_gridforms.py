@@ -262,7 +262,7 @@ def test_equal_data_share_their_csums(monkeypatch):
 def _harmonic_value(G: HarmonicForm, zs):
     """(G(z), a bound on its error) at points zs, from component 1's stored
     coefficients: G+ through eval_component_grid, G- term by term as
-    sum b-(l) h(2 pi (l+kappa') y/lambda, k) e((l+kappa') x/lambda).
+    sum b-(l) h(2 pi (l+kappa') y, k) e((l+kappa') x).
 
     The bound adds, per point:
       - each stored tail times its term's basis value;
@@ -276,16 +276,16 @@ def _harmonic_value(G: HarmonicForm, zs):
         below the last one summed.
     """
     cdata, k, eps = G.conj_data, G.k, 2.0 ** -52
-    lam, kp, mu = float(cdata.lam), cdata.kappa_of(1), abs(float(-G.n2 + cdata.kappa_of(G.alpha2)))
+    kp, mu = cdata.kappa_of(1), abs(float(-G.n2 + cdata.kappa_of(G.alpha2)))
 
     def h(fr):  # the G- basis function at frequency fr < 0
         return np.array([float(h_function(2 * np.pi * fr * y, k, CTX)) for y in zs.imag]) \
             * np.exp(2j * np.pi * fr * zs.real)
 
     plus = [(np.exp(2j * np.pi * fr * zs), fr, b, G.holo.tails[(l, 1)])
-            for (l, _j), b in G.holo.items() for fr in [float(G.holo.freq(l, 1)) / lam]]
+            for (l, _j), b in G.holo.items() for fr in [float(G.holo.freq(l, 1))]]
     minus = [(h(fr), fr, b, G.nonholo_tails[(l, 1)])
-             for (l, _j), b in sorted(G.nonholo.items()) for fr in [float(l + kp) / lam]]
+             for (l, _j), b in sorted(G.nonholo.items()) for fr in [float(l + kp)]]
     rows = plus + minus
     value = eval_component_grid(G.holo, 1, zs) + sum(complex(b) * v for v, _fr, b, _t in minus)
     bound = sum(np.abs(v) * (t + eps * (len(rows) + 8 + np.abs(2 * np.pi * fr * zs))
@@ -296,10 +296,10 @@ def _harmonic_value(G: HarmonicForm, zs):
     for i in range(1, 41):
         yp, ym = float(top_plus + i + kp), float(top_minus + i + sdata.kappa_of(1))
         env = coefficient_envelope(cdata, k + 2, G.n2, G.alpha2, top_plus + i, 1)
-        bound += env * (mu / yp) ** (k + 1) * np.exp(-2 * np.pi * yp * zs.imag / lam)
+        bound += env * (mu / yp) ** (k + 1) * np.exp(-2 * np.pi * yp * zs.imag)
         b_minus = coefficient_envelope(sdata, k + 2, shadow_n, G.alpha2, top_minus + i, 1) \
             * (mu / ym) ** (k + 1) / math.factorial(k)
-        bound += b_minus * np.abs(h(-ym / lam))
+        bound += b_minus * np.abs(h(-ym))
     return value, bound
 
 

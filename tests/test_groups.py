@@ -7,7 +7,6 @@ from mgrid.groups import (
     S,
     T,
     GroupElement,
-    GroupSpec,
     enumerate_cplus,
     gamma0,
     generators,
@@ -116,8 +115,3 @@ def test_group_element_determinant_validated():
     with pytest.raises(ValueError):
         gamma0(4, (GroupElement(1, 0, 1, 1),))  # c not divisible by 4
 
-
-def test_lambda_symbolic_but_enumeration_integral():
-    spec = GroupSpec(level=1, lam=2)
-    with pytest.raises(NotImplementedError):
-        enumerate_cplus(spec, 1)

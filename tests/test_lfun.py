@@ -34,7 +34,7 @@ CTX = PrecisionContext(mantissa_bits=113, target_tol=1e-25)
 TR = TruncationParams(c_max=60, tail_tol=1e-9, ctx=CTX)
 DATA12 = AutomorphyData(weight=12, chi=TrivialMultiplier(),
                         rho=trivial_representation(), group=sl2z())
-TWIST_S = TwistSpec.from_element(S, 1)
+TWIST_S = TwistSpec.from_element(S)
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +44,8 @@ def delta_like():
 
 def test_twist_requires_nonzero_c():
     with pytest.raises(ValueError):
-        TwistSpec.from_element(T, 1)
-    tw = TwistSpec.from_element(GroupElement(0, 1, -1, 0), 1)
+        TwistSpec.from_element(T)
+    tw = TwistSpec.from_element(GroupElement(0, 1, -1, 0))
     assert tw.gamma.c > 0  # normalized to positive c
 
 
@@ -55,12 +55,13 @@ def test_lvalue_zero_form():
     assert complex(lv.value) == 0
 
 
-def test_lvalue_rejects_a_twist_of_another_lambda():
-    # the twist phases would use the twist's lambda and the frequencies the
-    # series', giving neither L-value
-    f = FourierSeries(12, DATA12, coeffs={(1, 1): mpmath.mpc(1)}, truncation=TR)
+def test_twist_rejects_a_cusp_width_other_than_1():
+    # every formula is for Gamma_0(N), of cusp width 1; a twist of another
+    # width would give no L-value
     with pytest.raises(ValueError, match="lambda"):
-        lvalue_series(f, TwistSpec.from_element(GroupElement(1, 1, 2, 3), 2), 6, trunc=TR)
+        TwistSpec.from_element(GroupElement(1, 1, 2, 3), 2)
+    assert TwistSpec.from_element(GroupElement(1, 1, 2, 3), 1) \
+        == TwistSpec.from_element(GroupElement(1, 1, 2, 3))
 
 
 def test_lvalue_rejects_constant_term():
@@ -234,7 +235,7 @@ def test_fit_pairing_eta_multiplier_pure_L_branch():
 
 
 # a twist whose a and d are both nonzero, with c = 2 (nontrivial phases)
-TWIST_2 = TwistSpec.from_element(GroupElement(1, 1, 2, 3), 1)
+TWIST_2 = TwistSpec.from_element(GroupElement(1, 1, 2, 3))
 
 
 @pytest.mark.parametrize("series, t0", [("delta", 1.0), ("delta", 2.0), ("wh", 1.0)])
@@ -346,9 +347,8 @@ def _per_term_lstar(f, twist, s, t0, bits=300):
     """L* by the per-term formula the fixed-point pass replaced, at bits:
     mpc terms a(m) zeta Gamma(n, x) / b^n with mpmath.gammainc and principal
     mpmath.power, summed as they come."""
-    w, g, lam = f.weight, twist.gamma, f.automorphy.lam
+    w, g = f.weight, twist.gamma
     with mpmath.workprec(bits):
-        lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
         two_pi = 2 * mpmath.pi
         pref2 = (exp2pi(Fraction(3 * w, 4)) * mpmath.mpf(g.c) ** (w - 2 * s)
                  / f.automorphy.scalar_character(1).value(g))
@@ -356,9 +356,9 @@ def _per_term_lstar(f, twist, s, t0, bits=300):
         for (m, _j), am in f.items():
             fr = f.freq(m, 1)
             fmp = mpmath.mpf(fr.numerator) / fr.denominator
-            base = mpmath.mpc(two_pi * fmp / lam_mp)
-            x1 = two_pi * fmp * t0 / lam_mp
-            x2 = two_pi * fmp / (g.c * g.c * t0 * lam_mp)
+            base = mpmath.mpc(two_pi * fmp)
+            x1 = two_pi * fmp * t0
+            x2 = two_pi * fmp / (g.c * g.c * t0)
             side1 += (am * twist.zeta_power(-g.d * fr) * mpmath.gammainc(s, x1)
                       / mpmath.power(base, s))
             side2 += (am * twist.zeta_power(g.a * fr) * mpmath.gammainc(w - s, x2)

@@ -5,6 +5,7 @@ direction, and direct Kloosterman enumeration for the arithmetic layer."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -287,3 +288,28 @@ def test_cusp_direction_vanishes_in_zero_dimensional_spaces(weight):
     series = poincare_series(data, weight, -1, 1, range(1, 4), trunc)
     for l in range(1, 4):
         assert abs(complex(series.coefficient(l, 1))) < 1e-8
+
+
+@pytest.mark.parametrize("weight, m, p, group", [(16, -1, 3, sl2z()), (12, -1, 3, gamma0(4)),
+                                                 (12, 1, 3, gamma0(4))],
+                         ids=["sl2z-w16-m-1", "gamma0(4)-w12-m-1", "gamma0(4)-w12-m1"])
+def test_hecke_relations_within_tails(weight, m, p, group):
+    # T_p P_m = p^(w-1) P_{pm} + P_{m/p} for p prime to the level, with m
+    # the index n of poincare_series; p does not divide m here, so P_{m/p}
+    # drops.  Coefficient by coefficient for l <= 8:
+    #   a_m(p l) + p^(w-1) a_m(l/p) = p^(w-1) a_{pm}(l),
+    # the a_m(l/p) term only where p | l.  Compared at 300 bits (complex()
+    # would lose the digits the tails certify), within the sum of the tails
+    # of every coefficient used, each times its factor
+    data = AutomorphyData(weight=weight, chi=TrivialMultiplier(),
+                          rho=trivial_representation(), group=group)
+    trunc = TruncationParams(c_max=200, tail_tol=1.0, ctx=CTX)
+    lmax, pw = 8, p ** (weight - 1)
+    f = poincare_series(data, weight, m, 1, range(1, p * lmax + 1), trunc)
+    g = poincare_series(data, weight, p * m, 1, range(1, lmax + 1), trunc)
+    for l in range(1, lmax + 1):
+        terms = [(1, f, p * l), (-pw, g, l)] + ([(pw, f, l // p)] if l % p == 0 else [])
+        with mpmath.workprec(300):
+            diff = sum(k * s.coefficient(i, 1) for k, s, i in terms)
+        tails = sum(abs(k) * s.tails[(i, 1)] for k, s, i in terms)
+        assert abs(diff) <= tails, (l, float(abs(diff)), tails)

@@ -43,7 +43,7 @@ def test_closed_form_matches_numerical_integration(ray):
     z0, P, R, M = ray
     f = poincare_series(DATA12, 12, -1, 1, range(1, 21), TR)
     F, a, tails = quadrature._component_terms(f, 1)
-    value, bound = quadrature._ray(F, a, np.zeros_like(tails), 1.0, z0, P, R, M)
+    value, bound = quadrature._ray(F, a, np.zeros_like(tails), z0, P, R, M)
     assert value == vertical_poly_integral(f, 1, z0, P, R, M)
     with mpmath.workdps(40):
         def integrand(t):
