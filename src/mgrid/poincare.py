@@ -21,8 +21,8 @@ effective character for the exact phases of the whole box
 evaluates the layers of every requested (x, y, j, alpha) from that box in
 one array pass per group of keys that share alpha and a phase denominator:
 a (keys x box) numerator array, then one cos/sin per element in float64,
-or above 53 bits one gather from a fixed-point table of roots of unity and
-one exact integer multiply-and-sum per row.  A Walk fills the c-sums of
+or above 53 bits one exact product of table roots of unity per distinct
+residue, gathered and summed per row.  A Walk fills the c-sums of
 series, constant terms and coefficients on equal data, a datum and its
 conjugate in one such walk (gridforms.build_grid uses one per grid);
 poincare_series, poincare_coefficient and constant_term_cf are a Walk with
@@ -78,12 +78,11 @@ def _exponent_sums(nums: np.ndarray, den: int, bits: int, tables: dict, weights=
     complex product, an element is within 25.3 2^-53.  A row sum in any
     order errs by 2^-53 times the sum of its partial sums (each below its
     count), so a row of n is within n (n + 28) 2^-53 (_layer_error); its
-    float sum converts exactly (_gaussian).  Larger bits (no weights)
-    sum exactly in fixed point over the root table of den (see _root_table;
-    `tables` maps den to it for one box): each residue r = q B + s gathers
-    giant[q] and baby[s], and a row is one exact sum of their complex
-    products at e = 2 P.  Deterministic; a row's error is at most
-    row length * (2 isqrt(den) + 3) * 2^-P.
+    float sum converts exactly (_gaussian).  Larger bits (no weights) sum
+    exactly in fixed point over the root table of den (_root_table; `tables`
+    maps den to it for one box): one product giant[q] baby[s] per distinct
+    residue r = q B + s, a row the exact sum of its elements' products at
+    e = 2 P, deterministic and within row length * (2 isqrt(den) + 3) 2^-P.
     """
     if bits <= 53:
         angles = (nums % den).astype(np.float64) * (TWO_PI / den)
@@ -94,11 +93,15 @@ def _exponent_sums(nums: np.ndarray, den: int, bits: int, tables: dict, weights=
     if den not in tables:
         tables[den] = _root_table(den, bits)
     prec, step, baby, giant = tables[den]
-    q, s = np.divmod(nums % den, step)
-    # three exact products per element, from the (re, im, re + im) rows:
-    # re = gr br - gi bi, im = (gr + gi)(br + bi) - gr br - gi bi
-    rr, ii, ss = (np.einsum("kn,kn->k", g[q], b[s]) for g, b in zip(giant, baby))
-    return [(r, i, 2 * prec) for r, i in zip((rr - ii).tolist(), (ss - rr - ii).tolist())]
+    residues = nums % den
+    index = np.zeros(den, dtype=np.intp)  # marks, then numbers, the distinct residues
+    index[residues] = 1
+    distinct = np.flatnonzero(index)
+    (gr, gi), (br, bi) = giant[:, distinct // step], baby[:, distinct % step]
+    index[distinct] = np.arange(len(distinct))
+    at = index[residues]  # each element's distinct residue
+    sums = (gr * br - gi * bi)[at].sum(axis=1), (gr * bi + gi * br)[at].sum(axis=1)
+    return [(r, i, 2 * prec) for r, i in zip(*sums)]
 
 
 def _gaussian(z: complex):
@@ -110,8 +113,8 @@ def _gaussian(z: complex):
 
 def _root_table(den: int, bits: int):
     """(P, B, baby, giant): e(s/den) for s < B = isqrt(den) and e(q B/den)
-    for q <= den // B, as integers scaled by 2^P in (re, im, re + im) rows of
-    an object array, with P = bits + 16 + den.bit_length().
+    for q <= den // B, as integers scaled by 2^P in (re, im) rows of an
+    object array, with P = bits + 16 + den.bit_length().
 
     Each step is one fixed-point multiplication rounded to nearest
     (<= 2^-1/2 ulps), by a seed carried 16 bits beyond P, so the k-th power
@@ -125,27 +128,25 @@ def _root_table(den: int, bits: int):
 
 
 def _fixed_powers(x: Fraction, count: int, prec: int) -> np.ndarray:
-    """e(k x) * 2^prec for k < count, rounded to integers (re, im), as the
-    (re, im, re + im) rows of an object array."""
+    """e(k x) * 2^prec for k < count, rounded to integers, as the (re, im)
+    rows of an object array."""
     shift = prec + 16
     with mpmath.workprec(shift + 16):
         seed = exp2pi(x)
-        wr = int(mpmath.nint(mpmath.ldexp(seed.real, shift)))
-        wi = int(mpmath.nint(mpmath.ldexp(seed.imag, shift)))
+        wr, wi = (int(mpmath.nint(mpmath.ldexp(v, shift))) for v in (seed.real, seed.imag))
     half = 1 << (shift - 1)
-    re, im = 1 << prec, 0
-    out = [(re, im, re + im)]
+    out = [(1 << prec, 0)]
     for _k in range(1, count):
-        re, im = (re * wr - im * wi + half) >> shift, (re * wi + im * wr + half) >> shift
-        out.append((re, im, re + im))
+        re, im = out[-1]
+        out.append(((re * wr - im * wi + half) >> shift, (re * wi + im * wr + half) >> shift))
     return np.array(out, dtype=object).T
 
 
-# Element budget above which high-precision layers fall back to float64:
-# an exact layer costs one gathered big-integer product per box element and
-# key (numpy object arrays, one pass per group of keys), plus a root table
-# of about 2 sqrt(den) fixed-point steps per denominator and box, against
-# one numpy cos/sin per element and key in float64.
+# Element budget above which high-precision layers fall back to float64: an
+# exact layer costs one gathered big-integer addition per box element and key
+# (object arrays, one pass per group of keys), a complex product per distinct
+# residue and a root table of about 2 sqrt(den) fixed-point steps per den and
+# box, against one numpy cos/sin per element and key in float64.
 MP_LAYER_ELEMENT_BUDGET = 40_000
 
 
@@ -160,8 +161,8 @@ def layer_bits_for(ctx, c_max: int, level: int = 1) -> int:
     sum_{c <= c_max} phi(c) ~ 0.31 c_max^2 / level stays within budget, the
     layers run at full context precision; otherwise they stay in float64.
     Either way a group of keys costs one array pass over (keys x box): a
-    numpy cos/sin per element in float64, a gathered exact integer product
-    per element in fixed point.
+    numpy cos/sin per element in float64; in fixed point an exact product
+    per distinct residue and a gathered integer addition per element.
     Deterministic for fixed (ctx, c_max, level).
     """
     if ctx.mantissa_bits <= 64:

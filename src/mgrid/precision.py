@@ -78,14 +78,13 @@ def exp2pi(x) -> mpmath.mpc:
 
     x is reduced mod 1 before evaluation so unit phases stay exact to working
     precision regardless of the size of the exponent.  A quarter turn (4x an
-    integer) is exactly 1, i, -1 or -i.
+    integer) is exactly 1, i, -1 or -i; any other x is one mpmath.cos_sin.
     """
     x = Fraction(x)
     x -= int(x)  # reduce mod 1 exactly
     if (4 * x).denominator == 1:
         return mpmath.mpc(*((1, 0), (0, 1), (-1, 0), (0, -1))[int(4 * x) % 4])
-    arg = 2 * mp.pi * mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpc(mpmath.cos(arg), mpmath.sin(arg))
+    return mpmath.mpc(*mpmath.cos_sin(2 * mp.pi * mpmath.mpf(x.numerator) / x.denominator))
 
 
 def compensated_sum(terms):

@@ -89,12 +89,12 @@ def vertical_poly_integral(series: FourierSeries, j: int, z0: complex,
 
 
 def _moments(series: FourierSeries, twist, m_list, t0: float) -> list:
-    """[(moment, bound)] for each m of m_list at the element (c > 0) of the
-    lfun.TwistSpec twist: _ray's bounds of both legs, plus 2^-50 of the lower
-    leg for its factor c^-m / chi and 2^-52 of both for the difference.  The
-    points -d/c + i t0, its image a/c + i/(c^2 t0) and the lower leg's P =
-    -i/(c t0) round once or twice; that is outside the bound (they are exact
-    for S at t0 = 1)."""
+    """[(moment, bound)] for each m of m_list at the element (any sign of c)
+    of the lfun.TwistSpec twist: _ray's bounds of both legs, plus 2^-50 of
+    the lower leg for its factor c^-m / chi (|c|^-m) and 2^-52 of both for
+    the difference.  The points -d/c + i t0, its image a/c + i/(c^2 t0) and
+    the lower leg's P = -i/(c t0) round once or twice; that is outside the
+    bound (they are exact for S at t0 = 1)."""
     data, gamma = series.automorphy, twist.gamma
     if not data.group.contains(gamma):
         raise ValueError(f"{gamma.as_tuple()} is not in Gamma_0({data.group.level})")
@@ -112,7 +112,7 @@ def _moments(series: FourierSeries, twist, m_list, t0: float) -> list:
     for mi in m_list:  # upper leg minus lower leg
         up, up_err = _ray(*terms, z1, 1j * t0, 1j, mi)
         low, low_err = _ray(*terms, w0, -1j / (c * t0), -1j * c, series.weight - 2 - mi)
-        low, low_err = low * c ** (-mi) / chi_val, (low_err + 2.0**-50 * abs(low)) * c ** (-mi)
+        low, low_err = low * c ** (-mi) / chi_val, (low_err + 2.0**-50 * abs(low)) * abs(c) ** (-mi)
         out.append((up - low, up_err + low_err + 2.0**-52 * (abs(up) + abs(low))))
     return out
 

@@ -391,6 +391,30 @@ def test_batched_layers_equal_an_elementwise_sum(case):
                             assert abs(got - ref) <= error
 
 
+@pytest.mark.parametrize("case", ["den = c, 60 keys", "eta2, den = 144 c", "one element"])
+def test_exact_kernel_equals_a_per_element_sum(case):
+    # the fixed-point kernel forms one product per distinct residue and
+    # gathers it per row; every row must equal, bit for bit, the plain sum
+    # over its elements, each residue counted as often as elements hit it
+    trivial = case.startswith("den = c")
+    if case == "one element":
+        den, nums = 144 * 5, np.array([[7], [-3], [7 + 144 * 5]], dtype=np.int64)
+    else:
+        (data, keys), = (_trivial_keys if trivial else _eta2_keys)()[0][:1]
+        c = 60 if trivial else 37
+        keys = [k for k in keys if k[0].denominator * k[1].denominator in (1, 144)]
+        rows = [_element_phases(data, c, key) for key in keys]
+        den = rows[0][1]
+        assert den == (c if trivial else 144 * c)
+        nums = np.array([[int(p * den) for _w, p in phases] for phases, _den in rows],
+                        dtype=np.int64)
+    if trivial:  # rows that hit one residue more than once
+        assert len(nums) == 60 and any(len(set(r)) < len(r) for r in (nums % den).tolist())
+    assert _exponent_sums(nums, den, 113, {}) == [
+        _elementwise_exact_layer([(1, Fraction(v, den)) for v in row], den, 113)
+        for row in nums.tolist()]
+
+
 def test_float64_row_within_the_layer_bound():
     # one element whose angle k (2 pi/den) rounds three times, k = 10624 at
     # den = 144 * 79 (an eta^2 denominator at c = 79), off by 1.45 2^-50 by

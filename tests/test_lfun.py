@@ -132,6 +132,18 @@ def test_lvalue_integral_err_covers_rounding_and_tails(delta_like):
     assert lvalue_integral(wide, TWIST_S, 3).err == float("inf")
 
 
+def test_lvalue_integral_err_is_nonnegative_for_a_negative_c_twist(delta_like):
+    # TwistSpec(gamma) keeps c < 0 (only from_element flips the sign): the
+    # value is the c > 0 twist's, and the lower leg's factor c^-m enters the
+    # bound as |c|^-m, so err stays >= 0 at odd m = s - 1
+    minus = TwistSpec(GroupElement(-1, -1, -2, -3))
+    plus = TwistSpec.from_element(GroupElement(-1, -1, -2, -3))
+    assert minus.gamma.c < 0 < plus.gamma.c
+    for s in (5, 6, 7):
+        neg, pos = lvalue_integral(delta_like, minus, s), lvalue_integral(delta_like, plus, s)
+        assert neg.err >= 0 and neg.value == pos.value
+
+
 def test_lvalue_integral_rejects_weakly_holomorphic():
     wh = poincare_series(DATA12, 12, 1, 1, range(1, 5), TR)
     with pytest.raises(ValueError):

@@ -84,3 +84,20 @@ def test_exp2pi_quarter_turns_are_exact(bits):
         for k in range(-8, 9):
             z = exp2pi(Fraction(k, 4))
             assert (z.real, z.imag) == ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]
+
+
+@pytest.mark.parametrize("bits", [53, 113, 200])
+def test_exp2pi_equals_separate_cos_and_sin(bits):
+    # exp2pi takes cos and sin of 2 pi x from one mpmath.cos_sin call: bit for
+    # bit mpc(cos(arg), sin(arg)) of the same angle, for eta^2 denominators
+    # 144 c up to c = 80 and small ones
+    dens = list(range(2, 40)) + [144 * c for c in (1, 7, 37, 79, 80)] + [144 * 80 - 1]
+    with mpmath.workprec(bits):
+        for den in dens:
+            for k in sorted({1, den - 1, *range(1, den, max(1, den // 25)), den // 3 + 1}):
+                x = Fraction(k, den)
+                if (4 * x).denominator == 1:
+                    continue
+                arg = 2 * mpmath.mp.pi * mpmath.mpf(x.numerator) / x.denominator
+                z = exp2pi(x)
+                assert (z.real, z.imag) == (mpmath.cos(arg), mpmath.sin(arg))
