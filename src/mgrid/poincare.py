@@ -13,18 +13,17 @@ a sum over the double-coset boxes C+(c):
   x = 0:  (-2 pi i)^w / (Gamma(w) lambda^w)    sum_c c^{-w} K_c y^{w-1}
   x < 0:  (2 pi/lambda) i^{-w} (y/-x)^{(w-1)/2} sum_c c^{-1} K_c I_{w-1}(4 pi sqrt(-xy)/(c lambda))
 
-(w = weight; lambda, the cusp width at i-infinity, is 1 on Gamma_0(N)).
-One engine computes every c-sum: it walks c once in ascending order,
-builds the box C+(c) once (groups.cplus_arrays; never cached), asks each
-effective character for the exact phases of the whole box
-(Multiplier.box_phases, integer numerators over one denominator), and
-evaluates the layers of every requested (x, y, j, alpha) from that box in
-one array pass per group of keys that share alpha and a phase denominator:
-a (keys x box) numerator array, then one cos/sin per element in float64,
-or above 53 bits one exact product of table roots of unity per distinct
-residue, gathered and summed per row.  A Walk fills the c-sums of
-series, constant terms and coefficients on equal data, a datum and its
-conjugate in one such walk (gridforms.build_grid uses one per grid);
+(w = weight; lambda, the cusp width at i-infinity, is 1 on Gamma_0(N)).  One
+engine computes every c-sum: it walks c once in ascending order, builds the
+box C+(c) once (groups.cplus_arrays; never cached), asks each effective
+character for the exact phases of the whole box (Multiplier.box_phases,
+integer numerators over one denominator), and evaluates the layers of every
+requested (x, y, j, alpha) from that box in one array pass per group of keys
+that share alpha and a phase denominator: a (keys x box) numerator array,
+one root of unity per distinct residue (a float64 cos/sin, or above 53 bits
+an exact product of table roots), gathered and summed per row.  A Walk fills
+the c-sums of series, constant terms and coefficients on equal data, a datum
+and its conjugate in one such walk (gridforms.build_grid uses one per grid);
 poincare_series, poincare_coefficient and constant_term_cf are a Walk with
 one request, kloosterman_layer the engine at one c and one index.
 
@@ -72,41 +71,46 @@ def _exponent_sums(nums: np.ndarray, den: int, bits: int, tables: dict, weights=
     row's sum of e^{2 pi i num/den} (times `weights`, complex, of the same
     shape) as the Gaussian integer (re + i im) 2^-e.
 
-    bits <= 53 evaluates the unit phases in float64.  The angle, three
-    roundings of a value below 2 pi, is within 6 pi 2^-53; with numpy's sin
-    and cos taken within 2 ulps and a matrix-rho weight (|w| <= 1) adding a
-    complex product, an element is within 25.3 2^-53.  A row sum in any
-    order errs by 2^-53 times the sum of its partial sums (each below its
-    count), so a row of n is within n (n + 28) 2^-53 (_layer_error); its
-    float sum converts exactly (_gaussian).  Larger bits (no weights) sum
-    exactly in fixed point over the root table of den (_root_table; `tables`
-    maps den to it for one box): one product giant[q] baby[s] per distinct
-    residue r = q B + s, a row the exact sum of its elements' products at
-    e = 2 P, deterministic and within row length * (2 isqrt(den) + 3) 2^-P.
+    Each element writes its index into an uninitialised intp array of den
+    entries (den * 8 bytes of address space, touched only where written);
+    those that read it back hold the distinct residues r of nums % den, then
+    each reads back its residue's number.  One root e(r/den) is formed per
+    distinct residue, and a row sums its elements' roots.  bits <= 53: cos and
+    sin, or exp(i angle) times the weights, of the angle r (2 pi/den), within
+    6 pi 2^-53; with numpy's sin and cos within 2 ulps and |w| <= 1, an
+    element is within 25.3 2^-53, and a row of n (2^-53 per partial sum, each
+    below n) within n (n + 28) 2^-53 (_layer_error), converted exactly
+    (_gaussian).  Larger bits (no weights): the exact product giant[q]
+    baby[s], r = q B + s, over the root table of den (_root_table; `tables`
+    maps den to it for one box); a row is exact at e = 2 P and within
+    row length * (2 isqrt(den) + 3) 2^-P.
     """
+    residues = nums % den
+    flat, order = residues.ravel(), np.arange(residues.size)
+    index = np.empty(den, dtype=np.intp)  # read only where written
+    index[flat] = order
+    distinct = flat[index[flat] == order]
+    index[distinct] = order[:distinct.size]
+    at = index[residues]  # each element's distinct residue
     if bits <= 53:
-        angles = (nums % den).astype(np.float64) * (TWO_PI / den)
-        if weights is not None:
-            return [_gaussian(z) for z in (weights * np.exp(1j * angles)).sum(axis=1).tolist()]
-        return [_gaussian(complex(re, im)) for re, im in zip(np.cos(angles).sum(axis=1).tolist(),
-                                                             np.sin(angles).sum(axis=1).tolist())]
+        angles = distinct * (TWO_PI / den)
+        if weights is None:
+            re, im = np.cos(angles)[at].sum(axis=1), np.sin(angles)[at].sum(axis=1)
+        else:
+            z = (weights * np.exp(1j * angles)[at]).sum(axis=1)
+            re, im = z.real, z.imag
+        return [_gaussian(r, i) for r, i in zip(re.tolist(), im.tolist())]
     if den not in tables:
         tables[den] = _root_table(den, bits)
     prec, step, baby, giant = tables[den]
-    residues = nums % den
-    index = np.zeros(den, dtype=np.intp)  # marks, then numbers, the distinct residues
-    index[residues] = 1
-    distinct = np.flatnonzero(index)
     (gr, gi), (br, bi) = giant[:, distinct // step], baby[:, distinct % step]
-    index[distinct] = np.arange(len(distinct))
-    at = index[residues]  # each element's distinct residue
-    sums = (gr * br - gi * bi)[at].sum(axis=1), (gr * bi + gi * br)[at].sum(axis=1)
-    return [(r, i, 2 * prec) for r, i in zip(*sums)]
+    re, im = (gr * br - gi * bi)[at].sum(axis=1), (gr * bi + gi * br)[at].sum(axis=1)
+    return [(r, i, 2 * prec) for r, i in zip(re, im)]
 
 
-def _gaussian(z: complex):
-    """(re, im, e) with z = (re + i im) 2^-e exactly (float.as_integer_ratio)."""
-    (a, p), (b, q) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+def _gaussian(re: float, im: float):
+    """(a, b, e) with re + i im = (a + i b) 2^-e exactly (float.as_integer_ratio)."""
+    (a, p), (b, q) = re.as_integer_ratio(), im.as_integer_ratio()
     den = max(p, q)  # p and q are powers of two
     return a * (den // p), b * (den // q), den.bit_length() - 1
 
@@ -142,11 +146,10 @@ def _fixed_powers(x: Fraction, count: int, prec: int) -> np.ndarray:
     return np.array(out, dtype=object).T
 
 
-# Element budget above which high-precision layers fall back to float64: an
-# exact layer costs one gathered big-integer addition per box element and key
-# (object arrays, one pass per group of keys), a complex product per distinct
-# residue and a root table of about 2 sqrt(den) fixed-point steps per den and
-# box, against one numpy cos/sin per element and key in float64.
+# Element budget above which high-precision layers fall back to float64.  Both
+# form one root per distinct residue and gather it per element and key: an
+# exact root is a big-integer product over a table of about 2 sqrt(den)
+# fixed-point steps per den and box, a float64 root one cos/sin.
 MP_LAYER_ELEMENT_BUDGET = 40_000
 
 
@@ -160,10 +163,9 @@ def layer_bits_for(ctx, c_max: int, level: int = 1) -> int:
     asks for more than double precision and the total box size
     sum_{c <= c_max} phi(c) ~ 0.31 c_max^2 / level stays within budget, the
     layers run at full context precision; otherwise they stay in float64.
-    Either way a group of keys costs one array pass over (keys x box): a
-    numpy cos/sin per element in float64; in fixed point an exact product
-    per distinct residue and a gathered integer addition per element.
-    Deterministic for fixed (ctx, c_max, level).
+    Either way a group of keys is one pass over (keys x box): one root per
+    distinct residue (a cos/sin, or an exact product) and one gathered
+    addition per element.  Deterministic for fixed (ctx, c_max, level).
     """
     if ctx.mantissa_bits <= 64:
         return 53
@@ -191,16 +193,16 @@ def _layers(data: AutomorphyData, c: int, box, groups, bits: int, tables: dict) 
     character is chi * mu_alpha, the keys hold no structural zero (j !=
     alpha, see _structural_zero; their callers decide those once), and the
     root tables in `tables` serve every datum at this c.  Matrix rho: the
-    character is chi, and the float64 pass weighs each element by
-    rho(g^-1)_{j,alpha}, with rho(g^-1) evaluated once per box element.
+    character is chi, and the pass runs in float64 whatever `bits`, each
+    root weighed by rho(g^-1)_{j,alpha}, evaluated once per box element.
     """
     a, d = box
     diagonal = isinstance(data.rho, DiagonalRepresentation)
-    if not diagonal:
+    if not diagonal:  # rho(g^-1) per box element, as (j, alpha, element)
         rho_inv = np.array([data.rho.matrix(g.inverse()) for g in cplus_elements(a, d, c)],
-                           dtype=complex).reshape(-1, data.dim, data.dim)
-    phases = {}
-    out = []
+                           dtype=complex).reshape(-1, data.dim, data.dim).transpose(1, 2, 0)
+        bits = 53
+    phases, out = {}, []
     for keys in groups:
         alpha = keys[0][3]
         if alpha not in phases:
@@ -213,11 +215,8 @@ def _layers(data: AutomorphyData, c: int, box, groups, bits: int, tables: dict) 
         ca, cd = np.array([(x.numerator * y.denominator, y.numerator * x.denominator)
                            for x, y, _j, _alpha in keys], dtype=np.int64).T * (den // d0)
         nums = ca[:, None] * a + cd[:, None] * d - chi_num * (den // chi_den)
-        if diagonal:
-            out.append((_exponent_sums(nums, den, bits, tables), _layer_error(c, den, bits)))
-            continue
-        weights = rho_inv.transpose(1, 2, 0)[[j - 1 for _x, _y, j, _a in keys], alpha - 1]
-        out.append((_exponent_sums(nums, den, 53, tables, weights), _layer_error(c, c, 53)))
+        weights = None if diagonal else rho_inv[[j - 1 for _x, _y, j, _a in keys], alpha - 1]
+        out.append((_exponent_sums(nums, den, bits, tables, weights), _layer_error(c, den, bits)))
     return out
 
 
@@ -227,14 +226,15 @@ def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
 
     For the trivial character and p = 1 this is the classical Kloosterman
     sum S(x, y; c).  Exact zero when rho is diagonal and j != alpha.
-    bits is the phase precision a walk takes from layer_bits_for: a complex
-    at 53 bits, else an mpc rounded to the fixed-point layer's P bits.
+    bits is the phase precision a walk takes from layer_bits_for; the layer
+    comes at the precision it ran at: a complex at 53 bits or on a matrix
+    rho (_layers runs it in float64), else an mpc at the fixed point's P bits.
     """
     if _structural_zero(data, j, alpha):
         return 0j
     re, im, e = _layers(data, c, cplus_arrays(data.group, c),
                         [[(Fraction(x), Fraction(y), j, alpha)]], bits, {})[0][0][0]
-    if bits <= 53:
+    if bits <= 53 or not isinstance(data.rho, DiagonalRepresentation):
         return complex(re / (1 << e), im / (1 << e))
     with mpmath.workprec(e // 2):
         return mpmath.mpc(mpmath.ldexp(re, -e), mpmath.ldexp(im, -e))
@@ -282,8 +282,8 @@ def _run(requests: list, trunc: TruncationParams):
     error beyond the floor (0 for c^-w).  K_c = (re + i im) 2^-f is
       - the Ramanujan sum c_c(m) (f = 0) when the c-sum has m set: S is one
         integer dot product over the table, with no box;
-      - an exact fixed-point box layer (_exponent_sums);
-      - a float64 box or matrix-rho layer, converted exactly (_gaussian).
+      - a box layer (_exponent_sums): exact in fixed point, or in float64
+        (always on a matrix rho) converted exactly (_gaussian).
     Each product u_c K_c is an integer multiply and a shift by f, rounded to
     nearest (under one unit of 2^-e in modulus, exact at f = 0).
 

@@ -3,13 +3,15 @@ against the per-element phase, user multipliers that define only phase(),
 one-pass series against single coefficients, the one noise rule of the
 c-sum accumulator over float64 and fixed-point layers, the constant term's
 layer precision, the exact fixed-point layers against 256-bit sums and
-Ramanujan sums, the batched layers of every key group against per-element
-sums, one array pass per datum and c, the Bessel weights as the kernel's
-integers and against 400-bit J and I, the Ramanujan and box layer sources
-against each other, the Ramanujan c-sums' sigma(m) tails, passes that build
-no box, one matrix evaluation per box element, the leading delta term at
-context precision, the Bessel weights' error in the tails, structural zeros
-with no tail, and the weight prefactors' share of the rounding."""
+Ramanujan sums, the distinct-residue kernel against per-element fixed-point
+and float64 sums, a matrix-rho layer at 113 bits, the batched layers of
+every key group against per-element sums, one array pass per datum and c,
+the Bessel weights as the kernel's integers and against 400-bit J and I,
+the Ramanujan and box layer sources against each other, the Ramanujan
+c-sums' sigma(m) tails, passes that build no box, one matrix evaluation per
+box element, the leading delta term at context precision, the Bessel
+weights' error in the tails, structural zeros with no tail, and the weight
+prefactors' share of the rounding."""
 
 import math
 from dataclasses import dataclass
@@ -167,6 +169,24 @@ def test_matrix_representation_layers_match_diagonal():
                     got = complex(kloosterman_layer(mdata, c, x, y, j, alpha))
                     ref = complex(kloosterman_layer(data, c, x, y, j, alpha))
                     assert abs(got - ref) < 1e-9
+
+
+def test_matrix_rho_layer_keeps_its_float64_value_at_113_bits():
+    # a matrix rho always runs in float64 (_layers), so kloosterman_layer at
+    # bits = 113 must give that float64 value, not one rounded at half its
+    # scale, and lie within the float64 bound of the diagonal exact layer
+    data = _two_component()
+    rho = data.rho
+    mdata = AutomorphyData(weight=12, chi=TrivialMultiplier(), group=sl2z(),
+                           rho=MatrixRepresentation(2, rho.matrix, [rho.phase_T(1), rho.phase_T(2)]))
+    x, y = Fraction(-1), Fraction(2)
+    for c in (7, 13, 37):
+        got = kloosterman_layer(mdata, c, x, y, 1, 1, bits=113)
+        assert got == kloosterman_layer(mdata, c, x, y, 1, 1, bits=53)
+        _phases, den = _element_phases(mdata, c, (x, y, 1, 1))
+        exact = kloosterman_layer(data, c, x, y, 1, 1, bits=113)
+        with mpmath.workprec(256):
+            assert abs(mpmath.mpc(got) - exact) <= _layer_error(c, den, 53)
 
 
 @pytest.mark.parametrize("layer_bits", [None, 53])
@@ -391,28 +411,61 @@ def test_batched_layers_equal_an_elementwise_sum(case):
                             assert abs(got - ref) <= error
 
 
-@pytest.mark.parametrize("case", ["den = c, 60 keys", "eta2, den = 144 c", "one element"])
+def _per_element_float64_rows(nums, den, weights=None):
+    """Row sums of one float64 cos and sin per element (of one exp(i angle)
+    times the weight, with weights) at the angle (num mod den) (2 pi/den),
+    as exact (re, im) Fractions."""
+    angles = (nums % den).astype(np.float64) * (2 * math.pi / den)
+    if weights is None:
+        parts = np.cos(angles).sum(axis=1), np.sin(angles).sum(axis=1)
+    else:
+        z = (weights * np.exp(1j * angles)).sum(axis=1)
+        parts = z.real, z.imag
+    return [(Fraction(re), Fraction(im)) for re, im in zip(*(p.tolist() for p in parts))]
+
+
+# (keys of one datum, the slice of them taken, c) per case; the array is
+# the first key group of the slice: a row per key, over one den
+KERNEL_CASES = {"den = c, 60 keys": (_trivial_keys, slice(None), 60),
+                "eta2, den = 144 c": (_eta2_keys, slice(None), 37), "one element": None,
+                "eta2 sparse row, c = 1999": (_eta2_keys, slice(1), 1999),
+                "matrix weights": (_matrix_keys, slice(-3, None), 13)}  # j = alpha = 2
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
 def test_exact_kernel_equals_a_per_element_sum(case):
-    # the fixed-point kernel forms one product per distinct residue and
-    # gathers it per row; every row must equal, bit for bit, the plain sum
-    # over its elements, each residue counted as often as elements hit it
-    trivial = case.startswith("den = c")
+    # the kernel forms one root per distinct residue and gathers it per row;
+    # every row must equal, bit for bit, the plain sum over its elements,
+    # each residue counted as often as elements hit it: in fixed point the
+    # sum of table products, in float64 the sum of per-element cos and sin
+    # (or of weighted exp, on a matrix rho, which has no fixed point)
+    weights = None
     if case == "one element":
         den, nums = 144 * 5, np.array([[7], [-3], [7 + 144 * 5]], dtype=np.int64)
     else:
-        (data, keys), = (_trivial_keys if trivial else _eta2_keys)()[0][:1]
-        c = 60 if trivial else 37
-        keys = [k for k in keys if k[0].denominator * k[1].denominator in (1, 144)]
-        rows = [_element_phases(data, c, key) for key in keys]
+        make, taken, c = KERNEL_CASES[case]
+        (data, keys), = make()[0][:1]
+        rows = [_element_phases(data, c, key) for key in _key_groups(keys[taken])[0]]
         den = rows[0][1]
-        assert den == (c if trivial else 144 * c)
+        assert {d for _phases, d in rows} == {den}
+        if make is not _matrix_keys:
+            assert den == (c if make is _trivial_keys else 144 * c)
         nums = np.array([[int(p * den) for _w, p in phases] for phases, _den in rows],
                         dtype=np.int64)
-    if trivial:  # rows that hit one residue more than once
+        if case == "matrix weights":
+            weights = np.array([[w for w, _p in phases] for phases, _den in rows], dtype=complex)
+            assert len(nums) == 3 and not np.all(weights == weights[:, :1])
+    if case.startswith("den = c"):  # rows that hit one residue more than once
         assert len(nums) == 60 and any(len(set(r)) < len(r) for r in (nums % den).tolist())
-    assert _exponent_sums(nums, den, 113, {}) == [
-        _elementwise_exact_layer([(1, Fraction(v, den)) for v in row], den, 113)
-        for row in nums.tolist()]
+    if "sparse" in case:  # one row, far fewer elements than den, residues repeated
+        assert nums.shape == (1, 1998) and len(set((nums % den).tolist()[0])) < 1998
+    if weights is None:
+        assert _exponent_sums(nums, den, 113, {}) == [
+            _elementwise_exact_layer([(1, Fraction(v, den)) for v in row], den, 113)
+            for row in nums.tolist()]
+    assert [(Fraction(re, 1 << e), Fraction(im, 1 << e))
+            for re, im, e in _exponent_sums(nums, den, 53, {}, weights)] \
+        == _per_element_float64_rows(nums, den, weights)
 
 
 def test_float64_row_within_the_layer_bound():
