@@ -19,11 +19,11 @@ box C+(c) once (groups.cplus_arrays; never cached), asks each effective
 character for the exact phases of the whole box (Multiplier.box_phases,
 integer numerators over one denominator), and evaluates the layers of every
 requested (x, y, j, alpha) from that box in one array pass per group of keys
-that share alpha and a phase denominator: a (keys x box) numerator array,
-one root of unity per distinct residue (a float64 cos/sin, or above 53 bits
-an exact product of table roots), gathered and summed per row.  A Walk fills
+sharing alpha and a phase denominator: a (keys x box) numerator array, one
+root of unity per distinct residue (a float64 cos/sin, or above 53 bits an
+exact product of table roots), gathered and summed per row.  A Walk fills
 the c-sums of series, constant terms and coefficients on equal data, a datum
-and its conjugate in one such walk (gridforms.build_grid uses one per grid);
+and its conjugate in one walk (gridforms.build_grid uses one per grid);
 poincare_series, poincare_coefficient and constant_term_cf are a Walk with
 one request, kloosterman_layer the engine at one c and one index.
 
@@ -66,32 +66,36 @@ __all__ = [
 TWO_PI = 2 * math.pi
 
 
+def _distinct_residues(nums: np.ndarray, den: int):
+    """(distinct, at): the distinct residues r of nums mod den and each
+    element's index of its r in distinct; for n elements and den <= 64 n in
+    O(n) through an uninitialised table of den intp (den * 8 bytes, 8 or more
+    elements per 4 KB page, so nearly all resident), beyond by a sort."""
+    flat = (nums % den).ravel()
+    if den > 64 * flat.size:
+        distinct, at = np.unique(flat, return_inverse=True)
+        return distinct, at.reshape(nums.shape)
+    index, at = np.empty(den, dtype=np.intp), np.arange(flat.size)  # index read only where written
+    index[flat] = at  # one element's index stays per residue
+    distinct = flat[index[flat] == at]
+    index[distinct] = at[:distinct.size]  # each residue's number
+    return distinct, index[flat].reshape(nums.shape)
+
+
 def _exponent_sums(nums: np.ndarray, den: int, bits: int, tables: dict, weights=None) -> list:
     """[(re, im, e)] per row of a 2-D int64 numerator array, in one pass: the
     row's sum of e^{2 pi i num/den} (times `weights`, complex, of the same
-    shape) as the Gaussian integer (re + i im) 2^-e.
-
-    Each element writes its index into an uninitialised intp array of den
-    entries (den * 8 bytes of address space, touched only where written);
-    those that read it back hold the distinct residues r of nums % den, then
-    each reads back its residue's number.  One root e(r/den) is formed per
-    distinct residue, and a row sums its elements' roots.  bits <= 53: cos and
-    sin, or exp(i angle) times the weights, of the angle r (2 pi/den), within
-    6 pi 2^-53; with numpy's sin and cos within 2 ulps and |w| <= 1, an
-    element is within 25.3 2^-53, and a row of n (2^-53 per partial sum, each
+    shape) as the Gaussian integer (re + i im) 2^-e, each element's root
+    e(r/den) formed once per distinct residue r (_distinct_residues).  Up to
+    53 bits: cos and sin (exp(i angle) times the weights) of r (2 pi/den),
+    within 6 pi 2^-53; with numpy's sin and cos within 2 ulps and |w| <= 1, an
+    element is within 25.3 2^-53 and a row of n (2^-53 per partial sum, each
     below n) within n (n + 28) 2^-53 (_layer_error), converted exactly
     (_gaussian).  Larger bits (no weights): the exact product giant[q]
     baby[s], r = q B + s, over the root table of den (_root_table; `tables`
-    maps den to it for one box); a row is exact at e = 2 P and within
-    row length * (2 isqrt(den) + 3) 2^-P.
-    """
-    residues = nums % den
-    flat, order = residues.ravel(), np.arange(residues.size)
-    index = np.empty(den, dtype=np.intp)  # read only where written
-    index[flat] = order
-    distinct = flat[index[flat] == order]
-    index[distinct] = order[:distinct.size]
-    at = index[residues]  # each element's distinct residue
+    maps den to it per box); a row is exact at e = 2 P and within
+    row length * (2 isqrt(den) + 3) 2^-P."""
+    distinct, at = _distinct_residues(nums, den)
     if bits <= 53:
         angles = distinct * (TWO_PI / den)
         if weights is None:
@@ -110,9 +114,8 @@ def _exponent_sums(nums: np.ndarray, den: int, bits: int, tables: dict, weights=
 
 def _gaussian(re: float, im: float):
     """(a, b, e) with re + i im = (a + i b) 2^-e exactly (float.as_integer_ratio)."""
-    (a, p), (b, q) = re.as_integer_ratio(), im.as_integer_ratio()
-    den = max(p, q)  # p and q are powers of two
-    return a * (den // p), b * (den // q), den.bit_length() - 1
+    (a, p), (b, q) = re.as_integer_ratio(), im.as_integer_ratio()  # p, q powers of two
+    return a * max(q // p, 1), b * max(p // q, 1), max(p, q).bit_length() - 1
 
 
 def _root_table(den: int, bits: int):
@@ -138,18 +141,16 @@ def _fixed_powers(x: Fraction, count: int, prec: int) -> np.ndarray:
     with mpmath.workprec(shift + 16):
         seed = exp2pi(x)
         wr, wi = (int(mpmath.nint(mpmath.ldexp(v, shift))) for v in (seed.real, seed.imag))
-    half = 1 << (shift - 1)
-    out = [(1 << prec, 0)]
+    half, out = 1 << (shift - 1), [(1 << prec, 0)]
     for _k in range(1, count):
         re, im = out[-1]
         out.append(((re * wr - im * wi + half) >> shift, (re * wi + im * wr + half) >> shift))
     return np.array(out, dtype=object).T
 
 
-# Element budget above which high-precision layers fall back to float64.  Both
-# form one root per distinct residue and gather it per element and key: an
-# exact root is a big-integer product over a table of about 2 sqrt(den)
-# fixed-point steps per den and box, a float64 root one cos/sin.
+# Element budget above which high-precision layers fall back to float64: an
+# exact root per distinct residue is a big-integer product over a table of
+# about 2 sqrt(den) fixed-point steps per den and box, a float64 one a cos/sin.
 MP_LAYER_ELEMENT_BUDGET = 40_000
 
 
@@ -163,9 +164,8 @@ def layer_bits_for(ctx, c_max: int, level: int = 1) -> int:
     asks for more than double precision and the total box size
     sum_{c <= c_max} phi(c) ~ 0.31 c_max^2 / level stays within budget, the
     layers run at full context precision; otherwise they stay in float64.
-    Either way a group of keys is one pass over (keys x box): one root per
-    distinct residue (a cos/sin, or an exact product) and one gathered
-    addition per element.  Deterministic for fixed (ctx, c_max, level).
+    Either way a group of keys is one pass over (keys x box), one root per
+    distinct residue.  Deterministic for fixed (ctx, c_max, level).
     """
     if ctx.mantissa_bits <= 64:
         return 53

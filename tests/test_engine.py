@@ -468,6 +468,21 @@ def test_exact_kernel_equals_a_per_element_sum(case):
         == _per_element_float64_rows(nums, den, weights)
 
 
+def test_float64_layer_with_a_large_denominator():
+    # x and y over denominators near 10^6 give den = qx qy c near 10^12 c,
+    # far beyond the c - 1 box elements: the layer is still the per-element
+    # float64 sum, bit for bit
+    data = AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=trivial_representation(),
+                          group=sl2z())
+    x, y = Fraction(-1, 10**6), Fraction(2, 10**6 + 3)
+    for c in (7, 1999):
+        phases, den = _element_phases(data, c, (x, y, 1, 1))
+        assert den == 10**6 * (10**6 + 3) * c
+        (re, im), = _per_element_float64_rows(
+            np.array([[int(p * den) for _w, p in phases]], dtype=np.int64), den)
+        assert kloosterman_layer(data, c, x, y, 1, 1, bits=53) == complex(re, im)
+
+
 def test_float64_row_within_the_layer_bound():
     # one element whose angle k (2 pi/den) rounds three times, k = 10624 at
     # den = 144 * 79 (an eta^2 denominator at c = 79), off by 1.45 2^-50 by
