@@ -67,10 +67,9 @@ TWO_PI = 2 * math.pi
 
 
 def _distinct_residues(nums: np.ndarray, den: int):
-    """(distinct, at): the distinct residues r of nums mod den and each
-    element's index of its r in distinct; for n elements and den <= 64 n in
-    O(n) through an uninitialised table of den intp (den * 8 bytes, 8 or more
-    elements per 4 KB page, so nearly all resident), beyond by a sort."""
+    """(distinct, at): the distinct residues r of nums mod den, and for each
+    of its n elements the index of its r in distinct: through a den-entry
+    intp table (den * 8 bytes, nearly all touched) while den <= 64 n, else a sort."""
     flat = (nums % den).ravel()
     if den > 64 * flat.size:
         distinct, at = np.unique(flat, return_inverse=True)
@@ -141,7 +140,8 @@ def _fixed_powers(x: Fraction, count: int, prec: int) -> np.ndarray:
     with mpmath.workprec(shift + 16):
         seed = exp2pi(x)
         wr, wi = (int(mpmath.nint(mpmath.ldexp(v, shift))) for v in (seed.real, seed.imag))
-    half, out = 1 << (shift - 1), [(1 << prec, 0)]
+    half = 1 << (shift - 1)
+    out = [(1 << prec, 0)]
     for _k in range(1, count):
         re, im = out[-1]
         out.append(((re * wr - im * wi + half) >> shift, (re * wi + im * wr + half) >> shift))
