@@ -15,7 +15,6 @@ from .automorphy import (
     DiagonalRepresentation,
     DirichletMultiplier,
     EtaPowerMultiplier,
-    MatrixRepresentation,
     TrivialMultiplier,
     chi_eval,
     conjugate,

@@ -1,4 +1,4 @@
-"""Multiplier systems, unitary representations and cusp parameters.
+"""Multiplier systems, diagonal unitary representations and cusp parameters.
 
 A multiplier here is a unitary character chi of the group satisfying the
 non-triviality condition chi(-I) = e^{pi i k} at the weight k in use.  All
@@ -37,7 +37,6 @@ __all__ = [
     "DirichletMultiplier",
     "CompositeMultiplier",
     "DiagonalRepresentation",
-    "MatrixRepresentation",
     "AutomorphyData",
     "chi_eval",
     "kappa_vector",
@@ -276,13 +275,13 @@ class DiagonalRepresentation:
         return len(self.components)
 
     def component(self, j: int) -> Multiplier:
+        """mu_j; every 1-indexed read of rho or of its data comes through here."""
+        if not 1 <= j <= self.dim:
+            raise ValueError(f"component {j} outside 1..{self.dim}")
         return self.components[j - 1]
 
     def phase_T(self, j: int) -> Fraction:
-        return self.components[j - 1].phase(T)
-
-    def matrix(self, gamma: GroupElement) -> np.ndarray:
-        return np.diag([complex(mu.value(gamma)) for mu in self.components])
+        return self.component(j).phase(T)
 
     def conjugate(self):
         return DiagonalRepresentation(tuple(mu.conjugate() for mu in self.components))
@@ -291,76 +290,23 @@ class DiagonalRepresentation:
         return "diag(" + ",".join(mu.label() for mu in self.components) + ")"
 
 
-class MatrixRepresentation:
-    """Caller-supplied evaluator gamma -> unitary p x p matrix.
-
-    rho(T) must be diagonal and the exact cusp parameters kappa_j must be
-    supplied by the caller.  Invariants (unitarity, rho(-I) = I, diagonal
-    rho(T)) are spot-checked on a sample, not proved.
-    """
-
-    def __init__(self, dim, evaluator, kappa_t_phases, _conj=False):
-        self.dim = dim
-        self._eval = evaluator
-        self._conj = _conj
-        self.kappa_t_phases = tuple(Fraction(k) for k in kappa_t_phases)
-        if len(self.kappa_t_phases) != dim:
-            raise ValueError("need one rho(T) phase per component")
-        self._validate()
-
-    def _validate(self):
-        # Sampled checks only, on elements every Gamma_0(N) contains.
-        rng = np.random.default_rng(7)
-        minus_i = GroupElement(-1, 0, 0, -1)
-        if not np.allclose(self.matrix(minus_i), np.eye(self.dim), atol=1e-9):
-            raise ValueError("rho(-I) != I")
-        mt = self.matrix(T)
-        if not np.allclose(mt, np.diag(np.diag(mt)), atol=1e-9):
-            raise ValueError("rho(T) is not diagonal")
-        for g in (T, T * T, -T):
-            m = self.matrix(g)
-            if not np.allclose(m @ m.conj().T, np.eye(self.dim), atol=1e-8):
-                raise ValueError(f"rho({g.as_tuple()}) is not unitary")
-            v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-            if not np.isclose(np.linalg.norm(m @ v), np.linalg.norm(v)):
-                raise ValueError("rho does not preserve norms")
-
-    def matrix(self, gamma: GroupElement) -> np.ndarray:
-        m = np.asarray(self._eval(gamma), dtype=complex)
-        return m.conj() if self._conj else m
-
-    def component(self, j: int):
-        raise ValueError("matrix representations have no scalar components")
-
-    def phase_T(self, j: int) -> Fraction:
-        return self.kappa_t_phases[j - 1]
-
-    def conjugate(self):
-        return MatrixRepresentation(
-            self.dim, self._eval, [frac(-k) for k in self.kappa_t_phases],
-            _conj=not self._conj,
-        )
-
-    def label(self):
-        return f"matrix(dim={self.dim})"
-
-
 def trivial_representation(p: int = 1) -> DiagonalRepresentation:
     return DiagonalRepresentation((TrivialMultiplier(),) * p)
 
 
-def kappa_vector(chi: Multiplier, rho) -> tuple:
+def kappa_vector(chi: Multiplier, rho: DiagonalRepresentation) -> tuple:
     """Exact cusp parameters kappa_j in [0,1) from the diagonal of chi(T) rho(T)."""
     return tuple(frac(chi.phase(T) + rho.phase_T(j)) for j in range(1, rho.dim + 1))
 
 
 @dataclass(frozen=True)
 class AutomorphyData:
-    """Weight, character, representation and group, with derived kappa vector."""
+    """Weight, character, representation and group, with derived kappa vector.
+    rho must be diagonal: the engine reads it only through its components."""
 
     weight: int
     chi: Multiplier
-    rho: object
+    rho: DiagonalRepresentation
     group: GroupSpec
     kappa: tuple = field(init=False)
 
@@ -370,9 +316,10 @@ class AutomorphyData:
                 f"character {self.chi.label()} violates chi(-I) = e^(pi i k) "
                 f"at weight {self.weight}"
             )
-        if isinstance(self.rho, DiagonalRepresentation):
-            if not self.rho.minus_i_is_identity():
-                raise ValueError("rho(-I) must be the identity matrix")
+        if not isinstance(self.rho, DiagonalRepresentation):
+            raise ValueError("only a diagonal rho (DiagonalRepresentation) is supported")
+        if not self.rho.minus_i_is_identity():
+            raise ValueError("rho(-I) must be the identity matrix")
         object.__setattr__(self, "kappa", kappa_vector(self.chi, self.rho))
 
     def __hash__(self):
@@ -385,10 +332,11 @@ class AutomorphyData:
         return self.rho.dim
 
     def kappa_of(self, j: int) -> Fraction:
+        self.rho.component(j)  # ValueError outside 1..dim
         return self.kappa[j - 1]
 
     def scalar_character(self, j: int = 1) -> Multiplier:
-        """Effective character chi * mu_j of the j-th component (diagonal rho)."""
+        """Effective character chi * mu_j of the j-th component."""
         mu = self.rho.component(j)
         if isinstance(mu, TrivialMultiplier):
             return self.chi

@@ -6,15 +6,17 @@ at i-infinity is the Kronecker-delta leading term plus, for l + kappa_j > 0,
 a sum over the double-coset boxes C+(c):
 
   x := -n + kappa_alpha,   y := l + kappa_j,
-  K_c := sum_{(a b; c d) in C+} chi(g)^{-1} rho(g^{-1})_{j,alpha}
+  K_c := delta_{j,alpha} sum_{(a b; c d) in C+} (chi mu_alpha)(g)^{-1}
          e^{(2 pi i/(c lambda)) (x a + y d)}                 (Kloosterman layer)
 
   x > 0:  (2 pi/lambda) i^{-w} (y/x)^{(w-1)/2} sum_c c^{-1} K_c J_{w-1}(4 pi sqrt(xy)/(c lambda))
   x = 0:  (-2 pi i)^w / (Gamma(w) lambda^w)    sum_c c^{-w} K_c y^{w-1}
   x < 0:  (2 pi/lambda) i^{-w} (y/-x)^{(w-1)/2} sum_c c^{-1} K_c I_{w-1}(4 pi sqrt(-xy)/(c lambda))
 
-(w = weight; lambda, the cusp width at i-infinity, is 1 on Gamma_0(N)).  One
-engine computes every c-sum: it walks c once in ascending order, builds the
+(w = weight; lambda, the cusp width at i-infinity, is 1 on Gamma_0(N)).  rho
+= diag(mu_1, ..., mu_p) is diagonal, so chi(g)^{-1} rho(g^{-1})_{j,alpha} is
+the effective character's (chi mu_alpha)(g)^{-1} on j = alpha and 0 off it,
+where no layer is summed.  One engine computes every c-sum: it walks c once in ascending order, builds the
 box C+(c) once (groups.cplus_arrays; never cached), asks each effective
 character for the exact phases of the whole box (Multiplier.box_phases,
 integer numerators over one denominator), and evaluates the layers of every
@@ -33,10 +35,10 @@ S = sum_c u_c K_c at the scale 2^-P, rounded once, with one noise rule
 three sources: a float64 or a fixed-point box layer, each as an exact
 Gaussian integer, or, with no box, the Ramanujan sum
 c_c(m) = sum_{d | (c, m)} mu(c/d) d, m = |x + y| (Hardy & Wright,
-ch. XVI), which is every layer at x = 0 or y = 0 on a diagonal rho whose
-effective character is trivial; it has no layer precision.  One
-majorant (_majorant) bounds every c > c_max tail and coefficient_envelope's
-whole c-sum; weight 3 converges absolutely, its terms being O(c^-2).
+ch. XVI), which is every layer at x = 0 or y = 0 whose effective character
+is trivial; it has no layer precision.  One majorant (_majorant) bounds
+every c > c_max tail and coefficient_envelope's whole c-sum; weight 3
+converges absolutely, its terms being O(c^-2).
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .automorphy import AutomorphyData, DiagonalRepresentation, TrivialMultiplier
-from .groups import cplus_arrays, cplus_elements
+from .automorphy import AutomorphyData, TrivialMultiplier
+from .groups import cplus_arrays
 from .precision import exp2pi
 from .series import FourierSeries, TruncationParams
 from .specialfn import bessel_series
@@ -81,27 +83,21 @@ def _distinct_residues(nums: np.ndarray, den: int):
     return distinct, index[flat].reshape(nums.shape)
 
 
-def _exponent_sums(nums: np.ndarray, den: int, bits: int, tables: dict, weights=None) -> list:
+def _exponent_sums(nums: np.ndarray, den: int, bits: int, tables: dict) -> list:
     """[(re, im, e)] per row of a 2-D int64 numerator array, in one pass: the
-    row's sum of e^{2 pi i num/den} (times `weights`, complex, of the same
-    shape) as the Gaussian integer (re + i im) 2^-e, each element's root
-    e(r/den) formed once per distinct residue r (_distinct_residues).  Up to
-    53 bits: cos and sin (exp(i angle) times the weights) of r (2 pi/den),
-    within 6 pi 2^-53; with numpy's sin and cos within 2 ulps and |w| <= 1, an
-    element is within 25.3 2^-53 and a row of n (2^-53 per partial sum, each
-    below n) within n (n + 28) 2^-53 (_layer_error), converted exactly
-    (_gaussian).  Larger bits (no weights): the exact product giant[q]
-    baby[s], r = q B + s, over the root table of den (_root_table; `tables`
-    maps den to it per box); a row is exact at e = 2 P and within
-    row length * (2 isqrt(den) + 3) 2^-P."""
+    row's sum of e^{2 pi i num/den} as the Gaussian integer (re + i im) 2^-e,
+    each element's root e(r/den) formed once per distinct residue r
+    (_distinct_residues).  Up to 53 bits: cos and sin of r (2 pi/den), within
+    6 pi 2^-53; with numpy's sin and cos within 2 ulps, an element is within
+    25.3 2^-53 and a row of n (2^-53 per partial sum, each below n) within
+    n (n + 28) 2^-53 (_layer_error), converted exactly (_gaussian).  Larger
+    bits: the exact product giant[q] baby[s], r = q B + s, over the root table
+    of den (_root_table; `tables` maps den to it per box); a row is exact at
+    e = 2 P and within row length * (2 isqrt(den) + 3) 2^-P."""
     distinct, at = _distinct_residues(nums, den)
     if bits <= 53:
         angles = distinct * (TWO_PI / den)
-        if weights is None:
-            re, im = np.cos(angles)[at].sum(axis=1), np.sin(angles)[at].sum(axis=1)
-        else:
-            z = (weights * np.exp(1j * angles)[at]).sum(axis=1)
-            re, im = z.real, z.imag
+        re, im = np.cos(angles)[at].sum(axis=1), np.sin(angles)[at].sum(axis=1)
         return [_gaussian(r, i) for r, i in zip(re.tolist(), im.tolist())]
     if den not in tables:
         tables[den] = _root_table(den, bits)
@@ -187,27 +183,19 @@ def _layers(data: AutomorphyData, c: int, box, groups, bits: int, tables: dict) 
     group, from the box (a, d) = C+(c).
 
     The keys of a group share alpha and x.denominator * y.denominator, so
-    the exponent (x a + y d)/c minus the box phases of the character reduces
-    exactly over one denominator den, and the group is one (keys x box)
-    numerator array in one pass (_exponent_sums).  Diagonal rho: the
-    character is chi * mu_alpha, the keys hold no structural zero (j !=
-    alpha, see _structural_zero; their callers decide those once), and the
-    root tables in `tables` serve every datum at this c.  Matrix rho: the
-    character is chi, and the pass runs in float64 whatever `bits`, each
-    root weighed by rho(g^-1)_{j,alpha}, evaluated once per box element.
+    the exponent (x a + y d)/c minus the box phases of the effective
+    character chi * mu_alpha reduces exactly over one denominator den, and
+    the group is one (keys x box) numerator array in one pass
+    (_exponent_sums).  The keys hold no structural zero (j != alpha; their
+    callers decide those once), and the root tables in `tables` serve every
+    datum at this c.
     """
     a, d = box
-    diagonal = isinstance(data.rho, DiagonalRepresentation)
-    if not diagonal:  # rho(g^-1) per box element, as (j, alpha, element)
-        rho_inv = np.array([data.rho.matrix(g.inverse()) for g in cplus_elements(a, d, c)],
-                           dtype=complex).reshape(-1, data.dim, data.dim).transpose(1, 2, 0)
-        bits = 53
     phases, out = {}, []
     for keys in groups:
         alpha = keys[0][3]
         if alpha not in phases:
-            chi = data.scalar_character(alpha) if diagonal else data.chi
-            phases[alpha] = chi.box_phases(a, d, c)
+            phases[alpha] = data.scalar_character(alpha).box_phases(a, d, c)
         chi_num, chi_den = phases[alpha]
         # exponent (x a + y d)/c over D0 = qx qy c (lambda = 1 here), one row per key
         d0 = keys[0][0].denominator * keys[0][1].denominator * c
@@ -215,8 +203,7 @@ def _layers(data: AutomorphyData, c: int, box, groups, bits: int, tables: dict) 
         ca, cd = np.array([(x.numerator * y.denominator, y.numerator * x.denominator)
                            for x, y, _j, _alpha in keys], dtype=np.int64).T * (den // d0)
         nums = ca[:, None] * a + cd[:, None] * d - chi_num * (den // chi_den)
-        weights = None if diagonal else rho_inv[[j - 1 for _x, _y, j, _a in keys], alpha - 1]
-        out.append((_exponent_sums(nums, den, bits, tables, weights), _layer_error(c, den, bits)))
+        out.append((_exponent_sums(nums, den, bits, tables), _layer_error(c, den, bits)))
     return out
 
 
@@ -225,24 +212,20 @@ def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
     """Inner sum over C+(c) with exponential weights x on a and y on d.
 
     For the trivial character and p = 1 this is the classical Kloosterman
-    sum S(x, y; c).  Exact zero when rho is diagonal and j != alpha.
+    sum S(x, y; c).  Exact zero when j != alpha (rho is diagonal).
     bits is the phase precision a walk takes from layer_bits_for; the layer
-    comes at the precision it ran at: a complex at 53 bits or on a matrix
-    rho (_layers runs it in float64), else an mpc at the fixed point's P bits.
+    comes at the precision it ran at: a complex at 53 bits, else an mpc at
+    the fixed point's P bits.
     """
-    if _structural_zero(data, j, alpha):
+    if j != alpha:
+        data.kappa_of(j), data.kappa_of(alpha)  # ValueError outside 1..dim
         return 0j
     re, im, e = _layers(data, c, cplus_arrays(data.group, c),
                         [[(Fraction(x), Fraction(y), j, alpha)]], bits, {})[0][0][0]
-    if bits <= 53 or not isinstance(data.rho, DiagonalRepresentation):
+    if bits <= 53:
         return complex(re / (1 << e), im / (1 << e))
     with mpmath.workprec(e // 2):
         return mpmath.mpc(mpmath.ldexp(re, -e), mpmath.ldexp(im, -e))
-
-
-def _structural_zero(data: AutomorphyData, j: int, alpha: int) -> bool:
-    """Whether the (j, alpha) entry is zero by structure (diagonal rho, j != alpha)."""
-    return j != alpha and isinstance(data.rho, DiagonalRepresentation)
 
 
 @dataclass
@@ -283,7 +266,7 @@ def _run(requests: list, trunc: TruncationParams):
       - the Ramanujan sum c_c(m) (f = 0) when the c-sum has m set: S is one
         integer dot product over the table, with no box;
       - a box layer (_exponent_sums): exact in fixed point, or in float64
-        (always on a matrix rho) converted exactly (_gaussian).
+        converted exactly (_gaussian).
     Each product u_c K_c is an integer multiply and a shift by f, rounded to
     nearest (under one unit of 2^-e in modulus, exact at f = 0).
 
@@ -373,11 +356,10 @@ def _scale_bits(c_max: int) -> int:
 
 def _ramanujan_m(data: AutomorphyData, x: Fraction, y: Fraction, alpha: int):
     """m if every layer K_c(x, y)_{alpha,alpha} is the Ramanujan sum c_c(m),
-    else None: on a diagonal rho whose effective character is trivial, at
-    x = 0 (the layer is the sum of e(y d/c)) or y = 0 (of e(x a/c)) over the
-    units mod c; kappa = 0 there, so m = |x + y| is an integer."""
-    if (x * y == 0 and isinstance(data.rho, DiagonalRepresentation)
-            and isinstance(data.scalar_character(alpha), TrivialMultiplier)):
+    else None: when the effective character is trivial, at x = 0 (the layer
+    is the sum of e(y d/c)) or y = 0 (of e(x a/c)) over the units mod c;
+    kappa = 0 there, so m = |x + y| is an integer."""
+    if x * y == 0 and isinstance(data.scalar_character(alpha), TrivialMultiplier):
         return int(abs(x + y))
     return None
 
@@ -502,7 +484,7 @@ class Walk:
         value(), None for a structural zero."""
         _check_weight(w, self.trunc, data.group.level)
         key = (-n + data.kappa_of(alpha), l + data.kappa_of(j), j, alpha)
-        if (data, w, key) not in self.coefficients and not _structural_zero(data, j, alpha):
+        if (data, w, key) not in self.coefficients and j == alpha:  # else a structural zero
             with self.trunc.ctx.working():
                 s = _coefficient_sum(data, w, *key, self.trunc)
             self.coefficients[(data, w, key)] = self._add(data, s)
@@ -517,8 +499,7 @@ class Walk:
         """Registers poincare_series(data, w, n, alpha, l_range); returns the
         function that builds it after run()."""
         _check_weight(w, self.trunc, data.group.level)
-        if not 1 <= alpha <= data.dim:
-            raise ValueError(f"component alpha={alpha} outside 1..{data.dim}")
+        data.kappa_of(alpha)  # ValueError outside 1..dim, also when no l is summed
         indices = [(l, j) for j in range(1, data.dim + 1) for l in l_range
                    if l + data.kappa_of(j) > 0]
         sums = [self.coefficient(data, w, n, alpha, l, j) for l, j in indices]
@@ -549,7 +530,7 @@ class Walk:
             if data.kappa_of(j) != 0:
                 continue
             for (n, t) in principal:
-                if _structural_zero(data, j, t):
+                if j != t:  # a structural zero
                     continue
                 x = f.freq(n, t)  # x = n + kappa_t < 0 rides on the 'a' entry
                 m = _ramanujan_m(data, x, Fraction(0), t)

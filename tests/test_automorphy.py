@@ -12,7 +12,6 @@ from mgrid.automorphy import (
     DiagonalRepresentation,
     DirichletMultiplier,
     EtaPowerMultiplier,
-    MatrixRepresentation,
     TrivialMultiplier,
     chi_eval,
     conjugate,
@@ -214,26 +213,25 @@ def test_rho_minus_identity_enforced_in_data():
     assert data.kappa == (Fraction(1, 6), Fraction(5, 6))
 
 
-def test_matrix_representation_sampled_checks():
-    def evaluator(g):
-        return np.diag([complex(EtaPowerMultiplier(4).value(g)),
-                        complex(EtaPowerMultiplier(-4).value(g))])
+def test_only_a_diagonal_rho_is_accepted():
+    # any other rho is rejected where the datum is built, so the engine
+    # never asks what rho is
+    class Permutation:
+        dim = 2
 
-    rep = MatrixRepresentation(2, evaluator,
-                               [Fraction(1, 6), Fraction(5, 6)])
-    rng = np.random.default_rng(2)
-    for g in random_words(rng, 8):
-        m = rep.matrix(g)
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert np.linalg.norm(m @ v) == pytest.approx(np.linalg.norm(v))
-    # conjugation flips the stored cusp phases
-    assert rep.conjugate().kappa_t_phases == (Fraction(5, 6), Fraction(1, 6))
+        def phase_T(self, j):
+            return Fraction(0)
+
+    with pytest.raises(ValueError, match="only a diagonal rho"):
+        AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=Permutation(), group=sl2z())
 
 
-def test_unitarity_of_diagonal_rep():
-    rep = DiagonalRepresentation((TrivialMultiplier(), EtaPowerMultiplier(4)))
-    rng = np.random.default_rng(4)
-    for g in random_words(rng, 10):
-        m = rep.matrix(g)
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert np.linalg.norm(m @ v) == pytest.approx(np.linalg.norm(v))
+def test_component_index_outside_1_to_dim_raises():
+    # 0 must not wrap to the last component, nor dim + 1 raise IndexError
+    rho = DiagonalRepresentation((TrivialMultiplier(), EtaPowerMultiplier(4)))
+    data = AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=rho, group=sl2z())
+    assert data.kappa_of(2) == Fraction(1, 6) and rho.component(2) == EtaPowerMultiplier(4)
+    for j in (0, 3, -1):
+        for read in (rho.component, rho.phase_T, data.kappa_of, data.scalar_character):
+            with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+                read(j)

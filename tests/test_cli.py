@@ -250,6 +250,18 @@ def test_period_of_an_element_outside_the_group_exits_1(capsys):
     assert "(0, -1, 1, 0) is not in Gamma_0(4)" in err
 
 
+@pytest.mark.parametrize("alpha", ["0", "3"])
+def test_duality_component_outside_the_rep_exits_1(capsys, alpha):
+    # 0 used to report component 2's pair with exit 0, and 3 ended in an
+    # IndexError traceback
+    rc, out, err = run_cli(capsys, [
+        "duality", "--k", "10", "--n1", "1", "--n2", "1", "--alpha1", alpha,
+        "--alpha2", alpha, "--rep", "diag(trivial;eta:4)", "--cmax", "10", "--tol", "1",
+    ])
+    assert rc == 1 and out == ""
+    assert err.startswith("mgrid: component") and "outside 1..2" in err
+
+
 def test_convergence_error_exits_1(capsys):
     # 53 bits cannot certify this Bessel series: a configuration error, no traceback
     rc, out, err = run_cli(capsys, [

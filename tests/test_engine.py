@@ -4,14 +4,13 @@ one-pass series against single coefficients, the one noise rule of the
 c-sum accumulator over float64 and fixed-point layers, the constant term's
 layer precision, the exact fixed-point layers against 256-bit sums and
 Ramanujan sums, the distinct-residue kernel against per-element fixed-point
-and float64 sums, a matrix-rho layer at 113 bits, the batched layers of
-every key group against per-element sums, one array pass per datum and c,
-the Bessel weights as the kernel's integers and against 400-bit J and I,
-the Ramanujan and box layer sources against each other, the Ramanujan
-c-sums' sigma(m) tails, passes that build no box, one matrix evaluation per
-box element, the leading delta term at context precision, the Bessel
-weights' error in the tails, structural zeros with no tail, and the weight
-prefactors' share of the rounding."""
+and float64 sums, the batched layers of every key group against
+per-element sums, one array pass per datum and c, the Bessel weights as the
+kernel's integers and against 400-bit J and I, the Ramanujan and box layer
+sources against each other, the Ramanujan c-sums' sigma(m) tails, passes
+that build no box, the leading delta term at context precision, the Bessel
+weights' error in the tails, structural zeros with no tail, component
+indices outside 1..dim, and the weight prefactors' share of the rounding."""
 
 import math
 from dataclasses import dataclass
@@ -27,7 +26,6 @@ from mgrid.automorphy import (
     DiagonalRepresentation,
     DirichletMultiplier,
     EtaPowerMultiplier,
-    MatrixRepresentation,
     Multiplier,
     TrivialMultiplier,
     frac,
@@ -151,42 +149,6 @@ def test_user_multiplier_with_only_phase_gives_builtin_layers():
 def _two_component():
     rep = DiagonalRepresentation((TrivialMultiplier(), EtaPowerMultiplier(4)))
     return AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=rep, group=sl2z())
-
-
-def test_matrix_representation_layers_match_diagonal():
-    # the same diagonal rho, once with exact box phases and once as a matrix
-    # evaluator summed per element, under the trivial character and eta^2
-    rho = _two_component().rho
-    mat = MatrixRepresentation(2, rho.matrix, [rho.phase_T(1), rho.phase_T(2)])
-    for chi, weight in ((TrivialMultiplier(), 12), (EtaPowerMultiplier(2), 5)):
-        data = AutomorphyData(weight=weight, chi=chi, rho=rho, group=sl2z())
-        mdata = AutomorphyData(weight=weight, chi=chi, rho=mat, group=sl2z())
-        assert mdata.kappa == data.kappa
-        for c in range(1, 13):
-            for j in (1, 2):
-                for alpha in (1, 2):
-                    x, y = -1 + data.kappa_of(alpha), 2 + data.kappa_of(j)
-                    got = complex(kloosterman_layer(mdata, c, x, y, j, alpha))
-                    ref = complex(kloosterman_layer(data, c, x, y, j, alpha))
-                    assert abs(got - ref) < 1e-9
-
-
-def test_matrix_rho_layer_keeps_its_float64_value_at_113_bits():
-    # a matrix rho always runs in float64 (_layers), so kloosterman_layer at
-    # bits = 113 must give that float64 value, not one rounded at half its
-    # scale, and lie within the float64 bound of the diagonal exact layer
-    data = _two_component()
-    rho = data.rho
-    mdata = AutomorphyData(weight=12, chi=TrivialMultiplier(), group=sl2z(),
-                           rho=MatrixRepresentation(2, rho.matrix, [rho.phase_T(1), rho.phase_T(2)]))
-    x, y = Fraction(-1), Fraction(2)
-    for c in (7, 13, 37):
-        got = kloosterman_layer(mdata, c, x, y, 1, 1, bits=113)
-        assert got == kloosterman_layer(mdata, c, x, y, 1, 1, bits=53)
-        _phases, den = _element_phases(mdata, c, (x, y, 1, 1))
-        exact = kloosterman_layer(data, c, x, y, 1, 1, bits=113)
-        with mpmath.workprec(256):
-            assert abs(mpmath.mpc(got) - exact) <= _layer_error(c, den, 53)
 
 
 @pytest.mark.parametrize("layer_bits", [None, 53])
@@ -314,13 +276,11 @@ def _key_groups(keys):
 
 
 def _element_phases(data, c, key):
-    """[(rho(g^-1)_{j,alpha}, e-exponent)] per element g of C+(c), one Fraction
-    x a/c + y d/c - phase(g) at a time, and the layer's denominator."""
-    x, y, j, alpha = key
-    diagonal = isinstance(data.rho, DiagonalRepresentation)
-    chi = data.scalar_character(alpha) if diagonal else data.chi
-    out = [(1 if diagonal else data.rho.matrix(g.inverse())[j - 1][alpha - 1],
-             x * g.a / c + y * g.d / c - chi.phase(g)) for g in enumerate_cplus(data.group, c)]
+    """The e-exponent x a/c + y d/c - phase(g) per element g of C+(c), one
+    Fraction at a time, and the layer's denominator."""
+    x, y, _j, alpha = key
+    chi = data.scalar_character(alpha)
+    out = [x * g.a / c + y * g.d / c - chi.phase(g) for g in enumerate_cplus(data.group, c)]
     _nums, chi_den = chi.box_phases(*cplus_arrays(data.group, c), c)
     return out, math.lcm(x.denominator * y.denominator * c, chi_den)
 
@@ -330,7 +290,7 @@ def _elementwise_exact_layer(phases, den, bits):
     of den, r = q B + s the residue of each phase."""
     prec, step, baby, giant = _root_table(den, bits)
     re = im = 0
-    for _w, phase in phases:
+    for phase in phases:
         r = phase * den % den
         assert r.denominator == 1
         q, s = divmod(int(r), step)
@@ -369,32 +329,21 @@ def _dirichlet_keys():
     return [(data, keys)], (4, 12, 28)
 
 
-def _matrix_keys():
-    rho = _two_component().rho
-    mat = MatrixRepresentation(2, rho.matrix, [rho.phase_T(1), rho.phase_T(2)])
-    data = AutomorphyData(weight=5, chi=EtaPowerMultiplier(2), rho=mat, group=sl2z())
-    keys = [(-1 + data.kappa_of(a), l + data.kappa_of(j), j, a)
-            for a in (1, 2) for j in (1, 2) for l in range(0, 3)]
-    return [(data, keys)], (1, 6, 13)
-
-
 LAYER_CASES = {"eta2": _eta2_keys, "trivial": _trivial_keys,
-               "diag(trivial;eta:4)": _two_component_keys, "dirichlet4": _dirichlet_keys,
-               "matrix": _matrix_keys}
+               "diag(trivial;eta:4)": _two_component_keys, "dirichlet4": _dirichlet_keys}
 
 
 @pytest.mark.parametrize("case", LAYER_CASES)
 def test_batched_layers_equal_an_elementwise_sum(case):
     # every row of every group of one _layers call against its own key's
     # per-element sum: bit for bit in fixed point at 113 bits, within
-    # c (c + 28) 2^-53 of a 256-bit sum in float64 (the only matrix-rho path)
+    # c (c + 28) 2^-53 of a 256-bit sum in float64
     data_keys, cs = LAYER_CASES[case]()
     for c in cs:
         box, tables = cplus_arrays(data_keys[0][0].group, c), {}
         for data, keys in data_keys:
             groups = _key_groups(keys)
-            matrix = not isinstance(data.rho, DiagonalRepresentation)
-            for bits in (53,) if matrix else (53, 113):
+            for bits in (53, 113):
                 layers = _layers(data, c, box, groups, bits, tables)
                 assert [len(rows) for rows, _error in layers] == [len(g) for g in groups]
                 for group, (rows, error) in zip(groups, layers):
@@ -406,21 +355,16 @@ def test_batched_layers_equal_an_elementwise_sum(case):
                             continue
                         assert error == c * (c + 28) * 2.0 ** -53
                         with mpmath.workprec(256):
-                            ref = mpmath.fsum(mpmath.mpc(w) * exp2pi(p) for w, p in phases)
+                            ref = mpmath.fsum(exp2pi(p) for p in phases)
                             got = mpmath.mpc(mpmath.ldexp(re, -e), mpmath.ldexp(im, -e))
                             assert abs(got - ref) <= error
 
 
-def _per_element_float64_rows(nums, den, weights=None):
-    """Row sums of one float64 cos and sin per element (of one exp(i angle)
-    times the weight, with weights) at the angle (num mod den) (2 pi/den),
-    as exact (re, im) Fractions."""
+def _per_element_float64_rows(nums, den):
+    """Row sums of one float64 cos and sin per element at the angle
+    (num mod den) (2 pi/den), as exact (re, im) Fractions."""
     angles = (nums % den).astype(np.float64) * (2 * math.pi / den)
-    if weights is None:
-        parts = np.cos(angles).sum(axis=1), np.sin(angles).sum(axis=1)
-    else:
-        z = (weights * np.exp(1j * angles)).sum(axis=1)
-        parts = z.real, z.imag
+    parts = np.cos(angles).sum(axis=1), np.sin(angles).sum(axis=1)
     return [(Fraction(re), Fraction(im)) for re, im in zip(*(p.tolist() for p in parts))]
 
 
@@ -428,8 +372,7 @@ def _per_element_float64_rows(nums, den, weights=None):
 # the first key group of the slice: a row per key, over one den
 KERNEL_CASES = {"den = c, 60 keys": (_trivial_keys, slice(None), 60),
                 "eta2, den = 144 c": (_eta2_keys, slice(None), 37), "one element": None,
-                "eta2 sparse row, c = 1999": (_eta2_keys, slice(1), 1999),
-                "matrix weights": (_matrix_keys, slice(-3, None), 13)}  # j = alpha = 2
+                "eta2 sparse row, c = 1999": (_eta2_keys, slice(1), 1999)}
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES)
@@ -438,8 +381,6 @@ def test_exact_kernel_equals_a_per_element_sum(case):
     # every row must equal, bit for bit, the plain sum over its elements,
     # each residue counted as often as elements hit it: in fixed point the
     # sum of table products, in float64 the sum of per-element cos and sin
-    # (or of weighted exp, on a matrix rho, which has no fixed point)
-    weights = None
     if case == "one element":
         den, nums = 144 * 5, np.array([[7], [-3], [7 + 144 * 5]], dtype=np.int64)
     else:
@@ -448,24 +389,19 @@ def test_exact_kernel_equals_a_per_element_sum(case):
         rows = [_element_phases(data, c, key) for key in _key_groups(keys[taken])[0]]
         den = rows[0][1]
         assert {d for _phases, d in rows} == {den}
-        if make is not _matrix_keys:
-            assert den == (c if make is _trivial_keys else 144 * c)
-        nums = np.array([[int(p * den) for _w, p in phases] for phases, _den in rows],
+        assert den == (c if make is _trivial_keys else 144 * c)
+        nums = np.array([[int(p * den) for p in phases] for phases, _den in rows],
                         dtype=np.int64)
-        if case == "matrix weights":
-            weights = np.array([[w for w, _p in phases] for phases, _den in rows], dtype=complex)
-            assert len(nums) == 3 and not np.all(weights == weights[:, :1])
     if case.startswith("den = c"):  # rows that hit one residue more than once
         assert len(nums) == 60 and any(len(set(r)) < len(r) for r in (nums % den).tolist())
     if "sparse" in case:  # one row, far fewer elements than den, residues repeated
         assert nums.shape == (1, 1998) and len(set((nums % den).tolist()[0])) < 1998
-    if weights is None:
-        assert _exponent_sums(nums, den, 113, {}) == [
-            _elementwise_exact_layer([(1, Fraction(v, den)) for v in row], den, 113)
-            for row in nums.tolist()]
+    assert _exponent_sums(nums, den, 113, {}) == [
+        _elementwise_exact_layer([Fraction(v, den) for v in row], den, 113)
+        for row in nums.tolist()]
     assert [(Fraction(re, 1 << e), Fraction(im, 1 << e))
-            for re, im, e in _exponent_sums(nums, den, 53, {}, weights)] \
-        == _per_element_float64_rows(nums, den, weights)
+            for re, im, e in _exponent_sums(nums, den, 53, {})] \
+        == _per_element_float64_rows(nums, den)
 
 
 def test_float64_layer_with_a_large_denominator():
@@ -479,7 +415,7 @@ def test_float64_layer_with_a_large_denominator():
         phases, den = _element_phases(data, c, (x, y, 1, 1))
         assert den == 10**6 * (10**6 + 3) * c
         (re, im), = _per_element_float64_rows(
-            np.array([[int(p * den) for _w, p in phases]], dtype=np.int64), den)
+            np.array([[int(p * den) for p in phases]], dtype=np.int64), den)
         assert kloosterman_layer(data, c, x, y, 1, 1, bits=53) == complex(re, im)
 
 
@@ -646,23 +582,6 @@ def test_ramanujan_passes_build_no_box(monkeypatch):
     assert calls == [] and value != 0 and tail > 0
 
 
-def test_matrix_rho_evaluated_once_per_box_element():
-    rho = _two_component().rho
-    calls = []
-
-    def evaluator(g):
-        calls.append(g)
-        return rho.matrix(g)
-
-    mat = MatrixRepresentation(2, evaluator, [rho.phase_T(1), rho.phase_T(2)])
-    data = AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=mat, group=sl2z())
-    calls.clear()  # drop the construction's sampled checks
-    poincare_series(data, 12, -1, 1, range(0, 6),
-                    TruncationParams(c_max=40, tail_tol=1.0, ctx=CTX))
-    elements = sum(len(enumerate_cplus(sl2z(), c)) for c in range(1, 41))
-    assert elements == 490 and len(calls) == elements
-
-
 def test_leading_delta_term_at_context_precision():
     data = AutomorphyData(weight=12, chi=TrivialMultiplier(),
                           rho=trivial_representation(), group=sl2z())
@@ -718,6 +637,23 @@ def test_structural_zeros_cost_no_tail():
                                      trunc)
     assert v2 == 0 and t2 == 0.0
     assert v1 == r1 and t1 == rt1 and t1 > 0
+
+
+@pytest.mark.parametrize("j, alpha", [(0, 0), (3, 3), (0, 1), (1, 3)])
+def test_component_outside_1_to_dim_raises(j, alpha):
+    # on a two-component rho, 0 must not read component 2 (the last) and 3
+    # must not end in an IndexError: a layer, a coefficient and a series
+    # each raise ValueError naming 1..2
+    data = _two_component()
+    trunc = TruncationParams(c_max=10, tail_tol=1.0, ctx=CTX)
+    with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+        kloosterman_layer(data, 7, Fraction(-1), Fraction(2), j, alpha)
+    with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+        poincare_coefficient(data, 12, -1, alpha, 2, j, trunc)
+    if j == alpha:
+        for l_range in (range(0, 3), range(0)):
+            with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+                poincare_series(data, 12, -1, alpha, l_range, trunc)
 
 
 @pytest.mark.parametrize("x, y", [(Fraction(0), Fraction(1)), (Fraction(0), Fraction(23, 24)),
