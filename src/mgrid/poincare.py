@@ -19,15 +19,17 @@ the effective character's (chi mu_alpha)(g)^{-1} on j = alpha and 0 off it,
 where no layer is summed.  One engine computes every c-sum: it walks c once in ascending order, builds the
 box C+(c) once (groups.cplus_arrays; never cached), asks each effective
 character for the exact phases of the whole box (Multiplier.box_phases,
-integer numerators over one denominator), and evaluates the layers of every
-requested (x, y, j, alpha) from that box in one array pass per group of keys
-sharing alpha and a phase denominator: a (keys x box) numerator array, one
-root of unity per distinct residue (a float64 cos/sin, or above 53 bits an
-exact product of table roots), gathered and summed per row.  A Walk fills
-the c-sums of series, constant terms and coefficients on equal data, a datum
-and its conjugate in one walk (gridforms.build_grid uses one per grid);
-poincare_series, poincare_coefficient and constant_term_cf are a Walk with
-one request, kloosterman_layer the engine at one c and one index.
+integer numerators over one denominator, in lowest terms; a datum's
+conjugate reads them negated), and evaluates the layers of every requested
+(x, y, j, alpha) from that box in one array pass per group of keys sharing
+alpha and q = lcm(x.den, y.den), over lcm(q c, the phases' least
+denominator) (12 c on eta^2): a (keys x box) numerator array, one root of
+unity per distinct residue (a float64 cos/sin, or above 53 bits an exact
+product of table roots), gathered and summed per row.
+A Walk fills the c-sums of series, constant terms and coefficients on equal
+data, a datum and its conjugate in one walk (gridforms.build_grid uses one
+per grid); poincare_series, poincare_coefficient and constant_term_cf are a
+Walk with one request, kloosterman_layer the engine at one c and one index.
 
 Every c-sum is a common prefactor times one exact integer sum
 S = sum_c u_c K_c at the scale 2^-P, rounded once, with one noise rule
@@ -49,10 +51,11 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from mpmath.libmp import mpf_shift, to_int
 
 from .automorphy import AutomorphyData, TrivialMultiplier
 from .groups import cplus_arrays
-from .precision import exp2pi
+from .precision import cos_sin_2pi, exp2pi
 from .series import FourierSeries, TruncationParams
 from .specialfn import bessel_series
 
@@ -131,11 +134,10 @@ def _root_table(den: int, bits: int):
 
 def _fixed_powers(x: Fraction, count: int, prec: int) -> np.ndarray:
     """e(k x) * 2^prec for k < count, rounded to integers, as the (re, im)
-    rows of an object array."""
+    rows of an object array; the seed e(x) 2^(prec + 16) is rounded to
+    nearest from cos_sin_2pi at prec + 32 bits."""
     shift = prec + 16
-    with mpmath.workprec(shift + 16):
-        seed = exp2pi(x)
-        wr, wi = (int(mpmath.nint(mpmath.ldexp(v, shift))) for v in (seed.real, seed.imag))
+    wr, wi = (to_int(mpf_shift(v, shift), "n") for v in cos_sin_2pi(x, shift + 16))
     half = 1 << (shift - 1)
     out = [(1 << prec, 0)]
     for _k in range(1, count):
@@ -177,32 +179,36 @@ def _layer_error(c: int, den: int, bits: int) -> float:
     return c * (2 * math.isqrt(den) + 3) * 2.0 ** -(bits + 16 + den.bit_length())
 
 
-def _layers(data: AutomorphyData, c: int, box, groups, bits: int, tables: dict) -> list:
+def _layers(data: AutomorphyData, c: int, box, groups, bits: int, tables: dict, sign=1) -> list:
     """[(rows, error bound)] per group of keys, rows holding (re, im, e) of
     K_c(x, y)_{j,alpha} = (re + i im) 2^-e for each (x, y, j, alpha) of the
     group, from the box (a, d) = C+(c).
 
-    The keys of a group share alpha and x.denominator * y.denominator, so
-    the exponent (x a + y d)/c minus the box phases of the effective
-    character chi * mu_alpha reduces exactly over one denominator den, and
-    the group is one (keys x box) numerator array in one pass
+    The keys of a group share alpha and q = lcm(x.den, y.den).  The box
+    phases of chi * mu_alpha are divided by gcd(den, nums) once per c, so
+    any multiplier gives its least den (12 c on eta^2, 1 on eta^24 over
+    SL2(Z)), and the exponent (x a + y d)/c minus them reduces exactly over
+    lcm(q c, den): one (keys x box) numerator array in one pass
     (_exponent_sums).  The keys hold no structural zero (j != alpha; their
-    callers decide those once), and the root tables in `tables` serve every
-    datum at this c.
+    callers decide those once).  `tables` holds, for every datum at this c,
+    root tables by den and phases by (data, alpha); sign = -1 puts the keys
+    on data's conjugate, whose phases are data's negated (the same roots).
     """
     a, d = box
-    phases, out = {}, []
+    out = []
     for keys in groups:
         alpha = keys[0][3]
-        if alpha not in phases:
-            phases[alpha] = data.scalar_character(alpha).box_phases(a, d, c)
-        chi_num, chi_den = phases[alpha]
-        # exponent (x a + y d)/c over D0 = qx qy c (lambda = 1 here), one row per key
-        d0 = keys[0][0].denominator * keys[0][1].denominator * c
-        den = math.lcm(d0, chi_den)
-        ca, cd = np.array([(x.numerator * y.denominator, y.numerator * x.denominator)
-                           for x, y, _j, _alpha in keys], dtype=np.int64).T * (den // d0)
-        nums = ca[:, None] * a + cd[:, None] * d - chi_num * (den // chi_den)
+        if (data, alpha) not in tables:
+            nums, den = data.scalar_character(alpha).box_phases(a, d, c)
+            g = math.gcd(den, int(np.gcd.reduce(nums)))
+            tables[(data, alpha)] = nums // g, den // g
+        chi_num, chi_den = tables[(data, alpha)]
+        # exponent (x a + y d)/c over q c (lambda = 1 here), one row per key
+        q = math.lcm(keys[0][0].denominator, keys[0][1].denominator)
+        den = math.lcm(q * c, chi_den)
+        ca, cd = np.array([(x.numerator * (q // x.denominator), y.numerator * (q // y.denominator))
+                           for x, y, _j, _alpha in keys], dtype=np.int64).T * (den // (q * c))
+        nums = ca[:, None] * a + cd[:, None] * d - sign * chi_num * (den // chi_den)
         out.append((_exponent_sums(nums, den, bits, tables), _layer_error(c, den, bits)))
     return out
 
@@ -249,10 +255,12 @@ def _run(requests: list, trunc: TruncationParams):
     request (data, sums); the data share one group.  Call inside
     trunc.ctx.working(), at wp bits.
 
-    Each c builds the box C+(c) and one dict of root tables once, for every
-    c-sum of every datum: a table depends only on (den, bits), so eta^2 and
-    its conjugate share theirs at den = 144 c.  A datum's box c-sums with one
-    alpha and x.den * y.den (so one den at every c) are one _layers pass per c
+    Each c builds the box C+(c) and one dict of tables once, for every c-sum
+    of every datum: root tables by (den, bits), so eta^2 and its conjugate
+    share theirs at den = 12 c, and reduced box phases by (datum, alpha),
+    which a datum on an earlier datum's conjugate reads negated (one
+    dedekind_sum per c for the pair).  A datum's box c-sums with one alpha
+    and lcm(x.den, y.den) (so one den at every c) are one _layers pass per c
     and keep one float64 array of layer errors.  No c-sum's value or bound
     depends on which sums share the walk.
 
@@ -311,29 +319,34 @@ def _run(requests: list, trunc: TruncationParams):
         layers, weights = _ramanujan_layers(s.m, level, mu), weight(s)
         s.re = sum(k * u for k, u in zip(layers.tolist(), weights[0]) if k)
         settle(s, weights, np.abs(layers), 0.0)
-    boxes = []  # (data, [(box c-sums, layer errors over c)] per group)
+    boxes = []  # (datum whose phases are read, their sign, [(box c-sums, layer errors)] per group)
     for data, sums in requests:
-        groups = {}  # keys sharing alpha and x.den * y.den share den at every c
+        groups = {}  # keys sharing alpha and lcm(x.den, y.den) share den at every c
         for s in sums:
             if s.m is None:
                 x, y, _j, alpha = s.key
-                groups.setdefault((alpha, x.denominator * y.denominator), []).append(s)
+                groups.setdefault((alpha, math.lcm(x.denominator, y.denominator)), []).append(s)
         if groups:
-            boxes.append((data, [(g, np.empty(len(cs))) for g in groups.values()]))
+            try:  # on an earlier datum's conjugate: read its phases negated (_layers)
+                source = next((p, -1) for p, _sign, _g in boxes if p.conjugate() == data)
+            except (StopIteration, NotImplementedError):  # none, or no conjugate() defined
+                source = (data, 1)
+            boxes.append((*source, [(g, np.empty(len(cs))) for g in groups.values()]))
     if not boxes:
         return
     bits = layer_bits_for(trunc.ctx, trunc.c_max, level)
     for n, c in enumerate(cs):
         arrays, tables = cplus_arrays(group, c), {}
-        for data, groups in boxes:
-            layers = _layers(data, c, arrays, [[s.key for s in g] for g, _e in groups], bits, tables)
+        for source, sign, groups in boxes:
+            keys = [[s.key for s in g] for g, _e in groups]
+            layers = _layers(source, c, arrays, keys, bits, tables, sign)
             for (g, errors), (rows, error) in zip(groups, layers):
                 errors[n] = error
                 for s, (re, im, f) in zip(g, rows):
                     u = weight(s)[0][n]
                     s.re += (u * re + (1 << f >> 1)) >> f  # to nearest
                     s.im += (u * im + (1 << f >> 1)) >> f
-    for _data, groups in boxes:
+    for _source, _sign, groups in boxes:
         for g, errors in groups:
             for s in g:
                 settle(s, weight(s), np.array(cs, dtype=float), errors)

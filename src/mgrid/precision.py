@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_cos_sin, mpf_div, mpf_mul, mpf_pi, mpf_shift
 
 __all__ = [
     "PrecisionContext",
@@ -23,6 +24,7 @@ __all__ = [
     "compensated_sum",
     "ensure_finite",
     "exp2pi",
+    "cos_sin_2pi",
 ]
 
 # Series loops abort after ITER_CAP_FACTOR * mantissa_bits terms.
@@ -78,13 +80,20 @@ def exp2pi(x) -> mpmath.mpc:
 
     x is reduced mod 1 before evaluation so unit phases stay exact to working
     precision regardless of the size of the exponent.  A quarter turn (4x an
-    integer) is exactly 1, i, -1 or -i; any other x is one mpmath.cos_sin.
+    integer) is exactly 1, i, -1 or -i; any other x is one cos_sin_2pi.
     """
     x = Fraction(x)
     x -= int(x)  # reduce mod 1 exactly
     if (4 * x).denominator == 1:
         return mpmath.mpc(*((1, 0), (0, 1), (-1, 0), (0, -1))[int(4 * x) % 4])
-    return mpmath.mpc(*mpmath.cos_sin(2 * mp.pi * mpmath.mpf(x.numerator) / x.denominator))
+    return mp.make_mpc(cos_sin_2pi(x, mp.prec))
+
+
+def cos_sin_2pi(x: Fraction, prec: int) -> tuple:
+    """Raw mpfs (cos, sin) of 2 pi x at prec bits, rounded to nearest as in
+    mpmath.cos_sin(2 * pi * mpf(x.numerator) / x.denominator), step by step."""
+    arg = mpf_mul(mpf_shift(mpf_pi(prec, "n"), 1), from_int(x.numerator, prec, "n"), prec, "n")
+    return mpf_cos_sin(mpf_div(arg, from_int(x.denominator), prec, "n"), prec, "n")
 
 
 def compensated_sum(terms):

@@ -38,8 +38,7 @@ def eval_component_grid(series: FourierSeries, j: int, zs) -> np.ndarray:
     """Component j of the stored series at points zs of the upper half-plane
     (complex128, every stored term, no bound)."""
     zs = np.asarray(zs, dtype=complex)
-    if not 1 <= j <= series.dim:
-        raise ValueError(f"component index {j} outside 1..{series.dim}")
+    series.automorphy.kappa_of(j)  # ValueError outside 1..dim
     if not (zs.imag > 0).all():
         raise ValueError("points must lie in the upper half-plane")
     F, a, _tails = _component_terms(series, j)

@@ -60,9 +60,8 @@ class FourierSeries:
         self.coeffs: dict = dict(coeffs or {})
         self.tails: dict = dict(tails or {})
         self.truncation = truncation
-        for (n, j) in self.coeffs:
-            if not 1 <= j <= automorphy.dim:
-                raise ValueError(f"component index {j} outside 1..{automorphy.dim}")
+        for _n, j in self.coeffs:
+            automorphy.kappa_of(j)  # ValueError outside 1..dim
 
     @property
     def dim(self) -> int:

@@ -3,9 +3,11 @@ against the per-element phase, user multipliers that define only phase(),
 one-pass series against single coefficients, the one noise rule of the
 c-sum accumulator over float64 and fixed-point layers, the constant term's
 layer precision, the exact fixed-point layers against 256-bit sums and
-Ramanujan sums, the distinct-residue kernel against per-element fixed-point
-and float64 sums, the batched layers of every key group against
-per-element sums, one array pass per datum and c, the Bessel weights as the
+Ramanujan sums, root tables against exp2pi-seeded ones, the distinct-residue
+kernel against per-element fixed-point and float64 sums, the batched layers
+of every key group against per-element sums, passes at the least phase
+denominator, a conjugate's layers from negated phases with one Dedekind sum
+per c, one array pass per datum and c, the Bessel weights as the
 kernel's integers and against 400-bit J and I, the Ramanujan and box layer
 sources against each other, the Ramanujan c-sums' sigma(m) tails, passes
 that build no box, the leading delta term at context precision, the Bessel
@@ -28,12 +30,14 @@ from mgrid.automorphy import (
     EtaPowerMultiplier,
     Multiplier,
     TrivialMultiplier,
+    dedekind_sum,
     frac,
     trivial_representation,
 )
 from mgrid.gridforms import build_pair
 from mgrid.groups import cplus_arrays, enumerate_cplus, gamma0, sl2z
 from mgrid.poincare import (
+    Walk,
     _coefficient_sum,
     _exponent_sums,
     _layer_error,
@@ -144,6 +148,13 @@ def test_user_multiplier_with_only_phase_gives_builtin_layers():
     ref, ref_tail = poincare_coefficient(data_eta, 5, 1, 1, 2, 1, trunc)
     assert got_tail == ref_tail
     assert abs(complex(got - ref)) <= 1e-20 * max(1.0, abs(complex(ref)))
+    # a walk over two user data needs no conjugate(): each computes its phases
+    walk = Walk(trunc)
+    s = walk.coefficient(data_user, 5, 1, 1, 2, 1)
+    walk.coefficient(AutomorphyData(weight=5, chi=UserEta(-2), rho=rep, group=sl2z()),
+                     5, 1, 1, 2, 1)
+    walk.run()
+    assert walk.value(s) == (got, got_tail)
 
 
 def _two_component():
@@ -266,23 +277,52 @@ def test_exact_layer_kernel_against_256_bit_sum(den):
             assert err <= _exact_layer_bound(size, den)
 
 
+def _exp2pi_powers(x, count, prec):
+    """_fixed_powers with its seed from exp2pi at prec + 32 bits, shifted by
+    prec + 16 and rounded by mpmath.nint, as a list of (re, im)."""
+    shift, out = prec + 16, [(1 << prec, 0)]
+    with mpmath.workprec(shift + 16):
+        seed = exp2pi(x)
+        wr, wi = (int(mpmath.nint(mpmath.ldexp(v, shift))) for v in (seed.real, seed.imag))
+    for _k in range(1, count):
+        re, im = out[-1]
+        out.append(((re * wr - im * wi + (1 << shift >> 1)) >> shift,
+                    (re * wi + im * wr + (1 << shift >> 1)) >> shift))
+    return out
+
+
+@pytest.mark.parametrize("bits", [113, 200])
+def test_root_tables_equal_exp2pi_seeded_tables(bits):
+    # the tables' seeds come from raw mpfs (precision.cos_sin_2pi), not from
+    # exp2pi, which is exact at quarter turns (den 1, 2, 4, 8, ...) and
+    # reduces x = 1 (den 1): every table equals, bit for bit, the one an
+    # exp2pi seed gives, for every den < 2000 and eta^2's 12 c and 144 c
+    for den in [*range(1, 2000), *(m * c for m in (12, 144) for c in range(1, 400, 7))]:
+        prec, step, baby, giant = _root_table(den, bits)
+        assert [tuple(r) for r in baby.T.tolist()] == _exp2pi_powers(Fraction(1, den), step, prec)
+        assert [tuple(r) for r in giant.T.tolist()] \
+            == _exp2pi_powers(Fraction(step, den), den // step + 1, prec)
+
+
 def _key_groups(keys):
-    """The engine's groups: keys sharing alpha and x.den * y.den (see _run)."""
+    """The engine's groups: keys sharing alpha and lcm(x.den, y.den) (see _run)."""
     groups = {}
     for key in keys:
         x, y, _j, alpha = key
-        groups.setdefault((alpha, x.denominator * y.denominator), []).append(key)
+        groups.setdefault((alpha, math.lcm(x.denominator, y.denominator)), []).append(key)
     return list(groups.values())
 
 
 def _element_phases(data, c, key):
     """The e-exponent x a/c + y d/c - phase(g) per element g of C+(c), one
-    Fraction at a time, and the layer's denominator."""
+    Fraction at a time, and the layer's denominator: lcm(x.den, y.den) c and
+    the least common denominator of the character's phases over the box."""
     x, y, _j, alpha = key
-    chi = data.scalar_character(alpha)
-    out = [x * g.a / c + y * g.d / c - chi.phase(g) for g in enumerate_cplus(data.group, c)]
-    _nums, chi_den = chi.box_phases(*cplus_arrays(data.group, c), c)
-    return out, math.lcm(x.denominator * y.denominator * c, chi_den)
+    chi, elements = data.scalar_character(alpha), enumerate_cplus(data.group, c)
+    chi_phases = [chi.phase(g) for g in elements]
+    out = [x * g.a / c + y * g.d / c - q for g, q in zip(elements, chi_phases)]
+    chi_den = math.lcm(*(q.denominator for q in chi_phases))
+    return out, math.lcm(math.lcm(x.denominator, y.denominator) * c, chi_den)
 
 
 def _elementwise_exact_layer(phases, den, bits):
@@ -368,11 +408,18 @@ def _per_element_float64_rows(nums, den):
     return [(Fraction(re), Fraction(im)) for re, im in zip(*(p.tolist() for p in parts))]
 
 
-# (keys of one datum, the slice of them taken, c) per case; the array is
-# the first key group of the slice: a row per key, over one den
-KERNEL_CASES = {"den = c, 60 keys": (_trivial_keys, slice(None), 60),
-                "eta2, den = 144 c": (_eta2_keys, slice(None), 37), "one element": None,
-                "eta2 sparse row, c = 1999": (_eta2_keys, slice(1), 1999)}
+def _sparse_keys():
+    data = AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=trivial_representation(),
+                          group=sl2z())
+    return [(data, [(Fraction(-1, 7), Fraction(2, 11), 1, 1)])], (1999,)
+
+
+# (keys of one datum, the slice of them taken, c, den/c) per case; the
+# array is the first key group of the slice: a row per key, over one den
+KERNEL_CASES = {"den = c, 60 keys": (_trivial_keys, slice(None), 60, 1),
+                "eta2, den = 12 c": (_eta2_keys, slice(None), 37, 12), "one element": None,
+                "eta2 row, c = 1999": (_eta2_keys, slice(1), 1999, 12),
+                "sparse row, den = 77 c, c = 1999": (_sparse_keys, slice(None), 1999, 77)}
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES)
@@ -384,18 +431,19 @@ def test_exact_kernel_equals_a_per_element_sum(case):
     if case == "one element":
         den, nums = 144 * 5, np.array([[7], [-3], [7 + 144 * 5]], dtype=np.int64)
     else:
-        make, taken, c = KERNEL_CASES[case]
+        make, taken, c, ratio = KERNEL_CASES[case]
         (data, keys), = make()[0][:1]
         rows = [_element_phases(data, c, key) for key in _key_groups(keys[taken])[0]]
         den = rows[0][1]
         assert {d for _phases, d in rows} == {den}
-        assert den == (c if make is _trivial_keys else 144 * c)
+        assert den == ratio * c
         nums = np.array([[int(p * den) for p in phases] for phases, _den in rows],
                         dtype=np.int64)
     if case.startswith("den = c"):  # rows that hit one residue more than once
         assert len(nums) == 60 and any(len(set(r)) < len(r) for r in (nums % den).tolist())
-    if "sparse" in case:  # one row, far fewer elements than den, residues repeated
+    if "c = 1999" in case:  # one row, residues repeated; numbered by a sort when sparse
         assert nums.shape == (1, 1998) and len(set((nums % den).tolist()[0])) < 1998
+        assert (den > 64 * nums.size) == ("sparse" in case)
     assert _exponent_sums(nums, den, 113, {}) == [
         _elementwise_exact_layer([Fraction(v, den) for v in row], den, 113)
         for row in nums.tolist()]
@@ -421,14 +469,48 @@ def test_float64_layer_with_a_large_denominator():
 
 def test_float64_row_within_the_layer_bound():
     # one element whose angle k (2 pi/den) rounds three times, k = 10624 at
-    # den = 144 * 79 (an eta^2 denominator at c = 79), off by 1.45 2^-50 by
-    # itself; a row of 78 copies must stay within the bound of a layer at
-    # c = 79, which covers the angle, sin/cos and the row sum
+    # den = 144 * 79, off by 1.45 2^-50 by itself; a row of 78 copies must
+    # stay within the bound of a layer at c = 79, which covers the angle,
+    # sin/cos and the row sum
     den, k = 144 * 79, 10624
     (re, im, e), = _exponent_sums(np.full((1, 78), k, dtype=np.int64), den, 53, {})
     with mpmath.workprec(256):
         got = mpmath.mpc(mpmath.ldexp(re, -e), mpmath.ldexp(im, -e))
         assert abs(got - 78 * exp2pi(Fraction(k, den))) <= _layer_error(79, den, 53)
+
+
+@pytest.mark.parametrize("data, ratio", [(_eta2_keys()[0][0][0], 12), (DELTA4, 1)],
+                         ids=["eta2", "eta24"])
+def test_layers_run_at_the_least_phase_denominator(data, ratio):
+    # box_phases come over 24 c; in lowest terms they leave eta^2 layers at
+    # den = 12 c, the denominator of (x a + y d)/c, and eta^24 (trivial on
+    # SL2(Z)) at c
+    kap = data.kappa_of(1)
+    for c in (7, 37):
+        (_rows, error), = _layers(data, c, cplus_arrays(sl2z(), c),
+                                  [[(-1 + kap, 2 + kap, 1, 1)]], 113, {})
+        assert error == _layer_error(c, ratio * c, 113)
+
+
+def test_conjugate_reads_negated_phases_once_per_c(monkeypatch):
+    # G+'s keys on the conjugate of eta^2 through eta^2's phases negated
+    # equal, bit for bit, their layers from the conjugate's own phases; so a
+    # build_pair walk computes s(-d, c) once per c, not once per datum
+    (data, _f_keys), (cdata, g_keys) = _eta2_keys()[0]
+    for c in (7, 37):
+        box = cplus_arrays(sl2z(), c)
+        for bits in (53, 113):
+            assert _layers(data, c, box, [g_keys], bits, {}, -1) \
+                == _layers(cdata, c, box, [g_keys], bits, {})
+    calls = []
+
+    def counted(h, k):
+        calls.append(k)
+        return dedekind_sum(h, k)
+
+    monkeypatch.setattr("mgrid.automorphy.dedekind_sum", counted)
+    build_pair(data, 3, 1, 1, 1, 1, TruncationParams(c_max=12, tail_tol=1.0, ctx=CTX), lmax=4)
+    assert calls == list(range(1, 13))
 
 
 def test_eta2_pair_evaluates_one_batch_per_datum_and_c(monkeypatch):
@@ -480,8 +562,9 @@ def test_exact_layer_noise_counts_every_computed_layer_but_no_structural_zero(pi
     pin_layer_bits(113)
     trunc = TruncationParams(c_max=100, tail_tol=1.0, ctx=CTX)
     s = _engine_sum(trunc)
-    # x = 0, y = 1 on eta^24: phases over den = 24 c (box_phases)
-    assert s.noise == _noise_rule(s, trunc, lambda c: _exact_layer_bound(c, 24 * c))
+    # x = 0, y = 1 on eta^24, trivial on SL2(Z): box_phases over 24 c reduce
+    # to den = c (_layers)
+    assert s.noise == _noise_rule(s, trunc, lambda c: _exact_layer_bound(c, c))
     _assert_structural_zeros_are_exact(trunc, 113)
 
 

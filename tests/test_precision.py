@@ -88,10 +88,11 @@ def test_exp2pi_quarter_turns_are_exact(bits):
 
 @pytest.mark.parametrize("bits", [53, 113, 200])
 def test_exp2pi_equals_separate_cos_and_sin(bits):
-    # exp2pi takes cos and sin of 2 pi x from one mpmath.cos_sin call: bit for
+    # exp2pi takes cos and sin of 2 pi x from one cos_sin_2pi call: bit for
     # bit mpc(cos(arg), sin(arg)) of the same angle, for eta^2 denominators
-    # 144 c up to c = 80 and small ones
-    dens = list(range(2, 40)) + [144 * c for c in (1, 7, 37, 79, 80)] + [144 * 80 - 1]
+    # 12 c, large ones 144 c, and small ones
+    dens = list(range(2, 40)) + [m * c for m in (12, 144) for c in (1, 7, 37, 79, 80)] \
+        + [144 * 80 - 1]
     with mpmath.workprec(bits):
         for den in dens:
             for k in sorted({1, den - 1, *range(1, den, max(1, den // 25)), den // 3 + 1}):
