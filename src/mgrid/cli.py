@@ -1,6 +1,6 @@
 """Batch command-line front end with machine-readable JSON/CSV output.
 
-Subcommands: coeffs, grid, duality, lvalue, period, pairing, selfcheck.
+Subcommands: coeffs, grid, duality, lvalue, period, pairing.
 Exit codes: 0 success, 1 usage/configuration error (gamma outside the
 group, or --bits too few to certify a series), 2 computed but with
 something unconverged.  One rule: a bound is unconverged when not
@@ -8,7 +8,7 @@ bound <= --tol (so a NaN bound is).  Each subcommand checks: coeffs, the
 series' tails; grid, the tails of f, G+, G- and the shadow and both
 duality sides'; duality, both sides' tails of every pair; lvalue, every
 err; period, the tails of the series it integrates; pairing, nothing (it
-reports no bound); selfcheck, that every check passes.
+reports no bound).
 Float fields are emitted as shortest round-trip decimals plus a parallel
 hex-float field, so identical configurations produce byte-identical
 reports; a non-finite float is the string "nan", "inf" or "-inf".
@@ -21,9 +21,6 @@ import csv
 import json
 import sys
 from fractions import Fraction
-
-import mpmath
-import numpy as np
 
 from .automorphy import (
     AutomorphyData,
@@ -300,85 +297,6 @@ def cmd_pairing(args) -> int:
     return _emit(args, payload)  # no bound yet to check against --tol
 
 
-def cmd_selfcheck(args) -> int:
-    import math
-
-    from .groups import S, cplus_arrays, enumerate_cplus, sl2z
-    from .lfun import TwistSpec, lvalue_series
-    from .poincare import Walk, _layers, kloosterman_layer, poincare_series
-    from .precision import exp2pi
-    from .specialfn import bessel_i, bessel_j, gamma_upper
-
-    _data, trunc = build_config(args, weight=4)  # validates the configuration
-    ctx = trunc.ctx
-    checks = []
-
-    ok = all(len(enumerate_cplus(sl2z(), c)) == sum(math.gcd(d, c) == 1 for d in range(c))
-             for c in range(1, 61))
-    checks.append(("cplus-cardinality-phi", ok))
-
-    def scalar(chi, weight=4):
-        return AutomorphyData(weight=weight, chi=chi, group=sl2z(),
-                              rho=DiagonalRepresentation((TrivialMultiplier(),)))
-
-    trivial = scalar(TrivialMultiplier())
-    ok = True
-    for c in range(1, 21):
-        direct = 0j
-        for d in range(c):
-            if math.gcd(d, c) != 1:
-                continue
-            a = pow(d, -1, c)
-            direct += np.exp(2j * np.pi * (a + (-d % c)) / c)
-        lay = kloosterman_layer(trivial, c, Fraction(1), Fraction(-1))
-        ok = ok and abs(direct - lay) < 1e-9
-    checks.append(("kloosterman-layer-direct", ok))
-    # the exact x = 0 weight-4 Ramanujan c-sums against the same sums
-    # through the box layers of eta^24 (trivial on SL2(Z), but not a
-    # TrivialMultiplier), within both noise bounds (the c <= 60 sums agree)
-    walk = Walk(TruncationParams(c_max=60, tail_tol=1.0, ctx=ctx))
-    sides = [[walk.coefficient(data, 4, 0, 1, y, 1) for y in (1, 2, 3)]
-             for data in (trivial, scalar(EtaPowerMultiplier(24)))]
-    walk.run()
-    with ctx.working():
-        ok = all(abs(walk.value(s1)[0] - walk.value(s2)[0]) <= s1.noise + s2.noise
-                 for s1, s2 in zip(*sides))
-    checks.append(("ramanujan-csum", ok))
-    # one multi-key eta^2 box in one pass at the context's bits, each row
-    # against a per-element sum of its phases, within the layer bound
-    eta2, c = scalar(EtaPowerMultiplier(2), 5), 37
-    keys = [(-1 + eta2.kappa[0], l + eta2.kappa[0], 1, 1) for l in range(11)]
-    (rows, error), = _layers(eta2, c, cplus_arrays(sl2z(), c), [keys], ctx.mantissa_bits, {})
-    with mpmath.workprec(ctx.mantissa_bits + 40):
-        ok = all(abs(mpmath.mpc(mpmath.ldexp(re, -e), mpmath.ldexp(im, -e)) - mpmath.fsum(
-            exp2pi(x * g.a / c + y * g.d / c - eta2.chi.phase(g)) for g in enumerate_cplus(
-                sl2z(), c))) <= error for (x, y, _j, _a), (re, im, e) in zip(keys, rows))
-    checks.append(("layers-batched", ok))
-    # one fixed-point series L-value (weight 12, S, s = 6: both sides alike)
-    # against the per-term mp sum of its coefficients, within its err
-    tr = TruncationParams(c_max=20, tail_tol=1.0, ctx=ctx)
-    f = poincare_series(scalar(TrivialMultiplier(), 12), 12, -1, 1, range(1, 21), tr)
-    lv = lvalue_series(f, TwistSpec.from_element(S), 6, trunc=tr)
-    with mpmath.workprec(ctx.mantissa_bits + 60):
-        ref = 2 * mpmath.fsum(a * mpmath.gammainc(6, 2 * mpmath.pi * m) / (2 * mpmath.pi * m) ** 6
-                              for (m, _j), a in f.items())
-    checks.append(("lvalue-fixed-point", abs(lv.lstar - ref) <= lv.err))
-    with ctx.working():
-        # Gamma(3, z) = 2 Gamma(2, z) + z^2 e^-z, to the context's bits
-        g1 = gamma_upper(3, 2.0, ctx)
-        g2 = 2 * gamma_upper(2, 2.0, ctx) + 4 * mpmath.exp(-2)
-        ok = abs(g1 - g2) < mpmath.ldexp(abs(g1), 8 - ctx.mantissa_bits)
-    checks.append(("gamma-recurrence", ok))
-    jq = sum(math.cos(3 * t - 7.0 * math.sin(t)) for t in
-             np.linspace(0, math.pi, 20001)[1:-1]) * math.pi / 20000 \
-        + (math.cos(0.0) + math.cos(3 * math.pi)) * math.pi / 40000
-    checks.append(("bessel-quadrature",
-                   abs(float(bessel_j(3, 7.0, ctx)) - jq / math.pi) < 1e-8))
-    checks.append(("bessel-i-positive", float(bessel_i(2, 1.5, ctx)) > 0))
-    payload = {"checks": [{"name": n, "pass": bool(v)} for n, v in checks]}
-    return _emit(args, payload, [n for n, v in checks if not v])
-
-
 def make_parser() -> _Parser:
     parser = _Parser(prog="mgrid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -446,9 +364,6 @@ def make_parser() -> _Parser:
     p.add_argument("--lmax", type=int, default=60)
     p.set_defaults(func=cmd_pairing)
 
-    p = sub.add_parser("selfcheck", help="run the standalone property suite")
-    _add_common(p)
-    p.set_defaults(func=cmd_selfcheck)
     return parser
 
 

@@ -95,16 +95,16 @@ def _exponent_sums(nums: np.ndarray, den: int, bits: int, tables: dict) -> list:
     25.3 2^-53 and a row of n (2^-53 per partial sum, each below n) within
     n (n + 28) 2^-53 (_layer_error), converted exactly (_gaussian).  Larger
     bits: the exact product giant[q] baby[s], r = q B + s, over the root table
-    of den (_root_table; `tables` maps den to it per box); a row is exact at
-    e = 2 P and within row length * (2 isqrt(den) + 3) 2^-P."""
+    of den (_root_table; `tables` maps (den, bits) to it per box); a row is
+    exact at e = 2 P and within row length * (2 isqrt(den) + 3) 2^-P."""
     distinct, at = _distinct_residues(nums, den)
     if bits <= 53:
         angles = distinct * (TWO_PI / den)
         re, im = np.cos(angles)[at].sum(axis=1), np.sin(angles)[at].sum(axis=1)
         return [_gaussian(r, i) for r, i in zip(re.tolist(), im.tolist())]
-    if den not in tables:
-        tables[den] = _root_table(den, bits)
-    prec, step, baby, giant = tables[den]
+    if (den, bits) not in tables:
+        tables[den, bits] = _root_table(den, bits)
+    prec, step, baby, giant = tables[den, bits]
     (gr, gi), (br, bi) = giant[:, distinct // step], baby[:, distinct % step]
     re, im = (gr * br - gi * bi)[at].sum(axis=1), (gr * bi + gi * br)[at].sum(axis=1)
     return [(r, i, 2 * prec) for r, i in zip(re, im)]
@@ -152,22 +152,24 @@ def _fixed_powers(x: Fraction, count: int, prec: int) -> np.ndarray:
 MP_LAYER_ELEMENT_BUDGET = 40_000
 
 
-def layer_bits_for(ctx, c_max: int, level: int = 1) -> int:
-    """Working precision for the Kloosterman layers of one engine walk.
+def layer_bits_for(ctx, c: int, level: int = 1) -> int:
+    """Working precision for the Kloosterman layers at c of an engine walk.
 
     The layers are unit-modulus sums with exactly reduced rational phases,
     so float64 already gives ~1e-16 relative accuracy per element; that
     floor only matters when a downstream evaluation cancels many digits
     (regularized L-series at split heights away from 1).  When the context
-    asks for more than double precision and the total box size
-    sum_{c <= c_max} phi(c) ~ 0.31 c_max^2 / level stays within budget, the
-    layers run at full context precision; otherwise they stay in float64.
+    asks for more than double precision and the total box size up to c,
+    sum_{c' <= c} phi(c') ~ 0.31 c^2 / level, stays within budget, the
+    layers at c run at full context precision; otherwise they stay in
+    float64.  A layer's precision depends on its c, not on the walk's c_max,
+    so more c never costs the small c (the largest weights) their digits.
     Either way a group of keys is one pass over (keys x box), one root per
-    distinct residue.  Deterministic for fixed (ctx, c_max, level).
+    distinct residue.  Deterministic for fixed (ctx, c, level).
     """
     if ctx.mantissa_bits <= 64:
         return 53
-    est_elements = (31 * c_max * c_max) // (100 * level)
+    est_elements = (31 * c * c) // (100 * level)
     return ctx.mantissa_bits if est_elements <= MP_LAYER_ELEMENT_BUDGET else 53
 
 
@@ -191,8 +193,8 @@ def _layers(data: AutomorphyData, c: int, box, groups, bits: int, tables: dict, 
     lcm(q c, den): one (keys x box) numerator array in one pass
     (_exponent_sums).  The keys hold no structural zero (j != alpha; their
     callers decide those once).  `tables` holds, for every datum at this c,
-    root tables by den and phases by (data, alpha); sign = -1 puts the keys
-    on data's conjugate, whose phases are data's negated (the same roots).
+    root tables by (den, bits) and phases by (data, alpha); sign = -1 puts
+    the keys on data's conjugate, with data's phases negated (same roots).
     """
     a, d = box
     out = []
@@ -219,9 +221,9 @@ def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
 
     For the trivial character and p = 1 this is the classical Kloosterman
     sum S(x, y; c).  Exact zero when j != alpha (rho is diagonal).
-    bits is the phase precision a walk takes from layer_bits_for; the layer
-    comes at the precision it ran at: a complex at 53 bits, else an mpc at
-    the fixed point's P bits.
+    bits is the phase precision a walk takes at c from layer_bits_for; the
+    layer comes at the precision it ran at: a complex at 53 bits, else an
+    mpc at the fixed point's P bits.
     """
     if j != alpha:
         data.kappa_of(j), data.kappa_of(alpha)  # ValueError outside 1..dim
@@ -273,8 +275,8 @@ def _run(requests: list, trunc: TruncationParams):
     error beyond the floor (0 for c^-w).  K_c = (re + i im) 2^-f is
       - the Ramanujan sum c_c(m) (f = 0) when the c-sum has m set: S is one
         integer dot product over the table, with no box;
-      - a box layer (_exponent_sums): exact in fixed point, or in float64
-        converted exactly (_gaussian).
+      - a box layer (_exponent_sums) at layer_bits_for(ctx, c, level) bits:
+        exact in fixed point, or in float64 converted exactly (_gaussian).
     Each product u_c K_c is an integer multiply and a shift by f, rounded to
     nearest (under one unit of 2^-e in modulus, exact at f = 0).
 
@@ -334,9 +336,8 @@ def _run(requests: list, trunc: TruncationParams):
             boxes.append((*source, [(g, np.empty(len(cs))) for g in groups.values()]))
     if not boxes:
         return
-    bits = layer_bits_for(trunc.ctx, trunc.c_max, level)
     for n, c in enumerate(cs):
-        arrays, tables = cplus_arrays(group, c), {}
+        arrays, tables, bits = cplus_arrays(group, c), {}, layer_bits_for(trunc.ctx, c, level)
         for source, sign, groups in boxes:
             keys = [[s.key for s in g] for g, _e in groups]
             layers = _layers(source, c, arrays, keys, bits, tables, sign)
@@ -608,8 +609,8 @@ def constant_term_cf(f: FourierSeries, trunc: TruncationParams):
                 chi^{-1}(g) rho(g^{-1})_{j,t} e^{(2 pi i/(c lambda)) (l+kappa_t) a}.
 
     Returns (values, tails): one complex constant and one tail bound per
-    component, the tail including the layer-rounding noise at the layer
-    precision of layer_bits_for.  On a trivial effective character every
+    component, the tail including the layer-rounding noise at each c's layer
+    precision (layer_bits_for).  On a trivial effective character every
     layer is an exact Ramanujan sum (see _run), with |c_c(m)| <= sigma(m)
     in the tail.  Each component is rounded once.
     """

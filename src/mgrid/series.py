@@ -29,7 +29,7 @@ class TruncationParams:
     working precision used for Bessel/gamma prefactors and accumulation.
 
     Each walk takes the phase-evaluation precision of its Kloosterman box
-    layers from poincare.layer_bits_for, a function of (ctx, c_max, level).
+    layers at c from poincare.layer_bits_for(ctx, c, level), whatever c_max.
     Float64 and fixed-point layers feed the same exact c-sum accumulator,
     and their rounding bounds enter its one noise rule.
     """

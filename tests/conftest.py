@@ -11,6 +11,6 @@ def pin_layer_bits(monkeypatch):
     import mgrid.poincare as poincare
 
     def pin(bits: int) -> None:
-        monkeypatch.setattr(poincare, "layer_bits_for", lambda ctx, c_max, level=1: bits)
+        monkeypatch.setattr(poincare, "layer_bits_for", lambda ctx, c, level=1: bits)
 
     return pin

@@ -376,14 +376,14 @@ LAYER_CASES = {"eta2": _eta2_keys, "trivial": _trivial_keys,
 @pytest.mark.parametrize("case", LAYER_CASES)
 def test_batched_layers_equal_an_elementwise_sum(case):
     # every row of every group of one _layers call against its own key's
-    # per-element sum: bit for bit in fixed point at 113 bits, within
-    # c (c + 28) 2^-53 of a 256-bit sum in float64
+    # per-element sum: bit for bit in fixed point at 113 and 200 bits,
+    # within c (c + 28) 2^-53 of a 256-bit sum in float64
     data_keys, cs = LAYER_CASES[case]()
     for c in cs:
         box, tables = cplus_arrays(data_keys[0][0].group, c), {}
         for data, keys in data_keys:
             groups = _key_groups(keys)
-            for bits in (53, 113):
+            for bits in (53, 113, 200):
                 layers = _layers(data, c, box, groups, bits, tables)
                 assert [len(rows) for rows, _error in layers] == [len(g) for g in groups]
                 for group, (rows, error) in zip(groups, layers):
@@ -626,20 +626,22 @@ def test_exact_ramanujan_csums_match_box_layers(spec, w):
             assert err <= noise + box_bound
 
 
-@pytest.mark.parametrize("bits", [53, 113])
+@pytest.mark.parametrize("bits", [53, 113, 200])
 def test_ramanujan_and_box_sources_agree(bits, pin_layer_bits):
     # the same weight-12 x = 0 sums through the Ramanujan source (trivial
-    # character) and through the box (eta^24), within both returned tails
+    # character) and through the box (eta^24), within both returned tails;
+    # 200-bit layers in a 200-bit context
     args = (12, 0, 1, range(1, 11))
     pin_layer_bits(bits)
-    trunc = TruncationParams(c_max=200, tail_tol=1.0, ctx=CTX)
+    ctx = PrecisionContext(mantissa_bits=max(bits, 113))
+    trunc = TruncationParams(c_max=200, tail_tol=1.0, ctx=ctx)
     exact = poincare_series(AutomorphyData(weight=12, chi=TrivialMultiplier(),
                                            rho=trivial_representation(), group=sl2z()),
                             *args, trunc)
     box = poincare_series(AutomorphyData(weight=12, chi=EtaPowerMultiplier(24),
                                          rho=trivial_representation(), group=sl2z()),
                           *args, trunc)
-    with CTX.working():
+    with ctx.working():
         for l in range(1, 11):
             assert abs(exact.coefficient(l) - box.coefficient(l)) \
                 <= exact.tail_bound(l) + box.tail_bound(l)

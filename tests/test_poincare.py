@@ -184,6 +184,24 @@ def test_truncation_monotonicity(weight, n, l, pin_layer_bits):
     assert abs(complex(v1 - v2)) <= t1
 
 
+@pytest.mark.parametrize("chi, n, c_max", [(TrivialMultiplier(), 1, 2000),
+                                           (TrivialMultiplier(), -1, 2000),
+                                           (EtaPowerMultiplier(24), -1, 1000)],
+                         ids=["I-weight12", "J-weight12", "eta24-J"])
+def test_more_c_never_costs_certified_digits(chi, n, c_max):
+    # 113-bit layers stay within their element budget up to c = 359 at
+    # level 1, and float64 layers take the larger c: past 359, every tail is
+    # at most its c_max 359 tail, and the move from c_max 359 lies within it
+    data = AutomorphyData(weight=12, chi=chi, rho=trivial_representation(), group=sl2z())
+    near, far = (poincare_series(data, 12, n, 1, range(1, 11),
+                                 TruncationParams(c_max=c, tail_tol=1.0, ctx=CTX))
+                 for c in (359, c_max))
+    with CTX.working():
+        for l in range(1, 11):
+            assert far.tail_bound(l) <= near.tail_bound(l)
+            assert abs(far.coefficient(l) - near.coefficient(l)) <= near.tail_bound(l)
+
+
 def test_eta_case_coefficient_finite_and_converged():
     data = AutomorphyData(weight=5, chi=EtaPowerMultiplier(2),
                           rho=trivial_representation(), group=sl2z())
