@@ -111,6 +111,7 @@ class Multiplier:
         raise NotImplementedError
 
     def nontriviality_ok(self, weight: int) -> bool:
+        """chi(-I) = e^{pi i weight}; at weight 0, chi(-I) = 1."""
         minus_i = GroupElement(-1, 0, 0, -1)
         return frac(self.phase(minus_i) - Fraction(weight, 2)) == 0
 
@@ -266,10 +267,6 @@ class DiagonalRepresentation:
         if not self.components:
             raise ValueError("representation must have positive dimension")
 
-    def minus_i_is_identity(self) -> bool:
-        minus_i = GroupElement(-1, 0, 0, -1)
-        return all(frac(mu.phase(minus_i)) == 0 for mu in self.components)
-
     @property
     def dim(self) -> int:
         return len(self.components)
@@ -279,9 +276,6 @@ class DiagonalRepresentation:
         if not 1 <= j <= self.dim:
             raise ValueError(f"component {j} outside 1..{self.dim}")
         return self.components[j - 1]
-
-    def phase_T(self, j: int) -> Fraction:
-        return self.component(j).phase(T)
 
     def conjugate(self):
         return DiagonalRepresentation(tuple(mu.conjugate() for mu in self.components))
@@ -296,7 +290,7 @@ def trivial_representation(p: int = 1) -> DiagonalRepresentation:
 
 def kappa_vector(chi: Multiplier, rho: DiagonalRepresentation) -> tuple:
     """Exact cusp parameters kappa_j in [0,1) from the diagonal of chi(T) rho(T)."""
-    return tuple(frac(chi.phase(T) + rho.phase_T(j)) for j in range(1, rho.dim + 1))
+    return tuple(frac(chi.phase(T) + rho.component(j).phase(T)) for j in range(1, rho.dim + 1))
 
 
 @dataclass(frozen=True)
@@ -318,7 +312,7 @@ class AutomorphyData:
             )
         if not isinstance(self.rho, DiagonalRepresentation):
             raise ValueError("only a diagonal rho (DiagonalRepresentation) is supported")
-        if not self.rho.minus_i_is_identity():
+        if not all(mu.nontriviality_ok(0) for mu in self.rho.components):
             raise ValueError("rho(-I) must be the identity matrix")
         object.__setattr__(self, "kappa", kappa_vector(self.chi, self.rho))
 

@@ -164,7 +164,7 @@ def _emit(args, payload: dict, unconverged=(), table=(), header=()) -> int:
 def _build_sform(args, data, trunc):
     from .poincare import poincare_series
 
-    return poincare_series(data, args.weight, args.n, args.alpha,
+    return poincare_series(data, data.weight, args.n, args.alpha,
                            range(args.lmin, args.lmax + 1), trunc)
 
 
@@ -249,7 +249,6 @@ def cmd_period(args) -> int:
 
     data, trunc = build_config(args, weight=args.k + 2)
     gamma = parse_gamma(args.gamma)
-    args.weight = args.k + 2
     f = _build_sform(args, data, trunc)
     if args.kind == "rN":
         poly = period_rN(f, gamma, args.k, t0=args.t0)

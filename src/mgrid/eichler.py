@@ -31,7 +31,7 @@ import mpmath
 import numpy as np
 
 from . import lfun
-from .automorphy import AutomorphyData, conjugate
+from .automorphy import AutomorphyData, conjugate, n_prime
 from .groups import GroupElement, moebius
 from .poincare import constant_term_cf, poincare_series
 from .quadrature import _moments, vertical_poly_integral
@@ -99,17 +99,22 @@ def _require_scalar(f: FourierSeries):
         )
 
 
-def eichler_E(f: FourierSeries, k: int) -> FourierSeries:
-    """Coefficient-level Eichler primitive of order k+1 (weight -k series)."""
+def _require_weight(f: FourierSeries, k: int):
     if f.weight != k + 2:
         raise ValueError(f"series weight {f.weight} != k+2 = {k + 2}")
+
+
+def eichler_E(f: FourierSeries, k: int) -> FourierSeries:
+    """Coefficient-level Eichler primitive of order k+1 (weight -k series)."""
+    _require_weight(f, k)
     if not f.has_zero_constant_term():
         raise ValueError("Eichler primitive needs a vanishing constant term")
     return f.freq_power(-k, -(k + 1))
 
 
 def eichler_EH(f: FourierSeries, k: int, trunc: TruncationParams):
-    """(E_f, c_f): the primitive plus the constant its principal part forces."""
+    """(E_f, c_f values, c_f tails): the primitive, and the constant its
+    principal part forces with its tail bound, one per component."""
     e = eichler_E(f, k)
     cf_vals, cf_tails = constant_term_cf(f, trunc)
     return e, cf_vals, cf_tails
@@ -118,13 +123,22 @@ def eichler_EH(f: FourierSeries, k: int, trunc: TruncationParams):
 def eichler_EN(f: FourierSeries, tau, k: int) -> complex:
     """E^N_f(tau) for a genuine cusp form, by its closed-form ray integral."""
     _require_scalar(f)
-    if f.weight != k + 2:
-        raise ValueError(f"series weight {f.weight} != k+2 = {k + 2}")
+    _require_weight(f, k)
     if not f.is_cusp_form():
         raise ValueError("E^N is defined only for cusp forms")
     tau = complex(tau)
     integral = vertical_poly_integral(f, 1, tau, tau.conjugate() - tau, -1j, k)
     return integral.conjugate() / c_weight(k + 2)
+
+
+def _poincare_sum(terms, data: AutomorphyData, k: int, trunc: TruncationParams,
+                  lmax: int) -> FourierSeries:
+    """sum b P_{n,alpha} of weight k+2 on data over terms (b, n, alpha), at
+    l = 0..lmax; each scaled series is added to an empty one (0 + v = v)."""
+    out = FourierSeries(k + 2, data, truncation=trunc)
+    for b, n, alpha in terms:
+        out = out + poincare_series(data, k + 2, n, alpha, range(0, lmax + 1), trunc).scale(b)
+    return out
 
 
 def supplementary(combo, data: AutomorphyData, k: int, trunc: TruncationParams,
@@ -135,17 +149,11 @@ def supplementary(combo, data: AutomorphyData, k: int, trunc: TruncationParams,
     f = sum b_i P_{n_i, alpha_i}; each index must satisfy
     -n_i + kappa_{alpha_i} > 0.
     """
-    from .automorphy import n_prime
-
-    cdata = conjugate(data)
-    out = FourierSeries(k + 2, cdata, truncation=trunc)
-    for (b, n, alpha) in combo:
+    for (_b, n, alpha) in combo:
         if not -n + data.kappa_of(alpha) > 0:
             raise ValueError(f"(n, alpha) = ({n}, {alpha}) is not a cusp direction")
-        npr = n_prime(n, data.kappa_of(alpha))
-        p = poincare_series(cdata, k + 2, npr, alpha, range(0, lmax + 1), trunc)
-        out = out + p.scale(mpmath.conj(mpmath.mpc(b)))
-    return out
+    return _poincare_sum([(mpmath.conj(mpmath.mpc(b)), n_prime(n, data.kappa_of(alpha)), alpha)
+                          for b, n, alpha in combo], conjugate(data), k, trunc, lmax)
 
 
 def period_r_parabolic(f: FourierSeries, gamma: GroupElement, k: int) -> PeriodPolynomial:
@@ -162,6 +170,7 @@ def _period(f: FourierSeries, gamma: GroupElement, k: int, route) -> PeriodPolyn
     period polynomials: route(twist) gives the k+1 pairs (u_n, w_n) at the
     twist of gamma (lfun.TwistSpec, c > 0); the parabolic polynomial at c = 0."""
     _require_scalar(f)
+    _require_weight(f, k)
     if gamma.c == 0:
         return period_r_parabolic(f, gamma, k)
     twist = lfun.TwistSpec.from_element(gamma)
@@ -254,13 +263,9 @@ def check_supplementary_identity(combo, data: AutomorphyData, k: int,
     Both sides run through their own L-value pipelines: the left on the
     coefficients of f, the right on those of the supplementary function.
     """
-    f = None
-    for (b, n, alpha) in combo:
-        p = poincare_series(data, k + 2, n, alpha, range(0, lmax + 1), trunc)
-        p = p.scale(mpmath.mpc(b))
-        f = p if f is None else f + p
-    if f is None:
+    if not combo:
         return 0.0
+    f = _poincare_sum([(mpmath.mpc(b), n, alpha) for b, n, alpha in combo], data, k, trunc, lmax)
     fstar = supplementary(combo, data, k, trunc, lmax=lmax)
     lhs = period_rH(f, gamma, k, trunc)
     rhs = period_rH(fstar, gamma, k, trunc).conjugate_reflected()

@@ -77,9 +77,6 @@ class HarmonicForm:
     def conj_data(self) -> AutomorphyData:
         return self.holo.automorphy
 
-    def kappa_prime(self, j: int) -> Fraction:
-        return self.conj_data.kappa_of(j)
-
     def b_minus(self, l: int, j: int = 1):
         return self.nonholo.get((l, j), mpmath.mpc(0))
 
@@ -188,9 +185,8 @@ def _harmonic_form(k: int, n2: int, alpha2: int, p_conj: FourierSeries, cf,
     nonholo, nh_tails = {}, {}
     with trunc.ctx.working():
         for (l, j), a in p_conj.items():
-            holo.coeffs[(l, j)], holo.tails[(l, j)] = (mpmath.mpc(1), 0.0) \
-                if (l, j) == (-n2, alpha2) else _b_plus(k, mu, p_conj.freq(l, j), a,
-                                                        p_conj.tails[(l, j)])
+            holo.coeffs[(l, j)], holo.tails[(l, j)] = _b_plus(  # 1, 0.0 at (-n2, alpha2)
+                k, mu, p_conj.freq(l, j), a, p_conj.tails[(l, j)])
         for j in range(1, cdata.dim + 1):
             if cdata.kappa_of(j) == 0:
                 holo.coeffs[(0, j)], holo.tails[(0, j)] = _b_plus(
@@ -275,8 +271,8 @@ def check_main2_symmetry(G1: HarmonicForm, G2: HarmonicForm) -> float:
     k = G1.k
     lhs_b = G1.b_minus(-G2.n2, G2.alpha2)
     rhs_b = G2.b_minus(-G1.n2, G1.alpha2)
-    x1 = -G2.n2 + G1.kappa_prime(G2.alpha2)
-    x2 = -G1.n2 + G2.kappa_prime(G1.alpha2)
+    x1 = -G2.n2 + G1.conj_data.kappa_of(G2.alpha2)
+    x2 = -G1.n2 + G2.conj_data.kappa_of(G1.alpha2)
     lhs = complex(lhs_b) * float(x1) ** (k + 1)
     rhs = complex(mpmath.conj(rhs_b)) * float(x2) ** (k + 1)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)

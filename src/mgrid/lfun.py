@@ -217,7 +217,7 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
         raise NotImplementedError("L-series are computed per scalar component")
     kappa = f.automorphy.kappa_of(1)
     terms = [(m, m + kappa, am) for (m, _j), am in f.items()]  # dim 1: j = 1
-    if any(am != 0 for _m, fr, am in terms if fr == 0):
+    if not f.has_zero_constant_term():
         raise ValueError("L-series require a vanishing constant term")
     if any(si < 1 for si in s_list):
         raise ValueError("critical values are taken at integer s >= 1")
@@ -332,11 +332,6 @@ class PairingMatrix:
     residual: float
     rank: int
 
-    @property
-    def feature_dim(self) -> int:
-        return len(self.gens) * (self.k + 1)
-
-
 
 def period_feature_vector(rh_polys) -> np.ndarray:
     """Stacked coefficients of [r^H(f*, gamma_j; conj tau)]^- over generators.
@@ -390,6 +385,6 @@ def predict_gram(pm: PairingMatrix, rh_f_polys, rh_g_polys) -> complex:
     the two supplementary functions (one per non-parabolic generator)."""
     uf = period_feature_vector(rh_f_polys)
     ug = period_feature_vector(rh_g_polys)
-    if uf.shape != (pm.feature_dim,) or ug.shape != (pm.feature_dim,):
+    if uf.shape != pm.B.shape[:1] or ug.shape != pm.B.shape[:1]:
         raise ValueError("feature dimension mismatch with the fitted pairing")
     return complex(uf @ pm.B @ np.conj(ug))

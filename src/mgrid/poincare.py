@@ -402,12 +402,17 @@ def _ramanujan_layers(m: int, level: int, mu: np.ndarray) -> np.ndarray:
     return layers[level::level]
 
 
-def _check_weight(weight: int, trunc: TruncationParams, level: int = 1):
+def _check_weight(data: AutomorphyData, weight: int, trunc: TruncationParams):
+    """Once per request: the c-sums converge, chi(-I) = e^{pi i weight} at the
+    weight computed (not only at data.weight), and c_max reaches the level."""
     if weight < 3:
         raise ValueError("Poincare coefficient sums diverge for weight < 3")
-    if trunc.c_max < level:
+    if not data.chi.nontriviality_ok(weight):
+        raise ValueError(f"character {data.chi.label()} violates chi(-I) = e^(pi i k) "
+                         f"at weight {weight}")
+    if trunc.c_max < data.group.level:
         raise ValueError(f"c_max = {trunc.c_max} is below the smallest positive c "
-                         f"(= level {level}) of the group")
+                         f"(= level {data.group.level}) of the group")
 
 
 def _majorant(w: int, x, y, group, c0: int, m: int | None = None) -> float:
@@ -496,7 +501,7 @@ class Walk:
     def coefficient(self, data: AutomorphyData, w: int, n: int, alpha: int, l: int, j: int):
         """The c-sum of a_{n,alpha}(l, j) at weight w (l + kappa_j > 0) for
         value(), None for a structural zero."""
-        _check_weight(w, self.trunc, data.group.level)
+        _check_weight(data, w, self.trunc)
         key = (-n + data.kappa_of(alpha), l + data.kappa_of(j), j, alpha)
         if (data, w, key) not in self.coefficients and j == alpha:  # else a structural zero
             with self.trunc.ctx.working():
@@ -512,7 +517,7 @@ class Walk:
     def series(self, data: AutomorphyData, w: int, n: int, alpha: int, l_range):
         """Registers poincare_series(data, w, n, alpha, l_range); returns the
         function that builds it after run()."""
-        _check_weight(w, self.trunc, data.group.level)
+        _check_weight(data, w, self.trunc)
         data.kappa_of(alpha)  # ValueError outside 1..dim, also when no l is summed
         indices = [(l, j) for j in range(1, data.dim + 1) for l in l_range
                    if l + data.kappa_of(j) > 0]
@@ -533,6 +538,7 @@ class Walk:
         (values, tails) after run()."""
         data = f.automorphy
         w = f.weight  # = k + 2
+        _check_weight(data, w, self.trunc)
         principal = [(n, t) for (n, t) in f.principal_support() if f.coeffs[(n, t)] != 0]
         with self.trunc.ctx.working():
             with mpmath.workprec(_prefactor_prec(w)):

@@ -63,10 +63,6 @@ class FourierSeries:
         for _n, j in self.coeffs:
             automorphy.kappa_of(j)  # ValueError outside 1..dim
 
-    @property
-    def dim(self) -> int:
-        return self.automorphy.dim
-
     def freq(self, n: int, j: int) -> Fraction:
         """n + kappa_j (the frequency in units of 1/lambda)."""
         return n + self.automorphy.kappa_of(j)
@@ -144,5 +140,5 @@ class FourierSeries:
     def __repr__(self):
         rng = sorted(n for (n, _) in self.coeffs)
         span = f"{rng[0]}..{rng[-1]}" if rng else "empty"
-        return (f"FourierSeries(weight={self.weight}, p={self.dim}, "
+        return (f"FourierSeries(weight={self.weight}, p={self.automorphy.dim}, "
                 f"n={span}, {len(self.coeffs)} coefficients)")

@@ -219,9 +219,6 @@ def test_only_a_diagonal_rho_is_accepted():
     class Permutation:
         dim = 2
 
-        def phase_T(self, j):
-            return Fraction(0)
-
     with pytest.raises(ValueError, match="only a diagonal rho"):
         AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=Permutation(), group=sl2z())
 
@@ -232,6 +229,6 @@ def test_component_index_outside_1_to_dim_raises():
     data = AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=rho, group=sl2z())
     assert data.kappa_of(2) == Fraction(1, 6) and rho.component(2) == EtaPowerMultiplier(4)
     for j in (0, 3, -1):
-        for read in (rho.component, rho.phase_T, data.kappa_of, data.scalar_character):
+        for read in (rho.component, data.kappa_of, data.scalar_character):
             with pytest.raises(ValueError, match=r"outside 1\.\.2"):
                 read(j)

@@ -4,7 +4,8 @@ one-pass series against single coefficients, the one noise rule of the
 c-sum accumulator over float64 and fixed-point layers, the constant term's
 layer precision, the exact fixed-point layers against 256-bit sums and
 Ramanujan sums, root tables against exp2pi-seeded ones, the distinct-residue
-kernel against per-element fixed-point and float64 sums, the batched layers
+kernel against per-element fixed-point and float64 sums, numpy's sin and
+cos within 2 ulps at the kernel's angles, the batched layers
 of every key group against per-element sums, passes at the least phase
 denominator, a conjugate's layers from negated phases with one Dedekind sum
 per c, one array pass per datum and c, the Bessel weights as the
@@ -37,6 +38,7 @@ from mgrid.automorphy import (
 from mgrid.gridforms import build_pair
 from mgrid.groups import cplus_arrays, enumerate_cplus, gamma0, sl2z
 from mgrid.poincare import (
+    TWO_PI,
     Walk,
     _coefficient_sum,
     _exponent_sums,
@@ -477,6 +479,25 @@ def test_float64_row_within_the_layer_bound():
     with mpmath.workprec(256):
         got = mpmath.mpc(mpmath.ldexp(re, -e), mpmath.ldexp(im, -e))
         assert abs(got - 78 * exp2pi(Fraction(k, den))) <= _layer_error(79, den, 53)
+
+
+def test_numpy_sin_cos_within_2_ulps_at_kernel_angles():
+    # the float64 layer bound takes numpy's sin and cos within 2 ulps; check
+    # them at angles formed as the kernel forms them, r (2 pi/den) over
+    # arrays, for den = c and 12 c (eta^2), c <= 2000, against 200-bit values
+    worst = 0.0
+    for c in range(1, 2001):
+        for den in (c, 12 * c):
+            rs = np.arange(den) if den <= 48 else np.unique(np.array(
+                [1, 2, den // 4, den // 3, den // 2, den - 1, 7 * c % den, 11 * c // 7 % den]))
+            angles = rs * (TWO_PI / den)
+            for fn, ref in ((np.cos, mpmath.cos), (np.sin, mpmath.sin)):
+                with mpmath.workprec(200):
+                    for a, v in zip(angles.tolist(), fn(angles).tolist()):
+                        exact = ref(mpmath.mpf(a))
+                        err = float(abs(mpmath.mpf(v) - exact)) / math.ulp(float(exact))
+                        worst = max(worst, err)
+    assert worst <= 2.0, worst
 
 
 @pytest.mark.parametrize("data, ratio", [(_eta2_keys()[0][0][0], 12), (DELTA4, 1)],

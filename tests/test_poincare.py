@@ -17,6 +17,7 @@ from mgrid.automorphy import (
     conjugate,
     trivial_representation,
 )
+from mgrid.gridforms import build_G
 from mgrid.groups import GroupElement, gamma0, sl2z
 from mgrid.poincare import (
     coefficient_envelope,
@@ -26,7 +27,7 @@ from mgrid.poincare import (
     poincare_series,
 )
 from mgrid.precision import PrecisionContext
-from mgrid.series import TruncationParams
+from mgrid.series import FourierSeries, TruncationParams
 
 CTX = PrecisionContext(mantissa_bits=113, target_tol=1e-25)
 
@@ -159,6 +160,18 @@ def test_weight_preconditions():
     data3 = AutomorphyData(weight=3, chi=EtaPowerMultiplier(2),
                            rho=trivial_representation(), group=sl2z())
     _val, tail = poincare_coefficient(data3, 3, 1, 1, 1, 1, trunc)
+    assert math.isfinite(tail)
+    # chi(-I) = e^{pi i w} at the weight computed, not only at data.weight:
+    # weight 13 on a trivial datum is a series that vanishes identically
+    data12 = trivial_data(12)
+    lead = FourierSeries(13, data12, coeffs={(-1, 1): mpmath.mpc(1)})
+    for request in (lambda: poincare_coefficient(data12, 13, -1, 1, 1, 1, trunc),
+                    lambda: poincare_series(data12, 13, -1, 1, range(1, 3), trunc),
+                    lambda: constant_term_cf(lead, trunc),
+                    lambda: build_G(data12, 11, 1, 1, trunc, lmax=2)):
+        with pytest.raises(ValueError, match=r"chi\(-I\)"):
+            request()
+    _val, tail = poincare_coefficient(data12, 14, -1, 1, 1, 1, trunc)  # same parity
     assert math.isfinite(tail)
 
 
