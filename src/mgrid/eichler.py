@@ -158,6 +158,8 @@ def supplementary(combo, data: AutomorphyData, k: int, trunc: TruncationParams,
 
 def period_r_parabolic(f: FourierSeries, gamma: GroupElement, k: int) -> PeriodPolynomial:
     """Zero polynomial: the Eichler primitive is periodic under +-T^m."""
+    _require_scalar(f)
+    _require_weight(f, k)
     if gamma.c != 0:
         raise ValueError("parabolic period requested for c != 0")
     if abs(gamma.a) != 1:
@@ -169,10 +171,10 @@ def _period(f: FourierSeries, gamma: GroupElement, k: int, route) -> PeriodPolyn
     """sum_n u_n binom(k, n) w_n (tau + d/c)^{k-n}, the one assembler of the
     period polynomials: route(twist) gives the k+1 pairs (u_n, w_n) at the
     twist of gamma (lfun.TwistSpec, c > 0); the parabolic polynomial at c = 0."""
-    _require_scalar(f)
-    _require_weight(f, k)
     if gamma.c == 0:
         return period_r_parabolic(f, gamma, k)
+    _require_scalar(f)
+    _require_weight(f, k)
     twist = lfun.TwistSpec.from_element(gamma)
     g = twist.gamma
     coeffs = np.zeros(k + 1, dtype=complex)

@@ -16,23 +16,25 @@ a sum over the double-coset boxes C+(c):
 (w = weight; lambda, the cusp width at i-infinity, is 1 on Gamma_0(N)).  rho
 = diag(mu_1, ..., mu_p) is diagonal, so chi(g)^{-1} rho(g^{-1})_{j,alpha} is
 the effective character's (chi mu_alpha)(g)^{-1} on j = alpha and 0 off it,
-where no layer is summed.  One engine computes every c-sum: it walks c once in ascending order, builds the
-box C+(c) once (groups.cplus_arrays; never cached), asks each effective
-character for the exact phases of the whole box (Multiplier.box_phases,
-integer numerators over one denominator, in lowest terms; a datum's
-conjugate reads them negated), and evaluates the layers of every requested
-(x, y, j, alpha) from that box in one array pass per group of keys sharing
-alpha and q = lcm(x.den, y.den), over lcm(q c, the phases' least
-denominator) (12 c on eta^2): a (keys x box) numerator array, one root of
-unity per distinct residue (a float64 cos/sin, or above 53 bits an exact
-product of table roots), gathered and summed per row.
+where no layer is summed.  One engine computes every c-sum: it walks c
+once in ascending order, builds the box C+(c) once (groups.cplus_arrays;
+never cached), asks each effective character for the exact phases of the
+whole box (Multiplier.box_phases, integer numerators over one denominator,
+in lowest terms; a datum's conjugate reads them negated), and evaluates the
+layers of every key (x, y, alpha) (j = alpha; structural zeros never reach
+it) from that box in one array pass per group of keys sharing alpha and
+q = lcm(x.den, y.den), over lcm(q c, the phases' least denominator) (12 c
+on eta^2): a (keys x box) numerator array, one root of unity per distinct
+residue (a float64 cos/sin, or above 53 bits an exact product of table
+roots), gathered and summed per row.
 A Walk fills the c-sums of series, constant terms and coefficients on equal
 data, a datum and its conjugate in one walk (gridforms.build_grid uses one
 per grid); poincare_series, poincare_coefficient and constant_term_cf are a
 Walk with one request, kloosterman_layer the engine at one c and one index.
 
-Every c-sum is a common prefactor times one exact integer sum
-S = sum_c u_c K_c at the scale 2^-P, rounded once, with one noise rule
+Every c-sum, a coefficient's or a constant term's, is built by one
+constructor (_coefficient_sum): a common prefactor times one exact integer
+sum S = sum_c u_c K_c at the scale 2^-P, rounded once, with one noise rule
 (see _run).  u_c is the weight as an integer, and K_c comes from one of
 three sources: a float64 or a fixed-point box layer, each as an exact
 Gaussian integer, or, with no box, the Ramanujan sum
@@ -181,35 +183,41 @@ def _layer_error(c: int, den: int, bits: int) -> float:
     return c * (2 * math.isqrt(den) + 3) * 2.0 ** -(bits + 16 + den.bit_length())
 
 
-def _layers(data: AutomorphyData, c: int, box, groups, bits: int, tables: dict, sign=1) -> list:
-    """[(rows, error bound)] per group of keys, rows holding (re, im, e) of
-    K_c(x, y)_{j,alpha} = (re + i im) 2^-e for each (x, y, j, alpha) of the
-    group, from the box (a, d) = C+(c).
+def _key_group(keys: list) -> tuple:
+    """(alpha, q, xy) of keys (x, y, alpha) sharing alpha and q = lcm(x.den,
+    y.den): xy holds their x and y as int64 numerators over q, one column
+    per key, built once per walk (_layers scales it per c)."""
+    x, y, alpha = keys[0]
+    q = math.lcm(x.denominator, y.denominator)
+    xy = np.array([(x.numerator * (q // x.denominator), y.numerator * (q // y.denominator))
+                   for x, y, _alpha in keys], dtype=np.int64)
+    return alpha, q, xy.T
 
-    The keys of a group share alpha and q = lcm(x.den, y.den).  The box
-    phases of chi * mu_alpha are divided by gcd(den, nums) once per c, so
-    any multiplier gives its least den (12 c on eta^2, 1 on eta^24 over
+
+def _layers(data: AutomorphyData, c: int, box, groups, bits: int, tables: dict, sign=1) -> list:
+    """[(rows, error bound)] per key group (alpha, q, xy) (_key_group), rows
+    holding (re, im, e) of K_c(x, y)_{alpha,alpha} = (re + i im) 2^-e for
+    each key of the group, from the box (a, d) = C+(c).
+
+    The box phases of chi * mu_alpha are divided by gcd(den, nums) once per
+    c, so any multiplier gives its least den (12 c on eta^2, 1 on eta^24 over
     SL2(Z)), and the exponent (x a + y d)/c minus them reduces exactly over
     lcm(q c, den): one (keys x box) numerator array in one pass
-    (_exponent_sums).  The keys hold no structural zero (j != alpha; their
-    callers decide those once).  `tables` holds, for every datum at this c,
-    root tables by (den, bits) and phases by (data, alpha); sign = -1 puts
-    the keys on data's conjugate, with data's phases negated (same roots).
+    (_exponent_sums).  `tables` holds, for every datum at this c, root
+    tables by (den, bits) and phases by (data, alpha); sign = -1 puts the
+    keys on data's conjugate, with data's phases negated (same roots).
     """
     a, d = box
     out = []
-    for keys in groups:
-        alpha = keys[0][3]
+    for alpha, q, xy in groups:
         if (data, alpha) not in tables:
             nums, den = data.scalar_character(alpha).box_phases(a, d, c)
             g = math.gcd(den, int(np.gcd.reduce(nums)))
             tables[(data, alpha)] = nums // g, den // g
         chi_num, chi_den = tables[(data, alpha)]
         # exponent (x a + y d)/c over q c (lambda = 1 here), one row per key
-        q = math.lcm(keys[0][0].denominator, keys[0][1].denominator)
         den = math.lcm(q * c, chi_den)
-        ca, cd = np.array([(x.numerator * (q // x.denominator), y.numerator * (q // y.denominator))
-                           for x, y, _j, _alpha in keys], dtype=np.int64).T * (den // (q * c))
+        ca, cd = xy * (den // (q * c))
         nums = ca[:, None] * a + cd[:, None] * d - sign * chi_num * (den // chi_den)
         out.append((_exponent_sums(nums, den, bits, tables), _layer_error(c, den, bits)))
     return out
@@ -229,7 +237,7 @@ def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
         data.kappa_of(j), data.kappa_of(alpha)  # ValueError outside 1..dim
         return 0j
     re, im, e = _layers(data, c, cplus_arrays(data.group, c),
-                        [[(Fraction(x), Fraction(y), j, alpha)]], bits, {})[0][0][0]
+                        [_key_group([(Fraction(x), Fraction(y), alpha)])], bits, {})[0][0][0]
     if bits <= 53:
         return complex(re / (1 << e), im / (1 << e))
     with mpmath.workprec(e // 2):
@@ -238,14 +246,14 @@ def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
 
 @dataclass
 class _CSum:
-    """One c-sum pref * sum_c u_c K_c(x, y)_{j,alpha} over c = level, ...,
+    """One c-sum pref * sum_c u_c K_c(x, y)_{alpha,alpha} over c = level, ...,
     c_max, accumulated by _run as S = re + i im at the scale 2^-e."""
 
-    key: tuple  # (x, y, j, alpha)
+    key: tuple  # (x, y, alpha)
     pref: object  # common prefactor, at _prefactor_prec bits
-    weight: object  # w for c^-w, else (u_c, e, |u_c| 2^-e, du_c) of a Bessel weight
+    weight: tuple  # (u_c, e, |u_c| 2^-e, du_c), of c^-w or of a Bessel weight
     tail: float  # bound on the c > c_max remainder
-    m: int | None = None  # every layer is the Ramanujan sum c_c(m) (_ramanujan_m)
+    m: int | None = None  # every layer is the Ramanujan sum c_c(m) (_coefficient_sum)
     re: int = 0
     im: int = 0
     e: int = 0
@@ -262,19 +270,19 @@ def _run(requests: list, trunc: TruncationParams):
     share theirs at den = 12 c, and reduced box phases by (datum, alpha),
     which a datum on an earlier datum's conjugate reads negated (one
     dedekind_sum per c for the pair).  A datum's box c-sums with one alpha
-    and lcm(x.den, y.den) (so one den at every c) are one _layers pass per c
-    and keep one float64 array of layer errors.  No c-sum's value or bound
-    depends on which sums share the walk.
+    and q = lcm(x.den, y.den) (so one den at every c) are one key group:
+    its numerator array is built once (_key_group), it is one _layers pass
+    per c, and it keeps one float64 array of layer errors.  No c-sum's value
+    or bound depends on which sums share the walk.
 
     Each c-sum accumulates S = sum_c u_c K_c exactly at the scale 2^-e, and
-    _value rounds pref S 2^-e once.  u_c = floor(2^e v_c) is the weight v_c
-    as an integer, e = P - top with P = wp + bit_length(c_max) + 8 and
-    2^top >= max |v_c|: P bits below the largest weight.  c^-w has
-    2^-top <= level^w < 2^(1-top) and one table per w per walk; a Bessel
-    weight brings its own (_coefficient_sum).  du_c bounds the weight's own
+    _value rounds pref S 2^-e once.  The weight (u_c, e, |u_c| 2^-e, du_c)
+    (_coefficient_sum) holds u_c = floor(2^e v_c), the weight v_c as an
+    integer, with e = P - top, P = wp + bit_length(c_max) + 8 and 2^top >=
+    max |v_c| (P bits below the largest weight), and du_c, the weight's own
     error beyond the floor (0 for c^-w).  K_c = (re + i im) 2^-f is
       - the Ramanujan sum c_c(m) (f = 0) when the c-sum has m set: S is one
-        integer dot product over the table, with no box;
+        integer dot product over the weight, with no box;
       - a box layer (_exponent_sums) at layer_bits_for(ctx, c, level) bits:
         exact in fixed point, or in float64 converted exactly (_gaussian).
     Each product u_c K_c is an integer multiply and a shift by f, rounded to
@@ -290,25 +298,14 @@ def _run(requests: list, trunc: TruncationParams):
 
     The sum runs over every c, so a layer that rounds to 0 still counts; the
     last term covers _value's rounding at wp and the prefactor's 2^-wp/8
-    (_prefactor_prec).  Structural zeros never reach the engine.
+    (_prefactor_prec).
     """
     group = requests[0][0].group
-    prec = _scale_bits(trunc.c_max)
     level = group.level
     cs = list(range(level, trunc.c_max + 1, level))
-    powers = {}
 
-    def weight(s):  # (u_c, e, |u_c| 2^-e, du_c)
-        if not isinstance(s.weight, int):
-            return s.weight
-        if s.weight not in powers:
-            e = prec + (level ** s.weight).bit_length() - 1
-            u = [(1 << e) // c ** s.weight for c in cs]
-            powers[s.weight] = u, e, np.array(u, dtype=float) * 2.0 ** -e, 0.0
-        return powers[s.weight]
-
-    def settle(s, weights, kmax, dk):  # the scale of S and the noise rule
-        _u, s.e, u_abs, du = weights
+    def settle(s, kmax, dk):  # the scale of S and the noise rule
+        _u, s.e, u_abs, du = s.weight
         unit = 2.0 ** -s.e
         s.noise = float(abs(s.pref)) * (
             math.fsum(((du + unit) * kmax + u_abs * dk + unit).tolist())
@@ -318,39 +315,39 @@ def _run(requests: list, trunc: TruncationParams):
     if ramanujan:
         mu = _moebius(trunc.c_max)
     for s in ramanujan:
-        layers, weights = _ramanujan_layers(s.m, level, mu), weight(s)
-        s.re = sum(k * u for k, u in zip(layers.tolist(), weights[0]) if k)
-        settle(s, weights, np.abs(layers), 0.0)
-    boxes = []  # (datum whose phases are read, their sign, [(box c-sums, layer errors)] per group)
+        layers = _ramanujan_layers(s.m, level, mu)
+        s.re = sum(k * u for k, u in zip(layers.tolist(), s.weight[0]) if k)
+        settle(s, np.abs(layers), 0.0)
+    boxes = []  # (datum whose phases are read, sign, [(c-sums, layer errors)], key groups)
     for data, sums in requests:
         groups = {}  # keys sharing alpha and lcm(x.den, y.den) share den at every c
         for s in sums:
             if s.m is None:
-                x, y, _j, alpha = s.key
+                x, y, alpha = s.key
                 groups.setdefault((alpha, math.lcm(x.denominator, y.denominator)), []).append(s)
         if groups:
             try:  # on an earlier datum's conjugate: read its phases negated (_layers)
-                source = next((p, -1) for p, _sign, _g in boxes if p.conjugate() == data)
+                source = next((p, -1) for p, _sign, _g, _k in boxes if p.conjugate() == data)
             except (StopIteration, NotImplementedError):  # none, or no conjugate() defined
                 source = (data, 1)
-            boxes.append((*source, [(g, np.empty(len(cs))) for g in groups.values()]))
+            boxes.append((*source, [(g, np.empty(len(cs))) for g in groups.values()],
+                          [_key_group([s.key for s in g]) for g in groups.values()]))
     if not boxes:
         return
     for n, c in enumerate(cs):
         arrays, tables, bits = cplus_arrays(group, c), {}, layer_bits_for(trunc.ctx, c, level)
-        for source, sign, groups in boxes:
-            keys = [[s.key for s in g] for g, _e in groups]
+        for source, sign, groups, keys in boxes:
             layers = _layers(source, c, arrays, keys, bits, tables, sign)
             for (g, errors), (rows, error) in zip(groups, layers):
                 errors[n] = error
                 for s, (re, im, f) in zip(g, rows):
-                    u = weight(s)[0][n]
+                    u = s.weight[0][n]
                     s.re += (u * re + (1 << f >> 1)) >> f  # to nearest
                     s.im += (u * im + (1 << f >> 1)) >> f
-    for _source, _sign, groups in boxes:
+    for _source, _sign, groups, _keys in boxes:
         for g, errors in groups:
             for s in g:
-                settle(s, weight(s), np.array(cs, dtype=float), errors)
+                settle(s, np.array(cs, dtype=float), errors)
 
 
 def _value(sums: list):
@@ -366,16 +363,6 @@ def _value(sums: list):
 def _scale_bits(c_max: int) -> int:
     """P, the bits a c-sum keeps below its largest weight (see _run), at wp."""
     return mpmath.mp.prec + c_max.bit_length() + 8
-
-
-def _ramanujan_m(data: AutomorphyData, x: Fraction, y: Fraction, alpha: int):
-    """m if every layer K_c(x, y)_{alpha,alpha} is the Ramanujan sum c_c(m),
-    else None: when the effective character is trivial, at x = 0 (the layer
-    is the sum of e(y d/c)) or y = 0 (of e(x a/c)) over the units mod c;
-    kappa = 0 there, so m = |x + y| is an integer."""
-    if x * y == 0 and isinstance(data.scalar_character(alpha), TrivialMultiplier):
-        return int(abs(x + y))
-    return None
 
 
 def _moebius(limit: int) -> np.ndarray:
@@ -400,19 +387,6 @@ def _ramanujan_layers(m: int, level: int, mu: np.ndarray) -> np.ndarray:
         if m % d == 0:
             layers[d::d] += d * mu[1:c_max // d + 1]
     return layers[level::level]
-
-
-def _check_weight(data: AutomorphyData, weight: int, trunc: TruncationParams):
-    """Once per request: the c-sums converge, chi(-I) = e^{pi i weight} at the
-    weight computed (not only at data.weight), and c_max reaches the level."""
-    if weight < 3:
-        raise ValueError("Poincare coefficient sums diverge for weight < 3")
-    if not data.chi.nontriviality_ok(weight):
-        raise ValueError(f"character {data.chi.label()} violates chi(-I) = e^(pi i k) "
-                         f"at weight {weight}")
-    if trunc.c_max < data.group.level:
-        raise ValueError(f"c_max = {trunc.c_max} is below the smallest positive c "
-                         f"(= level {data.group.level}) of the group")
 
 
 def _majorant(w: int, x, y, group, c0: int, m: int | None = None) -> float:
@@ -452,15 +426,26 @@ def _prefactor_prec(w: int) -> int:
     return mpmath.mp.prec + 3 + (4 * w + 32).bit_length()
 
 
-def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
-                     j: int, alpha: int, trunc: TruncationParams) -> _CSum:
-    """The c-sum of one coefficient (see the module docstring); call inside
-    trunc.ctx.working().  Its prefactor is kept at _prefactor_prec(w) bits.
-    A Bessel weight v_c = J or I(2 half/c)/c = V_c 2^-E/c (bessel_series) enters
-    as u_c = floor(V_c 2^(e-E)) // c, e = P - top, top = max bit_length(V_c) - E
-    (see _run); du_c = V_c's bound / c.
+def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction, alpha: int,
+                     trunc: TruncationParams, powers: dict, amp=1) -> _CSum:
+    """The c-sum of weight w at (x, y, alpha): a coefficient's (module
+    docstring), or at y = 0 a constant term's (constant_term_cf), amp =
+    a(n, t) times the x = 0 sum at y = 1 over the layers at (x, 0).  Call
+    inside trunc.ctx.working(); amp pref is kept at _prefactor_prec(w) bits,
+    and the tail is |amp| times the majorant.  The weight (see _run): c^-w
+    is powers[w], built once per walk, u_c = floor(2^e c^-w) with e = P +
+    bit_length(level^w) - 1 and du_c = 0.  A Bessel weight v_c = J or
+    I(2 half/c)/c = V_c 2^-E/c (bessel_series) enters as u_c = floor(V_c
+    2^(e-E)) // c, e = P - top, top = max bit_length(V_c) - E; du_c = V_c's
+    bound / c.
     """
-    key = (x, y, j, alpha)
+    key, m = (x, y, alpha), None
+    if x * y == 0 and isinstance(data.scalar_character(alpha), TrivialMultiplier):
+        # every layer is the Ramanujan sum c_c(m) over the units mod c, of
+        # e(y d/c) at x = 0 and of e(x a/c) at y = 0; kappa = 0, so m is an integer
+        m = int(abs(x + y))
+    if y == 0:  # a constant term: the x = 0 sum at y = 1
+        x, y = Fraction(0), Fraction(1)
     with mpmath.workprec(_prefactor_prec(w)):
         phase = exp2pi(Fraction(-w, 4))  # i^{-w}
         if x == 0:
@@ -470,13 +455,17 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
             q = y / abs(x)
             pref = 2 * mpmath.pi * phase * (mpmath.mpf(q.numerator) / q.denominator) \
                 ** (mpmath.mpf(w - 1) / 2)
-    m = _ramanujan_m(data, x, y, alpha)  # None unless x = 0
-    tail = _majorant(w, x, y, data.group, trunc.c_max + 1, m)
+        pref = amp * pref
+    tail = abs(complex(amp)) * _majorant(w, x, y, data.group, trunc.c_max + 1, m)
+    cs = range(data.group.level, trunc.c_max + 1, data.group.level)
     if x == 0:
-        return _CSum(key, pref, w, tail, m)
+        if w not in powers:  # the largest weight is cs[0]^-w, at the level
+            e = _scale_bits(trunc.c_max) + (cs[0] ** w).bit_length() - 1
+            u = [(1 << e) // c ** w for c in cs]
+            powers[w] = u, e, np.array(u, dtype=float) * 2.0 ** -e, 0.0
+        return _CSum(key, pref, powers[w], tail, m)
     xy = abs(x) * y
     half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator)
-    cs = range(data.group.level, trunc.c_max + 1, data.group.level)
     # J or I at 2 half/c for every c, from one kernel call
     values, scale, bounds = bessel_series(w - 1, half, cs, trunc.ctx, x > 0)
     e = scale + _scale_bits(trunc.c_max) - max(v.bit_length() for v in values)
@@ -489,25 +478,49 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction,
 class Walk:
     """C-sums of series, constant terms and coefficients on data of one
     group, filled by one engine walk over c (_run): register, run(), read.
-    A coefficient asked for twice on equal data and one weight is one c-sum."""
+    A coefficient asked for twice on equal data and one weight is one c-sum,
+    and each (datum, weight) is checked once."""
 
     def __init__(self, trunc: TruncationParams):
         self.trunc, self.requests, self.coefficients = trunc, {}, {}
+        self.checked, self.powers = set(), {}
 
-    def _add(self, data: AutomorphyData, s: _CSum) -> _CSum:
+    def _check(self, data: AutomorphyData, w: int):
+        """Once per (data, w): the c-sums converge, chi(-I) = e^{pi i w} at
+        the weight computed (not only at data.weight), and c_max reaches the
+        level."""
+        if (data, w) in self.checked:
+            return
+        if w < 3:
+            raise ValueError("Poincare coefficient sums diverge for weight < 3")
+        if not data.chi.nontriviality_ok(w):
+            raise ValueError(f"character {data.chi.label()} violates chi(-I) = e^(pi i k) "
+                             f"at weight {w}")
+        if self.trunc.c_max < data.group.level:
+            raise ValueError(f"c_max = {self.trunc.c_max} is below the smallest positive c "
+                             f"(= level {data.group.level}) of the group")
+        self.checked.add((data, w))
+
+    def _add(self, data: AutomorphyData, w: int, x, y, alpha: int, amp=1) -> _CSum:
+        """Registers _coefficient_sum(data, w, x, y, alpha, ..., amp) for run()."""
+        with self.trunc.ctx.working():
+            s = _coefficient_sum(data, w, x, y, alpha, self.trunc, self.powers, amp)
         self.requests.setdefault(data, (data, []))[1].append(s)
         return s
 
     def coefficient(self, data: AutomorphyData, w: int, n: int, alpha: int, l: int, j: int):
-        """The c-sum of a_{n,alpha}(l, j) at weight w (l + kappa_j > 0) for
-        value(), None for a structural zero."""
-        _check_weight(data, w, self.trunc)
-        key = (-n + data.kappa_of(alpha), l + data.kappa_of(j), j, alpha)
-        if (data, w, key) not in self.coefficients and j == alpha:  # else a structural zero
-            with self.trunc.ctx.working():
-                s = _coefficient_sum(data, w, *key, self.trunc)
-            self.coefficients[(data, w, key)] = self._add(data, s)
-        return self.coefficients.get((data, w, key))
+        """The c-sum of a_{n,alpha}(l, j) at weight w for value(), None for a
+        structural zero (j != alpha); l + kappa_j must be positive."""
+        y = l + data.kappa_of(j)
+        if not y > 0:
+            raise ValueError(f"need l + kappa_j > 0, got {y}")
+        self._check(data, w)
+        key = (data, w, -n + data.kappa_of(alpha), y, alpha)
+        if j != alpha:
+            return None  # a structural zero
+        if key not in self.coefficients:
+            self.coefficients[key] = self._add(*key)
+        return self.coefficients[key]
 
     def value(self, s) -> tuple:
         """(value, tail_bound) of a coefficient c-sum; None gives (0, 0.0)."""
@@ -517,7 +530,7 @@ class Walk:
     def series(self, data: AutomorphyData, w: int, n: int, alpha: int, l_range):
         """Registers poincare_series(data, w, n, alpha, l_range); returns the
         function that builds it after run()."""
-        _check_weight(data, w, self.trunc)
+        self._check(data, w)
         data.kappa_of(alpha)  # ValueError outside 1..dim, also when no l is summed
         indices = [(l, j) for j in range(1, data.dim + 1) for l in l_range
                    if l + data.kappa_of(j) > 0]
@@ -536,29 +549,15 @@ class Walk:
     def constant_term(self, f: FourierSeries):
         """Registers constant_term_cf(f); returns the function that gives its
         (values, tails) after run()."""
-        data = f.automorphy
-        w = f.weight  # = k + 2
-        _check_weight(data, w, self.trunc)
-        principal = [(n, t) for (n, t) in f.principal_support() if f.coeffs[(n, t)] != 0]
-        with self.trunc.ctx.working():
-            with mpmath.workprec(_prefactor_prec(w)):
-                # (-i)^w (2 pi)^w / (w-1)!; each term is a(n, t) pref c^-w K_c
-                pref = exp2pi(Fraction(-w, 4)) * (2 * mpmath.pi) ** w / math.factorial(w - 1)
-                amps = {key: f.coeffs[key] * pref for key in principal}
+        data, w = f.automorphy, f.weight  # w = k + 2
+        self._check(data, w)
         per_comp = [[] for _j in range(data.dim)]
-        for j in range(1, data.dim + 1):
-            if data.kappa_of(j) != 0:
-                continue
-            for (n, t) in principal:
-                if j != t:  # a structural zero
-                    continue
-                x = f.freq(n, t)  # x = n + kappa_t < 0 rides on the 'a' entry
-                m = _ramanujan_m(data, x, Fraction(0), t)
-                # x = 0's pref at y = lambda = 1
-                tail = abs(complex(f.coeffs[(n, t)])) \
-                    * _majorant(w, 0, 1, data.group, self.trunc.c_max + 1, m)
-                per_comp[j - 1].append(self._add(
-                    data, _CSum((x, Fraction(0), j, t), amps[(n, t)], w, tail, m)))
+        for n, t in f.principal_support():
+            # a term a(n, t) pref c^-w K_c(x, 0) of component t, when kappa_t = 0
+            # (else a structural zero); x = n + kappa_t < 0 rides on the 'a' entry
+            if f.coeffs[(n, t)] != 0 and data.kappa_of(t) == 0:
+                per_comp[t - 1].append(self._add(data, w, f.freq(n, t), Fraction(0), t,
+                                                 f.coeffs[(n, t)]))
 
         def build():
             with self.trunc.ctx.working():
@@ -583,9 +582,6 @@ def poincare_coefficient(data: AutomorphyData, weight: int, n: int, alpha: int,
     overflows a double).  The Kronecker-delta leading term at (-n, alpha)
     is *not* included here; poincare_series adds it.
     """
-    y = l + data.kappa_of(j)
-    if not y > 0:
-        raise ValueError(f"need l + kappa_j > 0, got {y}")
     walk = Walk(trunc)
     s = walk.coefficient(data, weight, n, alpha, l, j)
     walk.run()

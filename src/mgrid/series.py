@@ -25,8 +25,9 @@ __all__ = ["TruncationParams", "FourierSeries"]
 
 @dataclass(frozen=True)
 class TruncationParams:
-    """Cutoff of the c-sums, the tail tolerance they must certify, and the
-    working precision used for Bessel/gamma prefactors and accumulation.
+    """Cutoff of the c-sums, working precision (prefactors, accumulation),
+    and tail_tol, which no c-sum reads: FourierSeries.unconverged_entries
+    compares the tails with it, for the CLI's exit rule.
 
     Each walk takes the phase-evaluation precision of its Kloosterman box
     layers at c from poincare.layer_bits_for(ctx, c, level), whatever c_max.

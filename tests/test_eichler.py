@@ -147,7 +147,8 @@ def test_period_r_zero_and_degree():
     # k must match the series' weight k + 2 on every route, parabolic too
     for gamma in (S, T):
         for route in (lambda: period_r(f, gamma, 8, TR), lambda: period_rH(f, gamma, 8, TR),
-                      lambda: period_r_quadrature(f, gamma, 8), lambda: period_rN(f, gamma, 8)):
+                      lambda: period_r_quadrature(f, gamma, 8), lambda: period_rN(f, gamma, 8),
+                      lambda: period_r_parabolic(f, gamma, 8)):
             with pytest.raises(ValueError, match="k\\+2"):
                 route()
 

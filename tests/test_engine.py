@@ -42,6 +42,7 @@ from mgrid.poincare import (
     Walk,
     _coefficient_sum,
     _exponent_sums,
+    _key_group,
     _layer_error,
     _layers,
     _root_table,
@@ -224,7 +225,7 @@ def test_float_noise_counts_every_computed_layer_but_no_structural_zero(pin_laye
 def _engine_sum(trunc):
     """The x = 0, y = 1 weight-4 c-sum on eta^24, after one engine pass."""
     with CTX.working():
-        s = _coefficient_sum(DELTA4, 4, Fraction(0), Fraction(1), 1, 1, trunc)
+        s = _coefficient_sum(DELTA4, 4, Fraction(0), Fraction(1), 1, trunc, {})
         _run([(DELTA4, [s])], trunc)
     return s
 
@@ -310,7 +311,7 @@ def _key_groups(keys):
     """The engine's groups: keys sharing alpha and lcm(x.den, y.den) (see _run)."""
     groups = {}
     for key in keys:
-        x, y, _j, alpha = key
+        x, y, alpha = key
         groups.setdefault((alpha, math.lcm(x.denominator, y.denominator)), []).append(key)
     return list(groups.values())
 
@@ -319,7 +320,7 @@ def _element_phases(data, c, key):
     """The e-exponent x a/c + y d/c - phase(g) per element g of C+(c), one
     Fraction at a time, and the layer's denominator: lcm(x.den, y.den) c and
     the least common denominator of the character's phases over the box."""
-    x, y, _j, alpha = key
+    x, y, alpha = key
     chi, elements = data.scalar_character(alpha), enumerate_cplus(data.group, c)
     chi_phases = [chi.phase(g) for g in elements]
     out = [x * g.a / c + y * g.d / c - q for g, q in zip(elements, chi_phases)]
@@ -345,21 +346,21 @@ def _eta2_keys():
     data = AutomorphyData(weight=5, chi=EtaPowerMultiplier(2), rho=trivial_representation(),
                           group=sl2z())
     kap = data.kappa_of(1)  # 1/12, and 11/12 on the conjugate
-    f_keys = [(-1 + kap, l + kap, 1, 1) for l in range(0, 11)] \
-        + [(-1 + kap, Fraction(0), 1, 1), (kap, Fraction(0), 1, 1)]  # a second group
-    g_keys = [(-kap, l + 1 - kap, 1, 1) for l in range(0, 11)]  # G+ on the conjugate
+    f_keys = [(-1 + kap, l + kap, 1) for l in range(0, 11)] \
+        + [(-1 + kap, Fraction(0), 1), (kap, Fraction(0), 1)]  # a second group
+    g_keys = [(-kap, l + 1 - kap, 1) for l in range(0, 11)]  # G+ on the conjugate
     return [(data, f_keys), (data.conjugate(), g_keys)], (1, 7, 12, 37)
 
 
 def _trivial_keys():
     data = AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=trivial_representation(),
                           group=sl2z())
-    return [(data, [(Fraction(1), Fraction(l), 1, 1) for l in range(1, 61)])], (1, 12, 30)
+    return [(data, [(Fraction(1), Fraction(l), 1) for l in range(1, 61)])], (1, 12, 30)
 
 
 def _two_component_keys():
     data = _two_component()
-    keys = [(-n + data.kappa_of(a), l + data.kappa_of(a), a, a)
+    keys = [(-n + data.kappa_of(a), l + data.kappa_of(a), a)
             for a in (1, 2) for n in (-1, 1) for l in range(0, 4)]
     return [(data, keys)], (1, 6, 25)
 
@@ -367,7 +368,7 @@ def _two_component_keys():
 def _dirichlet_keys():
     data = AutomorphyData(weight=5, chi=DIRICHLET4, rho=trivial_representation(),
                           group=gamma0(4))
-    keys = [(Fraction(-n), Fraction(l), 1, 1) for n in (-1, 1) for l in range(1, 6)]
+    keys = [(Fraction(-n), Fraction(l), 1) for n in (-1, 1) for l in range(1, 6)]
     return [(data, keys)], (4, 12, 28)
 
 
@@ -386,7 +387,7 @@ def test_batched_layers_equal_an_elementwise_sum(case):
         for data, keys in data_keys:
             groups = _key_groups(keys)
             for bits in (53, 113, 200):
-                layers = _layers(data, c, box, groups, bits, tables)
+                layers = _layers(data, c, box, [_key_group(g) for g in groups], bits, tables)
                 assert [len(rows) for rows, _error in layers] == [len(g) for g in groups]
                 for group, (rows, error) in zip(groups, layers):
                     for key, (re, im, e) in zip(group, rows):
@@ -413,7 +414,7 @@ def _per_element_float64_rows(nums, den):
 def _sparse_keys():
     data = AutomorphyData(weight=12, chi=TrivialMultiplier(), rho=trivial_representation(),
                           group=sl2z())
-    return [(data, [(Fraction(-1, 7), Fraction(2, 11), 1, 1)])], (1999,)
+    return [(data, [(Fraction(-1, 7), Fraction(2, 11), 1)])], (1999,)
 
 
 # (keys of one datum, the slice of them taken, c, den/c) per case; the
@@ -462,7 +463,7 @@ def test_float64_layer_with_a_large_denominator():
                           group=sl2z())
     x, y = Fraction(-1, 10**6), Fraction(2, 10**6 + 3)
     for c in (7, 1999):
-        phases, den = _element_phases(data, c, (x, y, 1, 1))
+        phases, den = _element_phases(data, c, (x, y, 1))
         assert den == 10**6 * (10**6 + 3) * c
         (re, im), = _per_element_float64_rows(
             np.array([[int(p * den) for p in phases]], dtype=np.int64), den)
@@ -509,7 +510,7 @@ def test_layers_run_at_the_least_phase_denominator(data, ratio):
     kap = data.kappa_of(1)
     for c in (7, 37):
         (_rows, error), = _layers(data, c, cplus_arrays(sl2z(), c),
-                                  [[(-1 + kap, 2 + kap, 1, 1)]], 113, {})
+                                  [_key_group([(-1 + kap, 2 + kap, 1)])], 113, {})
         assert error == _layer_error(c, ratio * c, 113)
 
 
@@ -521,8 +522,8 @@ def test_conjugate_reads_negated_phases_once_per_c(monkeypatch):
     for c in (7, 37):
         box = cplus_arrays(sl2z(), c)
         for bits in (53, 113):
-            assert _layers(data, c, box, [g_keys], bits, {}, -1) \
-                == _layers(cdata, c, box, [g_keys], bits, {})
+            assert _layers(data, c, box, [_key_group(g_keys)], bits, {}, -1) \
+                == _layers(cdata, c, box, [_key_group(g_keys)], bits, {})
     calls = []
 
     def counted(h, k):
@@ -563,7 +564,7 @@ def test_bessel_weights_equal_the_mpf_route(w, n):
     trunc = TruncationParams(c_max=80, tail_tol=1.0, ctx=CTX)
     cs = range(1, 81)
     with CTX.working():
-        u, e, u_abs, du = _coefficient_sum(data, w, x, y, 1, 1, trunc).weight
+        u, e, u_abs, du = _coefficient_sum(data, w, x, y, 1, trunc, {}).weight
         xy = abs(x) * y
         half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator)
         values, scale, bounds = bessel_series(w - 1, half, cs, CTX, x > 0)
@@ -631,7 +632,7 @@ def test_exact_ramanujan_csums_match_box_layers(spec, w):
     trunc = TruncationParams(c_max=200, tail_tol=1.0, ctx=CTX)
     cs = range(spec.level, 201, spec.level)
     with CTX.working():
-        sums = [_coefficient_sum(data, w, Fraction(0), Fraction(m), 1, 1, trunc)
+        sums = [_coefficient_sum(data, w, Fraction(0), Fraction(m), 1, trunc, {})
                 for m in RAMANUJAN_MS]
         _run([(data, sums)], trunc)
         exact = [(_value([s]), s.pref, s.noise) for s in sums]
@@ -774,13 +775,12 @@ def test_weight_24_prefactor_within_its_eighth_of_a_unit(x, y):
     trunc = TruncationParams(c_max=5, tail_tol=1.0, ctx=CTX)
     with CTX.working():
         wp = mpmath.mp.prec
-        s = _coefficient_sum(data, 24, x, y, 1, 1, trunc)
+        s = _coefficient_sum(data, 24, x, y, 1, trunc, {})
+    u, e, _u_abs, du = s.weight
     if x == 0:
-        assert s.weight == 24
-        e = wp + 3 + 8
-        u, du = [(1 << e) // c ** 24 for c in range(1, 6)], [0.0] * 5
-    else:
-        u, e, _u_abs, du = s.weight
+        assert e == wp + 3 + 8 and du == 0.0
+        assert u == [(1 << e) // c ** 24 for c in range(1, 6)]
+        du = [0.0] * 5
     with mpmath.workprec(400):
         yy = mpmath.mpf(y.numerator) / y.denominator
         for c, u_c, du_c in zip(range(1, 6), u, du):

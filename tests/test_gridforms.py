@@ -236,8 +236,9 @@ def test_build_pair_walks_c_once(monkeypatch):
 
 def test_equal_data_share_their_csums(monkeypatch):
     # the trivial character is self-conjugate, so at n1 = n2 f and G+'s
-    # conjugate series are one set of c-sums: 6 c-sums, not 9, and every
-    # value and tail of the pair as the separate builders give it
+    # conjugate series are one set of c-sums: 6 coefficient c-sums, not 9,
+    # plus G+'s constant term (one c-sum, from the same constructor), and
+    # every value and tail of the pair as the separate builders give it
     calls = []
     original = poincare._coefficient_sum
 
@@ -247,7 +248,7 @@ def test_equal_data_share_their_csums(monkeypatch):
 
     monkeypatch.setattr(poincare, "_coefficient_sum", counted)
     pair_ = build_pair(DATA12, 10, 1, 1, 1, 1, TR, lmax=3)
-    assert len(calls) == 6 and conjugate(DATA12) == DATA12
+    assert len(calls) == 7 and conjugate(DATA12) == DATA12
     f, G = build_f(DATA12, 10, 1, 1, TR, lmax=3), build_G(DATA12, 10, 1, 1, TR, lmax=3)
     assert _entries(pair_.f) == _entries(f)
     assert _entries(pair_.f) == _entries(poincare_series(conjugate(DATA12), 12, 1, 1,

@@ -13,6 +13,7 @@ from mgrid.automorphy import (
     AutomorphyData,
     DiagonalRepresentation,
     EtaPowerMultiplier,
+    Multiplier,
     TrivialMultiplier,
     conjugate,
     trivial_representation,
@@ -20,6 +21,7 @@ from mgrid.automorphy import (
 from mgrid.gridforms import build_G
 from mgrid.groups import GroupElement, gamma0, sl2z
 from mgrid.poincare import (
+    Walk,
     coefficient_envelope,
     constant_term_cf,
     kloosterman_layer,
@@ -176,12 +178,34 @@ def test_weight_preconditions():
 
 
 def test_nonpositive_frequency_rejected():
+    # a coefficient and a Walk request name the precondition l + kappa_j > 0
+    # (not a math domain error from the majorant)
     data = trivial_data(12)
     trunc = TruncationParams(c_max=10, tail_tol=1.0, ctx=CTX)
-    with pytest.raises(ValueError):
-        poincare_coefficient(data, 12, -1, 1, 0, 1, trunc)
-    with pytest.raises(ValueError):
-        poincare_coefficient(data, 12, -1, 1, -2, 1, trunc)
+    for l in (0, -2):
+        for request in (lambda: poincare_coefficient(data, 12, -1, 1, l, 1, trunc),
+                        lambda: Walk(trunc).coefficient(data, 12, -1, 1, l, 1)):
+            with pytest.raises(ValueError, match=r"need l \+ kappa_j > 0, got"):
+                request()
+
+
+def test_weight_checked_once_per_datum_and_weight(monkeypatch):
+    # one eta^2 series over 11 values of l asks chi(-I) = e^{pi i w} once,
+    # not once more per coefficient
+    data = AutomorphyData(weight=5, chi=EtaPowerMultiplier(2),
+                          rho=trivial_representation(), group=sl2z())
+    calls = []
+    original = Multiplier.nontriviality_ok
+
+    def counted(self, weight):
+        calls.append(weight)
+        return original(self, weight)
+
+    monkeypatch.setattr(Multiplier, "nontriviality_ok", counted)
+    series = poincare_series(data, 5, 1, 1, range(0, 11),
+                             TruncationParams(c_max=20, tail_tol=1.0, ctx=CTX))
+    assert len(series.tails) == 12  # 11 c-sums and the leading 1
+    assert calls == [5]
 
 
 @pytest.mark.parametrize("weight,n,l", [(4, 0, 2), (12, -1, 2), (12, 1, 1)])
