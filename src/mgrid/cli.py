@@ -285,8 +285,7 @@ def cmd_pairing(args) -> int:
             rh.append([period_rH(fstar, g, args.k, trunc, t0=args.t0)
                        for g in pm.gens])
         pred = predict_gram(pm, rh[0], rh[1])
-        p1 = poincare_series(data, args.k + 2, n1, 1, range(1, abs(n2) + 2),
-                             trunc)
+        p1 = poincare_series(data, args.k + 2, n1, 1, [-n2], trunc)
         truth = complex(petersson_poincare(p1, n2, 1, data, args.k))
         row = {"n1": n1, "n2": n2}
         _complex_entry(row, pred, "pred_re", "pred_im")

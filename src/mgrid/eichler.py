@@ -33,7 +33,7 @@ import numpy as np
 from . import lfun
 from .automorphy import AutomorphyData, conjugate, n_prime
 from .groups import GroupElement, moebius
-from .poincare import constant_term_cf, poincare_series
+from .poincare import Walk, constant_term_cf
 from .quadrature import _moments, vertical_poly_integral
 from .series import FourierSeries, TruncationParams
 
@@ -87,9 +87,6 @@ class PeriodPolynomial:
         """tau -> conj(P(conj(tau))): conjugates the coefficients (real shift)."""
         return PeriodPolynomial(self.gamma, self.k, np.conj(self.coeffs), self.shift)
 
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if len(self.coeffs) else 0.0
-
 
 def _require_scalar(f: FourierSeries):
     if f.automorphy.dim != 1:
@@ -131,29 +128,29 @@ def eichler_EN(f: FourierSeries, tau, k: int) -> complex:
     return integral.conjugate() / c_weight(k + 2)
 
 
-def _poincare_sum(terms, data: AutomorphyData, k: int, trunc: TruncationParams,
-                  lmax: int) -> FourierSeries:
-    """sum b P_{n,alpha} of weight k+2 on data over terms (b, n, alpha), at
-    l = 0..lmax; each scaled series is added to an empty one (0 + v = v)."""
-    out = FourierSeries(k + 2, data, truncation=trunc)
-    for b, n, alpha in terms:
-        out = out + poincare_series(data, k + 2, n, alpha, range(0, lmax + 1), trunc).scale(b)
-    return out
+def _supplementary_terms(combo, data: AutomorphyData) -> list:
+    """The terms (conj(b_i), n_i', alpha_i) of f* for the terms (b_i, n_i,
+    alpha_i) of the cusp form f; each must satisfy -n_i + kappa_{alpha_i} > 0."""
+    for (_b, n, alpha) in combo:
+        if not -n + data.kappa_of(alpha) > 0:
+            raise ValueError(f"(n, alpha) = ({n}, {alpha}) is not a cusp direction")
+    return [(mpmath.conj(b), n_prime(n, data.kappa_of(alpha)), alpha) for b, n, alpha in combo]
 
 
 def supplementary(combo, data: AutomorphyData, k: int, trunc: TruncationParams,
                   lmax: int = 12) -> FourierSeries:
-    """f* = sum conj(b_i) P_{n_i', alpha_i} on the conjugate automorphy.
+    """f* = sum conj(b_i) P_{n_i', alpha_i} on the conjugate automorphy, at
+    l = 0..lmax, from one engine walk (poincare.Walk.series).
 
     combo is a list of (b_i, n_i, alpha_i) describing the cusp form
     f = sum b_i P_{n_i, alpha_i}; each index must satisfy
-    -n_i + kappa_{alpha_i} > 0.
+    -n_i + kappa_{alpha_i} > 0.  Each coefficient is rounded once.
     """
-    for (_b, n, alpha) in combo:
-        if not -n + data.kappa_of(alpha) > 0:
-            raise ValueError(f"(n, alpha) = ({n}, {alpha}) is not a cusp direction")
-    return _poincare_sum([(mpmath.conj(mpmath.mpc(b)), n_prime(n, data.kappa_of(alpha)), alpha)
-                          for b, n, alpha in combo], conjugate(data), k, trunc, lmax)
+    walk = Walk(trunc)
+    fstar = walk.series(conjugate(data), k + 2, _supplementary_terms(combo, data),
+                        range(0, lmax + 1))
+    walk.run()
+    return fstar()
 
 
 def period_r_parabolic(f: FourierSeries, gamma: GroupElement, k: int) -> PeriodPolynomial:
@@ -262,13 +259,18 @@ def check_supplementary_identity(combo, data: AutomorphyData, k: int,
     """Max normalized residual of r^H(f, g; tau) = [r^H(f*, g; conj tau)]^-
     over SAMPLE_POINTS, for f = sum b_i P_{n_i,alpha_i} a cusp form.
 
-    Both sides run through their own L-value pipelines: the left on the
-    coefficients of f, the right on those of the supplementary function.
+    f (on (chi, rho)) and f* (on (chi-bar, rho-bar)) come from one engine
+    walk at l = 0..lmax, sharing its boxes.  Both sides then run through
+    their own L-value pipelines: the left on the coefficients of f, the
+    right on those of the supplementary function.
     """
     if not combo:
         return 0.0
-    f = _poincare_sum([(mpmath.mpc(b), n, alpha) for b, n, alpha in combo], data, k, trunc, lmax)
-    fstar = supplementary(combo, data, k, trunc, lmax=lmax)
+    walk, ls, terms = Walk(trunc), range(0, lmax + 1), _supplementary_terms(combo, data)
+    f = walk.series(data, k + 2, combo, ls)
+    fstar = walk.series(conjugate(data), k + 2, terms, ls)
+    walk.run()
+    f, fstar = f(), fstar()
     lhs = period_rH(f, gamma, k, trunc)
     rhs = period_rH(fstar, gamma, k, trunc).conjugate_reflected()
     vals = [(lhs(t), rhs(t)) for t in SAMPLE_POINTS]

@@ -116,9 +116,9 @@ def build_grid(data: AutomorphyData, k: int, trunc: TruncationParams, f=(), G=()
             constant_terms[(n2, alpha2)] = walk.constant_term(lead)
         return constant_terms[(n2, alpha2)]
 
-    fs = [walk.series(data, w, n1, alpha1, ls) for n1, alpha1 in f]
-    Gs = [(n2, alpha2, walk.series(cdata, w, n2, alpha2, ls), constant_term(n2, alpha2),
-           walk.series(data, w, n_prime(n2, data.kappa_of(alpha2)), alpha2, ls))
+    fs = [walk.series(data, w, [(1, n1, alpha1)], ls) for n1, alpha1 in f]
+    Gs = [(n2, alpha2, walk.series(cdata, w, [(1, n2, alpha2)], ls), constant_term(n2, alpha2),
+           walk.series(data, w, [(1, n_prime(n2, data.kappa_of(alpha2)), alpha2)], ls))
           for n2, alpha2 in G]
     sides = []
     for n1, alpha1, n2, alpha2 in duality:

@@ -46,7 +46,7 @@ from mpmath.libmp import from_man_exp, mpc_mul, mpf_exp, pi_fixed, round_nearest
 
 from .automorphy import AutomorphyData
 from .groups import GroupElement, generators
-from .poincare import _CSum, _prefactor_prec, _value, coefficient_envelope
+from .poincare import _CSum, _prefactor_prec, _value, coefficient_envelope, poincare_series
 from .precision import exp2pi
 from .quadrature import _moments
 from .series import FourierSeries, TruncationParams
@@ -349,20 +349,20 @@ def fit_pairing(basis, data: AutomorphyData, k: int, trunc: TruncationParams,
     on all basis pairs, with u the period feature vectors via supplementary
     L-values.  Minimum-norm least squares when underdetermined (rank is
     reported; with fewer pairs than (t(k+1))^2 unknowns B is a minimum-norm
-    representative of the pairing extension, not unique).
+    representative of the pairing extension, not unique).  Each P_{n_i} is
+    built at l in {-n_j} only, the entries the Gram targets read; lmax sets
+    the length of the supplementary series.
     """
     from .eichler import period_rH, supplementary
-    from .poincare import poincare_series
 
     gens = [g for g in generators(data.group) if g.c != 0]
     if not gens:
         raise ValueError("no non-parabolic generators available")
-    feats, p_series = [], []
+    feats, p_series, ls = [], [], sorted({-n for n, _alpha in basis})
     for (n, alpha) in basis:
         if not -n + data.kappa_of(alpha) > 0:
             raise ValueError(f"basis index ({n},{alpha}) is not a cusp direction")
-        p_series.append(poincare_series(data, k + 2, n, alpha,
-                                        range(0, lmax + 1), trunc))
+        p_series.append(poincare_series(data, k + 2, n, alpha, ls, trunc))
         fstar = supplementary([(1, n, alpha)], data, k, trunc, lmax=lmax)
         feats.append(period_feature_vector(
             [period_rH(fstar, g, k, trunc, t0) for g in gens]))

@@ -29,7 +29,9 @@ residue (a float64 cos/sin, or above 53 bits an exact product of table
 roots), gathered and summed per row.
 A Walk fills the c-sums of series, constant terms and coefficients on equal
 data, a datum and its conjugate in one walk (gridforms.build_grid uses one
-per grid); poincare_series, poincare_coefficient and constant_term_cf are a
+per grid, eichler.supplementary and check_supplementary_identity one each);
+a series is a combination sum b P_{n,alpha}, each term's c-sum weighted by
+amp = b.  poincare_series, poincare_coefficient and constant_term_cf are a
 Walk with one request, kloosterman_layer the engine at one c and one index.
 
 Every c-sum, a coefficient's or a constant term's, is built by one
@@ -478,8 +480,10 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction, alp
 class Walk:
     """C-sums of series, constant terms and coefficients on data of one
     group, filled by one engine walk over c (_run): register, run(), read.
-    A coefficient asked for twice on equal data and one weight is one c-sum,
-    and each (datum, weight) is checked once."""
+    A series is a combination sum b P_{n,alpha} of one or many terms; each
+    term's coefficient is a c-sum with amp = b.  A coefficient asked for
+    twice on equal data, weight and amp is one c-sum, and each (datum,
+    weight) is checked once."""
 
     def __init__(self, trunc: TruncationParams):
         self.trunc, self.requests, self.coefficients = trunc, {}, {}
@@ -508,41 +512,53 @@ class Walk:
         self.requests.setdefault(data, (data, []))[1].append(s)
         return s
 
-    def coefficient(self, data: AutomorphyData, w: int, n: int, alpha: int, l: int, j: int):
-        """The c-sum of a_{n,alpha}(l, j) at weight w for value(), None for a
-        structural zero (j != alpha); l + kappa_j must be positive."""
+    def coefficient(self, data: AutomorphyData, w: int, n: int, alpha: int, l: int, j: int,
+                    amp=1) -> list:
+        """[the c-sum of amp a_{n,alpha}(l, j) at weight w] for value(), [] for
+        a structural zero (j != alpha); l + kappa_j must be positive."""
         y = l + data.kappa_of(j)
         if not y > 0:
             raise ValueError(f"need l + kappa_j > 0, got {y}")
         self._check(data, w)
-        key = (data, w, -n + data.kappa_of(alpha), y, alpha)
+        key = (data, w, -n + data.kappa_of(alpha), y, alpha, amp)
         if j != alpha:
-            return None  # a structural zero
+            return []  # a structural zero
         if key not in self.coefficients:
             self.coefficients[key] = self._add(*key)
-        return self.coefficients[key]
+        return [self.coefficients[key]]
 
-    def value(self, s) -> tuple:
-        """(value, tail_bound) of a coefficient c-sum; None gives (0, 0.0)."""
+    def value(self, sums: list) -> tuple:
+        """(value, tail_bound) of the c-sums added: one rounding at wp
+        (_value), and a tail of sum (tail + noise); [] gives (0, 0.0)."""
         with self.trunc.ctx.working():
-            return (mpmath.mpc(0), 0.0) if s is None else (_value([s]), s.tail + s.noise)
+            return _value(sums), sum((s.tail + s.noise for s in sums), 0.0)
 
-    def series(self, data: AutomorphyData, w: int, n: int, alpha: int, l_range):
-        """Registers poincare_series(data, w, n, alpha, l_range); returns the
-        function that builds it after run()."""
-        self._check(data, w)
-        data.kappa_of(alpha)  # ValueError outside 1..dim, also when no l is summed
-        indices = [(l, j) for j in range(1, data.dim + 1) for l in l_range
-                   if l + data.kappa_of(j) > 0]
-        sums = [self.coefficient(data, w, n, alpha, l, j) for l, j in indices]
+    def series(self, data: AutomorphyData, w: int, terms, l_range):
+        """Registers sum b P_{n,alpha} over terms [(b, n, alpha), ...] at weight
+        w, on l_range (see poincare_series); returns the function that builds
+        it after run().  Each entry is one value() over its terms' c-sums, plus
+        sum b at each (-n, alpha) whose entry is complete: at a frequency
+        -n + kappa_alpha <= 0, or where l = -n is asked for.  No terms give an
+        empty series."""
+        l_range, lead = list(l_range), {}  # lead: (-n, alpha) -> the b of its terms
+        for b, n, alpha in terms:
+            self._check(data, w)  # also when no l is summed; kappa_of checks alpha
+            if -n + data.kappa_of(alpha) <= 0 or -n in l_range:
+                lead.setdefault((-n, alpha), []).append(b)
+        entries = {(l, j): [s for b, n, alpha in terms
+                            for s in self.coefficient(data, w, n, alpha, l, j, b)]
+                   for j in range(1, data.dim + 1) for l in l_range
+                   if terms and l + data.kappa_of(j) > 0}
+        for idx in lead:
+            entries.setdefault(idx, [])
 
         def build() -> FourierSeries:
             series = FourierSeries(w, data, truncation=self.trunc)
-            for idx, s in zip(indices, sums):
-                series.coeffs[idx], series.tails[idx] = self.value(s)
+            for idx, sums in entries.items():
+                series.coeffs[idx], series.tails[idx] = self.value(sums)
             with self.trunc.ctx.working():
-                series.coeffs[(-n, alpha)] = series.coeffs.get((-n, alpha), mpmath.mpc(0)) + 1
-            series.tails.setdefault((-n, alpha), 0.0)
+                for idx, bs in lead.items():
+                    series.coeffs[idx] += sum(bs)
             return series
         return build
 
@@ -560,9 +576,8 @@ class Walk:
                                                  f.coeffs[(n, t)]))
 
         def build():
-            with self.trunc.ctx.working():
-                values = [_value(sums) for sums in per_comp]
-            return values, [sum((s.tail + s.noise for s in sums), 0.0) for sums in per_comp]
+            parts = [self.value(sums) for sums in per_comp]
+            return [v for v, _t in parts], [t for _v, t in parts]
         return build
 
     def run(self):
@@ -583,20 +598,22 @@ def poincare_coefficient(data: AutomorphyData, weight: int, n: int, alpha: int,
     is *not* included here; poincare_series adds it.
     """
     walk = Walk(trunc)
-    s = walk.coefficient(data, weight, n, alpha, l, j)
+    sums = walk.coefficient(data, weight, n, alpha, l, j)
     walk.run()
-    return walk.value(s)
+    return walk.value(sums)
 
 
 def poincare_series(data: AutomorphyData, weight: int, n: int, alpha: int,
                     l_range, trunc: TruncationParams) -> FourierSeries:
     """Expansion of P_{n,alpha} at i-infinity over the requested l range.
 
-    Includes the delta_{j,alpha} leading term at index (-n, alpha); indices
-    with l + kappa_j <= 0 are skipped (they do not occur in the expansion).
+    Indices with l + kappa_j <= 0 are skipped (they do not occur in the
+    expansion).  The delta_{j,alpha} leading term is stored at (-n, alpha)
+    where that entry is complete: when -n + kappa_alpha <= 0, and else only
+    when l = -n is requested, where it adds to the c-sum.
     """
     walk = Walk(trunc)
-    series = walk.series(data, weight, n, alpha, l_range)
+    series = walk.series(data, weight, [(1, n, alpha)], l_range)
     walk.run()
     return series()
 

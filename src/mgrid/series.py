@@ -96,29 +96,6 @@ class FourierSeries:
         tol = self.truncation.tail_tol
         return [idx for idx in sorted(self.tails) if not self.tails[idx] <= tol]
 
-    def scale(self, factor) -> "FourierSeries":
-        out = FourierSeries(self.weight, self.automorphy, truncation=self.truncation)
-        af = abs(complex(factor))
-        with self.truncation.ctx.working():
-            out.coeffs = {k: v * factor for k, v in self.coeffs.items()}
-        out.tails = {k: t * af for k, t in self.tails.items()}
-        return out
-
-    def __add__(self, other: "FourierSeries") -> "FourierSeries":
-        if other.automorphy is not self.automorphy and other.automorphy != self.automorphy:
-            raise ValueError("cannot add series with different automorphy data")
-        if other.weight != self.weight:
-            raise ValueError("cannot add series of different weights")
-        trunc = max(self.truncation, other.truncation, key=lambda t: t.ctx.mantissa_bits)
-        out = FourierSeries(self.weight, self.automorphy, dict(self.coeffs),
-                            dict(self.tails), trunc)
-        with trunc.ctx.working():
-            for k, v in other.coeffs.items():
-                out.coeffs[k] = out.coeffs.get(k, mpmath.mpc(0)) + v
-        for k, t in other.tails.items():
-            out.tails[k] = out.tails.get(k, 0.0) + t
-        return out
-
     def freq_power(self, weight: int, power: int) -> "FourierSeries":
         """Weight-`weight` series with a(n, j) ((n + kappa_j)/lambda)^power
         at every nonzero frequency (zero frequencies are dropped), tails

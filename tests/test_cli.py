@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -369,6 +370,36 @@ def test_pairing_fit_and_predict(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["prediction"]["rel_error"] < 1e-4
+
+
+def test_coeffs_omits_a_leading_term_outside_the_l_range(capsys):
+    # P_{-1}'s a(1) needs l = 1: at --lmin 2 the leading 1 alone is not an entry
+    argv = ["coeffs", "--weight", "12", "--n", "-1", "--lmax", "3", "--cmax", "60",
+            "--tol", "1e-6"]
+    rc, out, _err = run_cli(capsys, argv + ["--lmin", "2"])
+    assert rc == 0
+    assert [e["n"] for e in json.loads(out)["entries"]] == [2, 3]
+    rc, out, _err = run_cli(capsys, argv + ["--lmin", "1"])
+    entry = next(e for e in json.loads(out)["entries"] if e["n"] == 1)
+    assert rc == 0 and entry["re"] == pytest.approx(2.8402873751675006) and entry["tail_bound"] > 0
+
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("mgrid ")]
+
+
+def test_readme_command_lines_exit_as_documented(capsys, tmp_path):
+    # README's six examples, table.json written under tmp_path; the period
+    # line exits 2 (its series' tails exceed --tol at c_max 60), the rest 0
+    lines = _readme_command_lines()
+    assert [argv[0] for argv in lines] == ["coeffs", "grid", "duality", "lvalue", "period",
+                                           "pairing"]
+    for argv in lines:
+        argv = [str(tmp_path / a) if a == "table.json" else a for a in argv]
+        assert run_cli(capsys, argv)[0] == (2 if argv[0] == "period" else 0), argv
+    assert json.loads((tmp_path / "table.json").read_text())["entries"]
 
 
 def test_character_and_rep_parsers():

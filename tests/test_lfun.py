@@ -167,7 +167,8 @@ def test_petersson_zero_and_linearity(delta_like):
     zero = FourierSeries(12, DATA12, coeffs={(1, 1): mpmath.mpc(0)},
                          truncation=TR)
     assert complex(petersson_poincare(zero, -1, 1, DATA12, 10)) == 0
-    g2 = delta_like.scale(2)
+    g2 = FourierSeries(12, DATA12, {idx: 2 * v for idx, v in delta_like.coeffs.items()},
+                       truncation=TR)
     a = complex(petersson_poincare(delta_like, -1, 1, DATA12, 10))
     b = complex(petersson_poincare(g2, -1, 1, DATA12, 10))
     assert b == pytest.approx(2 * a, rel=1e-12)
@@ -202,6 +203,31 @@ def test_fit_pairing_dim1_interpolation_and_heldout():
     rh11 = predict_gram(pm, rh1, rh1)
     t11 = complex(petersson_poincare(p1, -1, 1, DATA12, 10))
     assert abs(rh11 - t11) / abs(t11) < 1e-10
+
+
+def test_fit_pairing_gram_targets_do_not_depend_on_lmax(monkeypatch):
+    # the targets read a_{n_i}(-n_j) at l = 3 > lmax = 2: each equals the
+    # unfolding of a series built at l = 1..3, and a one-element fit
+    # reproduces it (at lmax-built targets a(3) was absent, or the 1 alone)
+    from mgrid import lfun
+
+    tr = TruncationParams(c_max=20, tail_tol=1.0, ctx=CTX)
+    targets, unfold = [], lfun.petersson_poincare
+
+    def recorded(*args):
+        targets.append(unfold(*args))
+        return targets[-1]
+
+    monkeypatch.setattr(lfun, "petersson_poincare", recorded)
+    for basis in ([(-1, 1), (-3, 1)], [(-3, 1)]):
+        targets.clear()
+        pm = fit_pairing(basis, DATA12, 10, tr, lmax=2)
+        assert targets == [unfold(poincare_series(DATA12, 12, n_i, 1, range(1, 4), tr),
+                                  n_j, 1, DATA12, 10)
+                           for n_i, _a in basis for n_j, _b in basis]
+    rh = [period_rH(supplementary([(1, -3, 1)], DATA12, 10, tr, lmax=2), g, 10, tr)
+          for g in pm.gens]
+    assert abs(predict_gram(pm, rh, rh) - complex(targets[0])) <= 1e-12 * abs(targets[0])
 
 
 def test_fit_pairing_rejects_non_cusp_basis():

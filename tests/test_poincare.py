@@ -135,6 +135,24 @@ def test_weight12_cusp_ratios_match_delta():
         assert abs(got.imag) < 1e-8
 
 
+def test_leading_term_stored_only_where_its_entry_is_complete():
+    # P_{-1}'s entry at l = 1 is its leading 1 plus a c-sum: at l = 2..3 it
+    # is not stored (the 1 alone, with tail 0, would be a wrong a(1)), at
+    # l = 1..3 it is both; a leading term at frequency <= 0 stands alone
+    data = trivial_data(12)
+    trunc = TruncationParams(c_max=60, tail_tol=1e-6, ctx=CTX)
+    assert (1, 1) not in poincare_series(data, 12, -1, 1, range(2, 4), trunc).coeffs
+    full = poincare_series(data, 12, -1, 1, range(1, 4), trunc)
+    # the test l = -n in l_range does not use up a one-shot iterable
+    assert poincare_series(data, 12, -1, 1, iter(range(1, 4)), trunc).coeffs == full.coeffs
+    value, tail = poincare_coefficient(data, 12, -1, 1, 1, 1, trunc)
+    with CTX.working():
+        assert full.coeffs[(1, 1)] == value + 1 and full.tails[(1, 1)] == tail
+    for weight, n in ((4, 0), (12, 1)):
+        series = poincare_series(trivial_data(weight), weight, n, 1, range(2, 4), trunc)
+        assert series.coeffs[(-n, 1)] == 1 and series.tails[(-n, 1)] == 0.0
+
+
 def test_delta_leading_coefficient_and_empty_range():
     data = trivial_data(12)
     trunc = TruncationParams(c_max=50, tail_tol=1e-6, ctx=CTX)

@@ -1,8 +1,8 @@
 """Working precision comes from the series' own TruncationParams: a 200-bit
 context carries through the Petersson unfolding, the frequency-power maps
-of the Eichler primitive and D^{k+1}, and scale/add, and a series built
-without truncation gets the default TruncationParams.  Quarter-turn phases
-are exact at every precision."""
+of the Eichler primitive and D^{k+1}, and a combination sum b P, and a
+series built without truncation gets the default TruncationParams.
+Quarter-turn phases are exact at every precision."""
 
 from fractions import Fraction
 
@@ -10,7 +10,8 @@ import mpmath
 import pytest
 
 from mgrid.automorphy import AutomorphyData, TrivialMultiplier, trivial_representation
-from mgrid.groups import sl2z
+from mgrid.eichler import check_supplementary_identity, supplementary
+from mgrid.groups import S, T, sl2z
 from mgrid.lfun import petersson_poincare
 from mgrid.poincare import poincare_series
 from mgrid.precision import PrecisionContext, exp2pi
@@ -58,24 +59,23 @@ def test_frequency_power_round_trip(p_minus1):
         assert back.tails[idx] == pytest.approx(p_minus1.tails[idx], rel=1e-12)
 
 
-def test_scale_and_add_keep_context_precision(p_minus1):
-    total = p_minus1.scale(2) + p_minus1.scale(-1)
-    assert total.truncation is TR200
-    for idx, v in p_minus1.coeffs.items():
-        assert _rel_close(total.coeffs[idx], v)
-
-
-def test_add_keeps_the_finer_context_in_either_order(p_minus1):
-    coarse = poincare_series(DATA12, K + 2, -1, 1, range(1, 11),
-                             TruncationParams(c_max=20, tail_tol=1e-3))
-    left, right = coarse + p_minus1, p_minus1 + coarse
-    assert left.truncation is TR200 and right.truncation is TR200
-    for idx, v in p_minus1.coeffs.items():
-        assert left.coeffs[idx] == right.coeffs[idx]
+@pytest.mark.parametrize("b2", [0.5j, -0.75])
+def test_two_term_combination_rounds_once_at_context_precision(b2):
+    # f = P_{-1} + b2 P_{-2}: each entry of f* is its terms' c-sums rounded
+    # once at 200 bits, so it matches P_1 + conj(b2) P_2 (each rounded once)
+    # to 2^-190 and within the summed tails; the identity holds for f
+    combo = [(1, -1, 1), (b2, -2, 1)]
+    fstar = supplementary(combo, DATA12, K, TR200, lmax=8)
+    f1, f2 = (supplementary([(1, n, 1)], DATA12, K, TR200, lmax=8) for n in (-1, -2))
+    assert fstar.truncation is TR200 and set(fstar.coeffs) == set(f1.coeffs) | set(f2.coeffs)
+    for idx, v in fstar.coeffs.items():
+        a1, a2 = f1.coefficient(*idx), f2.coefficient(*idx)
         with mpmath.workprec(400):
-            exact = coarse.coeffs[idx] + v
-            # rounded once to the 220-bit working precision of the 200-bit context
-            assert abs(left.coeffs[idx] - exact) <= mpmath.mpf(2) ** -219 * abs(exact)
+            diff = abs(v - (a1 + mpmath.conj(b2) * a2))
+            assert diff <= REL * (abs(a1) + abs(a2))
+        assert diff <= fstar.tails[idx] + f1.tail_bound(*idx) + abs(b2) * f2.tail_bound(*idx)
+    assert check_supplementary_identity(combo, DATA12, K, S, TR200, lmax=20) < 1e-5
+    assert check_supplementary_identity(combo, DATA12, K, T, TR200, lmax=20) == 0
 
 
 @pytest.mark.parametrize("bits", [53, 133, 250])
