@@ -7,8 +7,8 @@ something unconverged.  One rule: a bound is unconverged when not
 bound <= --tol (so a NaN bound is).  Each subcommand checks: coeffs, the
 series' tails; grid, the tails of f, G+, G- and the shadow and both
 duality sides'; duality, both sides' tails of every pair; lvalue, every
-err; period, the tails of the series it integrates; pairing, nothing (it
-reports no bound).
+err; period, the tails of the series it integrates; pairing, the fit's
+relative residual (its prediction carries no bound yet).
 Float fields are emitted as shortest round-trip decimals plus a parallel
 hex-float field, so identical configurations produce byte-identical
 reports; a non-finite float is the string "nan", "inf" or "-inf".
@@ -100,6 +100,15 @@ def _add_common(p: _Parser, *flags: str):
     p.add_argument("--bits", type=int, default=113, help="mantissa bits")
     if "t0" in flags:
         p.add_argument("--t0", type=float, default=1.0)
+    if "k" in flags:
+        p.add_argument("--k", type=int, required=True)
+    if "index" in flags:  # P_{n,alpha} at l = lmin..lmax
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--alpha", type=int, default=1)
+        p.add_argument("--lmin", type=int, default=0)
+    if "gamma" in flags:
+        p.add_argument("--gamma", default="0,-1,1,0",
+                       help="a,b,c,d (default S); write --gamma=-1,-1,-2,-3 when a < 0")
     p.add_argument("--json", dest="json_path", default="-",
                    help="output path for the JSON report ('-' = stdout)")
     if "csv" in flags:
@@ -292,7 +301,7 @@ def cmd_pairing(args) -> int:
         _complex_entry(row, truth, "unfold_re", "unfold_im")
         _float_entry(row, "rel_error", abs(pred - truth) / abs(truth))
         payload["prediction"] = row
-    return _emit(args, payload)  # no bound yet to check against --tol
+    return _emit(args, payload, [] if pm.residual <= args.tol else ["fit_residual"])
 
 
 def make_parser() -> _Parser:
@@ -300,17 +309,13 @@ def make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="Poincare series coefficient table")
-    _add_common(p, "csv")
+    _add_common(p, "csv", "index")
     p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--lmin", type=int, default=0)
     p.add_argument("--lmax", type=int, default=10)
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("grid", help="one dual pair f_{n1}, G_{n2} plus report")
-    _add_common(p)
-    p.add_argument("--k", type=int, required=True)
+    _add_common(p, "k")
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--alpha1", type=int, default=1)
@@ -319,8 +324,7 @@ def make_parser() -> _Parser:
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("duality", help="duality residual matrix")
-    _add_common(p, "csv")
-    p.add_argument("--k", type=int, required=True)
+    _add_common(p, "csv", "k")
     p.add_argument("--n1", type=int, action="append", required=True)
     p.add_argument("--n2", type=int, action="append", required=True)
     p.add_argument("--alpha1", type=int, default=1)
@@ -328,33 +332,21 @@ def make_parser() -> _Parser:
     p.set_defaults(func=cmd_duality)
 
     p = sub.add_parser("lvalue", help="twisted L-values of P_{n}")
-    _add_common(p, "csv", "t0")
+    _add_common(p, "csv", "t0", "index", "gamma")
     p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--s", type=int, action="append", required=True)
-    p.add_argument("--gamma", default="0,-1,1,0",
-                   help="a,b,c,d (default S); write --gamma=-1,-1,-2,-3 when a < 0")
     p.add_argument("--method", choices=("series", "both"), default="series")
-    p.add_argument("--lmin", type=int, default=0)
     p.add_argument("--lmax", type=int, default=60)
     p.set_defaults(func=cmd_lvalue)
 
     p = sub.add_parser("period", help="period polynomial of P_{n} (weight k+2)")
-    _add_common(p, "csv", "t0")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--gamma", default="0,-1,1,0",
-                   help="a,b,c,d (default S); write --gamma=-1,-1,-2,-3 when a < 0")
+    _add_common(p, "csv", "t0", "k", "index", "gamma")
     p.add_argument("--kind", choices=("r", "rH", "rN"), default="rH")
-    p.add_argument("--lmin", type=int, default=0)
     p.add_argument("--lmax", type=int, default=60)
     p.set_defaults(func=cmd_period)
 
     p = sub.add_parser("pairing", help="fit the period pairing and predict")
-    _add_common(p, "t0")
-    p.add_argument("--k", type=int, required=True)
+    _add_common(p, "t0", "k")
     p.add_argument("--basis", required=True,
                    help="comma-separated cusp indices; write --basis=-1,-2 if the first is < 0")
     p.add_argument("--predict", default="",

@@ -34,7 +34,7 @@ from . import lfun
 from .automorphy import AutomorphyData, conjugate, n_prime
 from .groups import GroupElement, moebius
 from .poincare import Walk, constant_term_cf
-from .quadrature import _moments, vertical_poly_integral
+from .quadrature import _moments, _require_scalar, vertical_poly_integral
 from .series import FourierSeries, TruncationParams
 
 __all__ = [
@@ -86,14 +86,6 @@ class PeriodPolynomial:
     def conjugate_reflected(self) -> "PeriodPolynomial":
         """tau -> conj(P(conj(tau))): conjugates the coefficients (real shift)."""
         return PeriodPolynomial(self.gamma, self.k, np.conj(self.coeffs), self.shift)
-
-
-def _require_scalar(f: FourierSeries):
-    if f.automorphy.dim != 1:
-        raise NotImplementedError(
-            "period/Eichler routines act on scalar series; apply them "
-            "componentwise through a diagonal representation"
-        )
 
 
 def _require_weight(f: FourierSeries, k: int):
@@ -170,7 +162,6 @@ def _period(f: FourierSeries, gamma: GroupElement, k: int, route) -> PeriodPolyn
     twist of gamma (lfun.TwistSpec, c > 0); the parabolic polynomial at c = 0."""
     if gamma.c == 0:
         return period_r_parabolic(f, gamma, k)
-    _require_scalar(f)
     _require_weight(f, k)
     twist = lfun.TwistSpec.from_element(gamma)
     g = twist.gamma

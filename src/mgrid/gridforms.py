@@ -94,7 +94,8 @@ def build_grid(data: AutomorphyData, k: int, trunc: TruncationParams, f=(), G=()
     in G], [DualityReport per (n1, alpha1, n2, alpha2) in duality]) from one
     engine walk over c (poincare.Walk), whose boxes and root tables every
     c-sum on (chi, rho) and on (chi-bar, rho-bar) reads.  The duality lhs is
-    f's entry at l = idx2, a yp > 0 rhs G+'s at l = idx1: one c-sum each.
+    f's entry at l = idx2, a yp > 0 rhs G+'s at l = idx1 and a yp = 0 rhs
+    G+'s constant term: one c-sum each (Walk._add).
     """
     if k < 1:
         raise ValueError("grid weight parameter k must be a positive integer")
@@ -107,14 +108,11 @@ def build_grid(data: AutomorphyData, k: int, trunc: TruncationParams, f=(), G=()
         if not n2 - cdata.kappa_of(alpha2) > 0:
             raise ValueError(f"grid index requires n2 - kappa'_alpha2 > 0, got "
                              f"{n2} - {cdata.kappa_of(alpha2)}")
-    walk, constant_terms = Walk(trunc), {}
+    walk = Walk(trunc)
 
     def constant_term(n2, alpha2):  # of G+: it needs only the leading 1 at (-n2, alpha2)
-        if (n2, alpha2) not in constant_terms:
-            lead = FourierSeries(w, cdata, coeffs={(-n2, alpha2): mpmath.mpc(1)},
-                                 truncation=trunc)
-            constant_terms[(n2, alpha2)] = walk.constant_term(lead)
-        return constant_terms[(n2, alpha2)]
+        return walk.constant_term(FourierSeries(w, cdata, coeffs={(-n2, alpha2): mpmath.mpc(1)},
+                                                truncation=trunc))
 
     fs = [walk.series(data, w, [(1, n1, alpha1)], ls) for n1, alpha1 in f]
     Gs = [(n2, alpha2, walk.series(cdata, w, [(1, n2, alpha2)], ls), constant_term(n2, alpha2),

@@ -48,7 +48,7 @@ from .automorphy import AutomorphyData
 from .groups import GroupElement, generators
 from .poincare import _CSum, _prefactor_prec, _value, coefficient_envelope, poincare_series
 from .precision import exp2pi
-from .quadrature import _moments
+from .quadrature import _moments, _require_scalar
 from .series import FourierSeries, TruncationParams
 from .specialfn import gamma_upper
 
@@ -213,8 +213,7 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
     of f.
     """
     s_list = list(s) if hasattr(s, "__iter__") else [s]
-    if f.automorphy.dim != 1:
-        raise NotImplementedError("L-series are computed per scalar component")
+    _require_scalar(f)
     kappa = f.automorphy.kappa_of(1)
     terms = [(m, m + kappa, am) for (m, _j), am in f.items()]  # dim 1: j = 1
     if not f.has_zero_constant_term():
@@ -323,7 +322,8 @@ class PairingMatrix:
     """Sesquilinear form on stacked period-coefficient vectors.
 
     B has shape (t(k+1), t(k+1)) with t the number of non-parabolic
-    generators; entry order is (generator, monomial degree).
+    generators; entry order is (generator, monomial degree).  residual is
+    ||A vec(B) - g|| / ||g|| over the Gram targets g (0.0 at g = 0, B = 0).
     """
 
     k: int
@@ -351,19 +351,21 @@ def fit_pairing(basis, data: AutomorphyData, k: int, trunc: TruncationParams,
     reported; with fewer pairs than (t(k+1))^2 unknowns B is a minimum-norm
     representative of the pairing extension, not unique).  Each P_{n_i} is
     built at l in {-n_j} only, the entries the Gram targets read; lmax sets
-    the length of the supplementary series.
+    the length of the supplementary series.  The residual is relative to the
+    targets (PairingMatrix); an empty basis, or an index that is not a cusp
+    direction (supplementary), raises ValueError.
     """
     from .eichler import period_rH, supplementary
 
     gens = [g for g in generators(data.group) if g.c != 0]
     if not gens:
         raise ValueError("no non-parabolic generators available")
+    if not basis:
+        raise ValueError("the pairing fit needs a nonempty basis")
     feats, p_series, ls = [], [], sorted({-n for n, _alpha in basis})
-    for (n, alpha) in basis:
-        if not -n + data.kappa_of(alpha) > 0:
-            raise ValueError(f"basis index ({n},{alpha}) is not a cusp direction")
-        p_series.append(poincare_series(data, k + 2, n, alpha, ls, trunc))
+    for (n, alpha) in basis:  # supplementary rejects an index that is not a cusp direction
         fstar = supplementary([(1, n, alpha)], data, k, trunc, lmax=lmax)
+        p_series.append(poincare_series(data, k + 2, n, alpha, ls, trunc))
         feats.append(period_feature_vector(
             [period_rH(fstar, g, k, trunc, t0) for g in gens]))
     fdim = len(gens) * (k + 1)
@@ -376,7 +378,7 @@ def fit_pairing(basis, data: AutomorphyData, k: int, trunc: TruncationParams,
     a_mat = np.asarray(rows)
     b_vec = np.asarray(targets)
     sol, _res, rank, _sv = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    residual = float(np.linalg.norm(a_mat @ sol - b_vec))
+    residual = float(np.linalg.norm(a_mat @ sol - b_vec) / (np.linalg.norm(b_vec) or 1.0))
     return PairingMatrix(k, tuple(gens), sol.reshape(fdim, fdim), residual, int(rank))
 
 

@@ -481,12 +481,12 @@ class Walk:
     """C-sums of series, constant terms and coefficients on data of one
     group, filled by one engine walk over c (_run): register, run(), read.
     A series is a combination sum b P_{n,alpha} of one or many terms; each
-    term's coefficient is a c-sum with amp = b.  A coefficient asked for
-    twice on equal data, weight and amp is one c-sum, and each (datum,
-    weight) is checked once."""
+    term's coefficient is a c-sum with amp = b.  A c-sum asked for twice,
+    a coefficient's or a constant term's, is one c-sum (_add), and each
+    (datum, weight) is checked once."""
 
     def __init__(self, trunc: TruncationParams):
-        self.trunc, self.requests, self.coefficients = trunc, {}, {}
+        self.trunc, self.requests, self.sums = trunc, {}, {}
         self.checked, self.powers = set(), {}
 
     def _check(self, data: AutomorphyData, w: int):
@@ -506,11 +506,14 @@ class Walk:
         self.checked.add((data, w))
 
     def _add(self, data: AutomorphyData, w: int, x, y, alpha: int, amp=1) -> _CSum:
-        """Registers _coefficient_sum(data, w, x, y, alpha, ..., amp) for run()."""
-        with self.trunc.ctx.working():
-            s = _coefficient_sum(data, w, x, y, alpha, self.trunc, self.powers, amp)
-        self.requests.setdefault(data, (data, []))[1].append(s)
-        return s
+        """Registers _coefficient_sum(data, w, x, y, alpha, ..., amp) once for run()."""
+        key = (data, w, x, y, alpha, amp)
+        if key not in self.sums:
+            with self.trunc.ctx.working():
+                s = _coefficient_sum(data, w, x, y, alpha, self.trunc, self.powers, amp)
+            self.sums[key] = s
+            self.requests.setdefault(data, (data, []))[1].append(s)
+        return self.sums[key]
 
     def coefficient(self, data: AutomorphyData, w: int, n: int, alpha: int, l: int, j: int,
                     amp=1) -> list:
@@ -520,12 +523,10 @@ class Walk:
         if not y > 0:
             raise ValueError(f"need l + kappa_j > 0, got {y}")
         self._check(data, w)
-        key = (data, w, -n + data.kappa_of(alpha), y, alpha, amp)
+        x = -n + data.kappa_of(alpha)  # ValueError outside 1..dim, also at a structural zero
         if j != alpha:
             return []  # a structural zero
-        if key not in self.coefficients:
-            self.coefficients[key] = self._add(*key)
-        return [self.coefficients[key]]
+        return [self._add(data, w, x, y, alpha, amp)]
 
     def value(self, sums: list) -> tuple:
         """(value, tail_bound) of the c-sums added: one rounding at wp

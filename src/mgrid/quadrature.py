@@ -25,6 +25,13 @@ from .series import FourierSeries
 __all__ = ["vertical_poly_integral", "regularized_moment", "eval_component_grid"]
 
 
+def _require_scalar(series: FourierSeries):
+    """The one rule of the period, L-value and moment routes: they act on p = 1."""
+    if series.automorphy.dim != 1:
+        raise NotImplementedError("period, L-value and moment routes act on scalar series; "
+                                  "apply them componentwise through a diagonal representation")
+
+
 def _component_terms(series: FourierSeries, j: int):
     """(float frequencies F, complex coefficients a, tails) of component j,
     in the series' iteration order: the one float conversion a ray makes."""
@@ -102,8 +109,7 @@ def _moments(series: FourierSeries, twist, m_list, t0: float) -> list:
         if not 0 <= mi <= series.weight - 2:
             raise ValueError(
                 f"moment order {mi} outside 0..weight-2 = {series.weight - 2}")
-    if data.dim != 1:
-        raise NotImplementedError("moments are computed per scalar component")
+    _require_scalar(series)
     chi_val = complex(data.scalar_character(1).value(gamma))
     terms = _component_terms(series, 1)
     z1, w0 = -d / c + 1j * t0, a / c + 1j / (c * c * t0)

@@ -372,6 +372,17 @@ def test_pairing_fit_and_predict(capsys):
     assert doc["prediction"]["rel_error"] < 1e-4
 
 
+def test_pairing_exits_2_on_a_fit_that_reproduces_nothing(capsys):
+    # the Gram targets are themselves ~8e-6 here: the fit's relative residual
+    # is ~1 and fails --tol, where its absolute residual passed
+    rc, out, _err = run_cli(capsys, [
+        "pairing", "--k", "10", "--basis=-1,-3", "--lmax", "2", "--cmax", "20",
+        "--tol", "1e-6",
+    ])
+    assert rc == 2
+    assert json.loads(out)["fit_residual"] > 0.99
+
+
 def test_coeffs_omits_a_leading_term_outside_the_l_range(capsys):
     # P_{-1}'s a(1) needs l = 1: at --lmin 2 the leading 1 alone is not an entry
     argv = ["coeffs", "--weight", "12", "--n", "-1", "--lmax", "3", "--cmax", "60",

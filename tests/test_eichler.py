@@ -318,6 +318,34 @@ def test_regularized_moment_rejects_a_vector_series():
         regularized_moment(f, S, 0)
 
 
+@pytest.mark.parametrize("route", ["lvalue_series", "lvalue_integral", "regularized_moment",
+                                   "period_r", "period_rH", "period_r_quadrature",
+                                   "period_rN", "period_r_parabolic", "eichler_EN"])
+def test_every_route_rejects_a_vector_series_with_one_message(route):
+    # one rule (quadrature._require_scalar) with one message on every route,
+    # on a two-component series; period_r_parabolic at T, the others at S
+    from mgrid.automorphy import DiagonalRepresentation
+    from mgrid.lfun import TwistSpec, lvalue_integral, lvalue_series
+    from mgrid.quadrature import regularized_moment
+
+    twist = TwistSpec.from_element(S)
+    calls = {"lvalue_series": lambda f: lvalue_series(f, twist, 1, trunc=TR),
+             "lvalue_integral": lambda f: lvalue_integral(f, twist, 1),
+             "regularized_moment": lambda f: regularized_moment(f, S, 0),
+             "period_r": lambda f: period_r(f, S, 10, TR),
+             "period_rH": lambda f: period_rH(f, S, 10, TR),
+             "period_r_quadrature": lambda f: period_r_quadrature(f, S, 10),
+             "period_rN": lambda f: period_rN(f, S, 10),
+             "period_r_parabolic": lambda f: period_r_parabolic(f, T, 10),
+             "eichler_EN": lambda f: eichler_EN(f, 1j, 10)}
+    pair = AutomorphyData(weight=12, chi=TrivialMultiplier(), group=sl2z(),
+                          rho=DiagonalRepresentation((TrivialMultiplier(),) * 2))
+    f = FourierSeries(12, pair, {(1, 1): mpmath.mpc(1), (1, 2): mpmath.mpc(2)})
+    with pytest.raises(NotImplementedError,
+                       match=r"^period, L-value and moment routes act on scalar series; "):
+        calls[route](f)
+
+
 def test_every_twist_route_rejects_an_element_outside_the_group():
     # S is not in Gamma_0(4); T and (1 0; 4 1) are
     from mgrid.lfun import TwistSpec, lvalue_integral, lvalue_series

@@ -238,7 +238,9 @@ def test_equal_data_share_their_csums(monkeypatch):
     # the trivial character is self-conjugate, so at n1 = n2 f and G+'s
     # conjugate series are one set of c-sums: 6 coefficient c-sums, not 9,
     # plus G+'s constant term (one c-sum, from the same constructor), and
-    # every value and tail of the pair as the separate builders give it
+    # every value and tail of the pair as the separate builders give it.
+    # At n1 = 0 f is its own 3 c-sums and the duality rhs is G+'s constant
+    # term, registered twice and one c-sum: 9 + 1, not 9 + 2
     calls = []
     original = poincare._coefficient_sum
 
@@ -247,17 +249,19 @@ def test_equal_data_share_their_csums(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(poincare, "_coefficient_sum", counted)
-    pair_ = build_pair(DATA12, 10, 1, 1, 1, 1, TR, lmax=3)
-    assert len(calls) == 7 and conjugate(DATA12) == DATA12
-    f, G = build_f(DATA12, 10, 1, 1, TR, lmax=3), build_G(DATA12, 10, 1, 1, TR, lmax=3)
-    assert _entries(pair_.f) == _entries(f)
-    assert _entries(pair_.f) == _entries(poincare_series(conjugate(DATA12), 12, 1, 1,
-                                                         range(0, 4), TR))
-    for got, ref in ((pair_.G.holo, G.holo), (pair_.G.shadow, G.shadow)):
-        assert [(k, v._mpc_, t) for k, v, t in _entries(got)] \
-            == [(k, v._mpc_, t) for k, v, t in _entries(ref)]
-    assert pair_.G.nonholo == G.nonholo and pair_.G.nonholo_tails == G.nonholo_tails
-    assert pair_.duality == verify_duality(DATA12, 10, 1, 1, 1, 1, TR)
+    for n1, count in ((1, 7), (0, 10)):
+        calls.clear()
+        pair_ = build_pair(DATA12, 10, n1, 1, 1, 1, TR, lmax=3)
+        assert len(calls) == count and conjugate(DATA12) == DATA12
+        f, G = build_f(DATA12, 10, n1, 1, TR, lmax=3), build_G(DATA12, 10, 1, 1, TR, lmax=3)
+        assert _entries(pair_.f) == _entries(f)
+        assert _entries(pair_.f) == _entries(poincare_series(conjugate(DATA12), 12, n1, 1,
+                                                             range(0, 4), TR))
+        for got, ref in ((pair_.G.holo, G.holo), (pair_.G.shadow, G.shadow)):
+            assert [(k, v._mpc_, t) for k, v, t in _entries(got)] \
+                == [(k, v._mpc_, t) for k, v, t in _entries(ref)]
+        assert pair_.G.nonholo == G.nonholo and pair_.G.nonholo_tails == G.nonholo_tails
+        assert pair_.duality == verify_duality(DATA12, 10, n1, 1, 1, 1, TR)
 
 
 def _harmonic_value(G: HarmonicForm, zs):

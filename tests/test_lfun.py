@@ -230,6 +230,18 @@ def test_fit_pairing_gram_targets_do_not_depend_on_lmax(monkeypatch):
     assert abs(predict_gram(pm, rh, rh) - complex(targets[0])) <= 1e-12 * abs(targets[0])
 
 
+def test_fit_pairing_residual_is_relative_to_the_gram_targets():
+    # at c_max 20 and lmax 2 the Gram targets of P_{-1}, P_{-3} have norm
+    # ~8e-6 and the fit reproduces none of them: relative residual ~1, though
+    # the absolute one is as small as the targets; one element still fits.
+    # An empty basis is a ValueError of its own, not numpy's LinAlgError
+    tr = TruncationParams(c_max=20, tail_tol=1.0, ctx=CTX)
+    assert fit_pairing([(-1, 1), (-3, 1)], DATA12, 10, tr, lmax=2).residual > 0.99
+    assert fit_pairing([(-1, 1)], DATA12, 10, tr, lmax=2).residual < 1e-12
+    with pytest.raises(ValueError, match="nonempty basis"):
+        fit_pairing([], DATA12, 10, tr)
+
+
 def test_fit_pairing_rejects_non_cusp_basis():
     with pytest.raises(ValueError):
         fit_pairing([(1, 1)], DATA12, 10, TR)
