@@ -46,7 +46,8 @@ from mpmath.libmp import from_man_exp, mpc_mul, mpf_exp, pi_fixed, round_nearest
 
 from .automorphy import AutomorphyData
 from .groups import GroupElement, generators
-from .poincare import _CSum, _prefactor_prec, _value, coefficient_envelope, poincare_series
+from .poincare import (_CSum, _ldexp_up, _prefactor_prec, _scaled_up, _value,
+                       coefficient_envelope, poincare_series)
 from .precision import exp2pi
 from .quadrature import _moments, _require_scalar
 from .series import FourierSeries, TruncationParams
@@ -154,14 +155,15 @@ def _fixed_sum(terms, n: int, pref) -> _CSum:
     |fr^-n|, D_m + 1 units (D_m its floor).  With N = sum (3 + D_m), M the
     terms' sum of |re| + |im| and T = sum t (|re| + |im| + 3 + D_m), tail is
     |pref| 2^-e T and noise |pref| 2^-e (N + 2^(-wp-1) (M + N)), where
-    2^(-wp-1) (M + N) covers the twist phases and the prefactor."""
+    2^(-wp-1) (M + N) covers the twist phases and the prefactor; both are
+    doubles from the integers' top bits, rounded up (poincare._scaled_up)."""
     terms = [(a, gam, _power(fr, n), t) for fr, t, a, gam in terms]
     e = mpmath.mp.prec + len(terms).bit_length() + 8 - max(
         ((abs(ar) + abs(ai)).bit_length() + (abs(gr) + abs(gi)).bit_length() + ae + ge
          + abs(up).bit_length() - down.bit_length() + 1
          for (ar, ai, ae), (gr, gi, ge, _d), (up, down), _t in terms), default=0)
     re = im = noise = mag = 0
-    tail = 0.0
+    parts = []  # (t, u + 3 + D_m) per term
     for (ar, ai, ae), (gr, gi, ge, d), (up, down), t in terms:
         xr, xi = (ar * gr - ai * gi) * up, (ar * gi + ai * gr) * up
         xd = (abs(ar) + abs(ai)) * d * abs(up)
@@ -172,10 +174,12 @@ def _fixed_sum(terms, n: int, pref) -> _CSum:
             xr, xi, xd = xr >> -sh, xi >> -sh, xd >> -sh
         tr, ti, dn = xr // down, xi // down, xd // down
         re, im, u = re + tr, im + ti, abs(tr) + abs(ti)
-        noise, mag, tail = noise + 3 + dn, mag + u, tail + t * (u + 3 + dn)
-    unit = math.ldexp(float(abs(pref)), -e)
-    return _CSum(None, pref, None, unit * tail, re=re, im=im, e=e,
-                 noise=unit * (noise + 2.0 ** (-mpmath.mp.prec - 1) * (mag + noise)))
+        noise, mag = noise + 3 + dn, mag + u
+        parts.append((t, u + 3 + dn))
+    size, cut = float(abs(pref)), max([n.bit_length() - 1000 for _t, n in parts] + [0])
+    tail = _ldexp_up(size * sum(t * -(-n >> cut) for t, n in parts), e - cut)
+    return _CSum(None, pref, None, tail, re=re, im=im, e=e, noise=size * (
+        _scaled_up(e, noise) + _scaled_up(e + mpmath.mp.prec + 1, mag + noise)))
 
 
 def _gamma_majorant(s: int, x: float) -> float:
@@ -271,7 +275,7 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
             sums = [_fixed_sum([(r[0], r[1], r[2 + 2 * k], r[3 + 2 * k][n]) for r in rows],
                                n, pref) for k, (n, pref) in enumerate(zip((si, w - si), prefs))]
             lstar = _value(sums)
-            err = rem[si] + sum(s.tail + s.noise for s in sums) + 2.0 ** (1 - wp) * float(abs(lstar))
+            err = rem[si] + sum(s.tail + s.noise for s in sums) + _ldexp_up(float(abs(lstar)), wp - 1)
             out.append(LValue(si, twist, two_pi ** si / mpmath.factorial(si - 1) * lstar, lstar,
                               "series", t0, err))
     return out if hasattr(s, "__iter__") else out[0]

@@ -42,9 +42,10 @@ three sources: a float64 or a fixed-point box layer, each as an exact
 Gaussian integer, or, with no box, the Ramanujan sum
 c_c(m) = sum_{d | (c, m)} mu(c/d) d, m = |x + y| (Hardy & Wright,
 ch. XVI), which is every layer at x = 0 or y = 0 whose effective character
-is trivial; it has no layer precision.  One majorant (_majorant) bounds
-every c > c_max tail and coefficient_envelope's whole c-sum; weight 3
-converges absolutely, its terms being O(c^-2).
+is trivial; it has no layer precision, and Moebius inversion makes its S
+one divisor pass per walk (_run).  One majorant (_majorant) bounds every
+c > c_max tail and coefficient_envelope's whole c-sum; weight 3 converges
+absolutely, its terms being O(c^-2).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import mpmath
 import numpy as np
@@ -182,7 +184,7 @@ def _layer_error(c: int, den: int, bits: int) -> float:
     elements) with phases over den, evaluated at `bits` (see _exponent_sums)."""
     if bits <= 53:
         return c * (c + 28) * 2.0 ** -53
-    return c * (2 * math.isqrt(den) + 3) * 2.0 ** -(bits + 16 + den.bit_length())
+    return _scaled_up(bits + 16 + den.bit_length(), c * (2 * math.isqrt(den) + 3))
 
 
 def _key_group(keys: list) -> tuple:
@@ -283,8 +285,9 @@ def _run(requests: list, trunc: TruncationParams):
     integer, with e = P - top, P = wp + bit_length(c_max) + 8 and 2^top >=
     max |v_c| (P bits below the largest weight), and du_c, the weight's own
     error beyond the floor (0 for c^-w).  K_c = (re + i im) 2^-f is
-      - the Ramanujan sum c_c(m) (f = 0) when the c-sum has m set: S is one
-        integer dot product over the weight, with no box;
+      - the Ramanujan sum c_c(m) (f = 0) when the c-sum has m set, with no
+        box: S = sum_{d | m} d M_d, M_d = sum_t mu(t) u_{d t} built once per
+        (weight table, d) and walk, O(c_max sum_d 1/d) (Apostol, 8.3);
       - a box layer (_exponent_sums) at layer_bits_for(ctx, c, level) bits:
         exact in fixed point, or in float64 converted exactly (_gaussian).
     Each product u_c K_c is an integer multiply and a shift by f, rounded to
@@ -300,26 +303,30 @@ def _run(requests: list, trunc: TruncationParams):
 
     The sum runs over every c, so a layer that rounds to 0 still counts; the
     last term covers _value's rounding at wp and the prefactor's 2^-wp/8
-    (_prefactor_prec).
+    (_prefactor_prec); it and 2^-e round up where they underflow (_ldexp_up).
+    For c_c(m) the terms 2^-e (|c_c(m)| + 1) are exact: one integer sum.
     """
     group = requests[0][0].group
     level = group.level
     cs = list(range(level, trunc.c_max + 1, level))
 
-    def settle(s, kmax, dk):  # the scale of S and the noise rule
-        _u, s.e, u_abs, du = s.weight
-        unit = 2.0 ** -s.e
-        s.noise = float(abs(s.pref)) * (
-            math.fsum(((du + unit) * kmax + u_abs * dk + unit).tolist())
-            + math.hypot(s.re, s.im) * unit * 2.0 ** (1 - mpmath.mp.prec))
-
     ramanujan = [s for _data, sums in requests for s in sums if s.m is not None]
-    if ramanujan:
-        mu = _moebius(trunc.c_max)
-    for s in ramanujan:
-        layers = _ramanujan_layers(s.m, level, mu)
-        s.re = sum(k * u for k, u in zip(layers.tolist(), s.weight[0]) if k)
-        settle(s, np.abs(layers), 0.0)
+    if ramanujan:  # mu, and where it is 1 and -1 as selectors (itertools.compress)
+        mu, shared = _moebius(trunc.c_max), {}  # shared: (weight table, d) -> M_d
+        plus, minus = (list(map(k.__eq__, mu.tolist())) for k in (1, -1))
+    for s in ramanujan:  # S = sum_c u_c c_c(m) = sum_{d | m} d M_d
+        u, s.e = s.weight[:2]
+        layers = np.zeros(trunc.c_max + 1, dtype=np.int64)  # c_c(m), for the noise rule
+        for d in (d for d in range(1, min(s.m, trunc.c_max) + 1) if s.m % d == 0):
+            if (id(u), d) not in shared:  # M_d = sum_t mu(t) u_{d t}, d t in lcm(N, d) Z
+                step = math.lcm(level, d)
+                seg, t = u[step // level - 1::step // level], step // d
+                shared[id(u), d] = sum(compress(seg, plus[t::t])) - sum(compress(seg, minus[t::t]))
+            s.re += d * shared[id(u), d]
+            layers[d::d] += d * mu[1:trunc.c_max // d + 1]
+        layers = layers[level::level].tolist()
+        s.noise = float(abs(s.pref)) * (_scaled_up(s.e, sum(map(abs, layers)) + len(layers))
+                                        + _scaled_up(s.e + mpmath.mp.prec - 1, s.re))
     boxes = []  # (datum whose phases are read, sign, [(c-sums, layer errors)], key groups)
     for data, sums in requests:
         groups = {}  # keys sharing alpha and lcm(x.den, y.den) share den at every c
@@ -348,8 +355,13 @@ def _run(requests: list, trunc: TruncationParams):
                     s.im += (u * im + (1 << f >> 1)) >> f
     for _source, _sign, groups, _keys in boxes:
         for g, errors in groups:
-            for s in g:
-                settle(s, np.array(cs, dtype=float), errors)
+            for s in g:  # the noise rule
+                _u, s.e, u_abs, du = s.weight
+                unit = _ldexp_up(1.0, s.e)
+                s.noise = float(abs(s.pref)) * (
+                    math.fsum(((du + unit) * np.array(cs, dtype=float) + u_abs * errors
+                               + unit).tolist())
+                    + _scaled_up(s.e + mpmath.mp.prec - 1, s.re, s.im))
 
 
 def _value(sums: list):
@@ -367,28 +379,40 @@ def _scale_bits(c_max: int) -> int:
     return mpmath.mp.prec + c_max.bit_length() + 8
 
 
+def _ldexp_up(x: float, e: int) -> float:
+    """x 2^-e, x >= 0: math.ldexp, and where that rounds (below the normal
+    doubles) one ulp(0.0) more, so a bound that underflows never becomes 0.0."""
+    y = math.ldexp(x, -e)
+    return y if math.ldexp(y, e) == x else y + math.ulp(0.0)
+
+
+def _scaled_up(e: int, *ints) -> float:
+    """hypot(ints) 2^-e by _ldexp_up from the ints' top 1000 bits (float overflows)."""
+    cut = max(0, max(abs(v).bit_length() for v in ints) - 1000)
+    return _ldexp_up(math.hypot(*(v >> cut for v in ints)), e - cut)
+
+
+def _magnitudes(ints: list, e: int) -> np.ndarray:
+    """|v| 2^-e per integer v as float64 (_scaled_up unless all are normal doubles)."""
+    if max(map(abs, ints)).bit_length() <= 1000 and e <= 1022:
+        return np.array(list(map(abs, ints)), dtype=float) * 2.0 ** -e
+    return np.array([_scaled_up(e, v) for v in ints])
+
+
 def _moebius(limit: int) -> np.ndarray:
-    """mu(0), ..., mu(limit) as int64, by a sieve over the primes (mu(0) = 0)."""
-    mu = np.ones(limit + 1, dtype=np.int64)
+    """mu(0), ..., mu(limit) as int64 (mu(0) = 0), sieved by the primes p <=
+    sqrt(limit): n's one prime factor above that, if any, flips the sign."""
+    mu, small = np.ones(limit + 1, dtype=np.int64), np.ones(limit + 1, dtype=np.int64)
     mu[0] = 0
-    composite = np.zeros(limit + 1, dtype=bool)
-    for p in range(2, limit + 1):
+    composite = np.zeros(math.isqrt(limit) + 1, dtype=bool)
+    for p in range(2, len(composite)):
         if not composite[p]:
             composite[2 * p::p] = True
             mu[p::p] *= -1
+            small[p::p] *= p
             mu[p * p::p * p] = 0
+    mu[small != np.arange(limit + 1)] *= -1
     return mu
-
-
-def _ramanujan_layers(m: int, level: int, mu: np.ndarray) -> np.ndarray:
-    """c_c(m) = sum_{d | (c, m)} mu(c/d) d for c = level, 2 level, ..., c_max,
-    as int64, from mu = _moebius(c_max): one array pass per divisor d of m."""
-    c_max = len(mu) - 1
-    layers = np.zeros(c_max + 1, dtype=np.int64)
-    for d in range(1, min(m, c_max) + 1):
-        if m % d == 0:
-            layers[d::d] += d * mu[1:c_max // d + 1]
-    return layers[level::level]
 
 
 def _majorant(w: int, x, y, group, c0: int, m: int | None = None) -> float:
@@ -464,7 +488,7 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction, alp
         if w not in powers:  # the largest weight is cs[0]^-w, at the level
             e = _scale_bits(trunc.c_max) + (cs[0] ** w).bit_length() - 1
             u = [(1 << e) // c ** w for c in cs]
-            powers[w] = u, e, np.array(u, dtype=float) * 2.0 ** -e, 0.0
+            powers[w] = u, e, _magnitudes(u, e), 0.0
         return _CSum(key, pref, powers[w], tail, m)
     xy = abs(x) * y
     half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator)
@@ -473,7 +497,7 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction, alp
     e = scale + _scale_bits(trunc.c_max) - max(v.bit_length() for v in values)
     # floor(floor(X)/c) = floor(X/c); >> floors
     u = [(v << e - scale if e >= scale else v >> scale - e) // c for v, c in zip(values, cs)]
-    weight = (u, e, np.abs(np.array(u, dtype=float)) * 2.0 ** -e, bounds / np.array(cs))
+    weight = (u, e, _magnitudes(u, e), bounds / np.array(cs))
     return _CSum(key, pref, weight, tail)
 
 

@@ -413,6 +413,23 @@ def test_readme_command_lines_exit_as_documented(capsys, tmp_path):
     assert json.loads((tmp_path / "table.json").read_text())["entries"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--weight", "4", "--n", "0", "--lmin", "1", "--lmax", "3", "--cmax", "100",
+     "--tol", "1e-2", "--bits", "1000"],
+    ["coeffs", "--weight", "12", "--n", "-1", "--lmax", "3", "--cmax", "30", "--bits", "1000"],
+    ["lvalue", "--weight", "12", "--n", "-1", "--s", "6", "--gamma", "0,-1,1,0", "--lmax", "10",
+     "--cmax", "20", "--tol", "1e-6", "--bits", "1100"],
+], ids=["eisenstein", "bessel", "lvalue"])
+def test_bits_past_the_double_range_exit_0(argv, capsys):
+    # u_1 = 2^e with e > 1023 once overflowed float(); every tail stays finite
+    rc, out, _err = run_cli(capsys, argv)
+    assert rc == 0
+    doc = json.loads(out)
+    bounds = [e["tail_bound"] for e in doc["entries"]] if "entries" in doc \
+        else [v["err"] for v in doc["values"]]
+    assert bounds and all(math.isfinite(b) for b in bounds)
+
+
 def test_character_and_rep_parsers():
     assert parse_character("trivial").label() == "trivial"
     assert parse_character("eta:2").label() == "eta:2"

@@ -45,6 +45,7 @@ from mgrid.poincare import (
     _key_group,
     _layer_error,
     _layers,
+    _moebius,
     _root_table,
     _run,
     _scale_bits,
@@ -590,20 +591,34 @@ def test_exact_layer_noise_counts_every_computed_layer_but_no_structural_zero(pi
     _assert_structural_zeros_are_exact(trunc, 113)
 
 
+def _trial_mobius(m):
+    """mu(m), m >= 1, by trial division."""
+    sign, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
 def _ramanujan_sum(c, y):
     """c_c(y) = sum over d | (c, y) of mu(c/d) d."""
-    def mobius(m):
-        sign, p = 1, 2
-        while p * p <= m:
-            if m % p == 0:
-                m //= p
-                if m % p == 0:
-                    return 0
-                sign = -sign
-            p += 1
-        return -sign if m > 1 else sign
     g = math.gcd(c, y)
-    return sum(mobius(c // d) * d for d in range(1, g + 1) if g % d == 0)
+    return sum(_trial_mobius(c // d) * d for d in range(1, g + 1) if g % d == 0)
+
+
+def test_moebius_sieve_matches_trial_division():
+    # every limit to 400, p^2 - 1, p^2 and p^2 + 1 for the primes p <= 50
+    # (the edges of the sieve's primes p <= sqrt(limit)), 2,500 and 10^4
+    ref = [0] + [_trial_mobius(n) for n in range(1, 10**4 + 1)]
+    primes = [p for p in range(2, 51) if _trial_mobius(p) == -1]
+    limits = set(range(1, 401)) | {p * p + k for p in primes for k in (-1, 0, 1)} | {2500, 10**4}
+    for limit in sorted(limits):
+        mu = _moebius(limit)
+        assert mu.dtype == np.int64 and mu.tolist() == ref[:limit + 1], limit
 
 
 def test_exact_trivial_x0_layers_are_ramanujan_sums():
@@ -646,6 +661,59 @@ def test_exact_ramanujan_csums_match_box_layers(spec, w):
                 err = abs(value - box)
             box_bound = float(abs(amp)) * sum(c ** -w * _layer_error(c, c, bits) for c in cs)
             assert err <= noise + box_bound
+
+
+@pytest.mark.parametrize("w", [4, 12])
+@pytest.mark.parametrize("spec", [sl2z(), gamma0(4), gamma0(6)],
+                         ids=["sl2z", "gamma0(4)", "gamma0(6)"])
+def test_divisor_pass_is_the_per_key_dot_product_bit_for_bit(spec, w):
+    # every Ramanujan c-sum of one walk, the x = 0 coefficients at m in
+    # RAMANUJAN_MS and the constant term of a principal part 2 q^-1 + 3 q^-2
+    # (amp 2 and 3, on the same weight table), against sum_c u_c c_c(m) and
+    # the noise rule's fsum per key, rebuilt here
+    data = AutomorphyData(weight=w, chi=TrivialMultiplier(),
+                          rho=trivial_representation(), group=spec)
+    trunc = TruncationParams(c_max=200, tail_tol=1.0, ctx=CTX)
+    walk = Walk(trunc)
+    for m in RAMANUJAN_MS:
+        walk.coefficient(data, w, 0, 1, m, 1)
+    principal = {(-1, 1): mpmath.mpc(2), (-2, 1): mpmath.mpc(3)}
+    walk.constant_term(FourierSeries(w, data, principal, dict.fromkeys(principal, 0.0)))
+    walk.run()
+    sums = list(walk.sums.values())
+    assert sorted(s.m for s in sums) == sorted(RAMANUJAN_MS + (1, 2))
+    assert sorted(complex(amp).real for _d, _w, _x, y, _a, amp in walk.sums if y == 0) == [2, 3]
+    cs = range(spec.level, 201, spec.level)
+    for s in sums:
+        u, e, u_abs, du = s.weight
+        layers = np.array([_ramanujan_sum(c, s.m) for c in cs])
+        re = sum(k * u_c for k, u_c in zip(layers.tolist(), u) if k)
+        unit = 2.0 ** -e
+        with CTX.working():
+            noise = float(abs(s.pref)) * (
+                math.fsum(((du + unit) * np.abs(layers) + u_abs * 0.0 + unit).tolist())
+                + math.hypot(re, 0) * unit * 2.0 ** (1 - mpmath.mp.prec))
+        assert (s.re, s.im, s.e, s.noise) == (re, 0, e, noise), s.key
+
+
+@pytest.mark.parametrize("w, n, c_max", [(4, 0, 100), (12, -1, 30)])
+def test_1100_bit_series_lie_within_the_113_bit_tails(w, n, c_max):
+    # past 1,024 bits float(u_c) overflows and 2^-e underflows: the weights'
+    # magnitudes come from their top bits, and every bound rounds up
+    data = AutomorphyData(weight=w, chi=TrivialMultiplier(),
+                          rho=trivial_representation(), group=sl2z())
+    ref = poincare_series(data, w, n, 1, range(1, 4),
+                          TruncationParams(c_max=c_max, tail_tol=1.0, ctx=CTX))
+    fine = TruncationParams(c_max=c_max, tail_tol=1.0, ctx=PrecisionContext(mantissa_bits=1100))
+    walk = Walk(fine)
+    build = walk.series(data, w, [(1, n, 1)], range(1, 4))
+    walk.run()
+    series = build()
+    assert all(s.e > 1074 and s.noise > 0 for s in walk.sums.values())
+    with fine.ctx.working():
+        for l in range(1, 4):
+            assert math.isfinite(series.tail_bound(l)) and series.tail_bound(l) > 0
+            assert abs(series.coefficient(l) - ref.coefficient(l)) <= ref.tail_bound(l)
 
 
 @pytest.mark.parametrize("bits", [53, 113, 200])
