@@ -46,9 +46,8 @@ from mpmath.libmp import from_man_exp, mpc_mul, mpf_exp, pi_fixed, round_nearest
 
 from .automorphy import AutomorphyData
 from .groups import GroupElement, generators
-from .poincare import (_CSum, _ldexp_up, _prefactor_prec, _scaled_up, _value,
-                       coefficient_envelope, poincare_series)
-from .precision import exp2pi
+from .poincare import _CSum, _prefactor_prec, _value, coefficient_envelope, poincare_series
+from .precision import _ldexp_up, _scaled_up, exp2pi
 from .quadrature import _moments, _require_scalar
 from .series import FourierSeries, TruncationParams
 from .specialfn import gamma_upper
@@ -156,7 +155,7 @@ def _fixed_sum(terms, n: int, pref) -> _CSum:
     terms' sum of |re| + |im| and T = sum t (|re| + |im| + 3 + D_m), tail is
     |pref| 2^-e T and noise |pref| 2^-e (N + 2^(-wp-1) (M + N)), where
     2^(-wp-1) (M + N) covers the twist phases and the prefactor; both are
-    doubles from the integers' top bits, rounded up (poincare._scaled_up)."""
+    doubles from the integers' top bits, rounded up (precision._scaled_up)."""
     terms = [(a, gam, _power(fr, n), t) for fr, t, a, gam in terms]
     e = mpmath.mp.prec + len(terms).bit_length() + 8 - max(
         ((abs(ar) + abs(ai)).bit_length() + (abs(gr) + abs(gi)).bit_length() + ae + ge

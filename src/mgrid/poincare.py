@@ -61,7 +61,7 @@ from mpmath.libmp import mpf_shift, to_int
 
 from .automorphy import AutomorphyData, TrivialMultiplier
 from .groups import cplus_arrays
-from .precision import cos_sin_2pi, exp2pi
+from .precision import _ldexp_up, _magnitudes, _scaled_up, cos_sin_2pi, exp2pi
 from .series import FourierSeries, TruncationParams
 from .specialfn import bessel_series
 
@@ -190,7 +190,7 @@ def _layer_error(c: int, den: int, bits: int) -> float:
 def _key_group(keys: list) -> tuple:
     """(alpha, q, xy) of keys (x, y, alpha) sharing alpha and q = lcm(x.den,
     y.den): xy holds their x and y as int64 numerators over q, one column
-    per key, built once per walk (_layers scales it per c)."""
+    per key, built once per walk (_layer scales it per c)."""
     x, y, alpha = keys[0]
     q = math.lcm(x.denominator, y.denominator)
     xy = np.array([(x.numerator * (q // x.denominator), y.numerator * (q // y.denominator))
@@ -198,8 +198,8 @@ def _key_group(keys: list) -> tuple:
     return alpha, q, xy.T
 
 
-def _layers(data: AutomorphyData, c: int, box, groups, bits: int, tables: dict, sign=1) -> list:
-    """[(rows, error bound)] per key group (alpha, q, xy) (_key_group), rows
+def _layer(data: AutomorphyData, c: int, box, group, bits: int, tables: dict, sign=1) -> tuple:
+    """(rows, error bound) of one key group (alpha, q, xy) (_key_group), rows
     holding (re, im, e) of K_c(x, y)_{alpha,alpha} = (re + i im) 2^-e for
     each key of the group, from the box (a, d) = C+(c).
 
@@ -211,20 +211,17 @@ def _layers(data: AutomorphyData, c: int, box, groups, bits: int, tables: dict, 
     tables by (den, bits) and phases by (data, alpha); sign = -1 puts the
     keys on data's conjugate, with data's phases negated (same roots).
     """
-    a, d = box
-    out = []
-    for alpha, q, xy in groups:
-        if (data, alpha) not in tables:
-            nums, den = data.scalar_character(alpha).box_phases(a, d, c)
-            g = math.gcd(den, int(np.gcd.reduce(nums)))
-            tables[(data, alpha)] = nums // g, den // g
-        chi_num, chi_den = tables[(data, alpha)]
-        # exponent (x a + y d)/c over q c (lambda = 1 here), one row per key
-        den = math.lcm(q * c, chi_den)
-        ca, cd = xy * (den // (q * c))
-        nums = ca[:, None] * a + cd[:, None] * d - sign * chi_num * (den // chi_den)
-        out.append((_exponent_sums(nums, den, bits, tables), _layer_error(c, den, bits)))
-    return out
+    (a, d), (alpha, q, xy) = box, group
+    if (data, alpha) not in tables:
+        nums, den = data.scalar_character(alpha).box_phases(a, d, c)
+        g = math.gcd(den, int(np.gcd.reduce(nums)))
+        tables[(data, alpha)] = nums // g, den // g
+    chi_num, chi_den = tables[(data, alpha)]
+    # exponent (x a + y d)/c over q c (lambda = 1 here), one row per key
+    den = math.lcm(q * c, chi_den)
+    ca, cd = xy * (den // (q * c))
+    nums = ca[:, None] * a + cd[:, None] * d - sign * chi_num * (den // chi_den)
+    return _exponent_sums(nums, den, bits, tables), _layer_error(c, den, bits)
 
 
 def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
@@ -240,8 +237,8 @@ def kloosterman_layer(data: AutomorphyData, c: int, x: Fraction, y: Fraction,
     if j != alpha:
         data.kappa_of(j), data.kappa_of(alpha)  # ValueError outside 1..dim
         return 0j
-    re, im, e = _layers(data, c, cplus_arrays(data.group, c),
-                        [_key_group([(Fraction(x), Fraction(y), alpha)])], bits, {})[0][0][0]
+    ((re, im, e),), _error = _layer(data, c, cplus_arrays(data.group, c),
+                                    _key_group([(Fraction(x), Fraction(y), alpha)]), bits, {})
     if bits <= 53:
         return complex(re / (1 << e), im / (1 << e))
     with mpmath.workprec(e // 2):
@@ -264,20 +261,20 @@ class _CSum:
     noise: float = 0.0
 
 
-def _run(requests: list, trunc: TruncationParams):
-    """The coefficient engine: one walk over c fills every c-sum of every
-    request (data, sums); the data share one group.  Call inside
+def _run(plan: list, trunc: TruncationParams):
+    """The coefficient engine: one walk over c fills every c-sum of the
+    plan [(datum, c-sum)]; the data share one group.  Call inside
     trunc.ctx.working(), at wp bits.
 
-    Each c builds the box C+(c) and one dict of tables once, for every c-sum
-    of every datum: root tables by (den, bits), so eta^2 and its conjugate
+    A datum's box c-sums with one alpha and q = lcm(x.den, y.den) (one den
+    at every c) are one key group, by (datum, alpha, q): one numerator array
+    per walk (_key_group), one _layer call per c, one float64 array of layer
+    errors.  Each c builds the box C+(c) and one dict of tables once, for
+    every group: root tables by (den, bits), so eta^2 and its conjugate
     share theirs at den = 12 c, and reduced box phases by (datum, alpha),
     which a datum on an earlier datum's conjugate reads negated (one
-    dedekind_sum per c for the pair).  A datum's box c-sums with one alpha
-    and q = lcm(x.den, y.den) (so one den at every c) are one key group:
-    its numerator array is built once (_key_group), it is one _layers pass
-    per c, and it keeps one float64 array of layer errors.  No c-sum's value
-    or bound depends on which sums share the walk.
+    dedekind_sum per c for the pair).  No c-sum's value or bound depends on
+    which sums share the walk.
 
     Each c-sum accumulates S = sum_c u_c K_c exactly at the scale 2^-e, and
     _value rounds pref S 2^-e once.  The weight (u_c, e, |u_c| 2^-e, du_c)
@@ -306,11 +303,11 @@ def _run(requests: list, trunc: TruncationParams):
     (_prefactor_prec); it and 2^-e round up where they underflow (_ldexp_up).
     For c_c(m) the terms 2^-e (|c_c(m)| + 1) are exact: one integer sum.
     """
-    group = requests[0][0].group
+    group = plan[0][0].group
     level = group.level
     cs = list(range(level, trunc.c_max + 1, level))
 
-    ramanujan = [s for _data, sums in requests for s in sums if s.m is not None]
+    ramanujan = [s for _data, s in plan if s.m is not None]
     if ramanujan:  # mu, and where it is 1 and -1 as selectors (itertools.compress)
         mu, shared = _moebius(trunc.c_max), {}  # shared: (weight table, d) -> M_d
         plus, minus = (list(map(k.__eq__, mu.tolist())) for k in (1, -1))
@@ -327,41 +324,35 @@ def _run(requests: list, trunc: TruncationParams):
         layers = layers[level::level].tolist()
         s.noise = float(abs(s.pref)) * (_scaled_up(s.e, sum(map(abs, layers)) + len(layers))
                                         + _scaled_up(s.e + mpmath.mp.prec - 1, s.re))
-    boxes = []  # (datum whose phases are read, sign, [(c-sums, layer errors)], key groups)
-    for data, sums in requests:
-        groups = {}  # keys sharing alpha and lcm(x.den, y.den) share den at every c
-        for s in sums:
-            if s.m is None:
-                x, y, alpha = s.key
-                groups.setdefault((alpha, math.lcm(x.denominator, y.denominator)), []).append(s)
-        if groups:
-            try:  # on an earlier datum's conjugate: read its phases negated (_layers)
-                source = next((p, -1) for p, _sign, _g, _k in boxes if p.conjugate() == data)
-            except (StopIteration, NotImplementedError):  # none, or no conjugate() defined
-                source = (data, 1)
-            boxes.append((*source, [(g, np.empty(len(cs))) for g in groups.values()],
-                          [_key_group([s.key for s in g]) for g in groups.values()]))
-    if not boxes:
+    groups, sources = {}, {}  # (datum, alpha, q) -> box c-sums; datum -> (phase source, sign)
+    for data, s in plan:
+        if s.m is None:
+            x, y, alpha = s.key
+            groups.setdefault((data, alpha, math.lcm(x.denominator, y.denominator)), []).append(s)
+    if not groups:
         return
+    for data in dict.fromkeys(data for data, _alpha, _q in groups):
+        try:  # on an earlier datum's conjugate: read its phases negated (_layer)
+            sources[data] = next((p, -1) for p, _sign in sources.values() if p.conjugate() == data)
+        except (StopIteration, NotImplementedError):  # none, or no conjugate() defined
+            sources[data] = (data, 1)
+    entries = [(*sources[data], sums, _key_group([s.key for s in sums]), np.empty(len(cs)))
+               for (data, _alpha, _q), sums in groups.items()]
     for n, c in enumerate(cs):
-        arrays, tables, bits = cplus_arrays(group, c), {}, layer_bits_for(trunc.ctx, c, level)
-        for source, sign, groups, keys in boxes:
-            layers = _layers(source, c, arrays, keys, bits, tables, sign)
-            for (g, errors), (rows, error) in zip(groups, layers):
-                errors[n] = error
-                for s, (re, im, f) in zip(g, rows):
-                    u = s.weight[0][n]
-                    s.re += (u * re + (1 << f >> 1)) >> f  # to nearest
-                    s.im += (u * im + (1 << f >> 1)) >> f
-    for _source, _sign, groups, _keys in boxes:
-        for g, errors in groups:
-            for s in g:  # the noise rule
-                _u, s.e, u_abs, du = s.weight
-                unit = _ldexp_up(1.0, s.e)
-                s.noise = float(abs(s.pref)) * (
-                    math.fsum(((du + unit) * np.array(cs, dtype=float) + u_abs * errors
-                               + unit).tolist())
-                    + _scaled_up(s.e + mpmath.mp.prec - 1, s.re, s.im))
+        box, tables, bits = cplus_arrays(group, c), {}, layer_bits_for(trunc.ctx, c, level)
+        for source, sign, sums, keys, errors in entries:
+            rows, errors[n] = _layer(source, c, box, keys, bits, tables, sign)
+            for s, (re, im, f) in zip(sums, rows):
+                u = s.weight[0][n]
+                s.re += (u * re + (1 << f >> 1)) >> f  # to nearest
+                s.im += (u * im + (1 << f >> 1)) >> f
+    for _source, _sign, sums, _keys, errors in entries:
+        for s in sums:  # the noise rule
+            _u, s.e, u_abs, du = s.weight
+            unit = _ldexp_up(1.0, s.e)
+            s.noise = float(abs(s.pref)) * (math.fsum(
+                ((du + unit) * np.array(cs, dtype=float) + u_abs * errors + unit).tolist())
+                + _scaled_up(s.e + mpmath.mp.prec - 1, s.re, s.im))
 
 
 def _value(sums: list):
@@ -377,26 +368,6 @@ def _value(sums: list):
 def _scale_bits(c_max: int) -> int:
     """P, the bits a c-sum keeps below its largest weight (see _run), at wp."""
     return mpmath.mp.prec + c_max.bit_length() + 8
-
-
-def _ldexp_up(x: float, e: int) -> float:
-    """x 2^-e, x >= 0: math.ldexp, and where that rounds (below the normal
-    doubles) one ulp(0.0) more, so a bound that underflows never becomes 0.0."""
-    y = math.ldexp(x, -e)
-    return y if math.ldexp(y, e) == x else y + math.ulp(0.0)
-
-
-def _scaled_up(e: int, *ints) -> float:
-    """hypot(ints) 2^-e by _ldexp_up from the ints' top 1000 bits (float overflows)."""
-    cut = max(0, max(abs(v).bit_length() for v in ints) - 1000)
-    return _ldexp_up(math.hypot(*(v >> cut for v in ints)), e - cut)
-
-
-def _magnitudes(ints: list, e: int) -> np.ndarray:
-    """|v| 2^-e per integer v as float64 (_scaled_up unless all are normal doubles)."""
-    if max(map(abs, ints)).bit_length() <= 1000 and e <= 1022:
-        return np.array(list(map(abs, ints)), dtype=float) * 2.0 ** -e
-    return np.array([_scaled_up(e, v) for v in ints])
 
 
 def _moebius(limit: int) -> np.ndarray:
@@ -510,7 +481,7 @@ class Walk:
     (datum, weight) is checked once."""
 
     def __init__(self, trunc: TruncationParams):
-        self.trunc, self.requests, self.sums = trunc, {}, {}
+        self.trunc, self.sums = trunc, {}
         self.checked, self.powers = set(), {}
 
     def _check(self, data: AutomorphyData, w: int):
@@ -536,7 +507,6 @@ class Walk:
             with self.trunc.ctx.working():
                 s = _coefficient_sum(data, w, x, y, alpha, self.trunc, self.powers, amp)
             self.sums[key] = s
-            self.requests.setdefault(data, (data, []))[1].append(s)
         return self.sums[key]
 
     def coefficient(self, data: AutomorphyData, w: int, n: int, alpha: int, l: int, j: int,
@@ -607,9 +577,9 @@ class Walk:
 
     def run(self):
         """Fills every registered c-sum in one walk over c."""
-        if self.requests:
+        if self.sums:
             with self.trunc.ctx.working():
-                _run(list(self.requests.values()), self.trunc)
+                _run([(key[0], s) for key, s in self.sums.items()], self.trunc)
 
 
 def poincare_coefficient(data: AutomorphyData, weight: int, n: int, alpha: int,

@@ -6,15 +6,20 @@ must certify.  Complex results are mpmath ``mpc`` values; callers that want
 machine floats can apply ``complex()``.  Long sums in src/ are exact fixed-
 point integer sums rounded once (the coefficient engine and the L-series);
 compensated_sum is no longer called there and stays for benchmarks/spans.py.
+Their error bounds are doubles formed by one round-up rule (_ldexp_up,
+_scaled_up, _magnitudes): from an integer's top bits, and never rounded
+down to 0.0 below the least double, at any mantissa_bits.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 from mpmath import mp
 from mpmath.libmp import from_int, mpf_cos_sin, mpf_div, mpf_mul, mpf_pi, mpf_shift
 
@@ -94,6 +99,26 @@ def cos_sin_2pi(x: Fraction, prec: int) -> tuple:
     mpmath.cos_sin(2 * pi * mpf(x.numerator) / x.denominator), step by step."""
     arg = mpf_mul(mpf_shift(mpf_pi(prec, "n"), 1), from_int(x.numerator, prec, "n"), prec, "n")
     return mpf_cos_sin(mpf_div(arg, from_int(x.denominator), prec, "n"), prec, "n")
+
+
+def _ldexp_up(x: float, e: int) -> float:
+    """x 2^-e, x >= 0: math.ldexp, and where that rounds (below the normal
+    doubles) one ulp(0.0) more, so a bound that underflows never becomes 0.0."""
+    y = math.ldexp(x, -e)
+    return y if math.ldexp(y, e) == x else y + math.ulp(0.0)
+
+
+def _scaled_up(e: int, *ints) -> float:
+    """hypot(ints) 2^-e by _ldexp_up from the ints' top 1000 bits (float overflows)."""
+    cut = max(0, max(abs(v).bit_length() for v in ints) - 1000)
+    return _ldexp_up(math.hypot(*(v >> cut for v in ints)), e - cut)
+
+
+def _magnitudes(ints: list, e: int) -> np.ndarray:
+    """|v| 2^-e per integer v as float64 (_scaled_up unless all are normal doubles)."""
+    if max(map(abs, ints)).bit_length() <= 1000 and e <= 1022:
+        return np.array(list(map(abs, ints)), dtype=float) * 2.0 ** -e
+    return np.array([_scaled_up(e, v) for v in ints])
 
 
 def compensated_sum(terms):

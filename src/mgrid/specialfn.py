@@ -26,6 +26,8 @@ from .precision import (
     DEFAULT_CONTEXT,
     ConvergenceError,
     PrecisionContext,
+    _ldexp_up,
+    _magnitudes,
     ensure_finite,
 )
 
@@ -59,7 +61,8 @@ def bessel_series(order: int, half, divisors, ctx: PrecisionContext = DEFAULT_CO
     last term absorbs the cancellation of the alternating J) makes that under
     2^-(mantissa_bits + 27).  The bound adds the tail reached, that times
     (half/q)^order/order!, 2^{4-wp} |V 2^-E| (the lead's rounding, and one
-    more at wp in bessel_j) and the floor's 2^-E, rounded up in doubles.
+    more at wp in bessel_j) and the floor's 2^-E in doubles, its powers of two
+    and |V| 2^-E rounded up (precision._ldexp_up), never down to 0.0.
     """
     if order < 0 or half < 0:
         raise ValueError("order and argument must be non-negative")
@@ -86,10 +89,9 @@ def bessel_series(order: int, half, divisors, ctx: PrecisionContext = DEFAULT_CO
         for t in range(t_q, -1, -1):
             total = table[t] + sign * (total // q2)
         values.append(lead[1] * total // q**order)
-    scale, cut = prec - lead[2], max(0, max(abs(v).bit_length() for v in values) - 1000)
-    sizes = np.ldexp([float(abs(v) >> cut) for v in values], cut - scale)  # |V| 2^-E
-    bounds = np.exp(log_tails) + np.exp(log_leads) * 2.0 ** -(ctx.mantissa_bits + 27) \
-        + sizes * 2.0 ** (4 - wp) + math.ldexp(1.0, -scale)
+    scale = prec - lead[2]
+    bounds = np.exp(log_tails) + np.exp(log_leads) * _ldexp_up(1.0, ctx.mantissa_bits + 27) \
+        + _magnitudes(values, scale + wp - 4) + _ldexp_up(1.0, scale)
     return values, scale, bounds * (1 + 2.0**-20) + math.ulp(0.0)
 
 

@@ -44,7 +44,7 @@ from mgrid.poincare import (
     _exponent_sums,
     _key_group,
     _layer_error,
-    _layers,
+    _layer,
     _moebius,
     _root_table,
     _run,
@@ -227,7 +227,7 @@ def _engine_sum(trunc):
     """The x = 0, y = 1 weight-4 c-sum on eta^24, after one engine pass."""
     with CTX.working():
         s = _coefficient_sum(DELTA4, 4, Fraction(0), Fraction(1), 1, trunc, {})
-        _run([(DELTA4, [s])], trunc)
+        _run([(DELTA4, s)], trunc)
     return s
 
 
@@ -379,7 +379,7 @@ LAYER_CASES = {"eta2": _eta2_keys, "trivial": _trivial_keys,
 
 @pytest.mark.parametrize("case", LAYER_CASES)
 def test_batched_layers_equal_an_elementwise_sum(case):
-    # every row of every group of one _layers call against its own key's
+    # every row of every group's _layer call against its own key's
     # per-element sum: bit for bit in fixed point at 113 and 200 bits,
     # within c (c + 28) 2^-53 of a 256-bit sum in float64
     data_keys, cs = LAYER_CASES[case]()
@@ -388,7 +388,7 @@ def test_batched_layers_equal_an_elementwise_sum(case):
         for data, keys in data_keys:
             groups = _key_groups(keys)
             for bits in (53, 113, 200):
-                layers = _layers(data, c, box, [_key_group(g) for g in groups], bits, tables)
+                layers = [_layer(data, c, box, _key_group(g), bits, tables) for g in groups]
                 assert [len(rows) for rows, _error in layers] == [len(g) for g in groups]
                 for group, (rows, error) in zip(groups, layers):
                     for key, (re, im, e) in zip(group, rows):
@@ -510,8 +510,8 @@ def test_layers_run_at_the_least_phase_denominator(data, ratio):
     # SL2(Z)) at c
     kap = data.kappa_of(1)
     for c in (7, 37):
-        (_rows, error), = _layers(data, c, cplus_arrays(sl2z(), c),
-                                  [_key_group([(-1 + kap, 2 + kap, 1)])], 113, {})
+        _rows, error = _layer(data, c, cplus_arrays(sl2z(), c),
+                              _key_group([(-1 + kap, 2 + kap, 1)]), 113, {})
         assert error == _layer_error(c, ratio * c, 113)
 
 
@@ -523,8 +523,8 @@ def test_conjugate_reads_negated_phases_once_per_c(monkeypatch):
     for c in (7, 37):
         box = cplus_arrays(sl2z(), c)
         for bits in (53, 113):
-            assert _layers(data, c, box, [_key_group(g_keys)], bits, {}, -1) \
-                == _layers(cdata, c, box, [_key_group(g_keys)], bits, {})
+            assert _layer(data, c, box, _key_group(g_keys), bits, {}, -1) \
+                == _layer(cdata, c, box, _key_group(g_keys), bits, {})
     calls = []
 
     def counted(h, k):
@@ -586,7 +586,7 @@ def test_exact_layer_noise_counts_every_computed_layer_but_no_structural_zero(pi
     trunc = TruncationParams(c_max=100, tail_tol=1.0, ctx=CTX)
     s = _engine_sum(trunc)
     # x = 0, y = 1 on eta^24, trivial on SL2(Z): box_phases over 24 c reduce
-    # to den = c (_layers)
+    # to den = c (_layer)
     assert s.noise == _noise_rule(s, trunc, lambda c: _exact_layer_bound(c, c))
     _assert_structural_zeros_are_exact(trunc, 113)
 
@@ -649,7 +649,7 @@ def test_exact_ramanujan_csums_match_box_layers(spec, w):
     with CTX.working():
         sums = [_coefficient_sum(data, w, Fraction(0), Fraction(m), 1, trunc, {})
                 for m in RAMANUJAN_MS]
-        _run([(data, sums)], trunc)
+        _run([(data, s) for s in sums], trunc)
         exact = [(_value([s]), s.pref, s.noise) for s in sums]
     for bits in (53, 113):
         for m, (value, amp, noise) in zip(RAMANUJAN_MS, exact):

@@ -259,6 +259,19 @@ def test_bessel_j_and_i_are_the_one_divisor_kernel(order, x):
             assert abs(got - ref(order, mpmath.mpf(x))) <= bound
 
 
+@pytest.mark.parametrize("signed", [True, False], ids=["J", "I"])
+def test_bessel_bounds_keep_the_lead_rounding_below_the_least_double(signed):
+    # at 1,100 bits the lead's rounding 2^(4-wp) |V| 2^-E lies below the
+    # least normal double (1.35e-319 for I_11 at q = 1); with target_tol
+    # 1e-320 the tail does not hide it, so each bound must still cover it
+    ctx = PrecisionContext(mantissa_bits=1100, target_tol=1e-320)
+    with ctx.working():
+        half, wp = 2 * mpmath.pi * mpmath.sqrt(12), mpmath.mp.prec
+    values, scale, bounds = bessel_series(11, half, [1, 2, 5], ctx, signed)
+    for value, bound in zip(values, bounds.tolist()):
+        assert mpmath.mpf(bound) >= mpmath.ldexp(abs(value), 4 - wp - scale)
+
+
 def test_bessel_series_iteration_cap_covers_every_divisor():
     # 53 bits cap the series at 530 terms: enough for x = 2 half/q at
     # q >= 8, not at q = 1
