@@ -2,8 +2,9 @@
 
 Subcommands: coeffs, grid, duality, lvalue, period, pairing.
 Exit codes: 0 success, 1 usage/configuration error (gamma outside the
-group, or --bits too few to certify a series), 2 computed but with
-something unconverged.  One rule: a bound is unconverged when not
+group, a t0 that is not finite and positive, --bits too few to certify a
+series, or any other arithmetic error), 2 computed but with something
+unconverged.  One rule: a bound is unconverged when not
 bound <= --tol (so a NaN bound is).  Each subcommand checks: coeffs, the
 series' tails; grid, the tails of f, G+, G- and the shadow and both
 duality sides'; duality, both sides' tails of every pair; lvalue, every
@@ -30,7 +31,7 @@ from .automorphy import (
     TrivialMultiplier,
 )
 from .groups import GroupElement, GroupSpec
-from .precision import ConvergenceError, PrecisionContext
+from .precision import PrecisionContext
 from .series import TruncationParams
 
 
@@ -362,7 +363,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NotImplementedError, ConvergenceError) as exc:
+    except (ValueError, NotImplementedError, ArithmeticError) as exc:
         print(f"mgrid: {exc}", file=sys.stderr)
         return 1
 

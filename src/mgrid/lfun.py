@@ -48,7 +48,7 @@ from .automorphy import AutomorphyData
 from .groups import GroupElement, generators
 from .poincare import _CSum, _prefactor_prec, _value, coefficient_envelope, poincare_series
 from .precision import _ldexp_up, _scaled_up, exp2pi
-from .quadrature import _moments, _require_scalar
+from .quadrature import _moments, _require_scalar, _require_t0
 from .series import FourierSeries, TruncationParams
 from .specialfn import gamma_upper
 
@@ -223,8 +223,7 @@ def lvalue_series(f: FourierSeries, twist: TwistSpec, s, t0: float = 1.0,
         raise ValueError("L-series require a vanishing constant term")
     if any(si < 1 for si in s_list):
         raise ValueError("critical values are taken at integer s >= 1")
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
+    _require_t0(t0)
     g = twist.gamma
     if not f.automorphy.group.contains(g):
         raise ValueError(f"{g.as_tuple()} is not in Gamma_0({f.automorphy.group.level})")

@@ -32,6 +32,12 @@ def _require_scalar(series: FourierSeries):
                                   "apply them componentwise through a diagonal representation")
 
 
+def _require_t0(t0):
+    """The one split-height rule of the twisted routes: t0 finite and positive."""
+    if not (math.isfinite(t0) and t0 > 0):
+        raise ValueError(f"t0 must be finite and positive, got {t0}")
+
+
 def _component_terms(series: FourierSeries, j: int):
     """(float frequencies F, complex coefficients a, tails) of component j,
     in the series' iteration order: the one float conversion a ray makes."""
@@ -101,6 +107,7 @@ def _moments(series: FourierSeries, twist, m_list, t0: float) -> list:
     the difference.  The points -d/c + i t0, its image a/c + i/(c^2 t0) and
     the lower leg's P = -i/(c t0) round once or twice; that is outside the
     bound (they are exact for S at t0 = 1)."""
+    _require_t0(t0)
     data, gamma = series.automorphy, twist.gamma
     if not data.group.contains(gamma):
         raise ValueError(f"{gamma.as_tuple()} is not in Gamma_0({data.group.level})")

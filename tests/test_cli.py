@@ -252,6 +252,30 @@ def test_period_of_an_element_outside_the_group_exits_1(capsys):
     assert "(0, -1, 1, 0) is not in Gamma_0(4)" in err
 
 
+@pytest.mark.parametrize("command, t0", [("period", "0"), ("period", "-1"), ("period", "nan"),
+                                         ("lvalue", "nan"), ("lvalue", "inf")])
+def test_a_t0_that_is_not_finite_and_positive_exits_1(capsys, command, t0):
+    # period --kind rN once ended in a ZeroDivisionError traceback at 0 and
+    # exited 2 with coefficients near 1e116 at -1 and nan
+    head = ["period", "--k", "10", "--kind", "rN"] if command == "period" else \
+        ["lvalue", "--weight", "12", "--s", "6"]
+    rc, out, err = run_cli(capsys, [*head, "--n", "-1", "--lmax", "10", "--cmax", "20",
+                                    "--tol", "1", f"--t0={t0}"])
+    assert rc == 1 and out == ""
+    assert err.startswith("mgrid: t0 must be finite and positive, got ")
+
+
+@pytest.mark.parametrize("head", [["period", "--k", "10", "--kind", "rN"],
+                                  ["lvalue", "--weight", "12", "--s", "6", "--method", "both"]],
+                         ids=["period", "lvalue"])
+def test_an_arithmetic_error_exits_1_with_a_message(capsys, head):
+    # t0 = 1e-300 overflows the ray integrals: an OverflowError, once a
+    # traceback, is an ArithmeticError like ConvergenceError
+    rc, out, err = run_cli(capsys, [*head, "--n", "-1", "--lmax", "10", "--cmax", "20",
+                                    "--t0", "1e-300"])
+    assert rc == 1 and out == "" and err.startswith("mgrid: ")
+
+
 @pytest.mark.parametrize("alpha", ["0", "3"])
 def test_duality_component_outside_the_rep_exits_1(capsys, alpha):
     # 0 used to report component 2's pair with exit 0, and 3 ended in an

@@ -346,6 +346,28 @@ def test_every_route_rejects_a_vector_series_with_one_message(route):
         calls[route](f)
 
 
+@pytest.mark.parametrize("t0", [0.0, -1.0, math.nan, math.inf])
+def test_every_twist_route_rejects_a_t0_that_is_not_finite_and_positive(t0):
+    # one rule (quadrature._require_t0); _moments once checked nothing
+    # (lvalue_integral at t0 = -1 gave L* = -1.28e116, the true value being
+    # 0.0044) and lvalue_series let NaN through
+    from mgrid.lfun import TwistSpec, lvalue_integral, lvalue_series
+    from mgrid.quadrature import regularized_moment
+
+    tr = TruncationParams(c_max=40, tail_tol=1.0, ctx=CTX)
+    f = poincare_series(DATA12, 12, -1, 1, range(1, 9), tr)
+    twist = TwistSpec.from_element(S)
+    for call in (lambda: lvalue_series(f, twist, 6, t0=t0, trunc=tr),
+                 lambda: lvalue_integral(f, twist, 6, t0=t0),
+                 lambda: regularized_moment(f, S, 0, t0=t0),
+                 lambda: period_r(f, S, 10, tr, t0=t0),
+                 lambda: period_rH(f, S, 10, tr, t0=t0),
+                 lambda: period_r_quadrature(f, S, 10, t0=t0),
+                 lambda: period_rN(f, S, 10, t0=t0)):
+        with pytest.raises(ValueError, match=r"^t0 must be finite and positive, got "):
+            call()
+
+
 def test_every_twist_route_rejects_an_element_outside_the_group():
     # S is not in Gamma_0(4); T and (1 0; 4 1) are
     from mgrid.lfun import TwistSpec, lvalue_integral, lvalue_series
