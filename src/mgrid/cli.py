@@ -2,14 +2,14 @@
 
 Subcommands: coeffs, grid, duality, lvalue, period, pairing.
 Exit codes: 0 success, 1 usage/configuration error (gamma outside the
-group, a t0 that is not finite and positive, --bits too few to certify a
-series, or any other arithmetic error), 2 computed but with something
-unconverged.  One rule: a bound is unconverged when not
-bound <= --tol (so a NaN bound is).  Each subcommand checks: coeffs, the
-series' tails; grid, the tails of f, G+, G- and the shadow and both
-duality sides'; duality, both sides' tails of every pair; lvalue, every
-err; period, the tails of the series it integrates; pairing, the fit's
-relative residual (its prediction carries no bound yet).
+group, t0 not finite and positive, --bits too few to certify a series, or
+another arithmetic error), 2 computed but with something unconverged.
+One rule: a bound is unconverged when not bound <= --tol (so a NaN bound
+is).  Each subcommand checks: coeffs, the series' tails; grid, the tails
+of f, G+, G- and the shadow and both duality sides'; duality, both sides'
+tails of every pair; lvalue, every err; period, the tails of the series
+it integrates; pairing, the fit's relative residual (its prediction
+carries no bound yet).
 Float fields are emitted as shortest round-trip decimals plus a parallel
 hex-float field, so identical configurations produce byte-identical
 reports; a non-finite float is the string "nan", "inf" or "-inf".

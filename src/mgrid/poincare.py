@@ -22,17 +22,17 @@ never cached), asks each effective character for the exact phases of the
 whole box (Multiplier.box_phases, integer numerators over one denominator,
 in lowest terms; a datum's conjugate reads them negated), and evaluates the
 layers of every key (x, y, alpha) (j = alpha; structural zeros never reach
-it) from that box in one array pass per group of keys sharing alpha and
-q = lcm(x.den, y.den), over lcm(q c, the phases' least denominator) (12 c
-on eta^2): a (keys x box) numerator array, one root of unity per distinct
-residue (a float64 cos/sin, or above 53 bits an exact product of table
-roots), gathered and summed per row.
+it) from that box in one array pass per group of a datum's keys sharing
+alpha and q = lcm(x.den, y.den), over lcm(q c, the phases' least
+denominator) (12 c on eta^2): a (keys x box) numerator array, one root of
+unity per distinct residue (a float64 cos/sin, or above 53 bits an exact
+product of table roots), gathered and summed per row.
 A Walk fills the c-sums of series, constant terms and coefficients on equal
 data, a datum and its conjugate in one walk (gridforms.build_grid uses one
 per grid, eichler.supplementary and check_supplementary_identity one each);
 a series is a combination sum b P_{n,alpha}, each term's c-sum weighted by
 amp = b.  poincare_series, poincare_coefficient and constant_term_cf are a
-Walk with one request, kloosterman_layer the engine at one c and one index.
+Walk each, kloosterman_layer the engine at one c and one index.
 
 Every c-sum, a coefficient's or a constant term's, is built by one
 constructor (_coefficient_sum): a common prefactor times one exact integer

@@ -6,9 +6,8 @@ must certify.  Complex results are mpmath ``mpc`` values; callers that want
 machine floats can apply ``complex()``.  Long sums in src/ are exact fixed-
 point integer sums rounded once (the coefficient engine and the L-series);
 compensated_sum is no longer called there and stays for benchmarks/spans.py.
-Their error bounds are doubles formed by one round-up rule (_ldexp_up,
-_scaled_up, _magnitudes): from an integer's top bits, and never rounded
-down to 0.0 below the least double, at any mantissa_bits.
+Their bounds and the Bessel kernel's are doubles from one round-up rule
+(_ldexp_up, _scaled_up, _magnitudes) that never rounds one down to 0.0.
 """
 
 from __future__ import annotations

@@ -22,14 +22,8 @@ import math
 import mpmath
 import numpy as np
 
-from .precision import (
-    DEFAULT_CONTEXT,
-    ConvergenceError,
-    PrecisionContext,
-    _ldexp_up,
-    _magnitudes,
-    ensure_finite,
-)
+from .precision import (DEFAULT_CONTEXT, ConvergenceError, PrecisionContext, _ldexp_up,
+                        _magnitudes, ensure_finite)
 
 __all__ = ["bessel_j", "bessel_i", "bessel_series", "gamma_upper", "h_function",
            "ConvergenceError"]
