@@ -37,15 +37,15 @@ Walk each, kloosterman_layer the engine at one c and one index.
 Every c-sum, a coefficient's or a constant term's, is built by one
 constructor (_coefficient_sum): a common prefactor times one exact integer
 sum S = sum_c u_c K_c at the scale 2^-P, rounded once, with one noise rule
-(see _run).  u_c is the weight as an integer, and K_c comes from one of
-three sources: a float64 or a fixed-point box layer, each as an exact
-Gaussian integer, or, with no box, the Ramanujan sum
-c_c(m) = sum_{d | (c, m)} mu(c/d) d, m = |x + y| (Hardy & Wright,
-ch. XVI), which is every layer at x = 0 or y = 0 whose effective character
-is trivial; it has no layer precision, and Moebius inversion makes its S
-one divisor pass per walk (_run).  One majorant (_majorant) bounds every
-c > c_max tail and coefficient_envelope's whole c-sum; weight 3 converges
-absolutely, its terms being O(c^-2).
+(see _run).  u_c is the weight as an integer (a Bessel one from one pass per
+walk, order and kind), and K_c comes from one of three sources: a float64 or
+a fixed-point box layer, each as an exact Gaussian integer, or, with no box,
+the Ramanujan sum c_c(m) = sum_{d | (c, m)} mu(c/d) d, m = |x + y| (Hardy &
+Wright, ch. XVI), which is every layer at x = 0 or y = 0 whose effective
+character is trivial; it has no layer precision, and Moebius inversion makes
+its S one divisor pass per walk (_run).  One majorant (_majorant) bounds
+every c > c_max tail and coefficient_envelope's whole c-sum; weight 3
+converges absolutely, its terms being O(c^-2).
 """
 
 from __future__ import annotations
@@ -252,9 +252,10 @@ class _CSum:
 
     key: tuple  # (x, y, alpha)
     pref: object  # common prefactor, at _prefactor_prec bits
-    weight: tuple  # (u_c, e, |u_c| 2^-e, du_c), of c^-w or of a Bessel weight
+    weight: tuple | None  # (u_c, e, |u_c| 2^-e, du_c), of c^-w or of a Bessel weight
     tail: float  # bound on the c > c_max remainder
     m: int | None = None  # every layer is the Ramanujan sum c_c(m) (_coefficient_sum)
+    bessel: tuple = ()  # (half, order, signed) of a Bessel weight until _bessel_weights
     re: int = 0
     im: int = 0
     e: int = 0
@@ -278,10 +279,10 @@ def _run(plan: list, trunc: TruncationParams):
 
     Each c-sum accumulates S = sum_c u_c K_c exactly at the scale 2^-e, and
     _value rounds pref S 2^-e once.  The weight (u_c, e, |u_c| 2^-e, du_c)
-    (_coefficient_sum) holds u_c = floor(2^e v_c), the weight v_c as an
-    integer, with e = P - top, P = wp + bit_length(c_max) + 8 and 2^top >=
-    max |v_c| (P bits below the largest weight), and du_c, the weight's own
-    error beyond the floor (0 for c^-w).  K_c = (re + i im) 2^-f is
+    (_coefficient_sum, _bessel_weights) holds u_c = floor(2^e v_c), the
+    weight v_c as an integer, with e = P - top, P = wp + bit_length(c_max) +
+    8 and 2^top >= max |v_c| (P bits below the largest weight), and du_c,
+    the weight's own error beyond the floor (0 for c^-w).  K_c = (re + i im) 2^-f is
       - the Ramanujan sum c_c(m) (f = 0) when the c-sum has m set, with no
         box: S = sum_{d | m} d M_d, M_d = sum_t mu(t) u_{d t} built once per
         (weight table, d) and walk, O(c_max sum_d 1/d) (Apostol, 8.3);
@@ -431,10 +432,8 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction, alp
     inside trunc.ctx.working(); amp pref is kept at _prefactor_prec(w) bits,
     and the tail is |amp| times the majorant.  The weight (see _run): c^-w
     is powers[w], built once per walk, u_c = floor(2^e c^-w) with e = P +
-    bit_length(level^w) - 1 and du_c = 0.  A Bessel weight v_c = J or
-    I(2 half/c)/c = V_c 2^-E/c (bessel_series) enters as u_c = floor(V_c
-    2^(e-E)) // c, e = P - top, top = max bit_length(V_c) - E; du_c = V_c's
-    bound / c.
+    bit_length(level^w) - 1 and du_c = 0.  A Bessel weight J or I(2 half/c)/c
+    is left to _bessel_weights, which the walk calls before _run.
     """
     key, m = (x, y, alpha), None
     if x * y == 0 and isinstance(data.scalar_character(alpha), TrivialMultiplier):
@@ -463,13 +462,28 @@ def _coefficient_sum(data: AutomorphyData, w: int, x: Fraction, y: Fraction, alp
         return _CSum(key, pref, powers[w], tail, m)
     xy = abs(x) * y
     half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator)
-    # J or I at 2 half/c for every c, from one kernel call
-    values, scale, bounds = bessel_series(w - 1, half, cs, trunc.ctx, x > 0)
-    e = scale + _scale_bits(trunc.c_max) - max(v.bit_length() for v in values)
-    # floor(floor(X)/c) = floor(X/c); >> floors
-    u = [(v << e - scale if e >= scale else v >> scale - e) // c for v, c in zip(values, cs)]
-    weight = (u, e, _magnitudes(u, e), bounds / np.array(cs))
-    return _CSum(key, pref, weight, tail)
+    return _CSum(key, pref, None, tail, bessel=(half, w - 1, x > 0))
+
+
+def _bessel_weights(plan: list, trunc: TruncationParams):
+    """Fills every Bessel weight of the plan [(datum, c-sum)] inside
+    trunc.ctx.working(), one bessel_series pass per (level, order, kind):
+    v_c = J or I(2 half/c)/c = V_c 2^-E/c is u_c = floor(V_c 2^(e-E)) // c,
+    e = P - top, top = max bit_length(V_c) - E, du_c = V_c's bound / c; the
+    c-sum then drops its half."""
+    batches = {}  # (level, order, signed) -> c-sums
+    for data, s in plan:
+        if s.weight is None:
+            batches.setdefault((data.group.level, *s.bessel[1:]), []).append(s)
+    for (level, order, signed), sums in batches.items():
+        cs = range(level, trunc.c_max + 1, level)
+        kernel = bessel_series(order, [s.bessel[0] for s in sums], cs, trunc.ctx, signed)
+        c_array = np.array(cs)
+        for (values, scale, bounds), s in zip(kernel, sums):  # kernel first: zip runs it to its end
+            e = scale + _scale_bits(trunc.c_max) - max(v.bit_length() for v in values)
+            u = [(v << e - scale if e >= scale else v >> scale - e) // c  # >> floors, and
+                 for v, c in zip(values, cs)]  # floor(floor(X)/c) = floor(X/c)
+            s.weight, s.bessel = (u, e, _magnitudes(u, e), bounds / c_array), ()
 
 
 class Walk:
@@ -578,8 +592,10 @@ class Walk:
     def run(self):
         """Fills every registered c-sum in one walk over c."""
         if self.sums:
+            plan = [(key[0], s) for key, s in self.sums.items()]
             with self.trunc.ctx.working():
-                _run([(key[0], s) for key, s in self.sums.items()], self.trunc)
+                _bessel_weights(plan, self.trunc)
+                _run(plan, self.trunc)
 
 
 def poincare_coefficient(data: AutomorphyData, weight: int, n: int, alpha: int,

@@ -120,10 +120,16 @@ def _moments(series: FourierSeries, twist, m_list, t0: float) -> list:
     chi_val = complex(data.scalar_character(1).value(gamma))
     terms = _component_terms(series, 1)
     z1, w0 = -d / c + 1j * t0, a / c + 1j / (c * c * t0)
+
+    def ray(z0, P, R, M):  # one leg; a double's overflow names t0 and the leg
+        try:
+            return _ray(*terms, z0, P, R, M)
+        except OverflowError:
+            raise ArithmeticError(f"the ray from {z0} overflows a double at t0 = {t0}") from None
     out = []
     for mi in m_list:  # upper leg minus lower leg
-        up, up_err = _ray(*terms, z1, 1j * t0, 1j, mi)
-        low, low_err = _ray(*terms, w0, -1j / (c * t0), -1j * c, series.weight - 2 - mi)
+        up, up_err = ray(z1, 1j * t0, 1j, mi)
+        low, low_err = ray(w0, -1j / (c * t0), -1j * c, series.weight - 2 - mi)
         low, low_err = low * c ** (-mi) / chi_val, (low_err + 2.0**-50 * abs(low)) * abs(c) ** (-mi)
         out.append((up - low, up_err + low_err + 2.0**-52 * (abs(up) + abs(low))))
     return out

@@ -9,11 +9,11 @@ their power series
     I_n(z) = sum_t        (z/2)^{n+2t} / (t! (n+t)!),
 
 with a geometric tail bound certifying the remainder; bessel_series sums them
-in fixed point, from one table of terms for the arguments 2h/q of many q,
-as integers at one scale with certified error bounds.  The upper incomplete
-gamma Gamma(s, z), for integer order only, is mpmath.gammainc at the working
-precision; it carries no bound of its own.  Principal branch throughout:
-arg z in (-pi, pi]."""
+in fixed point, for many h in one pass, each from one table of terms for the
+arguments 2h/q of many q, as integers at one scale with certified error
+bounds.  The upper incomplete gamma Gamma(s, z), for integer order only, is
+mpmath.gammainc at the working precision; it carries no bound of its own.
+Principal branch throughout: arg z in (-pi, pi]."""
 
 from __future__ import annotations
 
@@ -33,13 +33,14 @@ __all__ = ["bessel_j", "bessel_i", "bessel_series", "gamma_upper", "h_function",
 _LOG2E = 1.4426950408889634
 
 
-def bessel_series(order: int, half, divisors, ctx: PrecisionContext = DEFAULT_CONTEXT,
-                  signed: bool = True) -> tuple:
-    """(V, E, bounds): J_order(2 half/q) (I_order if not signed) as V[i] 2^-E,
-    V[i] an integer, with bounds[i] (float64) on its error, for q = divisors[i],
-    integer order >= 0, real half >= 0 and integers q >= 1.
+def bessel_series(order: int, halves, divisors, ctx: PrecisionContext = DEFAULT_CONTEXT,
+                  signed: bool = True):
+    """Yields (V, E, bounds) per half of halves, in order: J_order(2 half/q)
+    (I_order if not signed) as V[i] 2^-E, V[i] an integer, with bounds[i]
+    (float64) on its error, for q = divisors[i], integer order >= 0, real
+    half >= 0 and integers q >= 1.
 
-    One fixed-point table serves every q: u_0 = 2^P and
+    Each half's fixed-point table serves every q: u_0 = 2^P and
     u_t = ((u_{t-1} W) >> P) // (t (order+t)), W = round(half^2 2^P), stand
     for 2^P tau_t(half), tau_t(b) = order! b^{2t}/(t! (order+t)!).  Horner's
     S = u_t -+ S // q^2, from t = T(q) (_stop_indices) down, and the lead
@@ -57,36 +58,55 @@ def bessel_series(order: int, half, divisors, ctx: PrecisionContext = DEFAULT_CO
     (half/q)^order/order!, 2^{4-wp} |V 2^-E| (the lead's rounding, and one
     more at wp in bessel_j) and the floor's 2^-E in doubles, its powers of two
     and |V| 2^-E rounded up (precision._ldexp_up), never down to 0.0.
+
+    One call forms log q, q^2 and q^order once and runs the stop rule over the
+    rows (q, half) of 16 halves at a time, q-major, in blocks of at most 128
+    rows and 2,048 row-steps (its arrays small); a row's stop, tail and lead,
+    so a half's triple, do not depend on which rows or halves share the call.
     """
-    if order < 0 or half < 0:
+    if order < 0 or min(halves, default=0) < 0:
         raise ValueError("order and argument must be non-negative")
-    if half == 0:
-        return [int(order == 0)] * len(divisors), 0, np.zeros(len(divisors))
     with ctx.working():
-        half, wp = mpmath.mpf(half), mpmath.mp.prec
-        lead = ensure_finite(half**order / mpmath.factorial(order))._mpf_
-        log_hq = float(mpmath.log(half)) - np.array([math.log(q) for q in divisors])
-        guard = int(_LOG2E * float(2 * half / min(divisors)))
-    # blocks of 128 q, each as wide as its own largest hq needs: small arrays at any c_max
-    stops, log_tails, log_leads = map(np.concatenate, zip(*(
-        _stop_indices(order, log_hq[i:i + 128], ctx) for i in range(0, len(log_hq), 128))))
-    t_max = int(stops.max())
-    prec = ctx.mantissa_bits + 30 + guard + 2 * (t_max + 1).bit_length()
-    shift = 2 * half.exp + prec
-    w = half.man**2 << shift if shift >= 0 else (half.man**2 >> (-shift - 1)) + 1 >> 1
-    table = [1 << prec]
-    for t in range(1, t_max + 1):
-        table.append(((table[-1] * w) >> prec) // (t * (order + t)))
-    sign, values = -1 if signed else 1, []
-    for q, t_q in zip(divisors, stops.tolist()):
-        q2, total = q * q, 0
-        for t in range(t_q, -1, -1):
-            total = table[t] + sign * (total // q2)
-        values.append(lead[1] * total // q**order)
-    scale = prec - lead[2]
-    bounds = np.exp(log_tails) + np.exp(log_leads) * _ldexp_up(1.0, ctx.mantissa_bits + 27) \
-        + _magnitudes(values, scale + wp - 4) + _ldexp_up(1.0, scale)
-    return values, scale, bounds * (1 + 2.0**-20) + math.ulp(0.0)
+        wp, log_q = mpmath.mp.prec, np.array([math.log(q) for q in divisors])[:, None]
+    squares, powers = [q * q for q in divisors], [q**order for q in divisors]
+    for i in range(0, len(halves), 16):
+        with ctx.working():  # a zero half's rows stand at hq = 1/q, unread
+            batch = [mpmath.mpf(half) for half in halves[i:i + 16]]
+            leads = [ensure_finite(half**order / mpmath.factorial(order))._mpf_ for half in batch]
+            guards = [int(_LOG2E * float(2 * half / min(divisors))) for half in batch]
+            log_hq = (np.array([float(mpmath.log(h)) if h else 0.0 for h in batch]) - log_q).ravel()
+        blocks, j = [], 0
+        while j < len(log_hq):  # the next len(batch) rows hold the block's largest hq
+            rows = max(1, min(128, 2048 // _width(log_hq[j:j + len(batch)].max())))
+            blocks.append(_stop_indices(order, log_hq[j:j + rows], ctx))
+            j += rows
+        stops, log_tails, log_leads = (np.concatenate(a).reshape(len(divisors), -1).T.copy()
+                                       for a in zip(*blocks))
+        for half, lead, guard, t_qs, log_tail, log_lead in zip(
+                batch, leads, guards, stops, log_tails, log_leads):
+            if not half:
+                yield [int(order == 0)] * len(divisors), 0, np.zeros(len(divisors))
+                continue
+            prec = ctx.mantissa_bits + 30 + guard + 2 * (int(t_qs.max()) + 1).bit_length()
+            shift = 2 * half.exp + prec
+            w = half.man**2 << shift if shift >= 0 else (half.man**2 >> (-shift - 1)) + 1 >> 1
+            table = [1 << prec]
+            for t in range(1, int(t_qs.max()) + 1):
+                table.append(((table[-1] * w) >> prec) // (t * (order + t)))
+            values = []
+            for t_q, q2, q_order in zip(t_qs.tolist(), squares, powers):
+                total = 0
+                if signed:
+                    for u in table[t_q::-1]:
+                        total = u - total // q2
+                else:
+                    for u in table[t_q::-1]:
+                        total = u + total // q2
+                values.append(lead[1] * total // q_order)
+            scale = prec - lead[2]
+            bounds = np.exp(log_tail) + np.exp(log_lead) * _ldexp_up(1.0, ctx.mantissa_bits + 27) \
+                + _magnitudes(values, scale + wp - 4) + _ldexp_up(1.0, scale)
+            yield values, scale, bounds * (1 + 2.0**-20) + math.ulp(0.0)
 
 
 def _stop_indices(order: int, log_hq: np.ndarray, ctx: PrecisionContext):
@@ -98,7 +118,7 @@ def _stop_indices(order: int, log_hq: np.ndarray, ctx: PrecisionContext):
     The ratio and term conditions hold from a t0 on, the tail's (in math, as
     the loop) at t0 or t0 + 1: r(t0+1) < 1/2 by more than rounding."""
     tol, cap = math.log(ctx.target_tol), ctx.iteration_cap
-    width = 2 * int(math.sqrt(2) * math.exp(log_hq.max())) + 32
+    width = _width(log_hq.max())
     while True:
         width = min(cap, width)
         steps = 2 * log_hq[:, None] - np.array([math.log(t * (order + t))  # [:, t]: log r(t)
@@ -122,19 +142,24 @@ def _stop_indices(order: int, log_hq: np.ndarray, ctx: PrecisionContext):
     if not found or stops.max() > cap:
         raise ConvergenceError(f"Bessel series did not certify {ctx.target_tol} within "
                                f"{cap} terms; raise mantissa_bits")
-    return stops, log_tails, terms[:, 0]
+    return stops, log_tails, terms[:, 0].copy()  # a view would keep all of terms alive
+
+
+def _width(log_hq_max: float) -> int:
+    """The stop rule's first width at hq <= e^log_hq_max (_stop_indices)."""
+    return 2 * int(math.sqrt(2) * math.exp(log_hq_max)) + 32
 
 
 def bessel_j(order: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Bessel J_order(x) for integer order >= 0 and real x >= 0."""
-    values, scale, _bounds = bessel_series(order, mpmath.ldexp(x, -1), [1], ctx)
+    (values, scale, _bounds), = bessel_series(order, [mpmath.ldexp(x, -1)], [1], ctx)
     with ctx.working():
         return mpmath.mpf((values[0], -scale))  # rounded once
 
 
 def bessel_i(order: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Modified Bessel I_order(x) for integer order >= 0 and real x >= 0."""
-    values, scale, _bounds = bessel_series(order, mpmath.ldexp(x, -1), [1], ctx, False)
+    (values, scale, _bounds), = bessel_series(order, [mpmath.ldexp(x, -1)], [1], ctx, False)
     with ctx.working():
         return mpmath.mpf((values[0], -scale))  # rounded once
 

@@ -276,6 +276,19 @@ def test_an_arithmetic_error_exits_1_with_a_message(capsys, head):
     assert rc == 1 and out == "" and err.startswith("mgrid: ")
 
 
+@pytest.mark.parametrize("argv", [
+    "period --k 10 --n -1 --kind rN --lmax 10 --cmax 20 --t0 1e-300",
+    "period --k 10 --n -1 --kind rN --lmax 10 --cmax 20 --t0 1e300",
+    "lvalue --weight 12 --n -1 --s 1 --method both --lmax 10 --cmax 20 --t0 1e-300",
+], ids=["period-1e-300", "period-1e300", "lvalue-1e-300"])
+def test_a_ray_that_overflows_names_t0_and_the_ray(capsys, argv):
+    # these once printed only "(34, 'Numerical result out of range')"
+    rc, out, err = run_cli(capsys, argv.split())
+    t0 = float(argv.split()[-1])
+    assert rc == 1 and out == ""
+    assert err.startswith("mgrid: the ray from ") and f"overflows a double at t0 = {t0}" in err
+
+
 @pytest.mark.parametrize("alpha", ["0", "3"])
 def test_duality_component_outside_the_rep_exits_1(capsys, alpha):
     # 0 used to report component 2's pair with exit 0, and 3 ended in an

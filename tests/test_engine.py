@@ -40,6 +40,7 @@ from mgrid.groups import cplus_arrays, enumerate_cplus, gamma0, sl2z
 from mgrid.poincare import (
     TWO_PI,
     Walk,
+    _bessel_weights,
     _coefficient_sum,
     _exponent_sums,
     _key_group,
@@ -565,10 +566,12 @@ def test_bessel_weights_equal_the_mpf_route(w, n):
     trunc = TruncationParams(c_max=80, tail_tol=1.0, ctx=CTX)
     cs = range(1, 81)
     with CTX.working():
-        u, e, u_abs, du = _coefficient_sum(data, w, x, y, 1, trunc, {}).weight
+        s = _coefficient_sum(data, w, x, y, 1, trunc, {})
+        _bessel_weights([(data, s)], trunc)
+        u, e, u_abs, du = s.weight
         xy = abs(x) * y
         half = 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(xy.numerator) / xy.denominator)
-        values, scale, bounds = bessel_series(w - 1, half, cs, CTX, x > 0)
+        (values, scale, bounds), = bessel_series(w - 1, [half], cs, CTX, x > 0)
         ref_e = _scale_bits(80) - max(abs(v).bit_length() for v in values) + scale
     ref_u = [math.floor(Fraction(v, c) * Fraction(2) ** (ref_e - scale))
              for v, c in zip(values, cs)]
@@ -844,6 +847,7 @@ def test_weight_24_prefactor_within_its_eighth_of_a_unit(x, y):
     with CTX.working():
         wp = mpmath.mp.prec
         s = _coefficient_sum(data, 24, x, y, 1, trunc, {})
+        _bessel_weights([(data, s)], trunc)
     u, e, _u_abs, du = s.weight
     if x == 0:
         assert e == wp + 3 + 8 and du == 0.0

@@ -6,12 +6,14 @@ reciprocity (Rademacher-Grosswald, Dedekind Sums, ch. 2) and the
 recurrence Gamma(s+1, z) = s Gamma(s, z) + z^s e^{-z} (DLMF 8.8.2) of the
 upper incomplete gamma, and the recurrences J_{n-1} + J_{n+1} = (2n/x) J_n,
 I_{n-1} - I_{n+1} = (2n/x) I_n (DLMF 10.6.1, 10.29.1) of the fixed-point
-Bessel kernel within its returned bounds."""
+Bessel kernel within its returned bounds, and that kernel's stop rule
+giving each row the same stop, tail and lead whichever rows share its block."""
 
 import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,7 @@ from mgrid.automorphy import (
 from mgrid.groups import sl2z
 from mgrid.poincare import kloosterman_layer
 from mgrid.precision import PrecisionContext
-from mgrid.specialfn import bessel_series, gamma_upper
+from mgrid.specialfn import _stop_indices, bessel_series, gamma_upper
 
 DATA = AutomorphyData(weight=4, chi=TrivialMultiplier(),
                       rho=trivial_representation(), group=sl2z())
@@ -109,9 +111,23 @@ def test_bessel_recurrences(n, half, q):
     # J and I at x = 2 half/q, each order from one multi-divisor kernel call
     for signed, sign in ((True, 1), (False, -1)):
         (lo, b_lo), (mid, b_mid), (hi, b_hi) = (
-            (mpmath.ldexp(values[1], -scale), bounds[1]) for values, scale, bounds in
-            (bessel_series(order, half, [1, q], BESSEL_CTX, signed) for order in (n - 1, n, n + 1)))
+            (mpmath.ldexp(values[1], -scale), bounds[1]) for order in (n - 1, n, n + 1)
+            for values, scale, bounds in bessel_series(order, [half], [1, q], BESSEL_CTX, signed))
         with mpmath.workprec(300):
             ratio = 2 * n * q / (2 * mpmath.mpf(half))
             residual = abs(lo + sign * hi - ratio * mid)
             assert residual <= b_lo + b_hi + ratio * b_mid
+
+
+@SETTINGS
+@given(log_hq=st.lists(st.floats(min_value=-6.0, max_value=4.0), min_size=1, max_size=40),
+       order=st.integers(min_value=0, max_value=12), data=st.data())
+def test_stop_rule_rows_do_not_depend_on_their_block(log_hq, order, data):
+    # a block is as wide as its largest hq needs; each row's (T, log tail,
+    # log lead) must equal that row's alone, for any companions and order
+    rows = np.array(log_hq)
+    order_of = data.draw(st.permutations(range(len(rows))))
+    block = _stop_indices(order, rows[order_of], BESSEL_CTX)
+    for at, i in enumerate(order_of):
+        alone = _stop_indices(order, rows[i:i + 1], BESSEL_CTX)
+        assert [a[at].item() for a in block] == [a[0].item() for a in alone]

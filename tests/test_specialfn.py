@@ -210,7 +210,7 @@ def test_bessel_series_within_its_bound(ctx, order, l):
         half = 2 * mpmath.pi * mpmath.sqrt(l)
     qs = list(range(1, 81))
     for signed, ref in ((True, mpmath.besselj), (False, mpmath.besseli)):
-        values, scale, bounds = bessel_series(order, half, qs, ctx, signed)
+        (values, scale, bounds), = bessel_series(order, [half], qs, ctx, signed)
         with mpmath.workprec(400):
             for q, value, bound in zip(qs, values, bounds.tolist()):
                 assert abs(mpmath.ldexp(value, -scale) - ref(order, 2 * half / q)) <= bound
@@ -244,13 +244,52 @@ def test_stop_indices_equal_the_loop(ctx, order, l):
     assert list(zip(stops.tolist(), log_tails.tolist())) == want
 
 
+def test_stop_indices_lead_column_owns_its_data():
+    # a view of the (rows x width) step array would keep all of it alive
+    # until every block of a wide call has run
+    _stops, _log_tails, log_leads = _stop_indices(11, np.log(2 * math.pi * math.sqrt(10))
+                                                  - np.log(np.arange(1.0, 129.0)), CTX)
+    assert log_leads.flags.owndata and log_leads.base is None
+
+
+def _engine_halves():
+    """2 pi sqrt(|x| y) of P_{-1} on the trivial character (x = 1, y = l) and
+    on eta^2 (kappa = 1/12: x = 13/12, y = l + 1/12), l = 1..10, with a zero
+    half among them: 21 halves, so two batches of 16."""
+    pairs = [(Fraction(1), Fraction(l)) for l in range(1, 11)] \
+        + [(Fraction(13, 12), l + Fraction(1, 12)) for l in range(0, 10)]
+    halves = [2 * mpmath.pi * mpmath.sqrt(mpmath.mpf((x * y).numerator) / (x * y).denominator)
+              for x, y in pairs]
+    return halves[:7] + [mpmath.mpf(0)] + halves[7:]
+
+
+@pytest.mark.parametrize("bits", [53, 113, 200])
+@pytest.mark.parametrize("order", [4, 11])
+@pytest.mark.parametrize("signed", [True, False], ids=["J", "I"])
+def test_one_pass_over_many_halves_equals_one_call_per_half(bits, order, signed):
+    # c_max 300: more than 128 q, so each half's rows span several blocks,
+    # each shared with other halves' rows; (values, scale, bounds) bit for bit
+    ctx = PrecisionContext(mantissa_bits=bits, target_tol=1e-25)
+    with ctx.working():
+        halves = _engine_halves()
+    qs = range(1, 301)
+    batched = list(bessel_series(order, halves, qs, ctx, signed))
+    assert len(batched) == len(halves)
+    for half, (values, scale, bounds) in zip(halves, batched):
+        (one_values, one_scale, one_bounds), = bessel_series(order, [half], qs, ctx, signed)
+        assert values == one_values and scale == one_scale
+        assert bounds.tobytes() == one_bounds.tobytes()
+    values, scale, bounds = batched[7]  # the zero half: exact
+    assert values == [0] * 300 and scale == 0 and not bounds.any()
+
+
 @pytest.mark.parametrize("order", [0, 3, 11])
 @pytest.mark.parametrize("x", [0.0, 1e-30, 0.7, 38.0, 97.3])
 def test_bessel_j_and_i_are_the_one_divisor_kernel(order, x):
     half = mpmath.mpf(x) / 2
     for fn, signed, ref in ((bessel_j, True, mpmath.besselj),
                             (bessel_i, False, mpmath.besseli)):
-        values, scale, bounds = bessel_series(order, half, [1], TIGHT, signed)
+        (values, scale, bounds), = bessel_series(order, [half], [1], TIGHT, signed)
         with TIGHT.working():
             value, bound = mpmath.mpf((values[0], -scale)), bounds[0]  # rounded once
         got = fn(order, x, TIGHT)
@@ -267,7 +306,7 @@ def test_bessel_bounds_keep_the_lead_rounding_below_the_least_double(signed):
     ctx = PrecisionContext(mantissa_bits=1100, target_tol=1e-320)
     with ctx.working():
         half, wp = 2 * mpmath.pi * mpmath.sqrt(12), mpmath.mp.prec
-    values, scale, bounds = bessel_series(11, half, [1, 2, 5], ctx, signed)
+    (values, scale, bounds), = bessel_series(11, [half], [1, 2, 5], ctx, signed)
     for value, bound in zip(values, bounds.tolist()):
         assert mpmath.mpf(bound) >= mpmath.ldexp(abs(value), 4 - wp - scale)
 
@@ -277,8 +316,8 @@ def test_bessel_series_iteration_cap_covers_every_divisor():
     # q >= 8, not at q = 1
     tiny = PrecisionContext(mantissa_bits=53, target_tol=1e-10)
     with pytest.raises(ConvergenceError):
-        bessel_series(0, 1000, [1, 8, 16], tiny)
-    values, scale, bounds = bessel_series(0, 1000, [8, 16], tiny)
+        list(bessel_series(0, [1000], [1, 8, 16], tiny))
+    (values, scale, bounds), = bessel_series(0, [1000], [8, 16], tiny)
     with mpmath.workprec(200):
         for q, value, bound in zip([8, 16], values, bounds.tolist()):
             assert abs(mpmath.ldexp(value, -scale) - mpmath.besselj(0, mpmath.mpf(2000) / q)) \
@@ -291,7 +330,7 @@ def _bits(x):
 
 
 def _every_entry_point():
-    values, scale, bounds = bessel_series(4, 7 / 3, [1, 2, 5], CTX)
+    (values, scale, bounds), = bessel_series(4, [7 / 3], [1, 2, 5], CTX)
     return [_bits(bessel_j(3, 7.5, CTX)), _bits(bessel_i(2, 7.5, CTX)),
             (values, scale, bounds.tolist()),
             _bits(gamma_upper(3, mpmath.mpf(3), CTX)),
